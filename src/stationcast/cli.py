@@ -339,7 +339,9 @@ def _cmd_eval(args) -> int:
             graph_path = _resolve(stored)
         inputs.append(graph_path)
         static = _static_from_graphset(gr.load_graphs(graph_path), scoped)
-        preds, truth, starts = md.predict_dataset(model, scoped, static)
+        preds, truth, origins = md.predict_dataset(model, scoped, static)
+        # prediction files label each forecast by its first target step
+        starts = origins + model.config.w_in * scoped.time_step
         if space == "physical":
             report = ev.physical_metrics(preds, truth, stats)
         else:

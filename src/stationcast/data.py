@@ -289,14 +289,25 @@ def _pack_str(s: str) -> bytes:
     return struct.pack("<H", len(b)) + b
 
 
-class _Cursor:
-    def __init__(self, buf: bytes):
+class PackedReader:
+    """Bounds-checked reader over the bytes of one packed binary file.
+
+    Reads past the end and undecodable strings raise StructuralError with
+    a one-line diagnostic that names the file, never a struct or index
+    error.
+    """
+
+    def __init__(self, buf: bytes, what: str):
         self.buf = buf
         self.pos = 0
+        self.what = what
+
+    def corrupt(self) -> StructuralError:
+        return StructuralError(f"{self.what} is truncated or corrupt")
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.buf):
-            raise StructuralError("packed dataset file is truncated")
+            raise self.corrupt()
         out = self.buf[self.pos:self.pos + n]
         self.pos += n
         return out
@@ -304,9 +315,15 @@ class _Cursor:
     def unpack(self, fmt: str):
         return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt)))
 
+    def text(self, n: int) -> str:
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError:
+            raise self.corrupt() from None
+
     def string(self) -> str:
         (n,) = self.unpack("H")
-        return self.take(n).decode("utf-8")
+        return self.text(n)
 
 
 def save_dataset(ds: WeatherSeriesDataset, path) -> None:
@@ -332,7 +349,7 @@ def save_dataset(ds: WeatherSeriesDataset, path) -> None:
 
 
 def _load_binary(path: Path) -> WeatherSeriesDataset:
-    cur = _Cursor(path.read_bytes())
+    cur = PackedReader(path.read_bytes(), f"{path}: packed dataset file")
     if cur.take(4) != _MAGIC:
         raise StructuralError(f"{path}: not a packed dataset file")
     (version,) = cur.unpack("I")

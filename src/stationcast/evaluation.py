@@ -18,8 +18,8 @@ import numpy as np
 from . import baselines as bl
 from . import graphs as gr
 from . import model as md
-from .data import (NormStats, WeatherSeriesDataset, denormalize_values,
-                   make_windows)
+from .data import (NormStats, PackedReader, WeatherSeriesDataset,
+                   denormalize_values, make_windows)
 from .errors import ConfigError, ShapeError, StructuralError
 
 _PRED_MAGIC = b"W2KP"
@@ -180,34 +180,19 @@ def save_predictions(path, preds: np.ndarray, target_starts: np.ndarray,
 def load_predictions(path):
     """Read a packed prediction file: (preds, target_starts, stations,
     factors, space)."""
-    raw = Path(path).read_bytes()
-    if raw[:4] != _PRED_MAGIC:
+    cur = PackedReader(Path(path).read_bytes(), f"{path}: prediction file")
+    if cur.take(4) != _PRED_MAGIC:
         raise StructuralError(f"{path}: not a prediction file")
-    version, b, n, w, d = struct.unpack_from("<IIIII", raw, 4)
+    version, b, n, w, d = cur.unpack("IIIII")
     if version != _PRED_VERSION:
         raise StructuralError(f"{path}: unsupported prediction file version "
                               f"{version}")
-    pos = 4 + 20
-    space = "physical" if raw[pos] else "normalized"
-    pos += 1
-    target_starts = np.frombuffer(raw, dtype="<i8", count=b, offset=pos).copy()
-    pos += 8 * b
-    tables = []
-    for count in (n, d):
-        names = []
-        for _ in range(count):
-            if pos + 2 > len(raw):
-                raise StructuralError(f"{path}: truncated prediction file")
-            ln = struct.unpack_from("<H", raw, pos)[0]
-            pos += 2
-            names.append(raw[pos:pos + ln].decode("utf-8"))
-            pos += ln
-        tables.append(names)
-    need = b * n * w * d * 8
-    if pos + need > len(raw):
-        raise StructuralError(f"{path}: truncated prediction file")
-    preds = np.frombuffer(raw, dtype="<f8", count=b * n * w * d,
-                          offset=pos).reshape(b, n, w, d).copy()
+    (physical,) = cur.unpack("B")
+    space = "physical" if physical else "normalized"
+    target_starts = np.frombuffer(cur.take(8 * b), dtype="<i8").copy()
+    tables = [[cur.string() for _ in range(count)] for count in (n, d)]
+    preds = np.frombuffer(cur.take(8 * b * n * w * d), dtype="<f8")
+    preds = preds.reshape(b, n, w, d).copy()
     return preds, target_starts, tables[0], tables[1], space
 
 

@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import tape as tp
-from .data import StationMeta, WeatherSeriesDataset
+from .data import PackedReader, StationMeta, WeatherSeriesDataset
 from .errors import ConfigError, PipelineError, SchemaError, StructuralError
 
 EARTH_RADIUS_KM = 6371.0
@@ -400,8 +400,8 @@ def scaled_laplacian(adj: Union[Adjacency, np.ndarray],
     if (a.sum(axis=1) <= 0.0).any():
         warnings.warn("isolated node: unit self-loop injected before "
                       "normalization", stacklevel=2)
-    l_tilde, saved = tp._laplacian_forward(a)
-    return ScaledLaplacian(l_tilde, saved[3])
+    l_tilde, saved = tp._laplacian_forward_batch(a[None])
+    return ScaledLaplacian(l_tilde[0], float(saved[3][0]))
 
 
 def cheb_filter(lap: Union[ScaledLaplacian, np.ndarray], theta: np.ndarray,
@@ -496,32 +496,24 @@ def load_graphs(path) -> GraphSet:
     path = Path(path)
     raw = path.read_bytes()
     if raw[:4] == _GMAGIC:
-        pos = 4
-        version, n = struct.unpack_from("<II", raw, pos)
-        pos += 8
+        cur = PackedReader(raw, f"{path}: packed graph file")
+        cur.take(4)
+        version, n = cur.unpack("II")
         if version != _GVERSION:
             raise StructuralError(f"{path}: unsupported graph file version "
                                   f"{version}")
-        (mlen,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        meta = json.loads(raw[pos:pos + mlen].decode("utf-8"))
-        pos += mlen
-        (count,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
+        (mlen,) = cur.unpack("I")
+        try:
+            meta = json.loads(cur.text(mlen))
+        except json.JSONDecodeError:
+            raise cur.corrupt() from None
+        (count,) = cur.unpack("I")
         graphs = {}
         for _ in range(count):
-            (klen,) = struct.unpack_from("<H", raw, pos)
-            pos += 2
-            key = raw[pos:pos + klen].decode("utf-8")
-            pos += klen
-            (kindlen,) = struct.unpack_from("<H", raw, pos)
-            pos += 2
-            kind = raw[pos:pos + kindlen].decode("utf-8")
-            pos += kindlen
-            w = np.frombuffer(raw, dtype="<f8", count=n * n,
-                              offset=pos).reshape(n, n).copy()
-            pos += 8 * n * n
-            graphs[key] = Adjacency(n, w, kind)
+            key = cur.string()
+            kind = cur.string()
+            w = np.frombuffer(cur.take(8 * n * n), dtype="<f8")
+            graphs[key] = Adjacency(n, w.reshape(n, n).copy(), kind)
         return GraphSet(n, graphs, meta)
     try:
         doc = json.loads(raw.decode("utf-8"))

@@ -511,6 +511,8 @@ def load_checkpoint(path) -> MultiGraphForecaster:
     raw = Path(path).read_bytes()
     if raw[:4] != _CKPT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
+    if len(raw) < 12:
+        raise CheckpointError(f"{path}: checkpoint is truncated")
     version, hlen = struct.unpack_from("<II", raw, 4)
     if version != _CKPT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version "

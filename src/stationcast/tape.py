@@ -19,9 +19,6 @@ from .errors import ShapeError
 
 ArrayLike = Union[np.ndarray, float, int, "TapeTensor"]
 
-# relu/abs take the zero subgradient at their kink
-_POWER_TOL = 1e-8
-_POWER_MAXITER = 1000
 _LAMBDA_FALLBACK = 2.0
 
 
@@ -190,6 +187,7 @@ def tanh(a: ArrayLike) -> TapeTensor:
     return _emit("tanh", (a,), out, lambda g: (g * (1.0 - out * out),))
 
 
+# relu/abs take the zero subgradient at their kink
 def relu(a: ArrayLike) -> TapeTensor:
     av = _as_array(a)
     mask = av > 0.0
@@ -313,63 +311,20 @@ def conv1d(x: ArrayLike, w: ArrayLike, dilation: int = 1) -> TapeTensor:
 # spectral compound
 
 
-def _power_lambda_max_batch(mats: np.ndarray):
+def _lambda_max_batch(mats: np.ndarray):
     """Largest eigenpairs of a stack of symmetric PSD matrices.
 
-    Power iteration from a fixed seeded start (an all-ones start can sit in
-    the kernel of a regular graph's Laplacian), vectorized over the stack;
-    each matrix is frozen at its own convergence, then one extra step
-    sharpens the pair before a Rayleigh quotient.  Matrices whose iteration
-    does not converge fall back to lambda 2.0 with the eigenvector flagged
-    invalid; the constant keeps the result independent of node ordering in
-    hard cases.  Returns (lam [B], vec [B, N], valid [B]).
+    One batched LAPACK eigh call, so lambda is exact to rounding.  Matrices
+    with a degenerate spectrum (lambda <= 1e-12, e.g. a lone self-looped
+    node) fall back to lambda 2.0 with the eigenvector flagged invalid.
+    Returns (lam [B], vec [B, N], valid [B]).
     """
-    b, n = mats.shape[0], mats.shape[1]
-    rng = np.random.default_rng(12345)
-    v0 = rng.standard_normal(n)
-    v0 /= np.linalg.norm(v0)
-    v = np.tile(v0, (b, 1))
-    active = np.ones(b, dtype=bool)
-    converged = np.zeros(b, dtype=bool)
-    for _ in range(_POWER_MAXITER):
-        idx = np.where(active)[0]
-        if idx.size == 0:
-            break
-        w = (mats[idx] @ v[idx][..., None])[..., 0]
-        nw = np.sqrt(np.einsum("bi,bi->b", w, w))
-        alive = nw >= 1e-300
-        active[idx[~alive]] = False  # vanished iterate: fallback
-        idx = idx[alive]
-        if idx.size == 0:
-            continue
-        v_new = w[alive] / nw[alive][:, None]
-        diff = v_new - v[idx]
-        done = np.sqrt(np.einsum("bi,bi->b", diff, diff)) < _POWER_TOL
-        v[idx] = v_new
-        converged[idx[done]] = True
-        active[idx[done]] = False
-    lam = np.full(b, _LAMBDA_FALLBACK)
-    valid = np.zeros(b, dtype=bool)
-    idx = np.where(converged)[0]
-    if idx.size:
-        w = (mats[idx] @ v[idx][..., None])[..., 0]
-        nw = np.sqrt(np.einsum("bi,bi->b", w, w))
-        safe = np.where(nw < 1e-300, 1.0, nw)
-        v[idx] = np.where((nw >= 1e-300)[:, None], w / safe[:, None], v[idx])
-        li = np.einsum("bi,bi->b", v[idx],
-                       (mats[idx] @ v[idx][..., None])[..., 0])
-        good = li > 1e-12
-        lam[idx[good]] = li[good]
-        valid[idx[good]] = True
-    return lam, v, valid
-
-
-def _power_lambda_max(mat: np.ndarray) -> tuple[float, Optional[np.ndarray]]:
-    """Single-matrix view of _power_lambda_max_batch: (lam, vec or None)."""
-    lam, vec, valid = _power_lambda_max_batch(mat[None])
-    if not valid[0]:
-        return _LAMBDA_FALLBACK, None
-    return float(lam[0]), vec[0]
+    evals, evecs = np.linalg.eigh(mats)
+    lam = evals[:, -1]
+    # a copy, not a view: the tape must not keep the full [B, N, N] basis
+    vec = evecs[:, :, -1].copy()
+    valid = lam > 1e-12
+    return np.where(valid, lam, _LAMBDA_FALLBACK), vec, valid
 
 
 def _laplacian_forward_batch(a: np.ndarray):
@@ -391,7 +346,7 @@ def _laplacian_forward_batch(a: np.ndarray):
     s = 1.0 / np.sqrt(deg)
     eye = np.eye(n)
     lap = eye - (s[:, :, None] * a_eff) * s[:, None, :]
-    lam, vec, valid = _power_lambda_max_batch(lap)
+    lam, vec, valid = _lambda_max_batch(lap)
     l_tilde = (2.0 / lam)[:, None, None] * lap - eye
     return l_tilde, (a_eff, s, lap, lam, vec, valid, isolated)
 
@@ -420,39 +375,6 @@ def _laplacian_backward_batch(g: np.ndarray, saved) -> np.ndarray:
     return grad_a
 
 
-def _laplacian_forward(a: np.ndarray):
-    """Scaled Laplacian of one symmetric nonnegative adjacency matrix.
-
-    Returns (l_tilde, saved) where saved carries what backward needs.
-    """
-    l_tilde, saved = _laplacian_forward_batch(a[None])
-    a_eff, s, lap, lam, vec, valid, isolated = saved
-    single = (a_eff[0], s[0], lap[0], float(lam[0]),
-              vec[0] if valid[0] else None, isolated[0])
-    return l_tilde[0], single
-
-
-def _laplacian_backward(g: np.ndarray, saved) -> np.ndarray:
-    a_eff, s, lap, lam, vec, isolated = saved
-    # dL~/dL has two parts: the 2/lam scaling and lam's own dependence on L;
-    # the second vanishes when lam came from the constant fallback
-    g_lap = (2.0 / lam) * g
-    if vec is not None:
-        g_lam = (-2.0 / lam ** 2) * float((g * lap).sum())
-        g_lap = g_lap + g_lam * np.outer(vec, vec)
-    h = -g_lap  # gradient w.r.t. the normalized adjacency s_i A_ij s_j
-    grad_a = h * np.outer(s, s)
-    # through the degree vector: ds_i/dd_i = -1/2 d^{-3/2}
-    gs = (h * a_eff * s[None, :]).sum(axis=1) + (h * a_eff * s[:, None]).sum(axis=0)
-    c = gs * (-0.5) * s ** 3
-    c = np.where(isolated, 0.0, c)  # clamped rows have frozen degree
-    grad_a = grad_a + c[:, None]
-    if isolated.any():
-        idx = np.where(isolated)[0]
-        grad_a[idx, idx] = 0.0  # injected self-loops are constants
-    return grad_a
-
-
 def scaled_laplacian_op(a: ArrayLike) -> TapeTensor:
     """Differentiable rescaled graph Laplacian, 2 L / lambda_max - I.
 
@@ -461,9 +383,9 @@ def scaled_laplacian_op(a: ArrayLike) -> TapeTensor:
     """
     av = _as_array(a)
     if av.ndim == 2:
-        out, saved = _laplacian_forward(av)
-        return _emit("scaled_laplacian", (a,), out,
-                     lambda g: (_laplacian_backward(g, saved),))
+        out, saved = _laplacian_forward_batch(av[None])
+        return _emit("scaled_laplacian", (a,), out[0],
+                     lambda g: (_laplacian_backward_batch(g[None], saved)[0],))
     if av.ndim == 3:
         out, saved = _laplacian_forward_batch(av)
         return _emit("scaled_laplacian", (a,), out,

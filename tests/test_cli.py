@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from stationcast import data as dt
+from stationcast import evaluation as ev
+from stationcast import graphs as gr
 from stationcast.cli import main
 from stationcast.data import StationMeta, WeatherSeriesDataset
+from stationcast.errors import StructuralError
 
 
 def _tiny_model_json(path, epochs=2, seed=1):
@@ -91,6 +94,32 @@ def test_eval_baseline_and_pred_agree(tmp_path):
     assert main(["eval", "--baseline", "persistence", "--data", str(data),
                  "--factor", "t", "--wprime", "6", "--w", "3",
                  "--save-pred", str(preds), "--out", str(m1)]) == 0
+    m2 = tmp_path / "scored.json"
+    assert main(["eval", "--pred", str(preds), "--data", str(data),
+                 "--out", str(m2)]) == 0
+    a = json.loads(m1.read_text())["overall"]
+    b = json.loads(m2.read_text())["overall"]
+    assert a["mae"] == pytest.approx(b["mae"], rel=1e-12)
+    assert a["rmse"] == pytest.approx(b["rmse"], rel=1e-12)
+
+
+def test_eval_ckpt_and_pred_agree(tmp_path):
+    data = tmp_path / "synth.w2kt"
+    graphs = tmp_path / "graphs.json"
+    ckpt = tmp_path / "model.ckpt"
+    cfg = _tiny_model_json(tmp_path / "model.json", epochs=1)
+    assert main(["synth", "--n", "5", "--t", "120", "--d", "1",
+                 "--seed", "4", "--out", str(data)]) == 0
+    assert main(["graphs", "--data", str(data), "--n-adjacent", "2",
+                 "--out", str(graphs)]) == 0
+    assert main(["train", "--data", str(data), "--graphs", str(graphs),
+                 "--factor", "t", "--config", str(cfg), "--out", str(ckpt),
+                 "--history", str(tmp_path / "h.jsonl")]) == 0
+    m1 = tmp_path / "ckpt.json"
+    preds = tmp_path / "preds.bin"
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data),
+                 "--graphs", str(graphs), "--save-pred", str(preds),
+                 "--out", str(m1)]) == 0
     m2 = tmp_path / "scored.json"
     assert main(["eval", "--pred", str(preds), "--data", str(data),
                  "--out", str(m2)]) == 0
@@ -250,3 +279,54 @@ def test_train_flag_overrides_config(tmp_path):
     assert manifest["config"]["train_config"]["seed"] == 2
     assert manifest["seed"] == 2
     assert str(data) in manifest["input_hashes"]
+
+
+def _check_truncations(raw: bytes, cut, load, argv, every: int = 1):
+    """Every proper prefix of a file (every `every`-th past 512 bytes) makes
+    `load` raise StructuralError; a sample of them fed to the command line
+    as `cut` exits 1 or 2."""
+    prefixes = [raw[:k] for k in range(len(raw)) if k < 512 or k % every == 0]
+    for prefix in prefixes:
+        cut.write_bytes(prefix)
+        with pytest.raises(StructuralError):
+            load(cut)
+    for prefix in prefixes[::len(prefixes) // 25]:
+        cut.write_bytes(prefix)
+        assert main(argv) in (1, 2)
+
+
+def test_truncated_graph_file_is_a_structural_error(tmp_path):
+    data = tmp_path / "synth.w2kt"
+    graphs = tmp_path / "graphs.bin"
+    ckpt = tmp_path / "model.ckpt"
+    cfg = _tiny_model_json(tmp_path / "model.json", epochs=1)
+    # above 64 stations the graph file is packed (W2KG), not JSON
+    assert main(["synth", "--n", "65", "--t", "80", "--d", "1",
+                 "--seed", "11", "--out", str(data)]) == 0
+    assert main(["graphs", "--data", str(data), "--n-adjacent", "2",
+                 "--out", str(graphs)]) == 0
+    assert main(["train", "--data", str(data), "--graphs", str(graphs),
+                 "--config", str(cfg), "--out", str(ckpt),
+                 "--history", str(tmp_path / "h.jsonl")]) == 0
+    raw = graphs.read_bytes()
+    assert raw[:4] == b"W2KG"
+    cut = tmp_path / "cut.bin"
+    _check_truncations(raw, cut, gr.load_graphs,
+                       ["eval", "--ckpt", str(ckpt), "--data", str(data),
+                        "--graphs", str(cut),
+                        "--out", str(tmp_path / "m.json")], every=97)
+
+
+def test_truncated_prediction_file_is_a_structural_error(tmp_path):
+    data = tmp_path / "synth.w2kt"
+    preds = tmp_path / "preds.bin"
+    assert main(["synth", "--n", "3", "--t", "80", "--d", "1",
+                 "--seed", "12", "--out", str(data)]) == 0
+    assert main(["eval", "--baseline", "persistence", "--data", str(data),
+                 "--factor", "t", "--wprime", "6", "--w", "3",
+                 "--save-pred", str(preds),
+                 "--out", str(tmp_path / "base.json")]) == 0
+    cut = tmp_path / "cut.bin"
+    _check_truncations(preds.read_bytes(), cut, ev.load_predictions,
+                       ["eval", "--pred", str(cut), "--data", str(data),
+                        "--out", str(tmp_path / "m.json")])

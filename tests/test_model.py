@@ -452,3 +452,7 @@ def test_checkpoint_truncation_detected(tmp_path):
     path.write_bytes(raw[:len(raw) - 16])
     with pytest.raises(CheckpointError, match="truncated"):
         md.load_checkpoint(path)
+    for k in range(len(raw)):
+        path.write_bytes(raw[:k])
+        with pytest.raises(CheckpointError):
+            md.load_checkpoint(path)

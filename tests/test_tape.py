@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from stationcast import data as dt
+from stationcast import graphs as gr
 from stationcast import tape as tp
 from stationcast.errors import ShapeError
 
@@ -137,6 +139,47 @@ def test_scaled_laplacian_batched_matches_single():
     for i in range(3):
         single = tp.scaled_laplacian_op(mats[i]).values
         assert np.array_equal(got[i], single)
+        assert np.array_equal(tp.scaled_laplacian_op(mats[i][None]).values[0],
+                              single)
+    # a rank-2 input runs the stack code as a one-element stack, backward too
+    grads = []
+    for a in (mats[0], mats[0][None]):
+        t = tp.Tape()
+        p = t.param(a)
+        lt = tp.scaled_laplacian_op(p)
+        loss = tp.reduce_sum(tp.hadamard(lt, lt))
+        grads.append(tp.grad_of(tp.backward(loss), p))
+    assert np.array_equal(grads[0], grads[1][0])
+
+
+def test_scaled_laplacian_stack_gradients():
+    rng = RNG(19)
+    p = {"a": rng.uniform(0.1, 1.0, size=(3, 5, 5)),
+         "w": rng.standard_normal((3, 5, 5))}
+
+    def loss(t):
+        sym = tp.scalar_mul(0.5, tp.add(t["a"],
+                                        tp.transpose(t["a"], (0, 2, 1))))
+        lt = tp.scaled_laplacian_op(tp.absolute(sym))
+        return tp.reduce_sum(tp.hadamard(lt, t["w"]))
+
+    fd_ok(loss, p, tol=1e-4)
+
+
+def test_scaled_laplacian_uses_exact_lambda_on_fused_graph():
+    # equal-weight fusion of real station graphs: lambda_max sits near 1.1,
+    # so a scale taken from the 2.0 fallback would miss by far more than 1e-10
+    ds = dt.generate_synthetic(dt.SynthConfig(n=24, t=400, d=1, seed=0))
+    graphs = gr.build_static_graphs(ds).graphs
+    fused = sum(a.weights for a in graphs.values()) / len(graphs)
+    adj = gr.symmetrize(fused)
+    lt = tp.scaled_laplacian_op(adj).values
+    s = 1.0 / np.sqrt(adj.sum(axis=1))
+    lap = np.eye(len(adj)) - s[:, None] * adj * s[None, :]
+    mask = np.abs(lap) > 1e-3
+    lam_used = 2.0 * lap[mask] / (lt + np.eye(len(adj)))[mask]
+    lam_true = np.linalg.eigvalsh(lap)[-1]
+    assert np.abs(lam_used - lam_true).max() <= 1e-10 * lam_true
 
 
 def test_scaled_laplacian_triangle_spectrum():
