@@ -124,8 +124,7 @@ def _static_from_graphset(gs: gr.GraphSet, ds) -> dict:
     if gs.n != ds.n_stations:
         raise ConfigError(f"graph file has {gs.n} stations, dataset has "
                           f"{ds.n_stations}")
-    return {k: gs[k].weights for k in ("distance", "neighbor", "pattern")
-            if k in gs.graphs}
+    return {k: gs[k].weights for k in gr.STATIC_KINDS if k in gs.graphs}
 
 
 def _model_and_train_config(args) -> tuple:
@@ -293,55 +292,45 @@ def _cmd_eval(args) -> int:
             stats = dt.compute_norm_stats(splits[0])
             scoped, _ = dt.normalize(scoped, stats)
         report = ev.score_external(pred_path, scoped)
-    elif args.baseline:
-        if args.baseline not in _BASELINE_NAMES:
-            raise ConfigError(f"unknown baseline {args.baseline!r} "
-                              f"(have {sorted(_BASELINE_NAMES)})")
-        kind = _BASELINE_NAMES[args.baseline]
-        train_ds, val_ds, test_ds, stats = _prepare_splits(
-            ds, args.factor, scheme)
-        scoped = {"train": train_ds, "val": val_ds,
-                  "test": test_ds}[args.eval_split]
-        w_in = args.wprime or 12
-        w_out = args.w or 12
-        preds, truth, starts = ev.evaluate_baseline(
-            kind, train_ds, scoped, w_in, w_out, lam=args.lam,
-            gamma=args.gamma)
-        if space == "physical":
-            report = ev.physical_metrics(preds, truth, stats)
-        else:
-            report = ev.compute_metrics(preds, truth,
-                                        factors=scoped.factors)
-        if args.save_pred:
-            pred_out = _resolve(args.save_pred)
-            ev.save_predictions(pred_out, preds, starts,
-                                [s.station_id for s in scoped.stations],
-                                scoped.factors, space="normalized")
     else:
-        ckpt_path = _resolve(args.ckpt)
-        graph_path = _resolve(args.graphs) if args.graphs else None
-        inputs.append(ckpt_path)
-        model = md.load_checkpoint(ckpt_path)
-        header_extra = _checkpoint_extra(ckpt_path)
-        factor = args.factor or header_extra.get("factor")
-        if factor is None:
-            raise ConfigError("checkpoint lacks a stored factor; pass "
-                              "--factor")
-        train_ds, val_ds, test_ds, stats = _prepare_splits(ds, factor,
-                                                           scheme)
-        scoped = {"train": train_ds, "val": val_ds,
-                  "test": test_ds}[args.eval_split]
-        if graph_path is None:
-            stored = header_extra.get("graphs_file")
-            if stored is None:
-                raise ConfigError("pass --graphs (checkpoint stores no "
-                                  "graph path)")
-            graph_path = _resolve(stored)
-        inputs.append(graph_path)
-        static = _static_from_graphset(gr.load_graphs(graph_path), scoped)
-        preds, truth, origins = md.predict_dataset(model, scoped, static)
-        # prediction files label each forecast by its first target step
-        starts = origins + model.config.w_in * scoped.time_step
+        if args.baseline:
+            if args.baseline not in _BASELINE_NAMES:
+                raise ConfigError(f"unknown baseline {args.baseline!r} "
+                                  f"(have {sorted(_BASELINE_NAMES)})")
+            kind = _BASELINE_NAMES[args.baseline]
+            train_ds, val_ds, test_ds, stats = _prepare_splits(
+                ds, args.factor, scheme)
+            scoped = {"train": train_ds, "val": val_ds,
+                      "test": test_ds}[args.eval_split]
+            w_in = args.wprime or 12
+            w_out = args.w or 12
+            preds, truth, starts = ev.evaluate_baseline(
+                kind, train_ds, scoped, w_in, w_out, lam=args.lam,
+                gamma=args.gamma)
+        else:
+            ckpt_path = _resolve(args.ckpt)
+            graph_path = _resolve(args.graphs) if args.graphs else None
+            inputs.append(ckpt_path)
+            model, extra = md.load_checkpoint(ckpt_path)
+            factor = args.factor or extra.get("factor")
+            if factor is None:
+                raise ConfigError("checkpoint lacks a stored factor; pass "
+                                  "--factor")
+            train_ds, val_ds, test_ds, stats = _prepare_splits(ds, factor,
+                                                               scheme)
+            scoped = {"train": train_ds, "val": val_ds,
+                      "test": test_ds}[args.eval_split]
+            if graph_path is None:
+                stored = extra.get("graphs_file")
+                if stored is None:
+                    raise ConfigError("pass --graphs (checkpoint stores no "
+                                      "graph path)")
+                graph_path = _resolve(stored)
+            inputs.append(graph_path)
+            static = _static_from_graphset(gr.load_graphs(graph_path), scoped)
+            preds, truth, origins = md.predict_dataset(model, scoped, static)
+            # prediction files label each forecast by its first target step
+            starts = origins + model.config.w_in * scoped.time_step
         if space == "physical":
             report = ev.physical_metrics(preds, truth, stats)
         else:
@@ -365,13 +354,6 @@ def _cmd_eval(args) -> int:
     _write_manifest(out, "eval", _args_config(args), inputs,
                     getattr(args, "seed", None), started)
     return 0
-
-
-def _checkpoint_extra(path: Path) -> dict:
-    import struct as _struct
-    raw = Path(path).read_bytes()
-    hlen = _struct.unpack_from("<II", raw, 4)[1]
-    return json.loads(raw[12:12 + hlen]).get("extra", {})
 
 
 def _cmd_ablate(args) -> int:
@@ -436,6 +418,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # flags shared by the commands that train models: train, ablate, sweep
+    training = argparse.ArgumentParser(add_help=False)
+    training.add_argument("--data", required=True)
+    training.add_argument("--factor", default="t")
+    training.add_argument("--split", default="3,1,2")
+    training.add_argument("--config", default=None,
+                          help="JSON with 'model' and 'train' sections")
+    training.add_argument("--epochs", type=int, default=None)
+    training.add_argument("--batch-size", dest="batch_size", type=int,
+                          default=None)
+    training.add_argument("--lr0", type=float, default=None)
+    training.add_argument("--wprime", type=int, default=None,
+                          help="input window length")
+    training.add_argument("--w", type=int, default=None,
+                          help="forecast horizon")
+
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--n", type=int, default=20, help="station count")
     p.add_argument("--t", type=int, default=2000, help="time steps")
@@ -474,22 +472,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_graphs)
 
-    p = sub.add_parser("train", help="train the forecaster")
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("train", parents=[training],
+                       help="train the forecaster")
     p.add_argument("--graphs", required=True)
-    p.add_argument("--factor", default="t")
-    p.add_argument("--split", default="3,1,2")
-    p.add_argument("--config", default=None,
-                   help="JSON with 'model' and 'train' sections")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--lr0", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--patience", dest="early_stop_patience", type=int,
                    default=None)
-    p.add_argument("--wprime", type=int, default=None,
-                   help="input window length")
-    p.add_argument("--w", type=int, default=None, help="forecast horizon")
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--history", default=None,
                    help="write line-per-epoch training records here")
@@ -520,41 +508,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="metrics JSON path")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("ablate", help="train the graph-subset study grid")
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("ablate", parents=[training],
+                       help="train the graph-subset study grid")
     p.add_argument("--graphs", default=None,
                    help="reuse a built graph file instead of rebuilding")
     p.add_argument("--grid", default="full13",
                    help="full13 (alias table4) | singles")
     p.add_argument("--seeds", default="0",
                    help="comma-separated seeds per row")
-    p.add_argument("--factor", default="t")
-    p.add_argument("--split", default="3,1,2")
     p.add_argument("--n-adjacent", type=int, default=10)
-    p.add_argument("--config", default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--lr0", type=float, default=None)
     p.add_argument("--patience", dest="early_stop_patience", type=int,
                    default=None)
-    p.add_argument("--wprime", type=int, default=None)
-    p.add_argument("--w", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ablate)
 
-    p = sub.add_parser("sweep", help="neighbor-degree sensitivity curve")
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("sweep", parents=[training],
+                       help="neighbor-degree sensitivity curve")
     p.add_argument("--counts", default="5,10,15,20,25",
                    help="comma-separated neighbor degrees")
-    p.add_argument("--factor", default="t")
-    p.add_argument("--split", default="3,1,2")
-    p.add_argument("--config", default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--lr0", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--wprime", type=int, default=None)
-    p.add_argument("--w", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 

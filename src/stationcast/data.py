@@ -8,6 +8,7 @@ pure: each returns a new dataset and leaves its input untouched.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
@@ -292,18 +293,20 @@ def _pack_str(s: str) -> bytes:
 class PackedReader:
     """Bounds-checked reader over the bytes of one packed binary file.
 
-    Reads past the end and undecodable strings raise StructuralError with
-    a one-line diagnostic that names the file, never a struct or index
-    error.
+    Reads past the end, undecodable strings and bytes left after the last
+    field raise the format's error class (StructuralError unless given)
+    with a one-line diagnostic that names the file, never a struct or
+    index error.
     """
 
-    def __init__(self, buf: bytes, what: str):
+    def __init__(self, buf: bytes, what: str, error=StructuralError):
         self.buf = buf
         self.pos = 0
         self.what = what
+        self.error = error
 
-    def corrupt(self) -> StructuralError:
-        return StructuralError(f"{self.what} is truncated or corrupt")
+    def corrupt(self) -> Exception:
+        return self.error(f"{self.what} is truncated or corrupt")
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.buf):
@@ -324,6 +327,18 @@ class PackedReader:
     def string(self) -> str:
         (n,) = self.unpack("H")
         return self.text(n)
+
+    def array(self, dtype: str, shape) -> np.ndarray:
+        """A little-endian array of this dtype and shape, copied out."""
+        dtype = np.dtype(dtype)
+        raw = self.take(dtype.itemsize * math.prod(shape))
+        return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+
+    def end(self) -> None:
+        """Reject bytes left over after the last field."""
+        if self.pos != len(self.buf):
+            raise self.error(f"{self.what} has {len(self.buf) - self.pos} "
+                             "trailing bytes")
 
 
 def save_dataset(ds: WeatherSeriesDataset, path) -> None:
@@ -366,14 +381,14 @@ def _load_binary(path: Path) -> WeatherSeriesDataset:
     (has_norm,) = cur.unpack("B")
     norm = None
     if has_norm:
-        mean = np.frombuffer(cur.take(8 * d), dtype="<f8").copy()
-        std = np.frombuffer(cur.take(8 * d), dtype="<f8").copy()
+        mean = cur.array("<f8", (d,))
+        std = cur.array("<f8", (d,))
         norm = NormStats(list(factors), mean, std)
     count = n * t * d
-    values = np.frombuffer(cur.take(8 * count), dtype="<f8").reshape(n, t, d).copy()
-    mask_bytes = cur.take((count + 7) // 8)
-    mask = np.unpackbits(np.frombuffer(mask_bytes, dtype=np.uint8),
+    values = cur.array("<f8", (n, t, d))
+    mask = np.unpackbits(cur.array("u1", ((count + 7) // 8,)),
                          count=count).astype(bool).reshape(n, t, d)
+    cur.end()
     return WeatherSeriesDataset(stations, factors, values, mask,
                                 time_start=time_start, time_step=time_step,
                                 norm=norm)

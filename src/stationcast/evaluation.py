@@ -19,7 +19,7 @@ from . import baselines as bl
 from . import graphs as gr
 from . import model as md
 from .data import (NormStats, PackedReader, WeatherSeriesDataset,
-                   denormalize_values, make_windows)
+                   _pack_str, denormalize_values, make_windows)
 from .errors import ConfigError, ShapeError, StructuralError
 
 _PRED_MAGIC = b"W2KP"
@@ -169,10 +169,7 @@ def save_predictions(path, preds: np.ndarray, target_starts: np.ndarray,
     for ts in np.asarray(target_starts, dtype=np.int64):
         out.append(struct.pack("<q", int(ts)))
     for table in (stations, factors):
-        for name in table:
-            enc = str(name).encode("utf-8")
-            out.append(struct.pack("<H", len(enc)))
-            out.append(enc)
+        out.extend(_pack_str(str(name)) for name in table)
     out.append(np.ascontiguousarray(preds, dtype="<f8").tobytes())
     Path(path).write_bytes(b"".join(out))
 
@@ -189,10 +186,10 @@ def load_predictions(path):
                               f"{version}")
     (physical,) = cur.unpack("B")
     space = "physical" if physical else "normalized"
-    target_starts = np.frombuffer(cur.take(8 * b), dtype="<i8").copy()
+    target_starts = cur.array("<i8", (b,))
     tables = [[cur.string() for _ in range(count)] for count in (n, d)]
-    preds = np.frombuffer(cur.take(8 * b * n * w * d), dtype="<f8")
-    preds = preds.reshape(b, n, w, d).copy()
+    preds = cur.array("<f8", (b, n, w, d))
+    cur.end()
     return preds, target_starts, tables[0], tables[1], space
 
 
@@ -280,7 +277,7 @@ class AblationSpec:
         if not self.graph_kinds:
             raise ConfigError("an ablation row needs at least one graph")
         for k in self.graph_kinds:
-            if k not in md.ALL_GRAPH_KINDS:
+            if k not in gr.MODEL_KINDS:
                 raise ConfigError(f"unknown graph kind {k!r}")
 
     @property
@@ -295,13 +292,13 @@ FULL13_SUBSETS = (
     ("learnable",),
     ("dynamic",),
     ("distance", "neighbor"),
-    ("distance", "neighbor", "pattern"),
+    gr.STATIC_KINDS,
     ("neighbor", "pattern", "learnable", "dynamic"),
     ("distance", "pattern", "learnable", "dynamic"),
     ("distance", "neighbor", "learnable", "dynamic"),
     ("distance", "neighbor", "pattern", "dynamic"),
     ("distance", "neighbor", "pattern", "learnable"),
-    ("distance", "neighbor", "pattern", "learnable", "dynamic"),
+    gr.MODEL_KINDS,
 )
 
 GRIDS = {
@@ -385,8 +382,7 @@ def neighbor_count_sweep(train_ds: WeatherSeriesDataset,
         gs = gr.build_static_graphs(
             train_ds, sigma=sigma, epsilon=epsilon, n_adjacent=int(na),
             pattern_factors=pattern_factors or train_ds.factors)
-        static = {k: gs[k].weights for k in ("distance", "neighbor",
-                                             "pattern")}
+        static = {k: gs[k].weights for k in gr.STATIC_KINDS}
         model = md.build_model(train_ds.n_stations, model_cfg,
                                seed=train_cfg.seed)
         fitted, _ = md.train(model, train_ds, val_ds, static, train_cfg)

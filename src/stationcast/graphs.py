@@ -19,13 +19,15 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import tape as tp
-from .data import PackedReader, StationMeta, WeatherSeriesDataset
+from .data import PackedReader, StationMeta, WeatherSeriesDataset, _pack_str
 from .errors import ConfigError, PipelineError, SchemaError, StructuralError
 
 EARTH_RADIUS_KM = 6371.0
 
-GRAPH_KINDS = ("distance", "neighbor", "pattern", "learnable", "dynamic",
-               "fused")
+# graphs built from the stations' data, then every graph the model can fuse
+STATIC_KINDS = ("distance", "neighbor", "pattern")
+MODEL_KINDS = STATIC_KINDS + ("learnable", "dynamic")
+GRAPH_KINDS = MODEL_KINDS + ("fused",)
 
 # default factor set for the pattern graph: temperature, visibility, humidity
 PATTERN_FACTORS = ("t", "hv2", "rh")
@@ -48,7 +50,7 @@ class Adjacency:
                               f"does not match n={self.n}")
         if not np.isfinite(self.weights).all():
             raise StructuralError(f"{self.kind} graph has non-finite entries")
-        if self.kind in ("distance", "pattern", "neighbor"):
+        if self.kind in STATIC_KINDS:
             if np.diagonal(self.weights).any():
                 raise StructuralError(f"{self.kind} graph has nonzero diagonal")
         # pattern correlations are signed, and fusion inherits their sign
@@ -428,29 +430,38 @@ def cheb_filter(lap: Union[ScaledLaplacian, np.ndarray], theta: np.ndarray,
     return y
 
 
-def cheb_filter_op(l_tilde, theta, x, order: int) -> tp.TapeTensor:
-    """Tape version of cheb_filter.
+def cheb_filter_op(l_tilde, theta, x) -> tp.TapeTensor:
+    """Tape version of cheb_filter; the order K is theta.shape[0].
 
-    l_tilde: [N, N] or [B, N, N]; x: [N, C] or [B, N, C]; theta: [K, C_in,
-    C_out] with K == order.
+    l_tilde: [N, N] or [B, N, N]; theta: [K, C_in, C_out]; x: [N, C_in],
+    [B, N, C_in] or [B, N, T, C_in].  A [B, N, T, C_in] signal is filtered
+    at every time slice: the recurrence runs on [B, N, T*C_in] and theta_k
+    mixes the channels of each (node, time) row.
     """
-    c_in = tp._as_array(x).shape[-1]
-    c_out = tp._as_array(theta).shape[-1]
+    order, c_in, c_out = tp._as_array(theta).shape
+    shape = tp._as_array(x).shape
+    if len(shape) == 4:
+        b, n, t, _ = shape
+        signal = tp.reshape(x, (b, n, t * c_in))
+        rows = (b, n * t, c_in)
+    else:
+        signal, rows = x, None
 
-    def coeff(k):
-        t = tp.slice_axis(theta, 0, k, k + 1)
-        return tp.reshape(t, (c_in, c_out))
+    def term(s, k):
+        if rows is not None:
+            s = tp.reshape(s, rows)
+        coeff = tp.reshape(tp.slice_axis(theta, 0, k, k + 1), (c_in, c_out))
+        return tp.matmul(s, coeff)
 
-    prev = x
-    y = tp.matmul(prev, coeff(0))
+    acc = term(signal, 0)
     if order > 1:
-        cur = tp.matmul(l_tilde, x)
-        y = tp.add(y, tp.matmul(cur, coeff(1)))
+        prev, cur = signal, tp.matmul(l_tilde, signal)
+        acc = tp.add(acc, term(cur, 1))
         for k in range(2, order):
             nxt = tp.sub(tp.scalar_mul(2.0, tp.matmul(l_tilde, cur)), prev)
             prev, cur = cur, nxt
-            y = tp.add(y, tp.matmul(cur, coeff(k)))
-    return y
+            acc = tp.add(acc, term(cur, k))
+    return acc if rows is None else tp.reshape(acc, (b, n, t, c_out))
 
 
 # ---------------------------------------------------------------------------
@@ -482,12 +493,8 @@ def save_graphs(gs: GraphSet, path) -> None:
     parts.append(struct.pack("<I", len(gs.graphs)))
     for k in sorted(gs.graphs):
         a = gs.graphs[k]
-        blob = k.encode("utf-8")
-        parts.append(struct.pack("<H", len(blob)))
-        parts.append(blob)
-        kb = a.kind.encode("utf-8")
-        parts.append(struct.pack("<H", len(kb)))
-        parts.append(kb)
+        parts.append(_pack_str(k))
+        parts.append(_pack_str(a.kind))
         parts.append(np.ascontiguousarray(a.weights, dtype="<f8").tobytes())
     path.write_bytes(b"".join(parts))
 
@@ -512,8 +519,8 @@ def load_graphs(path) -> GraphSet:
         for _ in range(count):
             key = cur.string()
             kind = cur.string()
-            w = np.frombuffer(cur.take(8 * n * n), dtype="<f8")
-            graphs[key] = Adjacency(n, w.reshape(n, n).copy(), kind)
+            graphs[key] = Adjacency(n, cur.array("<f8", (n, n)), kind)
+        cur.end()
         return GraphSet(n, graphs, meta)
     try:
         doc = json.loads(raw.decode("utf-8"))

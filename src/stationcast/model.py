@@ -20,11 +20,11 @@ import numpy as np
 
 from . import graphs as gr
 from . import tape as tp
-from .data import WeatherSeriesDataset, make_windows
+from .data import PackedReader, WeatherSeriesDataset, make_windows
 from .errors import CheckpointError, ConfigError, TrainingError
 
-STATIC_KINDS = ("distance", "neighbor", "pattern")
-ALL_GRAPH_KINDS = ("distance", "neighbor", "pattern", "learnable", "dynamic")
+STATIC_KINDS = gr.STATIC_KINDS
+ALL_GRAPH_KINDS = gr.MODEL_KINDS
 
 _CKPT_MAGIC = b"W2KC"
 _CKPT_VERSION = 1
@@ -272,33 +272,9 @@ def temporal_multibranch(x, kernels: Sequence[int], branch_weights: Sequence,
     return tp.add_bias(tp.matmul(cat, fuse), fuse_bias)
 
 
-def _cheb_over_time(l_tilde, x, theta, order: int):
-    """Chebyshev node mixing applied at every time slice.
-
-    l_tilde: [B, N, N]; x: [B, N, T, C_in]; theta: [K, C_in, C_out].
-    """
-    b, n, t, c_in = tp._as_array(x).shape
-    c_out = tp._as_array(theta).shape[-1]
-
-    def coeff(k):
-        return tp.reshape(tp.slice_axis(theta, 0, k, k + 1), (c_in, c_out))
-
-    def apply_theta(s, k):
-        # s: [B, N, T*C_in] node-mixed signal; theta acts per time slice
-        u = tp.reshape(s, (b, n * t, c_in))
-        return tp.matmul(u, coeff(k))
-
-    packed = tp.reshape(x, (b, n, t * c_in))
-    acc = apply_theta(packed, 0)
-    if order > 1:
-        cur = tp.matmul(l_tilde, packed)
-        acc = tp.add(acc, apply_theta(cur, 1))
-        prev = packed
-        for k in range(2, order):
-            nxt = tp.sub(tp.scalar_mul(2.0, tp.matmul(l_tilde, cur)), prev)
-            prev, cur = cur, nxt
-            acc = tp.add(acc, apply_theta(cur, k))
-    return tp.reshape(acc, (b, n, t, c_out))
+# the per-time-slice Chebyshev filter; kept under this name because profiling
+# tools look it up here to time each block's graph convolution
+_cheb_over_time = gr.cheb_filter_op
 
 
 def st_block_forward(x, blk: StBlockConfig, l_tilde, weights: dict,
@@ -308,8 +284,7 @@ def st_block_forward(x, blk: StBlockConfig, l_tilde, weights: dict,
     t_out = t_in - (blk.max_kernel - 1)
     if t_out < 1:
         raise ConfigError(f"temporal kernels exceed block input length {t_in}")
-    spatial = tp.relu(_cheb_over_time(l_tilde, x, weights[prefix + "_cheb"],
-                                      blk.cheb_order))
+    spatial = tp.relu(_cheb_over_time(l_tilde, weights[prefix + "_cheb"], x))
     flat = tp.reshape(spatial, (b * n, t_in, blk.channels_out))
     branches = [weights[f"{prefix}_branch{j}"]
                 for j in range(len(blk.temporal_kernels))]
@@ -507,35 +482,48 @@ def save_checkpoint(model: MultiGraphForecaster, path,
     Path(path).write_bytes(b"".join(parts))
 
 
-def load_checkpoint(path) -> MultiGraphForecaster:
-    raw = Path(path).read_bytes()
-    if raw[:4] != _CKPT_MAGIC:
+def load_checkpoint(path) -> tuple:
+    """Read a save_checkpoint file: (model, the header's extra dict).
+
+    Any malformed file raises CheckpointError, including one whose
+    parameter names or shapes differ from what build_model makes for the
+    stored config and station count.
+    """
+    cur = PackedReader(Path(path).read_bytes(), f"{path}: checkpoint",
+                       CheckpointError)
+    if cur.take(4) != _CKPT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
-    if len(raw) < 12:
-        raise CheckpointError(f"{path}: checkpoint is truncated")
-    version, hlen = struct.unpack_from("<II", raw, 4)
+    version, hlen = cur.unpack("II")
     if version != _CKPT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version "
                               f"{version}")
     try:
-        header = json.loads(raw[12:12 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
+        header = json.loads(cur.text(hlen))
+    except json.JSONDecodeError:
         raise CheckpointError(f"{path}: corrupt checkpoint header") from None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: checkpoint header is not an object")
     for fld in ("model_config", "n", "seed", "params"):
         if fld not in header:
             raise CheckpointError(f"{path}: checkpoint header lacks the "
                                   f"{fld!r} field (incompatible version)")
-    config = ModelConfig(**header["model_config"])
-    pos = 12 + hlen
-    params = {}
-    for entry in header["params"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        end = pos + 8 * count
-        if end > len(raw):
-            raise CheckpointError(f"{path}: checkpoint is truncated")
-        params[entry["name"]] = np.frombuffer(
-            raw[pos:end], dtype="<f8").reshape(shape).copy()
-        pos = end
-    return MultiGraphForecaster(config, int(header["n"]), params,
-                       int(header["seed"]))
+    extra = header.get("extra", {})
+    if not isinstance(extra, dict):
+        raise CheckpointError(f"{path}: checkpoint 'extra' is not an object")
+    try:
+        model = build_model(int(header["n"]),
+                            ModelConfig(**header["model_config"]),
+                            int(header["seed"]))
+        listed = [(p["name"], p["shape"]) for p in header["params"]]
+    except (ConfigError, TypeError, ValueError, LookupError,
+            AttributeError) as e:
+        raise CheckpointError(f"{path}: incompatible checkpoint header "
+                              f"({type(e).__name__}: {e})") from None
+    names = model.param_names()
+    if listed != [(k, list(model.params[k].shape)) for k in names]:
+        raise CheckpointError(f"{path}: checkpoint parameters do not match "
+                              "its model config")
+    model.params = {k: cur.array("<f8", model.params[k].shape)
+                    for k in names}
+    cur.end()
+    return model, extra

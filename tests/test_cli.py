@@ -1,6 +1,7 @@
 """End-to-end command line behavior: chains, exit codes, manifests."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from stationcast import data as dt
 from stationcast import evaluation as ev
 from stationcast import graphs as gr
-from stationcast.cli import main
+from stationcast import model as md
+from stationcast.cli import build_parser, main
 from stationcast.data import StationMeta, WeatherSeriesDataset
 from stationcast.errors import StructuralError
 
@@ -129,6 +131,44 @@ def test_eval_ckpt_and_pred_agree(tmp_path):
     assert a["rmse"] == pytest.approx(b["rmse"], rel=1e-12)
 
 
+# flag destinations and defaults of the training and scoring commands; the
+# required flags are given as "<req>" so the parse succeeds
+_CLI_SURFACE = {
+    "train": {"data": "<req>", "graphs": "<req>", "factor": "t",
+              "split": "3,1,2", "config": None, "epochs": None,
+              "batch_size": None, "lr0": None, "seed": None,
+              "early_stop_patience": None, "wprime": None, "w": None,
+              "out": "<req>", "history": None},
+    "ablate": {"data": "<req>", "graphs": None, "grid": "full13",
+               "seeds": "0", "factor": "t", "split": "3,1,2",
+               "n_adjacent": 10, "config": None, "epochs": None,
+               "batch_size": None, "lr0": None, "early_stop_patience": None,
+               "wprime": None, "w": None, "out": "<req>"},
+    "sweep": {"data": "<req>", "counts": "5,10,15,20,25", "factor": "t",
+              "split": "3,1,2", "config": None, "epochs": None,
+              "batch_size": None, "lr0": None, "seed": None, "wprime": None,
+              "w": None, "out": "<req>"},
+    "eval": {"data": "<req>", "ckpt": None, "baseline": None, "pred": None,
+             "graphs": None, "factor": None, "split": "3,1,2",
+             "eval_split": "test", "wprime": None, "w": None, "lam": 0.0,
+             "gamma": None, "space": "normalized", "save_pred": None,
+             "out": "<req>"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CLI_SURFACE))
+def test_cli_surface_is_pinned(command):
+    want = _CLI_SURFACE[command]
+    argv = [command]
+    for dest, default in want.items():
+        if default == "<req>":
+            argv += ["--" + dest, "<req>"]
+    args = vars(build_parser().parse_args(argv))
+    assert args.pop("command") == command
+    args.pop("func")
+    assert args == want
+
+
 def test_eval_requires_exactly_one_mode(tmp_path):
     data = tmp_path / "synth.w2kt"
     assert main(["synth", "--n", "5", "--t", "80", "--d", "1",
@@ -139,6 +179,25 @@ def test_eval_requires_exactly_one_mode(tmp_path):
                  "--ckpt", "x.ckpt", "--out", str(out)]) == 1
     assert main(["eval", "--data", str(data), "--baseline", "psychic",
                  "--out", str(out)]) == 1
+
+
+def test_eval_malformed_checkpoint_exits_1(tmp_path, capsys):
+    data = tmp_path / "synth.w2kt"
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["synth", "--n", "5", "--t", "80", "--d", "1",
+                 "--seed", "5", "--out", str(data)]) == 0
+    md.save_checkpoint(md.build_model(5), ckpt)
+    raw = ckpt.read_bytes()
+    hlen = struct.unpack_from("<II", raw, 4)[1]
+    header = {**json.loads(raw[12:12 + hlen]), "extra": 5}
+    blob = json.dumps(header).encode()
+    ckpt.write_bytes(raw[:4] + struct.pack("<II", 1, len(blob)) + blob
+                     + raw[12 + hlen:])
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data),
+                 "--factor", "t", "--out", str(tmp_path / "m.json")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 def test_missing_input_exits_1(tmp_path):
@@ -282,10 +341,11 @@ def test_train_flag_overrides_config(tmp_path):
 
 
 def _check_truncations(raw: bytes, cut, load, argv, every: int = 1):
-    """Every proper prefix of a file (every `every`-th past 512 bytes) makes
-    `load` raise StructuralError; a sample of them fed to the command line
-    as `cut` exits 1 or 2."""
+    """Every proper prefix of a file (every `every`-th past 512 bytes) and
+    the file with one byte appended make `load` raise StructuralError; a
+    sample of them fed to the command line as `cut` exits 1 or 2."""
     prefixes = [raw[:k] for k in range(len(raw)) if k < 512 or k % every == 0]
+    prefixes.append(raw + b"\0")
     for prefix in prefixes:
         cut.write_bytes(prefix)
         with pytest.raises(StructuralError):

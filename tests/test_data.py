@@ -135,6 +135,9 @@ def test_binary_bad_magic_and_version(tmp_path):
     bad.write_bytes(bytes(raw))
     with pytest.raises(StructuralError, match="version"):
         dt.load_dataset(bad, "packed_binary")
+    bad.write_bytes(p.read_bytes() + b"\0")
+    with pytest.raises(StructuralError, match="trailing"):
+        dt.load_dataset(bad, "packed_binary")
 
 
 # ---------------------------------------------------------------------------

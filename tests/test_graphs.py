@@ -444,12 +444,12 @@ def test_cheb_filter_op_matches_and_differentiates():
     sl = gr.scaled_laplacian(raw)
     x = rng.standard_normal((5, 2))
     theta = rng.standard_normal((3, 2, 2))
-    got = gr.cheb_filter_op(sl.l_tilde, theta, x, 3).values
+    got = gr.cheb_filter_op(sl.l_tilde, theta, x).values
     assert np.allclose(got, gr.cheb_filter(sl, theta, x), atol=1e-12)
 
     def loss(t):
         return tp.reduce_sum(gr.cheb_filter_op(sl.l_tilde, t["theta"],
-                                               t["x"], 3))
+                                               t["x"]))
 
     err = tp.finite_diff_check(loss, {"theta": theta, "x": x}, rng=RNG(0))
     assert err <= 1e-4
@@ -461,10 +461,19 @@ def test_cheb_filter_batched_matches_per_item():
                     for _ in range(3)])
     x = rng.standard_normal((3, 4, 2))
     theta = rng.standard_normal((2, 2, 2))
-    got = gr.cheb_filter_op(lts, theta, x, 2).values
+    got = gr.cheb_filter_op(lts, theta, x).values
     for b in range(3):
         want = gr.cheb_filter(gr.ScaledLaplacian(lts[b], 0.0), theta, x[b])
         assert np.allclose(got[b], want, atol=1e-13)
+    # [B, N, T, C]: every time slice is filtered on its own
+    theta = rng.standard_normal((3, 2, 2))
+    x = rng.standard_normal((3, 4, 5, 2))
+    got = gr.cheb_filter_op(lts, theta, x).values
+    assert got.shape == (3, 4, 5, 2)
+    for b in range(3):
+        for s in range(5):
+            want = gr.cheb_filter(lts[b], theta, x[b, :, s])
+            assert np.allclose(got[b, :, s], want, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -393,7 +393,8 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     model = md.build_model(5, _tiny_config(), seed=6)
     path = tmp_path / "model.ckpt"
     md.save_checkpoint(model, path, extra={"factor": "t"})
-    back = md.load_checkpoint(path)
+    back, extra = md.load_checkpoint(path)
+    assert extra == {"factor": "t"}
     assert back.n == model.n
     assert back.seed == model.seed
     assert back.config.to_dict() == model.config.to_dict()
@@ -428,20 +429,56 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
         md.load_checkpoint(path)
 
 
+def _rewrite_header(path, edit):
+    """Replace a checkpoint's JSON header by edit(header), data untouched."""
+    raw = path.read_bytes()
+    hlen = struct.unpack_from("<II", raw, 4)[1]
+    header = edit(json.loads(raw[12:12 + hlen]))
+    blob = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(raw[:4] + struct.pack("<II", 1, len(blob)) + blob
+                     + raw[12 + hlen:])
+
+
 def test_checkpoint_missing_field_is_version_error(tmp_path):
     model = md.build_model(4, _tiny_config(), seed=0)
     path = tmp_path / "model.ckpt"
     md.save_checkpoint(model, path)
-    raw = path.read_bytes()
-    hlen = struct.unpack_from("<II", raw, 4)[1]
-    header = json.loads(raw[12:12 + hlen])
-    del header["seed"]
-    blob = json.dumps(header, sort_keys=True).encode()
-    patched = raw[:4] + struct.pack("<II", 1, len(blob)) + blob \
-        + raw[12 + hlen:]
-    path.write_bytes(patched)
+    _rewrite_header(path, lambda h: {k: v for k, v in h.items()
+                                     if k != "seed"})
     with pytest.raises(CheckpointError, match="seed"):
         md.load_checkpoint(path)
+
+
+def _edit_params(edit):
+    return lambda h: {**h, "params": edit(h["params"])}
+
+
+# checkpoint header edits that load_checkpoint must reject
+MALFORMED_HEADERS = {
+    "number": lambda h: 5,
+    "unknown_config_key": lambda h: {
+        **h, "model_config": {**h["model_config"], "bogus": 1}},
+    "extra_not_object": lambda h: {**h, "extra": 5},
+    "param_without_shape": _edit_params(
+        lambda ps: [{"name": ps[0]["name"]}] + ps[1:]),
+    "missing_out_b": _edit_params(
+        lambda ps: [p for p in ps if p["name"] != "out_b"]),
+    "wrong_shape": _edit_params(
+        lambda ps: ps[:-1] + [{**ps[-1], "shape": [1, 1]}]),
+    "renamed_param": _edit_params(
+        lambda ps: ps[:-1] + [{**ps[-1], "name": "out_v"}]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+def test_checkpoint_malformed_header_is_checkpoint_error(tmp_path, case):
+    path = tmp_path / "model.ckpt"
+    md.save_checkpoint(md.build_model(4, _tiny_config(), seed=0), path,
+                       extra={"factor": "t"})
+    _rewrite_header(path, MALFORMED_HEADERS[case])
+    with pytest.raises(CheckpointError) as info:
+        md.load_checkpoint(path)
+    assert "\n" not in str(info.value)
 
 
 def test_checkpoint_truncation_detected(tmp_path):
@@ -456,3 +493,6 @@ def test_checkpoint_truncation_detected(tmp_path):
         path.write_bytes(raw[:k])
         with pytest.raises(CheckpointError):
             md.load_checkpoint(path)
+    path.write_bytes(raw + b"\0")
+    with pytest.raises(CheckpointError, match="trailing"):
+        md.load_checkpoint(path)
