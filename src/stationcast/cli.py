@@ -92,12 +92,17 @@ def _parse_numbers(text: str, cast=float) -> list:
         raise ConfigError(f"cannot parse number list {text!r}") from None
 
 
-def _load_dataset_arg(path: Path) -> dt.WeatherSeriesDataset:
-    if path.is_dir():
-        return dt.load_dataset(path, format="csv_per_station")
+def _load_dataset_arg(path: Path, gaps_ok: bool = False):
+    """Load a dataset argument; only preprocess may read unobserved cells."""
     if not path.exists():
         raise FileNotFoundError(f"dataset {path} does not exist")
-    return dt.load_dataset(path, format="packed_binary")
+    ds = dt.load_dataset(path, format="csv_per_station" if path.is_dir()
+                         else "packed_binary")
+    if not (gaps_ok or ds.mask.all()):
+        raise SchemaError(f"dataset {path} has {int((~ds.mask).sum())} "
+                          "unobserved cells; fill them with `stationcast "
+                          "preprocess` first")
+    return ds
 
 
 def _split_scheme(text: str):
@@ -178,7 +183,7 @@ def _cmd_synth(args) -> int:
 def _cmd_preprocess(args) -> int:
     started = time.monotonic()
     src = _resolve(args.data)
-    ds = _load_dataset_arg(src)
+    ds = _load_dataset_arg(src, gaps_ok=True)
     kept, missing_report = dt.screen_missing(ds, max_ratio=args.max_missing)
     kept, default_report = dt.screen_defaults(kept,
                                               max_ratio=args.max_defaults)
@@ -299,14 +304,12 @@ def _cmd_eval(args) -> int:
                                   f"(have {sorted(_BASELINE_NAMES)})")
             kind = _BASELINE_NAMES[args.baseline]
             train_ds, val_ds, test_ds, stats = _prepare_splits(
-                ds, args.factor, scheme)
+                ds, args.factor or "t", scheme)
             scoped = {"train": train_ds, "val": val_ds,
                       "test": test_ds}[args.eval_split]
-            w_in = args.wprime or 12
-            w_out = args.w or 12
             preds, truth, starts = ev.evaluate_baseline(
-                kind, train_ds, scoped, w_in, w_out, lam=args.lam,
-                gamma=args.gamma)
+                kind, train_ds, scoped, args.wprime or 12, args.w or 12,
+                lam=args.lam, gamma=args.gamma)
         else:
             ckpt_path = _resolve(args.ckpt)
             graph_path = _resolve(args.graphs) if args.graphs else None

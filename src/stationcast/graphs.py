@@ -290,15 +290,15 @@ def init_dynamic_graph(w_in: int, d: int, d_emb: int = 16, beta: float = 0.5,
         beta=beta)
 
 
+def _swap_last(x) -> tp.TapeTensor:
+    """Transpose the last two axes of an [N, N] or [B, N, N] tensor."""
+    nd = tp._as_array(x).ndim
+    return tp.transpose(x, (*range(nd - 2), nd - 1, nd - 2))
+
+
 def _antisym_graph(m1, m2, saturation: float):
     """ReLU(tanh(s * (M1 M2^T - M2 M1^T))); one-sided by antisymmetry."""
-    if tp._as_array(m1).ndim == 3:
-        m2t = tp.transpose(m2, (0, 2, 1))
-        m1t = tp.transpose(m1, (0, 2, 1))
-    else:
-        m2t = tp.transpose(m2, (1, 0))
-        m1t = tp.transpose(m1, (1, 0))
-    g = tp.sub(tp.matmul(m1, m2t), tp.matmul(m2, m1t))
+    g = tp.sub(tp.matmul(m1, _swap_last(m2)), tp.matmul(m2, _swap_last(m1)))
     return tp.relu(tp.tanh(tp.scalar_mul(saturation, g)))
 
 
@@ -383,22 +383,16 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 def symmetrize_op(a) -> tp.TapeTensor:
     """Tape version of symmetrize for [N, N] or [B, N, N] tensors."""
     aa = tp.absolute(a)
-    nd = tp._as_array(a).ndim
-    axes = (0, 2, 1) if nd == 3 else (1, 0)
-    return tp.scalar_mul(0.5, tp.add(aa, tp.transpose(aa, axes)))
+    return tp.scalar_mul(0.5, tp.add(aa, _swap_last(aa)))
 
 
-def scaled_laplacian(adj: Union[Adjacency, np.ndarray],
-                     presymmetrized: bool = False) -> ScaledLaplacian:
+def scaled_laplacian(adj: Union[Adjacency, np.ndarray]) -> ScaledLaplacian:
     """Rescaled normalized Laplacian 2L/lambda_max - I of a graph.
 
-    The input is symmetrized first unless the caller vouches for it.
-    Isolated nodes get a unit self-loop (with a warning) so degree
-    normalization stays finite.
+    The input is symmetrized first.  Isolated nodes get a unit self-loop
+    (with a warning) so degree normalization stays finite.
     """
-    a = adj.weights if isinstance(adj, Adjacency) else np.asarray(adj, float)
-    if not presymmetrized:
-        a = symmetrize(a)
+    a = symmetrize(adj.weights if isinstance(adj, Adjacency) else adj)
     if (a.sum(axis=1) <= 0.0).any():
         warnings.warn("isolated node: unit self-loop injected before "
                       "normalization", stacklevel=2)

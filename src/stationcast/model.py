@@ -138,7 +138,6 @@ class TrainConfig:
     lr_decay_every: int = 10
     decay_window: int = 50
     lr_decay_mode: str = "compound"  # or "literal": lr0 * factor^k
-    loss: str = "mae"
     seed: int = 0
 
     def __post_init__(self):
@@ -146,8 +145,6 @@ class TrainConfig:
             raise ConfigError("epochs and batch size must be positive")
         if self.lr_decay_mode not in ("compound", "literal"):
             raise ConfigError(f"unknown lr decay mode {self.lr_decay_mode!r}")
-        if self.loss != "mae":
-            raise ConfigError("only the mae objective is supported")
         if self.lr_decay_every < 1 or self.decay_window < 0:
             raise ConfigError("schedule intervals must be positive")
 
@@ -302,7 +299,12 @@ def st_block_forward(x, blk: StBlockConfig, l_tilde, weights: dict,
 
 def _fused_laplacian(weights: dict, cfg: ModelConfig, n: int, batch: int,
                      inputs: np.ndarray, static_graphs: dict):
-    """Per-window rescaled Laplacian of the fused graph stack."""
+    """Rescaled Laplacian of the fused graph at the rank it varies.
+
+    Without the dynamic graph every window of the step shares one fused
+    graph, so L~ is one [N, N] matrix; the dynamic graph makes it a
+    per-window [B, N, N] stack.
+    """
     terms2d = {}
     for kind in cfg.graph_kinds:
         if kind in STATIC_KINDS:
@@ -318,9 +320,8 @@ def _fused_laplacian(weights: dict, cfg: ModelConfig, n: int, batch: int,
                 weights["emb_theta2"], cfg.alpha)
     fused = None
     if terms2d:
-        flat = gr.fuse_graphs_op(
+        fused = gr.fuse_graphs_op(
             terms2d, {k: weights[f"fusion_{k}"] for k in terms2d})
-        fused = tp.tile_leading(flat, batch)
     if "dynamic" in cfg.graph_kinds:
         # node characteristics: the window of the first factor channel
         z = np.ascontiguousarray(inputs[:, :, :, 0]).reshape(batch, n, -1)
@@ -328,9 +329,9 @@ def _fused_laplacian(weights: dict, cfg: ModelConfig, n: int, batch: int,
                                   cfg.beta)
         w_k = tp.tile_leading(weights["fusion_dynamic"], batch)
         term = tp.hadamard(w_k, a_k)
-        fused = term if fused is None else tp.add(fused, term)
-    sym = gr.symmetrize_op(fused)
-    return tp.scaled_laplacian_op(sym)
+        fused = term if fused is None \
+            else tp.add(tp.tile_leading(fused, batch), term)
+    return tp.scaled_laplacian_op(gr.symmetrize_op(fused))
 
 
 def forward_on_tape(weights: dict, cfg: ModelConfig, n: int,

@@ -158,27 +158,28 @@ def scalar_mul(c: float, a: ArrayLike) -> TapeTensor:
     return _emit("scalar_mul", (a,), c * av, lambda g: (c * g,))
 
 
+def _product_at_rank(ndim: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y over the last two axes; a 2-D result sums the leading axis."""
+    if ndim == 3:
+        return x @ y
+    xt = np.swapaxes(x, -1, -2)  # one GEMM over the stacked rows
+    return xt.reshape(-1, xt.shape[-1]).T @ y.reshape(-1, y.shape[-1])
+
+
 def matmul(a: ArrayLike, b: ArrayLike) -> TapeTensor:
+    """Matrix product over the last two axes of rank-2 or rank-3 operands.
+
+    A 2-D operand is shared by every leading index of a 3-D one, and its
+    gradient sums over that axis.
+    """
     av, bv = _as_array(a), _as_array(b)
-    if av.ndim == 2 and bv.ndim == 2:
-        if av.shape[1] != bv.shape[0]:
-            raise ShapeError(f"matmul: {av.shape} @ {bv.shape}")
-        out = av @ bv
-        back = lambda g: (g @ bv.T, av.T @ g)
-    elif av.ndim == 3 and bv.ndim == 3:
-        if av.shape[0] != bv.shape[0] or av.shape[2] != bv.shape[1]:
-            raise ShapeError(f"matmul: {av.shape} @ {bv.shape}")
-        out = av @ bv
-        back = lambda g: (g @ bv.transpose(0, 2, 1), av.transpose(0, 2, 1) @ g)
-    elif av.ndim == 3 and bv.ndim == 2:
-        if av.shape[2] != bv.shape[0]:
-            raise ShapeError(f"matmul: {av.shape} @ {bv.shape}")
-        out = av @ bv
-        back = lambda g: (g @ bv.T,
-                          np.tensordot(av, g, axes=([0, 1], [0, 1])))
-    else:
-        raise ShapeError(f"matmul: unsupported ranks {av.ndim} and {bv.ndim}")
-    return _emit("matmul", (a, b), out, back)
+    if not {av.ndim, bv.ndim} <= {2, 3} or av.shape[-1] != bv.shape[-2] \
+            or len({x.shape[0] for x in (av, bv) if x.ndim == 3}) > 1:
+        raise ShapeError(f"matmul: {av.shape} @ {bv.shape}")
+    bt = np.swapaxes(bv, -1, -2)
+    return _emit("matmul", (a, b), av @ bv, lambda g: (
+        _product_at_rank(av.ndim, g, bt),
+        _product_at_rank(bv.ndim, np.swapaxes(av, -1, -2), g)))
 
 
 def tanh(a: ArrayLike) -> TapeTensor:
@@ -382,15 +383,13 @@ def scaled_laplacian_op(a: ArrayLike) -> TapeTensor:
     symmetric with nonnegative entries.
     """
     av = _as_array(a)
-    if av.ndim == 2:
-        out, saved = _laplacian_forward_batch(av[None])
-        return _emit("scaled_laplacian", (a,), out[0],
-                     lambda g: (_laplacian_backward_batch(g[None], saved)[0],))
-    if av.ndim == 3:
-        out, saved = _laplacian_forward_batch(av)
-        return _emit("scaled_laplacian", (a,), out,
-                     lambda g: (_laplacian_backward_batch(g, saved),))
-    raise ShapeError(f"scaled_laplacian: rank {av.ndim} input")
+    if av.ndim not in (2, 3):
+        raise ShapeError(f"scaled_laplacian: rank {av.ndim} input")
+    stack = av.reshape((-1,) + av.shape[-2:])
+    out, saved = _laplacian_forward_batch(stack)
+    return _emit("scaled_laplacian", (a,), out.reshape(av.shape),
+                 lambda g: (_laplacian_backward_batch(
+                     g.reshape(stack.shape), saved).reshape(av.shape),))
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +420,9 @@ def backward(loss: TapeTensor) -> dict[int, np.ndarray]:
             if in_id is None or gin is None:
                 continue
             if grads[in_id] is None:
-                grads[in_id] = np.array(gin, dtype=np.float64)
+                # kept as returned (maybe a view of g, or shared with a
+                # sibling): accumulation is out of place, no closure writes g
+                grads[in_id] = gin
             else:
                 grads[in_id] = grads[in_id] + gin
     store: dict[int, np.ndarray] = {}

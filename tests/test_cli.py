@@ -2,6 +2,7 @@
 
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,6 +104,54 @@ def test_eval_baseline_and_pred_agree(tmp_path):
     b = json.loads(m2.read_text())["overall"]
     assert a["mae"] == pytest.approx(b["mae"], rel=1e-12)
     assert a["rmse"] == pytest.approx(b["rmse"], rel=1e-12)
+
+
+def test_eval_baseline_defaults_to_factor_t(tmp_path):
+    data = tmp_path / "synth.w2kt"
+    assert main(["synth", "--n", "5", "--t", "120", "--d", "2",
+                 "--seed", "4", "--out", str(data)]) == 0
+    reports = []
+    for factor in ([], ["--factor", "t"]):
+        out = tmp_path / f"ridge{len(factor)}.json"
+        assert main(["eval", "--baseline", "ridge", "--lam", "1.0",
+                     "--data", str(data), "--wprime", "6", "--w", "3",
+                     *factor, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert list(json.loads(reports[0])["per_factor"]) == ["t"]
+
+
+def test_unobserved_cells_need_preprocess(tmp_path, capsys):
+    ds = dt.generate_synthetic(dt.SynthConfig(n=6, t=400, d=1, seed=2))
+    mask = ds.mask.copy()
+    gaps = np.random.default_rng(3).choice(mask.size, 50, replace=False)
+    mask.reshape(-1)[gaps] = False
+    raw = tmp_path / "raw"
+    dt.save_csv_dir(replace(ds, mask=mask), raw)
+    clean = tmp_path / "clean.w2kt"
+    assert main(["preprocess", "--data", str(raw), "--max-missing", "0.1",
+                 "--out", str(clean)]) == 0
+    assert dt.load_dataset(clean).n_stations == 6
+
+    graphs, ckpt = tmp_path / "graphs.json", tmp_path / "model.ckpt"
+    cfg = _tiny_model_json(tmp_path / "model.json", epochs=1)
+    commands = {
+        "graphs": ["graphs", "--n-adjacent", "2", "--out", str(graphs)],
+        "train": ["train", "--graphs", str(graphs), "--config", str(cfg),
+                  "--out", str(ckpt)],
+        "eval --baseline": ["eval", "--baseline", "ridge", "--lam", "1.0",
+                            "--wprime", "6", "--w", "3",
+                            "--out", str(tmp_path / "ridge.json")],
+        "eval --ckpt": ["eval", "--ckpt", str(ckpt),
+                        "--out", str(tmp_path / "ckpt.json")],
+    }
+    for name, argv in commands.items():
+        assert main(argv + ["--data", str(clean)]) == 0, name
+    capsys.readouterr()
+    for name, argv in commands.items():
+        assert main(argv + ["--data", str(raw)]) == 1, name
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "stationcast preprocess" in err[0], err
 
 
 def test_eval_ckpt_and_pred_agree(tmp_path):

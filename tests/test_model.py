@@ -262,6 +262,58 @@ def test_missing_static_graph_rejected():
         md.forward(model, inputs, {"distance": np.ones((4, 4))})
 
 
+def _two_block_config(kinds=md.STATIC_KINDS):
+    return md.ModelConfig(w_in=6, w_out=3,
+                          blocks=[md.StBlockConfig(2, [3], 1, 3),
+                                  md.StBlockConfig(3, [3], 3, 3)],
+                          d_emb=4, graph_kinds=kinds)
+
+
+def test_static_graphs_give_one_laplacian_per_step(monkeypatch):
+    rng = np.random.default_rng(21)
+    n, batch = 5, 4
+    inputs = rng.normal(0.0, 1.0, (batch, n, 6, 1))
+    targets = rng.normal(0.0, 1.0, (batch, n, 3, 1))
+    static = _static_graphs(n, rng)
+    sizes = []
+    decompose = tp._lambda_max_batch
+    monkeypatch.setattr(tp, "_lambda_max_batch",
+                        lambda m: sizes.append(len(m)) or decompose(m))
+    for kinds, shape, per_step in (
+            (md.STATIC_KINDS + ("learnable",), (n, n), 1),
+            (md.ALL_GRAPH_KINDS, (batch, n, n), batch)):
+        cfg = _two_block_config(kinds)
+        model = md.build_model(n, cfg, seed=3)
+        l_tilde = md._fused_laplacian(model.params, cfg, n, batch, inputs,
+                                      static)
+        assert l_tilde.shape == shape
+        sizes.clear()
+        t = tp.Tape()
+        tparams = {k: t.param(v, name=k) for k, v in model.params.items()}
+        pred = md.forward_on_tape(tparams, cfg, n, inputs, static)
+        tp.backward(md._mae_loss(pred, targets))
+        assert sizes == [per_step]
+
+
+def test_static_only_predictions_match_tiled_computation(monkeypatch):
+    ds = _tiny_dataset(n=5, t=60, seed=3)
+    static = _static_graphs(5, np.random.default_rng(22))
+    model = md.build_model(5, _two_block_config(), seed=2)
+    shared = md.predict_dataset(model, ds, static, batch_size=16)[0]
+
+    def tiled(weights, cfg, n, batch, inputs, static_graphs):
+        # the per-window computation: B copies of the one fused graph
+        fused = gr.fuse_graphs_op(
+            {k: static_graphs[k] for k in cfg.graph_kinds},
+            {k: weights[f"fusion_{k}"] for k in cfg.graph_kinds})
+        return tp.scaled_laplacian_op(
+            gr.symmetrize_op(tp.tile_leading(fused, batch)))
+
+    monkeypatch.setattr(md, "_fused_laplacian", tiled)
+    per_window = md.predict_dataset(model, ds, static, batch_size=16)[0]
+    assert shared.tobytes() == per_window.tobytes()
+
+
 def test_forward_rejects_wrong_window_shape():
     cfg = _tiny_config()
     model = md.build_model(4, cfg, seed=0)

@@ -28,8 +28,26 @@ def test_matmul_batched_gradients():
 
 
 def test_matmul_batched_by_shared_gradients():
-    p = {"a": RNG(5).standard_normal((3, 2, 4)), "b": RNG(6).standard_normal((4, 6))}
-    fd_ok(lambda t: tp.reduce_sum(tp.tanh(tp.matmul(t["a"], t["b"]))), p)
+    # a 2-D operand on either side is shared by every leading index; the
+    # second case is the Chebyshev recurrence's [N, N] @ [B, N, C] product
+    for sa, sb, seed in (((3, 2, 4), (4, 6), 5), ((4, 4), (3, 4, 5), 7)):
+        p = {"a": RNG(seed).standard_normal(sa), "b": RNG(seed + 1).standard_normal(sb)}
+        fd_ok(lambda t: tp.reduce_sum(tp.tanh(tp.matmul(t["a"], t["b"]))), p)
+
+
+def test_matmul_shared_operand_matches_tiled():
+    a, b = RNG(9).standard_normal((4, 4)), RNG(10).standard_normal((3, 4, 5))
+
+    def run(tile):
+        t = tp.Tape()
+        pa, pb = t.param(a), t.param(b)
+        out = tp.matmul(tp.tile_leading(pa, 3) if tile else pa, pb)
+        return out.values, tp.backward(tp.reduce_sum(tp.tanh(out)))
+
+    (shared, gs), (tiled, gt) = run(False), run(True)
+    assert shared.tobytes() == tiled.tobytes()
+    for k in gs:
+        np.testing.assert_allclose(gs[k], gt[k], rtol=1e-13, atol=1e-14)
 
 
 def test_elementwise_gradients():
@@ -244,6 +262,10 @@ def test_shape_mismatch_raises():
         tp.add(a, b)
     with pytest.raises(ShapeError):
         tp.matmul(a, np.ones((2, 2)))
+    with pytest.raises(ShapeError):
+        tp.matmul(np.ones((2, 2, 3)), np.ones((3, 3, 3)))
+    with pytest.raises(ShapeError):
+        tp.matmul(np.ones(3), np.ones((3, 3)))
 
 
 def test_replay_is_bitwise_deterministic():
