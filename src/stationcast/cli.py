@@ -184,9 +184,10 @@ def _cmd_preprocess(args) -> int:
     started = time.monotonic()
     src = _resolve(args.data)
     ds = _load_dataset_arg(src, gaps_ok=True)
-    kept, missing_report = dt.screen_missing(ds, max_ratio=args.max_missing)
-    kept, default_report = dt.screen_defaults(kept,
-                                              max_ratio=args.max_defaults)
+    # default codes load as unobserved, so their rule runs first: the gap
+    # rule would count them as gaps
+    kept, default_report = dt.screen_defaults(ds, max_ratio=args.max_defaults)
+    kept, missing_report = dt.screen_missing(kept, max_ratio=args.max_missing)
     filled = dt.interpolate_linear(kept)
     out = _resolve(args.out)
     dt.save_dataset(filled, out)

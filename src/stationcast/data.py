@@ -172,12 +172,19 @@ def _mask_default_codes(values: np.ndarray, mask: np.ndarray, factors,
 
 def load_dataset(path, format: str = "packed_binary",
                  default_codes=DEFAULT_CODES) -> WeatherSeriesDataset:
-    """Read a dataset from a CSV directory or a packed binary file."""
+    """Read a dataset from a CSV directory or a packed binary file.
+
+    Cells holding a factor's default code are marked unobserved in either
+    format.
+    """
     if format == "csv_per_station":
-        return _load_csv_dir(Path(path), default_codes)
-    if format == "packed_binary":
-        return _load_binary(Path(path))
-    raise ConfigError(f"unknown dataset format {format!r}")
+        ds = _load_csv_dir(Path(path))
+    elif format == "packed_binary":
+        ds = _load_binary(Path(path))
+    else:
+        raise ConfigError(f"unknown dataset format {format!r}")
+    _mask_default_codes(ds.values, ds.mask, ds.factors, default_codes)
+    return ds
 
 
 def _parse_time(text: str) -> int:
@@ -191,7 +198,7 @@ def _parse_time(text: str) -> int:
         return int(dt.timestamp())
 
 
-def _load_csv_dir(root: Path, default_codes) -> WeatherSeriesDataset:
+def _load_csv_dir(root: Path) -> WeatherSeriesDataset:
     meta_path = root / "stations.csv"
     if not meta_path.exists():
         raise StructuralError(f"missing station metadata file {meta_path}")
@@ -254,7 +261,6 @@ def _load_csv_dir(root: Path, default_codes) -> WeatherSeriesDataset:
 
     values = np.asarray(all_values, dtype=np.float64)
     mask = np.asarray(all_masks, dtype=bool)
-    _mask_default_codes(values, mask, factors, default_codes)
     values = np.where(np.isfinite(values), values, 0.0)
     return WeatherSeriesDataset(metas, list(factors), values, mask,
                                 time_start=time_start)
@@ -309,7 +315,7 @@ class PackedReader:
         return self.error(f"{self.what} is truncated or corrupt")
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
+        if n < 0 or self.pos + n > len(self.buf):
             raise self.corrupt()
         out = self.buf[self.pos:self.pos + n]
         self.pos += n

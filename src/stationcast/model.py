@@ -11,6 +11,7 @@ dense layer maps the remaining time-channel block to the forecast horizon.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -21,7 +22,7 @@ import numpy as np
 from . import graphs as gr
 from . import tape as tp
 from .data import PackedReader, WeatherSeriesDataset, make_windows
-from .errors import CheckpointError, ConfigError, TrainingError
+from .errors import CheckpointError, ConfigError, ShapeError, TrainingError
 
 STATIC_KINDS = gr.STATIC_KINDS
 ALL_GRAPH_KINDS = gr.MODEL_KINDS
@@ -82,8 +83,13 @@ class ModelConfig:
                 isinstance(self.blocks[0], dict):
             self.blocks = [StBlockConfig(**b) for b in self.blocks]
         self.graph_kinds = tuple(self.graph_kinds)
-        if self.w_in < 1 or self.w_out < 1 or self.d < 1:
-            raise ConfigError("window and factor dimensions must be positive")
+        if self.w_in < 1 or self.w_out < 1 or self.d < 1 or self.d_emb < 1:
+            raise ConfigError("window, factor and embedding dimensions must "
+                              "be positive")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or not value > 0.0:
+                raise ConfigError(f"{name} must be a positive number")
         if not self.graph_kinds:
             raise ConfigError("at least one graph kind is required")
         for k in self.graph_kinds:
@@ -201,30 +207,52 @@ class MultiGraphForecaster:
 # construction
 
 
+def param_shapes(n_nodes: int, config: ModelConfig) -> dict:
+    """Name -> shape of every parameter build_model makes; allocates none."""
+    shapes: dict = {}
+    for i, blk in enumerate(config.blocks):
+        c_in, c_out = blk.channels_in, blk.channels_out
+        shapes[f"block{i}_cheb"] = (blk.cheb_order, c_in, c_out)
+        for j, k in enumerate(blk.temporal_kernels):
+            shapes[f"block{i}_branch{j}"] = (k, c_out, c_out)
+        shapes[f"block{i}_fuse"] = (len(blk.temporal_kernels) * c_out, c_out)
+        shapes[f"block{i}_fuse_bias"] = (c_out,)
+        shapes[f"block{i}_res"] = (c_in, c_out)
+    e = config.d_emb
+    if "learnable" in config.graph_kinds:
+        shapes.update(emb1=(n_nodes, e), emb2=(n_nodes, e),
+                      emb_theta1=(e, e), emb_theta2=(e, e))
+    if "dynamic" in config.graph_kinds:
+        shapes.update(dyn_w1=(config.w_in, e), dyn_w2=(config.w_in, e))
+    for kind in config.graph_kinds:
+        shapes[f"fusion_{kind}"] = (n_nodes, n_nodes)
+    c_last = config.blocks[-1].channels_out
+    shapes["out_w"] = (config.t_remaining * c_last, config.w_out * config.d)
+    shapes["out_b"] = (config.w_out * config.d,)
+    return shapes
+
+
 def build_model(n_nodes: int, config: Optional[ModelConfig] = None,
                 seed: int = 0) -> MultiGraphForecaster:
     """Initialize all parameters with seed-deterministic uniform fan-in."""
     if config is None:
         config = ModelConfig()
     rng = np.random.default_rng(seed)
+    shapes = param_shapes(n_nodes, config)
 
-    def uniform(shape, fan_in):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, shape)
+    def uniform(name):
+        # fan-in: every axis but the output one
+        bound = 1.0 / np.sqrt(math.prod(shapes[name][:-1]))
+        return rng.uniform(-bound, bound, shapes[name])
 
     params: dict = {}
     for i, blk in enumerate(config.blocks):
-        c_in, c_out = blk.channels_in, blk.channels_out
-        params[f"block{i}_cheb"] = uniform((blk.cheb_order, c_in, c_out),
-                                           blk.cheb_order * c_in)
-        for j, k in enumerate(blk.temporal_kernels):
-            params[f"block{i}_branch{j}"] = uniform((k, c_out, c_out),
-                                                    k * c_out)
-        n_br = len(blk.temporal_kernels)
-        params[f"block{i}_fuse"] = uniform((n_br * c_out, c_out),
-                                           n_br * c_out)
-        params[f"block{i}_fuse_bias"] = np.zeros(c_out)
-        params[f"block{i}_res"] = uniform((c_in, c_out), c_in)
+        params[f"block{i}_cheb"] = uniform(f"block{i}_cheb")
+        for j in range(len(blk.temporal_kernels)):
+            params[f"block{i}_branch{j}"] = uniform(f"block{i}_branch{j}")
+        params[f"block{i}_fuse"] = uniform(f"block{i}_fuse")
+        params[f"block{i}_fuse_bias"] = np.zeros(shapes[f"block{i}_fuse_bias"])
+        params[f"block{i}_res"] = uniform(f"block{i}_res")
     if "learnable" in config.graph_kinds:
         lg = gr.init_learnable_graph(n_nodes, config.d_emb, config.alpha,
                                      rng=rng)
@@ -236,11 +264,9 @@ def build_model(n_nodes: int, config: Optional[ModelConfig] = None,
         params["dyn_w1"], params["dyn_w2"] = dg.w1, dg.w2
     share = 1.0 / len(config.graph_kinds)
     for kind in config.graph_kinds:
-        params[f"fusion_{kind}"] = np.full((n_nodes, n_nodes), share)
-    c_last = config.blocks[-1].channels_out
-    flat = config.t_remaining * c_last
-    params["out_w"] = uniform((flat, config.w_out * config.d), flat)
-    params["out_b"] = np.zeros(config.w_out * config.d)
+        params[f"fusion_{kind}"] = np.full(shapes[f"fusion_{kind}"], share)
+    params["out_w"] = uniform("out_w")
+    params["out_b"] = np.zeros(shapes["out_b"])
     return MultiGraphForecaster(config, n_nodes, params, seed)
 
 
@@ -254,19 +280,28 @@ def temporal_multibranch(x, kernels: Sequence[int], branch_weights: Sequence,
 
     x: [M, T, C]; each branch_weights[j]: [kernels[j], C, C_br]; shorter
     branches are center-cropped to the longest branch's output length.
+    Cropping a kernel-k branch equals zero-padding its kernel symmetrically
+    to k_max taps, and the mix is linear, so the block runs as one
+    convolution with kernel W_eff[j] = sum_br pad(W_br)[j] @ fuse_br, where
+    fuse_br is the branch's row block of fuse.  W_eff is built on the tape,
+    so every branch weight and fuse still gets its gradient.
     """
     k_max = max(kernels)
-    t_in = tp._as_array(x).shape[1]
-    t_out = t_in - (k_max - 1)
-    outs = []
+    w_eff = None
+    row = 0
     for k, w in zip(kernels, branch_weights):
-        y = tp.conv1d(x, w)
+        c_br = tp._as_array(w).shape[2]
+        term = tp.matmul(w, tp.slice_axis(fuse, 0, row, row + c_br))
+        row += c_br
         lead = (k_max - k) // 2
         if lead:
-            y = tp.slice_axis(y, 1, lead, lead + t_out)
-        outs.append(y)
-    cat = outs[0] if len(outs) == 1 else tp.concat(outs, axis=2)
-    return tp.add_bias(tp.matmul(cat, fuse), fuse_bias)
+            pad = np.zeros((lead,) + term.shape[1:])
+            term = tp.concat([pad, term, pad], axis=0)
+        w_eff = term if w_eff is None else tp.add(w_eff, term)
+    if row != tp._as_array(fuse).shape[0]:
+        raise ShapeError(f"temporal_multibranch: branches give {row} "
+                         f"channels, fuse takes {tp._as_array(fuse).shape[0]}")
+    return tp.add_bias(tp.conv1d(x, w_eff), fuse_bias)
 
 
 # the per-time-slice Chebyshev filter; kept under this name because profiling
@@ -488,7 +523,8 @@ def load_checkpoint(path) -> tuple:
 
     Any malformed file raises CheckpointError, including one whose
     parameter names or shapes differ from what build_model makes for the
-    stored config and station count.
+    stored config and station count.  Shapes come from param_shapes and
+    are bounded by the file's length before any parameter is allocated.
     """
     cur = PackedReader(Path(path).read_bytes(), f"{path}: checkpoint",
                        CheckpointError)
@@ -512,19 +548,23 @@ def load_checkpoint(path) -> tuple:
     if not isinstance(extra, dict):
         raise CheckpointError(f"{path}: checkpoint 'extra' is not an object")
     try:
-        model = build_model(int(header["n"]),
-                            ModelConfig(**header["model_config"]),
-                            int(header["seed"]))
+        config = ModelConfig(**header["model_config"])
+        n, seed = int(header["n"]), int(header["seed"])
+        if n < 1:
+            raise ConfigError(f"station count {n}")
+        shapes = param_shapes(n, config)
         listed = [(p["name"], p["shape"]) for p in header["params"]]
     except (ConfigError, TypeError, ValueError, LookupError,
             AttributeError) as e:
         raise CheckpointError(f"{path}: incompatible checkpoint header "
                               f"({type(e).__name__}: {e})") from None
-    names = model.param_names()
-    if listed != [(k, list(model.params[k].shape)) for k in names]:
+    names = sorted(shapes)
+    if listed != [(k, list(shapes[k])) for k in names]:
         raise CheckpointError(f"{path}: checkpoint parameters do not match "
                               "its model config")
-    model.params = {k: cur.array("<f8", model.params[k].shape)
-                    for k in names}
+    if 8 * sum(math.prod(s) for s in shapes.values()) \
+            > len(cur.buf) - cur.pos:
+        raise cur.corrupt()
+    params = {k: cur.array("<f8", shapes[k]) for k in names}
     cur.end()
-    return model, extra
+    return MultiGraphForecaster(config, n, params, seed), extra

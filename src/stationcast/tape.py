@@ -298,12 +298,15 @@ def conv1d(x: ArrayLike, w: ArrayLike, dilation: int = 1) -> TapeTensor:
 
     def back(g):
         gx = np.zeros_like(xv)
-        gw = np.zeros_like(wv)
         for j in range(k):
-            sl = slice(j * dilation, j * dilation + t_out)
-            gx[:, sl, :] += g @ wv[j].T
-            gw[j] = np.tensordot(xv[:, sl, :], g, axes=([0, 1], [0, 1]))
-        return (gx, gw)
+            gx[:, j * dilation:j * dilation + t_out, :] += g @ wv[j].T
+        # im2col, built here so the tape keeps no k-fold copy of x: row
+        # (m, t) holds the taps x[m, t + j*dilation, :] for j = 0..k-1
+        taps = np.lib.stride_tricks.sliding_window_view(
+            xv, (k - 1) * dilation + 1, axis=1)[..., ::dilation]
+        cols = taps.transpose(0, 1, 3, 2).reshape(-1, k * xv.shape[2])
+        gw = cols.T @ g.reshape(-1, wv.shape[2])
+        return (gx, gw.reshape(wv.shape))
 
     return _emit("conv1d", (x, w), out, back)
 

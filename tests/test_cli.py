@@ -13,7 +13,7 @@ from stationcast import graphs as gr
 from stationcast import model as md
 from stationcast.cli import build_parser, main
 from stationcast.data import StationMeta, WeatherSeriesDataset
-from stationcast.errors import StructuralError
+from stationcast.errors import StationcastError, StructuralError
 
 
 def _tiny_model_json(path, epochs=2, seed=1):
@@ -152,6 +152,28 @@ def test_unobserved_cells_need_preprocess(tmp_path, capsys):
         assert main(argv + ["--data", str(raw)]) == 1, name
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "stationcast preprocess" in err[0], err
+
+
+def test_packed_default_codes_need_preprocess(tmp_path, capsys):
+    ds = dt.generate_synthetic(dt.SynthConfig(n=4, t=400, d=11, seed=6))
+    ds = ds.select_factors(["t", "vv"])
+    vv = ds.factor_index("vv")
+    for i in range(4):  # 2 of 400 steps per station: under the 1% screen
+        ds.values[i, [40 + 9 * i, 41 + 9 * i], vv] = 999999.0
+    raw, clean = tmp_path / "raw.w2kt", tmp_path / "clean.w2kt"
+    dt.save_dataset(ds, raw)
+    graphs = ["graphs", "--n-adjacent", "2", "--pattern-factors", "vv",
+              "--out", str(tmp_path / "g.json")]
+    capsys.readouterr()
+    assert main(graphs + ["--data", str(raw)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "8 unobserved cells" in err[0] \
+        and "stationcast preprocess" in err[0], err
+    assert main(["preprocess", "--data", str(raw), "--out", str(clean)]) == 0
+    filled = dt.load_dataset(clean)
+    assert filled.n_stations == 4 and filled.mask.all()
+    assert filled.values[:, :, vv].max() < 999999.0
+    assert main(graphs + ["--data", str(clean)]) == 0
 
 
 def test_eval_ckpt_and_pred_agree(tmp_path):
@@ -439,3 +461,85 @@ def test_truncated_prediction_file_is_a_structural_error(tmp_path):
     _check_truncations(preds.read_bytes(), cut, ev.load_predictions,
                        ["eval", "--pred", str(cut), "--data", str(data),
                         "--out", str(tmp_path / "m.json")])
+
+
+def _flip_files(tmp_path, monkeypatch):
+    """Tiny files of all four packed formats and, per format, its loader,
+    a command that reads a file of that format from `cut`, and the length
+    of its fixed header."""
+    data = tmp_path / "synth.w2kt"
+    assert main(["synth", "--n", "3", "--t", "40", "--d", "1",
+                 "--seed", "13", "--out", str(data)]) == 0
+    # the packed graph layout at three stations (JSON is used up to 64)
+    monkeypatch.setattr(gr, "_JSON_MAX_N", 0)
+    graphs = tmp_path / "graphs.bin"
+    assert main(["graphs", "--data", str(data), "--n-adjacent", "1",
+                 "--out", str(graphs)]) == 0
+    cfg = md.ModelConfig(w_in=6, w_out=3, d=1, d_emb=2, blocks=[
+        md.StBlockConfig(2, [1, 3], 1, 2)])
+    ckpt = tmp_path / "model.ckpt"
+    md.save_checkpoint(md.build_model(3, cfg, seed=0), ckpt,
+                       extra={"factor": "t"})
+    preds = tmp_path / "preds.bin"
+    assert main(["eval", "--baseline", "persistence", "--data", str(data),
+                 "--wprime", "6", "--w", "3", "--save-pred", str(preds),
+                 "--out", str(tmp_path / "base.json")]) == 0
+    cut = tmp_path / "cut.bin"
+    out = ["--out", str(tmp_path / "out.json")]
+    return cut, {
+        "W2KT": (data, dt.load_dataset,
+                 ["graphs", "--data", str(cut), "--n-adjacent", "1"] + out),
+        "W2KG": (graphs, gr.load_graphs,
+                 ["eval", "--ckpt", str(ckpt), "--data", str(data),
+                  "--graphs", str(cut)] + out),
+        "W2KP": (preds, ev.load_predictions,
+                 ["eval", "--pred", str(cut), "--data", str(data)] + out),
+        "W2KC": (ckpt, md.load_checkpoint,
+                 ["eval", "--ckpt", str(cut), "--data", str(data),
+                  "--graphs", str(graphs)] + out),
+    }, {"W2KT": 32, "W2KG": 16, "W2KP": 25, "W2KC": 12}
+
+
+def test_header_byte_flips_never_raise(tmp_path, monkeypatch, capsys):
+    """Every byte of each format's fixed header and first meta bytes,
+    inverted, ends in exit 1 or 2 with one error line, unless the file
+    still loads (a flipped time origin, say); no flip raises."""
+    cut, files, header = _flip_files(tmp_path, monkeypatch)
+    rejected = {}
+    for fmt, (src, load, argv) in files.items():
+        raw = src.read_bytes()
+        assert raw[:4] == fmt.encode()
+        rejected[fmt] = 0
+        for i in range(header[fmt] + 16):
+            flipped = bytearray(raw)
+            flipped[i] ^= 0xFF
+            cut.write_bytes(bytes(flipped))
+            try:
+                load(cut)
+                loads = True
+            except StationcastError:
+                loads = False
+            capsys.readouterr()
+            code = main(argv)
+            err = capsys.readouterr().err.splitlines()
+            assert code in ((0, 1, 2) if loads else (1, 2)), (fmt, i)
+            if code:
+                assert len(err) == 1 and err[0].startswith("error:"), \
+                    (fmt, i, err)
+            rejected[fmt] += not loads
+    # the magic, version and size fields alone guarantee most rejections
+    assert all(count >= 16 for count in rejected.values()), rejected
+
+
+def test_truncated_dataset_file_exits_cleanly(tmp_path):
+    src, cut = tmp_path / "tiny.w2kt", tmp_path / "cut.w2kt"
+    dt.save_dataset(dt.generate_synthetic(dt.SynthConfig(n=2, t=12, d=1)),
+                    src)
+    raw = src.read_bytes()
+    argv = ["graphs", "--data", str(cut), "--n-adjacent", "1",
+            "--out", str(tmp_path / "g.json")]
+    for k in range(len(raw)):
+        cut.write_bytes(raw[:k])
+        with pytest.raises(StructuralError):
+            dt.load_dataset(cut)
+        assert main(argv) in (1, 2), k

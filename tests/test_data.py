@@ -81,6 +81,25 @@ def test_csv_default_code_masked(tmp_path):
     assert back.mask[0, 7, 0]
 
 
+def test_packed_default_code_masked(tmp_path):
+    # the packed format reads default codes as unobserved, as CSV does
+    ds = tiny_dataset(n=1, t=24, d=3, seed=2, factors=["t", "rh", "hv2"])
+    ds.values[0, 7, 2] = 999999.0
+    dt.save_dataset(ds, tmp_path / "ds.w2kt")
+    back = dt.load_dataset(tmp_path / "ds.w2kt")
+    assert not back.mask[0, 7, 2]
+    assert back.mask.sum() == back.mask.size - 1
+    assert back.values[0, 7, 2] == 999999.0
+
+
+def test_packed_reader_rejects_negative_length():
+    # a length field decoded from a corrupt header must not move backwards
+    cur = dt.PackedReader(b"abcdef", "x.bin")
+    cur.take(2)
+    with pytest.raises(StructuralError, match="truncated"):
+        cur.take(-1)
+
+
 def test_csv_ragged_lengths_rejected(tmp_path):
     ds = tiny_dataset(n=2, t=10, d=2, seed=3, factors=["t", "rh"])
     dt.save_csv_dir(ds, tmp_path / "csv")

@@ -10,7 +10,8 @@ from stationcast import graphs as gr
 from stationcast import model as md
 from stationcast import tape as tp
 from stationcast.data import StationMeta, WeatherSeriesDataset
-from stationcast.errors import CheckpointError, ConfigError, TrainingError
+from stationcast.errors import (CheckpointError, ConfigError, ShapeError,
+                               TrainingError)
 
 
 def _static_graphs(n, rng):
@@ -150,6 +151,63 @@ def test_temporal_multibranch_matches_direct():
         branches.append(conv[:, lead:lead + t_out, :])
     expected = np.concatenate(branches, axis=2) @ fuse + bias
     np.testing.assert_allclose(out.values, expected, atol=1e-10)
+
+
+def _multibranch_reference(x, kernels, ws, fuse, bias):
+    """The uncollapsed block on the tape: per-branch conv, crop, concat, mix."""
+    t_out = tp._as_array(x).shape[1] - max(kernels) + 1
+    outs = []
+    for k, w in zip(kernels, ws):
+        lead = (max(kernels) - k) // 2
+        outs.append(tp.slice_axis(tp.conv1d(x, w), 1, lead, lead + t_out))
+    return tp.add_bias(tp.matmul(tp.concat(outs, axis=2), fuse), bias)
+
+
+@pytest.mark.parametrize("kernels", [[3, 5], [1, 3, 5]])
+def test_temporal_multibranch_matches_uncollapsed_tape(kernels):
+    rng = np.random.default_rng(41)
+    m, t, c, c_br, c_out = 4, 9, 3, 2, 5
+    values = {"x": rng.normal(0.0, 1.0, (m, t, c)),
+              "fuse": rng.normal(0.0, 1.0, (len(kernels) * c_br, c_out)),
+              "bias": rng.normal(0.0, 1.0, c_out)}
+    for j, k in enumerate(kernels):
+        values[f"w{j}"] = rng.normal(0.0, 1.0, (k, c, c_br))
+    probe = rng.normal(0.0, 1.0, (m, t - max(kernels) + 1, c_out))
+
+    def run(block):
+        tape = tp.Tape()
+        p = {k: tape.param(v, name=k) for k, v in values.items()}
+        out = block(p["x"], kernels, [p[f"w{j}"] for j in range(len(kernels))],
+                    p["fuse"], p["bias"])
+        store = tp.backward(tp.reduce_sum(tp.hadamard(out, probe)))
+        return out.values, {k: tp.grad_of(store, v) for k, v in p.items()}
+
+    got, got_grads = run(md.temporal_multibranch)
+    want, want_grads = run(_multibranch_reference)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    for name in values:
+        np.testing.assert_allclose(got_grads[name], want_grads[name],
+                                   rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_temporal_multibranch_is_one_convolution():
+    rng = np.random.default_rng(42)
+    tape = tp.Tape()
+    ws = [tape.param(rng.normal(0.0, 1.0, (k, 3, 3))) for k in (1, 3, 5)]
+    out = md.temporal_multibranch(
+        tape.param(rng.normal(0.0, 1.0, (2, 8, 3))), [1, 3, 5], ws,
+        tape.param(rng.normal(0.0, 1.0, (9, 3))),
+        tape.param(np.zeros(3)))
+    assert out.shape == (2, 4, 3)
+    assert [n.op for n in tape.nodes].count("conv1d") == 1
+
+
+def test_temporal_multibranch_rejects_fuse_row_mismatch():
+    rng = np.random.default_rng(43)
+    ws = [rng.normal(0.0, 1.0, (k, 3, 3)) for k in (3, 5)]
+    with pytest.raises(ShapeError, match="fuse"):
+        md.temporal_multibranch(rng.normal(0.0, 1.0, (2, 8, 3)), [3, 5], ws,
+                                rng.normal(0.0, 1.0, (7, 3)), np.zeros(3))
 
 
 def test_st_block_matches_slice_loop():
@@ -511,6 +569,14 @@ MALFORMED_HEADERS = {
     "unknown_config_key": lambda h: {
         **h, "model_config": {**h["model_config"], "bogus": 1}},
     "extra_not_object": lambda h: {**h, "extra": 5},
+    "negative_d_emb": lambda h: {
+        **h, "model_config": {**h["model_config"], "d_emb": -2}},
+    "alpha_not_number": lambda h: {
+        **h, "model_config": {**h["model_config"], "alpha": "x"}},
+    "beta_null": lambda h: {
+        **h, "model_config": {**h["model_config"], "beta": None}},
+    "alpha_negative": lambda h: {
+        **h, "model_config": {**h["model_config"], "alpha": -1.0}},
     "param_without_shape": _edit_params(
         lambda ps: [{"name": ps[0]["name"]}] + ps[1:]),
     "missing_out_b": _edit_params(
@@ -531,6 +597,63 @@ def test_checkpoint_malformed_header_is_checkpoint_error(tmp_path, case):
     with pytest.raises(CheckpointError) as info:
         md.load_checkpoint(path)
     assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("kinds", [md.ALL_GRAPH_KINDS, ("learnable",),
+                                   ("dynamic",), ("distance", "pattern")])
+def test_param_shapes_match_build_model(kinds):
+    cfg = md.ModelConfig(graph_kinds=kinds, blocks=[
+        md.StBlockConfig(2, [3], 1, 4), md.StBlockConfig(3, [1, 3, 5], 4, 6)])
+    model = md.build_model(7, cfg, seed=1)
+    shapes = md.param_shapes(7, cfg)
+    assert list(shapes) == list(model.params)
+    assert {k: v.shape for k, v in model.params.items()} == shapes
+
+
+def _forbid_build_model(*args, **kwargs):
+    raise AssertionError("load_checkpoint must not build a model")
+
+
+@pytest.mark.parametrize("listed", ["as_config", "as_file"])
+def test_checkpoint_header_bounded_by_file_length(tmp_path, monkeypatch,
+                                                  listed):
+    # a header claiming a million stations must fail on the file's length,
+    # before anything of that size is allocated
+    path = tmp_path / "model.ckpt"
+    md.save_checkpoint(md.build_model(4, _tiny_config(), seed=0), path)
+    huge = md.param_shapes(1_000_000, _tiny_config())
+
+    def edit(h):
+        h = {**h, "n": 1_000_000}
+        if listed == "as_config":
+            h["params"] = [{"name": k, "shape": list(huge[k])}
+                           for k in sorted(huge)]
+        return h
+
+    _rewrite_header(path, edit)
+    monkeypatch.setattr(md, "build_model", _forbid_build_model)
+    with pytest.raises(CheckpointError):
+        md.load_checkpoint(path)
+
+
+def test_checkpoint_loads_without_build_model(tmp_path, monkeypatch):
+    model = md.build_model(4, _tiny_config(), seed=2)
+    path = tmp_path / "model.ckpt"
+    md.save_checkpoint(model, path)
+    monkeypatch.setattr(md, "build_model", _forbid_build_model)
+    back, _ = md.load_checkpoint(path)
+    assert back.n == 4 and back.seed == 2
+    for k in model.params:
+        assert back.params[k].tobytes() == model.params[k].tobytes()
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_checkpoint_rejects_nonpositive_station_count(tmp_path, n):
+    path = tmp_path / "model.ckpt"
+    md.save_checkpoint(md.build_model(4, _tiny_config(), seed=0), path)
+    _rewrite_header(path, lambda h: {**h, "n": n})
+    with pytest.raises(CheckpointError, match="station count"):
+        md.load_checkpoint(path)
 
 
 def test_checkpoint_truncation_detected(tmp_path):

@@ -114,6 +114,20 @@ def test_conv1d_gradients_with_dilation():
     fd_ok(loss, p)
 
 
+def test_conv1d_gradients_non_square_dilated():
+    # C_in != C_out, an even kernel and dilation 2: the im2col weight
+    # gradient must order its columns by tap, then input channel
+    p = {"x": RNG(19).standard_normal((3, 11, 3)),
+         "w": RNG(20).standard_normal((4, 3, 5))}
+
+    def loss(t):
+        y = tp.conv1d(t["x"], t["w"], dilation=2)
+        return tp.reduce_sum(tp.tanh(y))
+
+    fd_ok(loss, p, seed=3)
+    fd_ok(loss, p, seed=4)
+
+
 def test_conv1d_matches_direct_sum():
     # oracle: explicit loop over output positions and taps
     rng = RNG(16)
