@@ -60,7 +60,20 @@ def _kernel_matrix(a: np.ndarray, b: np.ndarray, kind: str,
     if kind == "linear":
         return a @ b.T
     if kind == "rbf":
-        sq = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+        # Gram form |a|^2 + |b|^2 - 2 a.b, on inputs shifted to b's mean:
+        # the distances do not move, but the cancellation does.  Two
+        # shifted copies keep a @ b.T on one GEMM kernel, so a self kernel
+        # that takes its norms from the Gram diagonal puts equal windows at
+        # distance exactly 0; the clamp keeps rounding from going negative.
+        shift = b.mean(axis=0)
+        same = a is b
+        a, b = a - shift, b - shift
+        gram = a @ b.T
+        if same:
+            na = nb = np.diag(gram)
+        else:
+            na, nb = np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b)
+        sq = np.maximum(na[:, None] + nb - 2.0 * gram, 0.0)
         return np.exp(-gamma * sq)
     raise ConfigError(f"unknown kernel {kind!r}")
 
@@ -115,7 +128,8 @@ def fit_regression(inputs: np.ndarray, targets: np.ndarray, kind: str,
             model.gamma = gamma
         dual = np.empty((n, b, w_out))
         for s in range(n):
-            k = _kernel_matrix(xc[:, s, :], xc[:, s, :], kernel, gamma)
+            x = xc[:, s, :]
+            k = _kernel_matrix(x, x, kernel, gamma)
             dual[s] = np.linalg.solve(k + lam * np.eye(b), yc[:, s, :])
         model.dual = dual
         model.x_train = xc

@@ -8,6 +8,7 @@ pure: each returns a new dataset and leaves its input untouched.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import struct
 from dataclasses import dataclass, field, replace
@@ -198,71 +199,120 @@ def _parse_time(text: str) -> int:
         return int(dt.timestamp())
 
 
+def _load_station_table(path: Path):
+    """Station metadata rows of ``stations.csv`` and the series start time."""
+    metas: list[StationMeta] = []
+    time_start = 0
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{path}: byte {e.start} is not UTF-8") from None
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    missing = [k for k in ("station_id", "lat", "lon")
+               if k not in (reader.fieldnames or ())]
+    if reader.fieldnames is not None and missing:
+        raise SchemaError(f"{path}: no {', '.join(missing)} column")
+    for row in reader:
+        where = f"{path}, line {reader.line_num}"
+        try:
+            sid = row["station_id"].strip()
+            lat, lon = float(row["lat"]), float(row["lon"])
+            alt = float(row.get("alt") or 0.0)
+            if row.get("time_start"):
+                time_start = _parse_time(row["time_start"])
+        except (AttributeError, TypeError):  # a short row reads None
+            raise SchemaError(f"{where}: fewer fields than the header") \
+                from None
+        except ValueError as e:
+            raise SchemaError(f"{where}: {e}") from None
+        metas.append(StationMeta(sid, lat, lon, alt))
+    if not metas:
+        raise StructuralError("station metadata file lists no stations")
+    return metas, time_start
+
+
+def _cell_value(cell: bytes, f: Path, line: int) -> float:
+    cell = cell.strip()
+    if not cell:
+        return math.nan
+    try:
+        return float(cell)
+    except ValueError:
+        raise SchemaError(f"{f}, line {line}: cell "
+                          f"{cell.decode('utf-8', 'replace')!r} is not a "
+                          "number") from None
+
+
+def _load_series_file(f: Path):
+    """Factor names and the [T, D] cells of one station's series file.
+
+    The file is read as one buffer: rows end in LF or CRLF, and cells are
+    split on every comma (no quoting).  Empty cells, and ``""``, read as
+    nan; every other cell is parsed by ``float``, which allows surrounding
+    whitespace.
+    """
+    rows = f.read_bytes().replace(b"\r\n", b"\n").split(b"\n")
+    if rows[-1] == b"":
+        rows.pop()
+    if not rows:
+        raise StructuralError(f"{f}: empty file")
+    header = [h.strip() for h in rows.pop(0).decode("utf-8", "replace")
+              .split(",")]
+    for name in header:
+        if name not in FACTOR_NAMES:
+            raise SchemaError(f"{f}: unknown factor name {name!r}")
+    d = len(header)
+    widths = [row.count(b",") + 1 if row else 0 for row in rows]
+    if widths.count(d) != len(rows):
+        at = next(i for i, w in enumerate(widths) if w != d)
+        raise StructuralError(f"{f}, line {at + 2}: row width {widths[at]} "
+                              f"!= {d} factors")
+    if not rows:
+        return header, np.empty((0, d))
+    # one cell list for the whole file.  csv writers quote the lone empty
+    # cell of a one-column row as "", and two passes fill every run of
+    # empty cells with nan, since the first leaves no three commas in a row
+    text = b",".join(rows).replace(b'""', b"")
+    text = (b"," + text + b",").replace(b",,", b",nan,")
+    cells = text.replace(b",,", b",nan,")[1:-1].split(b",")
+    try:
+        values = np.array(list(map(float, cells)))
+    except ValueError:  # blank cells, or a cell that is not a number
+        values = np.array([_cell_value(c, f, i // d + 2)
+                           for i, c in enumerate(cells)])
+    return header, values.reshape(len(rows), d)
+
+
 def _load_csv_dir(root: Path) -> WeatherSeriesDataset:
+    """Read ``stations.csv`` plus one series file per station.
+
+    A cell that is empty or does not parse to a finite number (``nan``,
+    ``inf``, ``1e999``) is unobserved and reads as 0.0.
+    """
     meta_path = root / "stations.csv"
     if not meta_path.exists():
         raise StructuralError(f"missing station metadata file {meta_path}")
-    metas: list[StationMeta] = []
-    time_start = 0
-    with open(meta_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            metas.append(StationMeta(row["station_id"].strip(),
-                                     float(row["lat"]), float(row["lon"]),
-                                     float(row.get("alt", 0.0) or 0.0)))
-            if row.get("time_start"):
-                time_start = _parse_time(row["time_start"])
-    if not metas:
-        raise StructuralError("station metadata file lists no stations")
-
-    all_values, all_masks = [], []
-    factors = None
-    length = None
+    metas, time_start = _load_station_table(meta_path)
+    factors, blocks = None, []
     for meta in metas:
         f = root / f"{meta.station_id}.csv"
         if not f.exists():
             raise StructuralError(f"missing series file {f}")
-        with open(f, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise StructuralError(f"{f}: empty file")
-            header = [h.strip() for h in header]
-            for name in header:
-                if name not in FACTOR_NAMES:
-                    raise SchemaError(f"{f}: unknown factor name {name!r}")
-            if factors is None:
-                factors = header
-            elif header != factors:
-                raise SchemaError(f"{f}: factor columns {header} differ from "
-                                  f"{factors}")
-            vals, msk = [], []
-            for row in reader:
-                if len(row) != len(factors):
-                    raise StructuralError(f"{f}: row width {len(row)} != "
-                                          f"{len(factors)} factors")
-                rv, rm = [], []
-                for cell in row:
-                    cell = cell.strip()
-                    if cell == "" or cell.lower() == "nan":
-                        rv.append(np.nan)
-                        rm.append(False)
-                    else:
-                        rv.append(float(cell))
-                        rm.append(True)
-                vals.append(rv)
-                msk.append(rm)
-        if length is None:
-            length = len(vals)
-        elif len(vals) != length:
+        header, block = _load_series_file(f)
+        if factors is None:
+            factors = header
+        elif header != factors:
+            raise SchemaError(f"{f}: factor columns {header} differ from "
+                              f"{factors}")
+        if blocks and len(block) != len(blocks[0]):
             raise StructuralError(
-                f"{f}: {len(vals)} rows, other stations have {length}")
-        all_values.append(vals)
-        all_masks.append(msk)
-
-    values = np.asarray(all_values, dtype=np.float64)
-    mask = np.asarray(all_masks, dtype=bool)
-    values = np.where(np.isfinite(values), values, 0.0)
-    return WeatherSeriesDataset(metas, list(factors), values, mask,
+                f"{f}: {len(block)} rows, other stations have "
+                f"{len(blocks[0])}")
+        blocks.append(block)
+    values = np.stack(blocks)
+    mask = np.isfinite(values)
+    values[~mask] = 0.0
+    return WeatherSeriesDataset(metas, factors, values, mask,
                                 time_start=time_start)
 
 

@@ -164,6 +164,38 @@ def test_kernel_ridge_solve_oracle():
     assert np.abs(pred[:, 0, :] - want).max() < 1e-10
 
 
+def test_rbf_gram_form_matches_explicit_differences():
+    # desk scale: 177 windows of 12 steps per station, levels far from 0,
+    # and some windows repeated at other positions
+    rng = RNG(15)
+    b, n, w = 177, 5, 12
+    x = rng.standard_normal((b, n, w)).cumsum(axis=2) + \
+        rng.uniform(-800.0, 800.0, n)[:, None]
+    x[[170, 176, 90]] = x[[3, 0, 89]]
+    y = rng.standard_normal((b, n, 4)) + 300.0
+    lam = 1.0
+    model = bl.fit_regression(x, y, "kernel_ridge", lam=lam)
+    for s in range(n):
+        xs = x[:, s, :]
+        want = np.exp(-model.gamma * ((xs[:, None] - xs[None]) ** 2).sum(-1))
+        got = bl._kernel_matrix(xs, xs, "rbf", model.gamma)
+        assert (np.abs(got - want) <= 1e-12 * want).all()
+        assert got.max() == 1.0
+        assert (np.diag(got) == 1.0).all()
+        assert got[170, 3] == got[3, 170] == got[176, 0] == got[90, 89] == 1.0
+        # query windows that repeat training windows: rounding may not
+        # push a squared distance below 0, so no entry exceeds 1
+        xq = xs[::-1] + 0.0
+        cross = bl._kernel_matrix(xq, xs, "rbf", model.gamma)
+        assert (np.abs(cross - want[::-1]) <= 1e-12 * want[::-1]).all()
+        assert cross.max() <= 1.0
+        xc = model.x_train[:, s, :]
+        k = np.exp(-model.gamma * ((xc[:, None] - xc[None]) ** 2).sum(-1))
+        dual = np.linalg.solve(k + lam * np.eye(b), y[:, s] - y[:, s].mean(0))
+        assert np.abs(model.dual[s] - dual).max() <= \
+            1e-12 * np.abs(dual).max()
+
+
 def test_linear_kernel_krr_equals_ridge():
     rng = RNG(11)
     x = rng.standard_normal((40, 2, 5))

@@ -154,6 +154,39 @@ def test_unobserved_cells_need_preprocess(tmp_path, capsys):
         assert len(err) == 1 and "stationcast preprocess" in err[0], err
 
 
+_RAW_STATIONS = ("station_id,lat,lon,alt\nS0,30.0,100.0,5.0\n"
+                 "S1,31.0,101.0,6.0\n")
+_RAW_SERIES = "t,rh\n1.0,2.0\n1.5,2.5\n2.0,3.0\n2.5,3.5\n"
+
+
+@pytest.mark.parametrize("file,old,new,where", [
+    ("S1.csv", "1.5,", "abc,", "S1.csv, line 3: cell 'abc' is not a number"),
+    ("S1.csv", "1.5,", '"1.5",', "S1.csv, line 3: cell '\"1.5\"'"),
+    ("S0.csv", "2.0,3.0", "2.0,3.0,4.0", "S0.csv, line 4: row width 3 != 2"),
+    ("stations.csv", "31.0", "north", "stations.csv, line 3: could not "
+     "convert string to float: 'north'"),
+    ("stations.csv", "lat,", "latitude,", "stations.csv: no lat column"),
+    ("stations.csv", ",101.0,6.0", "", "stations.csv, line 3: fewer fields"),
+    # written with surrogateescape: the byte 0xff
+    ("stations.csv", "S1,", "S\udcff1,", "stations.csv: byte 42 is not UTF-8"),
+])
+def test_malformed_csv_one_line_error(tmp_path, capsys, file, old, new,
+                                      where):
+    # each malformed input exits 1 with one line naming its file and line
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    for name, text in [("stations.csv", _RAW_STATIONS),
+                       ("S0.csv", _RAW_SERIES), ("S1.csv", _RAW_SERIES)]:
+        text = text.replace(old, new, 1) if name == file else text
+        (raw / name).write_bytes(text.encode("utf-8", "surrogateescape"))
+    capsys.readouterr()
+    assert main(["preprocess", "--data", str(raw), "--out",
+                 str(tmp_path / "clean.w2kt")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") \
+        and where in err[0], err
+
+
 def test_packed_default_codes_need_preprocess(tmp_path, capsys):
     ds = dt.generate_synthetic(dt.SynthConfig(n=4, t=400, d=11, seed=6))
     ds = ds.select_factors(["t", "vv"])

@@ -1,5 +1,7 @@
 """Dataset I/O, quality pipeline, windowing, and synthesis checks."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,85 @@ def test_csv_unknown_factor_rejected(tmp_path):
     f.write_text(f.read_text().replace("t\n", "temperature\n", 1))
     with pytest.raises(SchemaError, match="temperature"):
         dt.load_dataset(tmp_path / "csv", "csv_per_station")
+
+
+def _write_raw_csv_dir(root, series: dict, factors, newline="\n"):
+    """stations.csv plus one hand-written series file per station."""
+    root.mkdir(parents=True)
+    meta = ["station_id,lat,lon,alt,time_start"]
+    meta += [f"{sid},{30 + i}.5,{100 + i}.25,{10 * i},1577836800"
+             for i, sid in enumerate(series)]
+    (root / "stations.csv").write_text("\n".join(meta) + "\n")
+    for sid, rows in series.items():
+        lines = [",".join(factors)] + [",".join(r) for r in rows]
+        (root / f"{sid}.csv").write_bytes(
+            (newline.join(lines) + newline).encode())
+
+
+def _csv_module_reference(root, default_codes=dt.DEFAULT_CODES):
+    # cell by cell through the csv module: empty and non-finite cells and
+    # default codes are unobserved, unobserved cells read 0.0
+    with open(root / "stations.csv", newline="") as fh:
+        ids = [row["station_id"] for row in csv.DictReader(fh)]
+    values, mask, factors = [], [], None
+    for sid in ids:
+        with open(root / f"{sid}.csv", newline="") as fh:
+            reader = csv.reader(fh)
+            factors = [h.strip() for h in next(reader)]
+            rows = [[float(c) if c.strip() else float("nan") for c in row]
+                    for row in reader]
+        v = np.array(rows, dtype=np.float64)
+        m = np.isfinite(v)
+        for d, name in enumerate(factors):
+            if name in default_codes:
+                m[:, d] &= v[:, d] != default_codes[name]
+        values.append(np.where(np.isfinite(v), v, 0.0))
+        mask.append(m)
+    return factors, np.stack(values), np.stack(mask)
+
+
+def test_csv_matches_csv_module_reference(tmp_path):
+    rng = RNG(21)
+    factors = ["t", "hv2", "rh"]
+    cells = rng.standard_normal((4, 30, 3)) * [5.0, 2e3, 20.0] + [15.0, 0, 60]
+    text = [[[repr(float(x)) for x in row] for row in station]
+            for station in cells]
+    text[0][0] = [" 12.5 ", "\t-3e2", "7 "]
+    text[0][4][1] = ""
+    text[0][9][2] = '""'  # how csv writers quote a lone empty cell
+    text[1][2] = ["NaN", "nan", ""]
+    text[1][9][1] = "999999.0"
+    text[2][5][1] = "999999"
+    text[2][7][0] = "1_000"
+    text[3][0][2] = " "  # a blank cell, read through the per-cell path
+    text[3][11] = ["", "", ""]
+    series = {f"K{i}": rows for i, rows in enumerate(text)}
+    for newline in ("\n", "\r\n"):
+        root = tmp_path / f"csv{len(newline)}"
+        _write_raw_csv_dir(root, series, factors, newline)
+        ds = dt.load_dataset(root, "csv_per_station")
+        want_factors, values, mask = _csv_module_reference(root)
+        assert ds.factors == want_factors == factors
+        assert ds.values.tobytes() == values.tobytes()
+        assert np.array_equal(ds.mask, mask)
+        assert (~ds.mask).sum() == 11
+        assert ds.values[2, 7, 0] == 1000.0
+        assert [(s.station_id, s.lat, s.lon, s.alt) for s in ds.stations] \
+            == [(f"K{i}", 30.5 + i, 100.25 + i, 10.0 * i) for i in range(4)]
+        assert ds.time_start == 1577836800
+
+
+def test_csv_non_finite_cells_unobserved(tmp_path):
+    # a cell that parses to inf or nan is a gap, never an observed 0.0
+    rows = [["1.5", "2.5"], ["inf", "-inf"], ["1e999", "-nan"],
+            ["-1e999", "4.0"]]
+    _write_raw_csv_dir(tmp_path / "csv", {"A": rows, "B": rows[::-1]},
+                       ["t", "rh"])
+    ds = dt.load_dataset(tmp_path / "csv", "csv_per_station")
+    want = np.array([[1, 1], [0, 0], [0, 0], [0, 1]], dtype=bool)
+    assert np.array_equal(ds.mask, np.stack([want, want[::-1]]))
+    assert (ds.values[~ds.mask] == 0.0).all()
+    assert ds.values[0, 3, 1] == 4.0
 
 
 def test_binary_roundtrip_bit_identical(tmp_path):
