@@ -200,9 +200,13 @@ def _parse_time(text: str) -> int:
 
 
 def _load_station_table(path: Path):
-    """Station metadata rows of ``stations.csv`` and the series start time."""
+    """Station metadata rows of ``stations.csv`` and the series start time.
+
+    Every row that gives ``time_start`` must give the same instant; rows
+    that leave it blank are allowed.
+    """
     metas: list[StationMeta] = []
-    time_start = 0
+    time_start, start_line = 0, None
     try:
         text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as e:
@@ -219,7 +223,12 @@ def _load_station_table(path: Path):
             lat, lon = float(row["lat"]), float(row["lon"])
             alt = float(row.get("alt") or 0.0)
             if row.get("time_start"):
-                time_start = _parse_time(row["time_start"])
+                t = _parse_time(row["time_start"])
+                if start_line is None:
+                    time_start, start_line = t, reader.line_num
+                elif t != time_start:
+                    raise SchemaError(f"{where}: time_start {t} differs from "
+                                      f"{time_start} on line {start_line}")
         except (AttributeError, TypeError):  # a short row reads None
             raise SchemaError(f"{where}: fewer fields than the header") \
                 from None

@@ -375,15 +375,25 @@ def fuse_graphs(graph_set: dict, fusion: FusionParams) -> Adjacency:
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """(|A| + |A|^T) / 2: symmetric nonnegative version of any adjacency."""
+    """(|A| + |A|^T) / 2: symmetric nonnegative version of any adjacency.
+
+    Transposes the last two axes, so a [B, N, N] stack is symmetrized
+    matrix by matrix.
+    """
     aa = np.abs(np.asarray(a, dtype=np.float64))
-    return (aa + aa.T) / 2.0
+    out = aa + np.swapaxes(aa, -1, -2)
+    out *= 0.5
+    return out
 
 
 def symmetrize_op(a) -> tp.TapeTensor:
-    """Tape version of symmetrize for [N, N] or [B, N, N] tensors."""
-    aa = tp.absolute(a)
-    return tp.scalar_mul(0.5, tp.add(aa, _swap_last(aa)))
+    """Tape version of symmetrize for [N, N] or [B, N, N] tensors.
+
+    One node; its gradient is sign(A) (G + G^T) / 2.
+    """
+    av = tp._as_array(a)
+    return tp._emit("symmetrize", (a,), symmetrize(av), lambda g: (
+        np.sign(av) * ((g + np.swapaxes(g, -1, -2)) / 2.0),))
 
 
 def scaled_laplacian(adj: Union[Adjacency, np.ndarray]) -> ScaledLaplacian:
@@ -453,7 +463,8 @@ def cheb_filter_op(l_tilde, theta, x) -> tp.TapeTensor:
         acc = tp.add(acc, term(cur, 1))
         for k in range(2, order):
             nxt = tp.sub(tp.scalar_mul(2.0, tp.matmul(l_tilde, cur)), prev)
-            prev, cur = cur, nxt
+            # off the tape, T_{k-1} is freed here once no step needs it
+            prev, cur = (cur if k + 1 < order else None), nxt
             acc = tp.add(acc, term(cur, k))
     return acc if rows is None else tp.reshape(acc, (b, n, t, c_out))
 

@@ -316,19 +316,39 @@ def conv1d(x: ArrayLike, w: ArrayLike, dilation: int = 1) -> TapeTensor:
 
 
 def _lambda_max_batch(mats: np.ndarray):
-    """Largest eigenpairs of a stack of symmetric PSD matrices.
+    """Largest eigenvalues of a stack of symmetric PSD matrices.
 
-    One batched LAPACK eigh call, so lambda is exact to rounding.  Matrices
-    with a degenerate spectrum (lambda <= 1e-12, e.g. a lone self-looped
-    node) fall back to lambda 2.0 with the eigenvector flagged invalid.
-    Returns (lam [B], vec [B, N], valid [B]).
+    One batched LAPACK eigvalsh call: lambda is exact to rounding and no
+    eigenvector is formed.  Matrices with a degenerate spectrum
+    (lambda <= 1e-12, e.g. a lone self-looped node) fall back to lambda 2.0
+    and are flagged invalid.  Returns (lam [B], valid [B]).
     """
-    evals, evecs = np.linalg.eigh(mats)
-    lam = evals[:, -1]
-    # a copy, not a view: the tape must not keep the full [B, N, N] basis
-    vec = evecs[:, :, -1].copy()
+    lam = np.linalg.eigvalsh(mats)[:, -1]
     valid = lam > 1e-12
-    return np.where(valid, lam, _LAMBDA_FALLBACK), vec, valid
+    return np.where(valid, lam, _LAMBDA_FALLBACK), valid
+
+
+def _top_eigvec_batch(shifted: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors [B, N] for the largest eigenvalues lam of a stack.
+
+    Two steps of inverse iteration with L - sigma I, sigma = lam (1 + 1e-10)
+    just above lam: each batched solve multiplies the top eigenvector's share
+    by (lam - lam_2) / (1e-10 lam) against the next eigenvalue's.  `shifted`
+    holds the matrices L and is overwritten with L - sigma I.  The start
+    vector is fixed, so reruns are bitwise equal, and not constant: on a
+    regular graph the top eigenvector is orthogonal to the constant vector.
+    Where the top eigenvalue is repeated, the result is the start vector's
+    part in its eigenspace.
+    """
+    n = shifted.shape[-1]
+    di = np.arange(n)
+    shifted[:, di, di] -= (lam * (1.0 + 1e-10))[:, None]
+    v = np.broadcast_to(np.sin(np.arange(1.0, n + 1.0))[:, None],
+                        (len(shifted), n, 1))
+    for _ in range(2):
+        v = np.linalg.solve(shifted, v)
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v[:, :, 0]
 
 
 def _laplacian_forward_batch(a: np.ndarray):
@@ -349,20 +369,29 @@ def _laplacian_forward_batch(a: np.ndarray):
         deg = a_eff.sum(axis=2)
     s = 1.0 / np.sqrt(deg)
     eye = np.eye(n)
-    lap = eye - (s[:, :, None] * a_eff) * s[:, None, :]
-    lam, vec, valid = _lambda_max_batch(lap)
-    l_tilde = (2.0 / lam)[:, None, None] * lap - eye
-    return l_tilde, (a_eff, s, lap, lam, vec, valid, isolated)
+    # I - S A S and 2 L / lam - I, each formed in one [B, N, N] buffer
+    lap = s[:, :, None] * a_eff
+    lap *= s[:, None, :]
+    np.subtract(eye, lap, out=lap)
+    lam, valid = _lambda_max_batch(lap)
+    l_tilde = (2.0 / lam)[:, None, None] * lap
+    l_tilde -= eye
+    return l_tilde, (a_eff, s, lap, lam, valid, isolated)
 
 
 def _laplacian_backward_batch(g: np.ndarray, saved) -> np.ndarray:
-    a_eff, s, lap, lam, vec, valid, isolated = saved
-    # dL~/dL has two parts: the 2/lam scaling and lam's own dependence on L;
-    # the second vanishes when lam came from the constant fallback
+    a_eff, s, lap, lam, valid, isolated = saved
+    # dL~/dL has two parts: the 2/lam scaling and lam's own dependence on L,
+    # dlam/dL = v v^T for the top eigenvector v; the second vanishes when
+    # lam came from the constant fallback
     g_lap = (2.0 / lam)[:, None, None] * g
     g_lam = (-2.0 / lam ** 2) * np.einsum("bij,bij->b", g, lap)
-    coef = np.where(valid, g_lam, 0.0)
-    g_lap = g_lap + coef[:, None, None] * (vec[:, :, None] * vec[:, None, :])
+    if valid.any():
+        # a basic slice when every matrix is valid: no fancy-index copies
+        sel = slice(None) if valid.all() else valid
+        v = _top_eigvec_batch(lap[sel].copy(), lam[sel])
+        cv = g_lam[sel][:, None] * v
+        g_lap[sel] += cv[:, :, None] * v[:, None, :]
     h = -g_lap  # gradient w.r.t. the normalized adjacency s_i A_ij s_j
     grad_a = h * (s[:, :, None] * s[:, None, :])
     # through the degree vector: ds_i/dd_i = -1/2 d^{-3/2}
@@ -383,7 +412,9 @@ def scaled_laplacian_op(a: ArrayLike) -> TapeTensor:
     """Differentiable rescaled graph Laplacian, 2 L / lambda_max - I.
 
     Accepts one [N, N] matrix or a stack [B, N, N]; each matrix must be
-    symmetric with nonnegative entries.
+    symmetric with nonnegative entries.  The forward takes lambda_max from
+    one batched eigvalsh and forms no eigenvector; the backward forms the
+    top eigenvector, for lambda's own gradient, by inverse iteration.
     """
     av = _as_array(a)
     if av.ndim not in (2, 3):
@@ -419,6 +450,9 @@ def backward(loss: TapeTensor) -> dict[int, np.ndarray]:
         node = tape.nodes[nid]
         if node.backward is None:
             continue
+        # every consumer of node nid sits later on the tape, so g is
+        # complete here; dropping it keeps only live gradients in memory
+        grads[nid] = None
         for in_id, gin in zip(node.input_ids, node.backward(g)):
             if in_id is None or gin is None:
                 continue

@@ -56,7 +56,7 @@ def test_help_exits_0():
     assert main(["--help"]) == 0
 
 
-def test_full_smoke_chain(tmp_path):
+def test_full_smoke_chain(tmp_path, monkeypatch):
     data = tmp_path / "synth.w2kt"
     graphs = tmp_path / "graphs.json"
     ckpt = tmp_path / "model.ckpt"
@@ -71,8 +71,15 @@ def test_full_smoke_chain(tmp_path):
     assert main(["train", "--data", str(data), "--graphs", str(graphs),
                  "--factor", "t", "--config", str(cfg),
                  "--out", str(ckpt), "--history", str(history)]) == 0
+    # scoring a checkpoint is forward only: lambda_max needs no eigenvector
+    calls = []
+    for name in ("eigh", "solve"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _n=name, _f=real,
+                            **k: calls.append(_n) or _f(*a, **k))
     assert main(["eval", "--ckpt", str(ckpt), "--data", str(data),
                  "--graphs", str(graphs), "--out", str(metrics)]) == 0
+    assert calls == []
 
     doc = json.loads(metrics.read_text())
     assert doc["space"] == "normalized"
@@ -157,6 +164,9 @@ def test_unobserved_cells_need_preprocess(tmp_path, capsys):
 _RAW_STATIONS = ("station_id,lat,lon,alt\nS0,30.0,100.0,5.0\n"
                  "S1,31.0,101.0,6.0\n")
 _RAW_SERIES = "t,rh\n1.0,2.0\n1.5,2.5\n2.0,3.0\n2.5,3.5\n"
+_CONFLICTING_STARTS = ("station_id,lat,lon,alt,time_start\n"
+                       "S0,30.0,100.0,5.0,1577836800\n"
+                       "S1,31.0,101.0,6.0,1600000000\n")
 
 
 @pytest.mark.parametrize("file,old,new,where", [
@@ -169,6 +179,8 @@ _RAW_SERIES = "t,rh\n1.0,2.0\n1.5,2.5\n2.0,3.0\n2.5,3.5\n"
     ("stations.csv", ",101.0,6.0", "", "stations.csv, line 3: fewer fields"),
     # written with surrogateescape: the byte 0xff
     ("stations.csv", "S1,", "S\udcff1,", "stations.csv: byte 42 is not UTF-8"),
+    ("stations.csv", _RAW_STATIONS, _CONFLICTING_STARTS, "stations.csv, "
+     "line 3: time_start 1600000000 differs from 1577836800 on line 2"),
 ])
 def test_malformed_csv_one_line_error(tmp_path, capsys, file, old, new,
                                       where):

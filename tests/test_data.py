@@ -187,6 +187,24 @@ def test_csv_matches_csv_module_reference(tmp_path):
         assert ds.time_start == 1577836800
 
 
+def test_station_rows_agree_on_time_start(tmp_path):
+    # rows may leave time_start blank; rows that give it name one instant
+    root = tmp_path / "csv"
+    _write_raw_csv_dir(root, {"A": [["1.0"]], "B": [["2.0"]],
+                              "C": [["3.0"]]}, ["t"])
+    meta = root / "stations.csv"
+    rows = meta.read_text().splitlines()
+    rows[1] = rows[1].rsplit(",", 1)[0] + ","
+    rows[2] = rows[2].rsplit(",", 1)[0] + ",2020-01-01T00:00:00"
+    meta.write_text("\n".join(rows) + "\n")
+    assert dt.load_dataset(root, "csv_per_station").time_start == 1577836800
+    rows[3] = rows[3].rsplit(",", 1)[0] + ",1600000000"
+    meta.write_text("\n".join(rows) + "\n")
+    with pytest.raises(SchemaError, match="line 4: time_start 1600000000 "
+                       "differs from 1577836800 on line 3"):
+        dt.load_dataset(root, "csv_per_station")
+
+
 def test_csv_non_finite_cells_unobserved(tmp_path):
     # a cell that parses to inf or nan is a gap, never an observed 0.0
     rows = [["1.5", "2.5"], ["inf", "-inf"], ["1e999", "-nan"],

@@ -390,6 +390,27 @@ def test_symmetrize_variants_agree():
     want = (np.abs(a) + np.abs(a).T) / 2.0
     assert np.array_equal(gr.symmetrize(a), want)
     assert np.array_equal(gr.symmetrize_op(a).values, want)
+    # a stack with B != N is symmetrized matrix by matrix
+    stack = rng.standard_normal((3, 5, 5))
+    want = np.stack([gr.symmetrize(m) for m in stack])
+    assert gr.symmetrize(stack).tobytes() == want.tobytes()
+    assert gr.symmetrize_op(stack).values.tobytes() == want.tobytes()
+
+
+def test_symmetrize_op_gradients():
+    rng = RNG(25)
+    params = {"a": rng.standard_normal((3, 5, 5))}
+    w = rng.standard_normal((3, 5, 5))
+
+    def loss(t):
+        return tp.reduce_sum(tp.hadamard(gr.symmetrize_op(t["a"]), w))
+
+    t = tp.Tape()
+    a = t.param(params["a"])
+    gr.symmetrize_op(a)
+    assert [node.op for node in t.nodes] == ["param:", "symmetrize"]
+    err = tp.finite_diff_check(loss, params, max_coords=30, rng=RNG(0))
+    assert err < 1e-6
 
 
 def spectral_filter_oracle(l_tilde, theta, x):

@@ -327,6 +327,16 @@ def _two_block_config(kinds=md.STATIC_KINDS):
                           d_emb=4, graph_kinds=kinds)
 
 
+def _spy_linalg(monkeypatch):
+    """Stack sizes of every np.linalg.eigh and np.linalg.solve call."""
+    calls = {"eigh": [], "solve": []}
+    for name, log in calls.items():
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *r, _f=real, _log=log,
+                            **k: _log.append(len(a)) or _f(a, *r, **k))
+    return calls
+
+
 def test_static_graphs_give_one_laplacian_per_step(monkeypatch):
     rng = np.random.default_rng(21)
     n, batch = 5, 4
@@ -337,6 +347,7 @@ def test_static_graphs_give_one_laplacian_per_step(monkeypatch):
     decompose = tp._lambda_max_batch
     monkeypatch.setattr(tp, "_lambda_max_batch",
                         lambda m: sizes.append(len(m)) or decompose(m))
+    linalg = _spy_linalg(monkeypatch)
     for kinds, shape, per_step in (
             (md.STATIC_KINDS + ("learnable",), (n, n), 1),
             (md.ALL_GRAPH_KINDS, (batch, n, n), batch)):
@@ -346,11 +357,26 @@ def test_static_graphs_give_one_laplacian_per_step(monkeypatch):
                                       static)
         assert l_tilde.shape == shape
         sizes.clear()
+        linalg["solve"].clear()
         t = tp.Tape()
         tparams = {k: t.param(v, name=k) for k, v in model.params.items()}
         pred = md.forward_on_tape(tparams, cfg, n, inputs, static)
+        assert linalg["solve"] == []
         tp.backward(md._mae_loss(pred, targets))
         assert sizes == [per_step]
+        # the backward's inverse iteration: one pair of batched solves
+        assert linalg["solve"] == [per_step, per_step]
+    assert linalg["eigh"] == []
+
+
+def test_predict_dataset_forms_no_eigenvectors(monkeypatch):
+    ds = _tiny_dataset(n=5, t=60, seed=4)
+    static = _static_graphs(5, np.random.default_rng(23))
+    linalg = _spy_linalg(monkeypatch)
+    for kinds in (md.STATIC_KINDS, md.ALL_GRAPH_KINDS):
+        model = md.build_model(5, _two_block_config(kinds), seed=2)
+        md.predict_dataset(model, ds, static, batch_size=16)
+    assert linalg == {"eigh": [], "solve": []}
 
 
 def test_static_only_predictions_match_tiled_computation(monkeypatch):

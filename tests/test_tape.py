@@ -1,5 +1,7 @@
 """Gradient and optimizer checks for the tape engine."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,79 @@ def test_scaled_laplacian_stack_gradients():
     fd_ok(loss, p, tol=1e-4)
 
 
+def test_scaled_laplacian_stack_mixes_valid_and_fallback():
+    # an all-zero adjacency is all self-loops after the isolation guard, so
+    # L = 0, lambda falls back to 2.0 and only its neighbours get an
+    # eigenvector in the backward
+    rng = RNG(20)
+    n = 5
+    p = {"a": rng.uniform(0.1, 1.0, size=(2, n, n))}
+    w = rng.standard_normal((3, n, n))
+    zero = np.zeros((1, n, n))
+
+    def stack(t):
+        sym = tp.scalar_mul(0.5, tp.add(t["a"],
+                                        tp.transpose(t["a"], (0, 2, 1))))
+        return tp.concat([tp.slice_axis(sym, 0, 0, 1), zero,
+                          tp.slice_axis(sym, 0, 1, 2)], axis=0)
+
+    def loss(t):
+        return tp.reduce_sum(tp.hadamard(tp.scaled_laplacian_op(stack(t)), w))
+
+    _, saved = tp._laplacian_forward_batch(stack(p).values)
+    assert saved[4].tolist() == [True, False, True]
+    assert np.array_equal(tp.scaled_laplacian_op(stack(p)).values[1],
+                          -np.eye(n))
+    fd_ok(loss, p, tol=1e-4)
+
+
+def _fused_station_adjacencies(n, count, seed):
+    # real station graphs fused with random per-node weights, symmetrized
+    ds = dt.generate_synthetic(dt.SynthConfig(n=n, t=400, d=1, seed=seed))
+    graphs = gr.build_static_graphs(ds).graphs
+    rng = RNG(seed)
+    return np.stack([gr.symmetrize(sum(
+        rng.uniform(0.0, 1.0, (n, n)) * a.weights for a in graphs.values()))
+        for _ in range(count)])
+
+
+@pytest.mark.parametrize("n", [20, 100])
+def test_inverse_iteration_matches_eigh(n):
+    _, saved = tp._laplacian_forward_batch(
+        _fused_station_adjacencies(n, 4, seed=n))
+    lap, lam, valid = saved[2], saved[3], saved[4]
+    assert valid.all()
+    v = tp._top_eigvec_batch(lap.copy(), lam)
+    u = np.linalg.eigh(lap)[1][:, :, -1]
+    assert np.abs(np.einsum("bi,bi->b", v, u)).min() >= 1.0 - 1e-12
+
+
+def test_scaled_laplacian_repeated_top_eigenvalue():
+    # complete graph: the normalized Laplacian's top eigenvalue n/(n-1) has
+    # multiplicity n-1 (every vector orthogonal to the constant one), so
+    # lambda has only a subgradient v v^T, one for each unit v in that
+    # eigenspace.  The backward takes v from its fixed start vector; this
+    # checks that v lies in the eigenspace and repeats bit for bit, not that
+    # it equals the vector LAPACK's eigh would pick.
+    n = 6
+    adj = np.ones((n, n)) - np.eye(n)
+    w = RNG(26).standard_normal((n, n))
+    _, saved = tp._laplacian_forward_batch(adj[None])
+    lap, lam = saved[2], saved[3]
+    assert lam[0] == pytest.approx(n / (n - 1), abs=1e-14)
+    v = tp._top_eigvec_batch(lap.copy(), lam)[0]
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(lap[0] @ v - lam[0] * v).max() <= 1e-12
+    grads = []
+    for _ in range(2):
+        t = tp.Tape()
+        a = t.param(adj)
+        loss = tp.reduce_sum(tp.hadamard(tp.scaled_laplacian_op(a), w))
+        grads.append(tp.grad_of(tp.backward(loss), a))
+    assert np.isfinite(grads[0]).all()
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
 def test_scaled_laplacian_uses_exact_lambda_on_fused_graph():
     # equal-weight fusion of real station graphs: lambda_max sits near 1.1,
     # so a scale taken from the 2.0 fallback would miss by far more than 1e-10
@@ -241,6 +316,29 @@ def test_scaled_laplacian_isolated_node_stays_finite():
                                      tp.scaled_laplacian_op(a)))
     g = tp.grad_of(tp.backward(loss), a)
     assert np.isfinite(g).all()
+
+
+def test_backward_frees_consumed_gradients():
+    # a node's gradient is dropped once the node has passed it on, so a
+    # chain of 12 ops holds a few gradients at a time, not 12
+    t = tp.Tape()
+    x = t.param(np.full((500, 500), 0.1))
+    y = x
+    for _ in range(12):
+        y = tp.tanh(y)
+    loss = tp.reduce_sum(y)
+    tracemalloc.start()
+    try:
+        store = tp.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * x.values.nbytes
+    out, want = 0.1, 1.0
+    for _ in range(12):
+        out = np.tanh(out)
+        want *= 1.0 - out * out
+    assert np.allclose(tp.grad_of(store, x), want, rtol=1e-12)
 
 
 def test_backward_zero_for_untouched_param():
