@@ -10,14 +10,14 @@ import numpy as np
 
 from stationcast import data as dt
 from stationcast import graphs as gr
+from stationcast import model as md
 
 
-def describe(name, a):
-    nz = 100.0 * (a.weights != 0).mean()
-    sym = "symmetric" if np.array_equal(a.weights, a.weights.T) \
-        else "one-sided"
+def describe(name, w):
+    nz = 100.0 * (w != 0).mean()
+    sym = "symmetric" if np.array_equal(w, w.T) else "one-sided"
     print(f"  {name:<10} {nz:5.1f}% nonzero, {sym}, "
-          f"range [{a.weights.min():+.3f}, {a.weights.max():+.3f}]")
+          f"range [{w.min():+.3f}, {w.max():+.3f}]")
 
 
 def main():
@@ -28,30 +28,35 @@ def main():
                                 n_adjacent=4)
     print(f"static graphs for {gs.n} stations "
           f"(sigma {gs.meta['sigma']:.1f} km):")
+    adjs = {}
     for kind in ("distance", "neighbor", "pattern"):
-        describe(kind, gs[kind])
+        adjs[kind] = gs[kind].weights
+        describe(kind, adjs[kind])
 
-    rng = np.random.default_rng(0)
-    lg = gr.init_learnable_graph(gs.n, d_emb=8, rng=rng)
-    a_l = gr.eval_learnable_graph(lg)
-    describe("learnable", a_l)
+    # the trainable graphs and fusion weights are model parameters: take
+    # them from a freshly initialized forecaster
+    model = md.build_model(gs.n, md.ModelConfig(d_emb=8), seed=0)
+    cfg, p = model.config, model.params
+    adjs["learnable"] = gr.learnable_graph_op(
+        p["emb1"], p["emb2"], p["emb_theta1"], p["emb_theta2"],
+        cfg.alpha).values
+    describe("learnable", adjs["learnable"])
 
-    window = train.values[:, :12, :]
-    dg = gr.init_dynamic_graph(w_in=12, d=3, d_emb=8, rng=rng)
-    a_k = gr.eval_dynamic_graph(window, dg)
+    # node characteristics: each station's window of the first factor
+    window = train.values[:, :cfg.w_in, 0]
+    a_k = gr.dynamic_graph_op(window, p["dyn_w1"], p["dyn_w2"],
+                              cfg.beta).values
+    adjs["dynamic"] = a_k
     describe("dynamic", a_k)
-    pair_zero = np.minimum(a_k.weights, a_k.weights.T).max()
+    pair_zero = np.minimum(a_k, a_k.T).max()
     print(f"  (one-sidedness: min(A_ij, A_ji) is always 0; "
           f"max over pairs = {pair_zero})")
 
-    kinds = ("distance", "neighbor", "pattern", "learnable", "dynamic")
-    graph_set = {"distance": gs["distance"], "neighbor": gs["neighbor"],
-                 "pattern": gs["pattern"], "learnable": a_l, "dynamic": a_k}
-    fusion = gr.init_fusion_params(gs.n, kinds)
-    fused = gr.fuse_graphs(graph_set, fusion)
+    weights = {k: p[f"fusion_{k}"] for k in cfg.graph_kinds}
+    fused = gr.fuse_graphs_op(adjs, weights).values
     print(f"\nequal-weight fusion starts every graph at "
-          f"{1 / len(kinds):.1f}; fused range "
-          f"[{fused.weights.min():+.3f}, {fused.weights.max():+.3f}]")
+          f"{weights['distance'][0, 0]:.1f}; fused range "
+          f"[{fused.min():+.3f}, {fused.max():+.3f}]")
 
     lap = gr.scaled_laplacian(fused)
     print(f"largest Laplacian eigenvalue {lap.lambda_max:.4f}; "
@@ -59,7 +64,7 @@ def main():
           f"[{np.linalg.eigvalsh(lap.l_tilde).min():+.4f}, "
           f"{np.linalg.eigvalsh(lap.l_tilde).max():+.4f}]")
 
-    theta = rng.normal(0.0, 0.3, (3, 1, 2))
+    theta = np.random.default_rng(0).normal(0.0, 0.3, (3, 1, 2))
     x = train.values[:, 0, :1]
     y = gr.cheb_filter(lap, theta, x)
     print(f"order-3 polynomial filter maps signal {x.shape} -> {y.shape} "

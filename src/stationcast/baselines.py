@@ -51,8 +51,11 @@ class RegressionModel:
     def __post_init__(self):
         if self.kind not in REGRESSION_KINDS:
             raise ConfigError(f"unknown regression kind {self.kind!r}")
-        if self.lam < 0.0:
-            raise ConfigError("ridge penalty must be nonnegative")
+        if not 0.0 <= self.lam < np.inf:
+            raise ConfigError(f"ridge penalty {self.lam} is not nonnegative "
+                              "and finite")
+        if self.gamma is not None and not 0.0 < self.gamma < np.inf:
+            raise ConfigError(f"gamma {self.gamma} is not positive and finite")
 
 
 def _kernel_matrix(a: np.ndarray, b: np.ndarray, kind: str,
@@ -130,7 +133,12 @@ def fit_regression(inputs: np.ndarray, targets: np.ndarray, kind: str,
         for s in range(n):
             x = xc[:, s, :]
             k = _kernel_matrix(x, x, kernel, gamma)
-            dual[s] = np.linalg.solve(k + lam * np.eye(b), yc[:, s, :])
+            try:
+                dual[s] = np.linalg.solve(k + lam * np.eye(b), yc[:, s, :])
+            except np.linalg.LinAlgError:
+                raise RegressionError(
+                    "kernel matrix is singular; use a ridge penalty "
+                    "lam > 0") from None
         model.dual = dual
         model.x_train = xc
     model.fitted = True

@@ -143,6 +143,10 @@ def _model_and_train_config(args) -> tuple:
             filecfg = json.loads(cfg_path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as e:
             raise ConfigError(f"config {cfg_path} is not valid JSON: {e}")
+        if not (isinstance(filecfg, dict) and all(isinstance(
+                filecfg.get(k, {}), dict) for k in ("model", "train"))):
+            raise ConfigError(f"config {cfg_path} must be a JSON object "
+                              "whose 'model' and 'train' are objects")
     mdict = dict(filecfg.get("model", {}))
     tdict = dict(filecfg.get("train", {}))
     overrides = {"w_in": getattr(args, "wprime", None),
@@ -208,7 +212,11 @@ def _cmd_graphs(args) -> int:
     train = dt.split_temporal(ds, _split_scheme(args.split))[0]
     factors = (args.pattern_factors.split(",") if args.pattern_factors
                else gr.PATTERN_FACTORS)
-    sigma = "auto" if args.sigma == "auto" else float(args.sigma)
+    try:
+        sigma = "auto" if args.sigma == "auto" else float(args.sigma)
+    except ValueError:
+        raise ConfigError(f"--sigma takes a bandwidth in km or 'auto', "
+                          f"got {args.sigma!r}") from None
     gs = gr.build_static_graphs(train, sigma=sigma, epsilon=args.epsilon,
                                 n_adjacent=args.n_adjacent,
                                 pattern_factors=factors)
@@ -309,7 +317,9 @@ def _cmd_eval(args) -> int:
             scoped = {"train": train_ds, "val": val_ds,
                       "test": test_ds}[args.eval_split]
             preds, truth, starts = ev.evaluate_baseline(
-                kind, train_ds, scoped, args.wprime or 12, args.w or 12,
+                kind, train_ds, scoped,
+                12 if args.wprime is None else args.wprime,
+                12 if args.w is None else args.w,
                 lam=args.lam, gamma=args.gamma)
         else:
             ckpt_path = _resolve(args.ckpt)

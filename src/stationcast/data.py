@@ -627,6 +627,9 @@ def split_temporal(ds: WeatherSeriesDataset,
     else:
         parts = [float(p) for p in scheme]
         total = sum(parts)
+        if not (all(p >= 0.0 for p in parts) and 0.0 < total < math.inf):
+            raise ConfigError(f"split ratio {scheme} needs finite, "
+                              "nonnegative parts with a positive sum")
         n_train = int(t * parts[0] / total)
         n_val = int(t * parts[1] / total)
         ranges = [(0, n_train), (n_train, n_train + n_val), (n_train + n_val, t)]

@@ -14,7 +14,7 @@ import struct
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -77,52 +77,6 @@ class NeighborGraphConfig:
     def __post_init__(self):
         if self.n_adjacent < 1:
             raise ConfigError("n_adjacent must be at least 1")
-
-
-@dataclass
-class LearnableGraphParams:
-    """Trainable node embeddings and mixing maps for the embedding graph."""
-
-    e1: np.ndarray
-    e2: np.ndarray
-    theta1: np.ndarray
-    theta2: np.ndarray
-    alpha: float = 3.0
-
-    def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ConfigError("alpha must be positive")
-        n, d = self.e1.shape
-        if self.e2.shape != (n, d) or self.theta1.shape != (d, d) \
-                or self.theta2.shape != (d, d):
-            raise ConfigError("learnable graph parameter shapes disagree")
-
-
-@dataclass
-class DynamicGraphParams:
-    """Projection maps for the per-window dynamic graph."""
-
-    w1: np.ndarray
-    w2: np.ndarray
-    beta: float = 0.5
-
-    def __post_init__(self):
-        if self.beta <= 0.0:
-            raise ConfigError("beta must be positive")
-        if self.w1.shape != self.w2.shape or self.w1.ndim != 2:
-            raise ConfigError("dynamic graph projection shapes disagree")
-
-
-@dataclass
-class FusionParams:
-    """Per-node combination weights, one [N, N] matrix per graph."""
-
-    weights: dict
-
-    def __post_init__(self):
-        shapes = {k: v.shape for k, v in self.weights.items()}
-        if len(set(shapes.values())) > 1:
-            raise ConfigError(f"fusion weight shapes disagree: {shapes}")
 
 
 @dataclass
@@ -261,33 +215,7 @@ def build_pattern_graph(train_ds: WeatherSeriesDataset,
 
 
 # ---------------------------------------------------------------------------
-# trainable graphs (tape-level ops plus numpy wrappers)
-
-
-def init_learnable_graph(n: int, d_emb: int = 16, alpha: float = 3.0,
-                         rng: Optional[np.random.Generator] = None
-                         ) -> LearnableGraphParams:
-    if rng is None:
-        rng = np.random.default_rng(0)
-    scale = 1.0 / np.sqrt(d_emb)
-    return LearnableGraphParams(
-        e1=rng.uniform(-scale, scale, (n, d_emb)),
-        e2=rng.uniform(-scale, scale, (n, d_emb)),
-        theta1=rng.uniform(-scale, scale, (d_emb, d_emb)),
-        theta2=rng.uniform(-scale, scale, (d_emb, d_emb)),
-        alpha=alpha)
-
-
-def init_dynamic_graph(w_in: int, d: int, d_emb: int = 16, beta: float = 0.5,
-                       rng: Optional[np.random.Generator] = None
-                       ) -> DynamicGraphParams:
-    if rng is None:
-        rng = np.random.default_rng(0)
-    scale = 1.0 / np.sqrt(w_in * d)
-    return DynamicGraphParams(
-        w1=rng.uniform(-scale, scale, (w_in * d, d_emb)),
-        w2=rng.uniform(-scale, scale, (w_in * d, d_emb)),
-        beta=beta)
+# trainable graphs and fusion (tape ops; accept tensors or arrays)
 
 
 def _swap_last(x) -> tp.TapeTensor:
@@ -296,23 +224,20 @@ def _swap_last(x) -> tp.TapeTensor:
     return tp.transpose(x, (*range(nd - 2), nd - 1, nd - 2))
 
 
-def _antisym_graph(m1, m2, saturation: float):
-    """ReLU(tanh(s * (M1 M2^T - M2 M1^T))); one-sided by antisymmetry."""
+def _antisym_graph(x1, w1, x2, w2, s: float) -> tp.TapeTensor:
+    """ReLU(tanh(s (M1 M2^T - M2 M1^T))) with M_i = tanh(s X_i W_i).
+
+    One-sided by antisymmetry: A_ij and A_ji are never both positive.
+    """
+    m1 = tp.tanh(tp.scalar_mul(s, tp.matmul(x1, w1)))
+    m2 = tp.tanh(tp.scalar_mul(s, tp.matmul(x2, w2)))
     g = tp.sub(tp.matmul(m1, _swap_last(m2)), tp.matmul(m2, _swap_last(m1)))
-    return tp.relu(tp.tanh(tp.scalar_mul(saturation, g)))
+    return tp.relu(tp.tanh(tp.scalar_mul(s, g)))
 
 
 def learnable_graph_op(e1, e2, theta1, theta2, alpha: float) -> tp.TapeTensor:
     """Differentiable embedding graph; accepts tape tensors or arrays."""
-    m1 = tp.tanh(tp.scalar_mul(alpha, tp.matmul(e1, theta1)))
-    m2 = tp.tanh(tp.scalar_mul(alpha, tp.matmul(e2, theta2)))
-    return _antisym_graph(m1, m2, alpha)
-
-
-def eval_learnable_graph(params: LearnableGraphParams) -> Adjacency:
-    a = learnable_graph_op(params.e1, params.e2, params.theta1, params.theta2,
-                           params.alpha)
-    return Adjacency(params.e1.shape[0], a.values, "learnable")
+    return _antisym_graph(e1, theta1, e2, theta2, alpha)
 
 
 def dynamic_graph_op(z, w1, w2, beta: float) -> tp.TapeTensor:
@@ -320,34 +245,7 @@ def dynamic_graph_op(z, w1, w2, beta: float) -> tp.TapeTensor:
 
     z is [N, W'*D] for one window or [B, N, W'*D] for a batch.
     """
-    d1 = tp.tanh(tp.scalar_mul(beta, tp.matmul(z, w1)))
-    d2 = tp.tanh(tp.scalar_mul(beta, tp.matmul(z, w2)))
-    return _antisym_graph(d1, d2, beta)
-
-
-def flatten_window(window: np.ndarray) -> np.ndarray:
-    """[..., N, W', D] observations to [..., N, W'*D] node characteristics."""
-    return np.ascontiguousarray(window).reshape(window.shape[:-2]
-                                                + (-1,))
-
-
-def eval_dynamic_graph(window: np.ndarray,
-                       params: DynamicGraphParams) -> Adjacency:
-    """Dynamic graph of one [N, W', D] input window."""
-    if window.ndim != 3:
-        raise ConfigError(f"expected one [N, W', D] window, got {window.shape}")
-    z = flatten_window(window)
-    if z.shape[1] != params.w1.shape[0]:
-        raise ConfigError(f"window flattens to {z.shape[1]} features, "
-                          f"projections expect {params.w1.shape[0]}")
-    a = dynamic_graph_op(z, params.w1, params.w2, params.beta)
-    return Adjacency(window.shape[0], a.values, "dynamic")
-
-
-def init_fusion_params(n: int, kinds: Sequence[str]) -> FusionParams:
-    """Equal-weight start: every graph contributes 1/|S| at every node pair."""
-    w = 1.0 / len(kinds)
-    return FusionParams({k: np.full((n, n), w) for k in kinds})
+    return _antisym_graph(z, w1, z, w2, beta)
 
 
 def fuse_graphs_op(adjs: dict, weights: dict) -> tp.TapeTensor:
@@ -360,14 +258,6 @@ def fuse_graphs_op(adjs: dict, weights: dict) -> tp.TapeTensor:
         term = tp.hadamard(weights[kind], adjs[kind])
         total = term if total is None else tp.add(total, term)
     return total
-
-
-def fuse_graphs(graph_set: dict, fusion: FusionParams) -> Adjacency:
-    adjs = {k: (g.weights if isinstance(g, Adjacency) else np.asarray(g))
-            for k, g in graph_set.items()}
-    fused = fuse_graphs_op(adjs, fusion.weights)
-    n = next(iter(adjs.values())).shape[0]
-    return Adjacency(n, fused.values, "fused")
 
 
 # ---------------------------------------------------------------------------

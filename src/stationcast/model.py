@@ -79,9 +79,10 @@ class ModelConfig:
     graph_kinds: tuple = ALL_GRAPH_KINDS
 
     def __post_init__(self):
-        if isinstance(self.blocks, list) and self.blocks and \
-                isinstance(self.blocks[0], dict):
-            self.blocks = [StBlockConfig(**b) for b in self.blocks]
+        if not self.blocks:
+            raise ConfigError("at least one block is required")
+        self.blocks = [b if isinstance(b, StBlockConfig) else
+                       StBlockConfig(**b) for b in self.blocks]
         self.graph_kinds = tuple(self.graph_kinds)
         if self.w_in < 1 or self.w_out < 1 or self.d < 1 or self.d_emb < 1:
             raise ConfigError("window, factor and embedding dimensions must "
@@ -194,9 +195,6 @@ class MultiGraphForecaster:
     params: dict
     seed: int = 0
 
-    def param_names(self) -> list:
-        return sorted(self.params)
-
     def copy(self) -> "MultiGraphForecaster":
         return MultiGraphForecaster(self.config, self.n,
                            {k: v.copy() for k, v in self.params.items()},
@@ -234,39 +232,26 @@ def param_shapes(n_nodes: int, config: ModelConfig) -> dict:
 
 def build_model(n_nodes: int, config: Optional[ModelConfig] = None,
                 seed: int = 0) -> MultiGraphForecaster:
-    """Initialize all parameters with seed-deterministic uniform fan-in."""
+    """Draw the parameters of param_shapes, in its order, from one seed.
+
+    Fusion weights start at 1/|S| and biases at 0; node embeddings are
+    uniform in +-1/sqrt(d_emb), the rest in +-1/sqrt(fan-in over all axes
+    but the last).
+    """
     if config is None:
         config = ModelConfig()
     rng = np.random.default_rng(seed)
-    shapes = param_shapes(n_nodes, config)
-
-    def uniform(name):
-        # fan-in: every axis but the output one
-        bound = 1.0 / np.sqrt(math.prod(shapes[name][:-1]))
-        return rng.uniform(-bound, bound, shapes[name])
-
     params: dict = {}
-    for i, blk in enumerate(config.blocks):
-        params[f"block{i}_cheb"] = uniform(f"block{i}_cheb")
-        for j in range(len(blk.temporal_kernels)):
-            params[f"block{i}_branch{j}"] = uniform(f"block{i}_branch{j}")
-        params[f"block{i}_fuse"] = uniform(f"block{i}_fuse")
-        params[f"block{i}_fuse_bias"] = np.zeros(shapes[f"block{i}_fuse_bias"])
-        params[f"block{i}_res"] = uniform(f"block{i}_res")
-    if "learnable" in config.graph_kinds:
-        lg = gr.init_learnable_graph(n_nodes, config.d_emb, config.alpha,
-                                     rng=rng)
-        params["emb1"], params["emb2"] = lg.e1, lg.e2
-        params["emb_theta1"], params["emb_theta2"] = lg.theta1, lg.theta2
-    if "dynamic" in config.graph_kinds:
-        dg = gr.init_dynamic_graph(config.w_in, 1, config.d_emb, config.beta,
-                                   rng=rng)
-        params["dyn_w1"], params["dyn_w2"] = dg.w1, dg.w2
-    share = 1.0 / len(config.graph_kinds)
-    for kind in config.graph_kinds:
-        params[f"fusion_{kind}"] = np.full(shapes[f"fusion_{kind}"], share)
-    params["out_w"] = uniform("out_w")
-    params["out_b"] = np.zeros(shapes["out_b"])
+    for name, shape in param_shapes(n_nodes, config).items():
+        if name.startswith("fusion_"):
+            params[name] = np.full(shape, 1.0 / len(config.graph_kinds))
+        elif name.endswith("_bias") or name == "out_b":
+            params[name] = np.zeros(shape)
+        else:
+            fan_in = config.d_emb if name in ("emb1", "emb2") \
+                else math.prod(shape[:-1])
+            bound = 1.0 / np.sqrt(fan_in)
+            params[name] = rng.uniform(-bound, bound, shape)
     return MultiGraphForecaster(config, n_nodes, params, seed)
 
 
@@ -332,13 +317,13 @@ def st_block_forward(x, blk: StBlockConfig, l_tilde, weights: dict,
     return tp.add(temporal, res)
 
 
-def _fused_laplacian(weights: dict, cfg: ModelConfig, n: int, batch: int,
-                     inputs: np.ndarray, static_graphs: dict):
-    """Rescaled Laplacian of the fused graph at the rank it varies.
+def _fused_graph(weights: dict, cfg: ModelConfig, n: int, batch: int,
+                 inputs: np.ndarray, static_graphs: dict):
+    """Fused adjacency at the rank it varies.
 
     Without the dynamic graph every window of the step shares one fused
-    graph, so L~ is one [N, N] matrix; the dynamic graph makes it a
-    per-window [B, N, N] stack.
+    graph, an [N, N] matrix; the dynamic graph makes it a per-window
+    [B, N, N] stack.
     """
     terms2d = {}
     for kind in cfg.graph_kinds:
@@ -346,9 +331,7 @@ def _fused_laplacian(weights: dict, cfg: ModelConfig, n: int, batch: int,
             if kind not in static_graphs:
                 raise ConfigError(f"model needs the {kind} graph but it was "
                                   "not supplied")
-            a = static_graphs[kind]
-            a = a.weights if isinstance(a, gr.Adjacency) else np.asarray(a)
-            terms2d[kind] = a
+            terms2d[kind] = np.asarray(static_graphs[kind])
         elif kind == "learnable":
             terms2d[kind] = gr.learnable_graph_op(
                 weights["emb1"], weights["emb2"], weights["emb_theta1"],
@@ -357,16 +340,24 @@ def _fused_laplacian(weights: dict, cfg: ModelConfig, n: int, batch: int,
     if terms2d:
         fused = gr.fuse_graphs_op(
             terms2d, {k: weights[f"fusion_{k}"] for k in terms2d})
-    if "dynamic" in cfg.graph_kinds:
-        # node characteristics: the window of the first factor channel
-        z = np.ascontiguousarray(inputs[:, :, :, 0]).reshape(batch, n, -1)
-        a_k = gr.dynamic_graph_op(z, weights["dyn_w1"], weights["dyn_w2"],
-                                  cfg.beta)
-        w_k = tp.tile_leading(weights["fusion_dynamic"], batch)
-        term = tp.hadamard(w_k, a_k)
-        fused = term if fused is None \
-            else tp.add(tp.tile_leading(fused, batch), term)
-    return tp.scaled_laplacian_op(gr.symmetrize_op(fused))
+    if "dynamic" not in cfg.graph_kinds:
+        return fused
+    # node characteristics: the window of the first factor channel
+    z = np.ascontiguousarray(inputs[:, :, :, 0]).reshape(batch, n, -1)
+    a_k = gr.dynamic_graph_op(z, weights["dyn_w1"], weights["dyn_w2"],
+                              cfg.beta)
+    term = tp.hadamard(tp.tile_leading(weights["fusion_dynamic"], batch), a_k)
+    return term if fused is None \
+        else tp.add(tp.tile_leading(fused, batch), term)
+
+
+def _fused_laplacian(weights: dict, cfg: ModelConfig, n: int, batch: int,
+                     inputs: np.ndarray, static_graphs: dict):
+    """Rescaled Laplacian of the symmetrized fused graph."""
+    # off the tape the fusion terms die with _fused_graph's frame, so only
+    # the symmetrized graph is live while the spectral step runs
+    return tp.scaled_laplacian_op(gr.symmetrize_op(_fused_graph(
+        weights, cfg, n, batch, inputs, static_graphs)))
 
 
 def forward_on_tape(weights: dict, cfg: ModelConfig, n: int,
@@ -501,7 +492,7 @@ def train(model: MultiGraphForecaster, train_ds: WeatherSeriesDataset,
 def save_checkpoint(model: MultiGraphForecaster, path,
                     extra: Optional[dict] = None) -> None:
     """Binary checkpoint: JSON header plus raw parameter buffers."""
-    names = model.param_names()
+    names = sorted(model.params)
     header = {
         "model_config": model.config.to_dict(),
         "n": model.n,

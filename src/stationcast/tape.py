@@ -67,31 +67,9 @@ class TapeTensor:
     def shape(self):
         return self.values.shape
 
-    def item(self) -> float:
-        return float(self.values)
-
     def __repr__(self):
         tag = "const" if self.tape is None else f"node {self.node_id}"
         return f"TapeTensor(shape={self.values.shape}, {tag})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scalar_mul(float(other), self)
-        return hadamard(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return scalar_mul(float(other), self)
-        return hadamard(other, self)
 
 
 def _as_array(x) -> np.ndarray:

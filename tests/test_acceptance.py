@@ -91,7 +91,9 @@ def test_criterion_02_gradient_suite():
     rng = np.random.default_rng(102)
     worst = {}
 
-    lp = gr.init_learnable_graph(5, d_emb=4, alpha=3.0, rng=rng)
+    # embedding parameters at their build_model scale, 1/sqrt(d_emb)
+    e1, e2, theta1, theta2 = [rng.uniform(-0.5, 0.5, shape) for shape in
+                              [(5, 4), (5, 4), (4, 4), (4, 4)]]
     probe = rng.normal(0.0, 1.0, (5, 5))
 
     def loss_embedding(p):
@@ -101,10 +103,12 @@ def test_criterion_02_gradient_suite():
 
     worst["embedding graph"] = tp.finite_diff_check(
         loss_embedding,
-        {"e1": lp.e1, "e2": lp.e2, "theta1": lp.theta1, "theta2": lp.theta2},
+        {"e1": e1, "e2": e2, "theta1": theta1, "theta2": theta2},
         rng=np.random.default_rng(1))
 
-    dp = gr.init_dynamic_graph(6, 1, d_emb=4, beta=0.5, rng=rng)
+    # window projections at their build_model scale, 1/sqrt(W')
+    bound = 1.0 / np.sqrt(6)
+    w1, w2 = [rng.uniform(-bound, bound, (6, 4)) for _ in range(2)]
     z = rng.normal(0.0, 1.0, (5, 6))
 
     def loss_dynamic(p):
@@ -112,7 +116,7 @@ def test_criterion_02_gradient_suite():
         return tp.reduce_sum(tp.hadamard(a, probe))
 
     worst["window graph"] = tp.finite_diff_check(
-        loss_dynamic, {"w1": dp.w1, "w2": dp.w2},
+        loss_dynamic, {"w1": w1, "w2": w2},
         rng=np.random.default_rng(2))
 
     kinds = ("distance", "neighbor", "pattern", "learnable", "dynamic")
@@ -184,13 +188,15 @@ def test_criterion_03_graph_invariants():
         assert np.all((a_p >= -1.0) & (a_p <= 1.0))
 
         lrng = np.random.default_rng(1000 + trial)
-        a_l = gr.eval_learnable_graph(
-            gr.init_learnable_graph(n, d_emb=4, rng=lrng)).weights
+        emb = [lrng.uniform(-0.5, 0.5, shape) for shape in
+               [(n, 4), (n, 4), (4, 4), (4, 4)]]
+        a_l = gr.learnable_graph_op(*emb, 3.0).values
         assert np.all(np.minimum(a_l, a_l.T) == 0.0)
 
         window = lrng.normal(0.0, 1.0, (n, 6, 1))
-        a_k = gr.eval_dynamic_graph(
-            window, gr.init_dynamic_graph(6, 1, d_emb=4, rng=lrng)).weights
+        bound = 1.0 / np.sqrt(6)  # build_model's 1/sqrt(W') scale
+        proj = [lrng.uniform(-bound, bound, (6, 4)) for _ in range(2)]
+        a_k = gr.dynamic_graph_op(window.reshape(n, -1), *proj, 0.5).values
         assert np.all(np.minimum(a_k, a_k.T) == 0.0)
     _verdict(3, "20 station sets, all structural assertions exact")
 

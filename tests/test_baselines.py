@@ -86,6 +86,24 @@ def test_linear_singular_design_advises_ridge():
         bl.fit_regression(x, y, "linear")
 
 
+def test_kernel_singular_solve_advises_ridge():
+    rng = RNG(5)
+    # every training window appears twice: K has repeated rows
+    x = np.repeat(rng.standard_normal((5, 1, 4)), 2, axis=0)
+    y = rng.standard_normal((10, 1, 2))
+    with pytest.raises(RegressionError, match="lam > 0"):
+        bl.fit_regression(x, y, "kernel_ridge", gamma=1.0)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, np.inf, np.nan])
+def test_kernel_rejects_bad_gamma(gamma):
+    rng = RNG(5)
+    with pytest.raises(ConfigError, match="gamma"):
+        bl.fit_regression(rng.standard_normal((20, 1, 4)),
+                          rng.standard_normal((20, 1, 2)), "kernel_ridge",
+                          lam=1.0, gamma=gamma)
+
+
 def test_ridge_continuity_in_lambda():
     rng = RNG(6)
     x = rng.standard_normal((50, 2, 6))

@@ -316,6 +316,53 @@ def test_eval_malformed_checkpoint_exits_1(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("small_run")
+    assert main(["synth", "--n", "5", "--t", "120", "--d", "1", "--seed",
+                 "4", "--out", str(root / "synth.w2kt")]) == 0
+    assert main(["graphs", "--data", str(root / "synth.w2kt"),
+                 "--n-adjacent", "2", "--out", str(root / "graphs.json")]) == 0
+    return root
+
+
+@pytest.mark.parametrize("argv,where", [
+    (["graphs", "--sigma", "abc"], "--sigma takes a bandwidth"),
+    (["graphs", "--split", "0,0,0"], "positive sum"),
+    (["train", "--config", "[1, 2]"], "must be a JSON object"),
+    (["train", "--config", '{"model": [1]}'], "must be a JSON object"),
+    (["train", "--config", '{"train": "fast"}'], "must be a JSON object"),
+    (["train", "--config", '{"model": {"blocks": []}}'], "at least one block"),
+    (["train", "--config", '{"model": {"blocks": [1]}}'], "bad config field"),
+    (["eval", "--baseline", "krr", "--gamma", "0"], "gamma 0.0 is not"),
+    (["eval", "--baseline", "krr", "--gamma", "-1"], "gamma -1.0 is not"),
+    (["eval", "--baseline", "ridge", "--lam", "nan"], "penalty nan is not"),
+    (["eval", "--baseline", "ridge", "--lam", "1", "--wprime", "0"],
+     "window lengths"),
+    (["eval", "--baseline", "ridge", "--lam", "1", "--w", "0"],
+     "window lengths"),
+], ids=["sigma-abc", "split-0-0-0", "config-list", "config-model-list",
+        "config-train-string", "config-no-blocks", "config-block-int",
+        "krr-gamma-0", "krr-gamma-negative", "ridge-lam-nan", "wprime-0",
+        "w-0"])
+def test_bad_input_exits_1_with_one_line(small_run, tmp_path, capsys, argv,
+                                         where):
+    argv = list(argv)
+    if "--config" in argv:
+        i = argv.index("--config") + 1
+        (tmp_path / "cfg.json").write_text(argv[i])
+        argv[i] = str(tmp_path / "cfg.json")
+    argv += ["--data", str(small_run / "synth.w2kt"),
+             "--out", str(tmp_path / "out")]
+    if argv[0] == "train":
+        argv += ["--graphs", str(small_run / "graphs.json")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") \
+        and where in err[0], err
+
+
 def test_missing_input_exits_1(tmp_path):
     out = tmp_path / "g.json"
     code = main(["graphs", "--data", str(tmp_path / "nope.w2kt"),

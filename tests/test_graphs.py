@@ -216,29 +216,48 @@ def test_pattern_graph_falls_back_to_dataset_factors():
 # learnable and dynamic graphs
 
 
+def _uniform_draws(rng, scale, *shapes):
+    return [rng.uniform(-scale, scale, shape) for shape in shapes]
+
+
+def _embedding_params(n, d_emb, rng):
+    # e1, e2, theta1, theta2, each uniform in +-1/sqrt(d_emb)
+    return _uniform_draws(rng, 1.0 / np.sqrt(d_emb), (n, d_emb), (n, d_emb),
+                          (d_emb, d_emb), (d_emb, d_emb))
+
+
+def _projection_params(w_in, d, d_emb, rng):
+    # w1, w2 over the flattened [W'*D] window, uniform in +-1/sqrt(W'*D)
+    return _uniform_draws(rng, 1.0 / np.sqrt(w_in * d), (w_in * d, d_emb),
+                          (w_in * d, d_emb))
+
+
+def _window_graph(window, w1, w2, beta=0.5):
+    """Dynamic graph of one [N, W', D] window."""
+    z = window.reshape(window.shape[0], -1)
+    return gr.dynamic_graph_op(z, w1, w2, beta).values
+
+
 def test_learnable_graph_vanishes_when_maps_coincide():
     rng = RNG(11)
     e = rng.standard_normal((6, 4))
     th = rng.standard_normal((4, 4))
-    p = gr.LearnableGraphParams(e1=e, e2=e.copy(), theta1=th, theta2=th.copy())
-    adj = gr.eval_learnable_graph(p)
-    assert np.array_equal(adj.weights, np.zeros((6, 6)))
+    adj = gr.learnable_graph_op(e, e.copy(), th, th.copy(), 3.0).values
+    assert np.array_equal(adj, np.zeros((6, 6)))
 
 
 def test_learnable_graph_one_sided():
-    p = gr.init_learnable_graph(8, d_emb=5, rng=RNG(12))
-    w = gr.eval_learnable_graph(p).weights
+    w = gr.learnable_graph_op(*_embedding_params(8, 5, RNG(12)), 3.0).values
     assert np.array_equal(np.minimum(w, w.T), np.zeros((8, 8)))
     assert w.max() > 0.0  # not degenerate
 
 
 def test_learnable_graph_gradients():
-    p = gr.init_learnable_graph(5, d_emb=4, rng=RNG(13))
-    params = {"e1": p.e1, "e2": p.e2, "th1": p.theta1, "th2": p.theta2}
+    e1, e2, th1, th2 = _embedding_params(5, 4, RNG(13))
+    params = {"e1": e1, "e2": e2, "th1": th1, "th2": th2}
 
     def loss(t):
-        a = gr.learnable_graph_op(t["e1"], t["e2"], t["th1"], t["th2"],
-                                  p.alpha)
+        a = gr.learnable_graph_op(t["e1"], t["e2"], t["th1"], t["th2"], 3.0)
         return tp.reduce_sum(a)
 
     err = tp.finite_diff_check(loss, params, rng=RNG(0))
@@ -250,30 +269,29 @@ def test_dynamic_graph_identical_windows():
     win = rng.standard_normal((4, 6, 2))
     win[2] = win[0]  # stations 0 and 2 see the same inputs
     shared = rng.standard_normal((12, 5))
-    p = gr.DynamicGraphParams(w1=shared, w2=shared.copy())
-    adj = gr.eval_dynamic_graph(win, p)
-    assert adj.weights[0, 2] == 0.0 and adj.weights[2, 0] == 0.0
+    adj = _window_graph(win, shared, shared.copy())
+    assert adj[0, 2] == 0.0 and adj[2, 0] == 0.0
 
 
 def test_dynamic_graph_one_sided_and_equivariant():
     rng = RNG(15)
     win = rng.standard_normal((6, 5, 2))
-    p = gr.init_dynamic_graph(5, 2, d_emb=4, rng=RNG(16))
-    w = gr.eval_dynamic_graph(win, p).weights
+    w1, w2 = _projection_params(5, 2, 4, RNG(16))
+    w = _window_graph(win, w1, w2)
     assert np.array_equal(np.minimum(w, w.T), np.zeros((6, 6)))
     perm = RNG(17).permutation(6)
-    w_perm = gr.eval_dynamic_graph(win[perm], p).weights
+    w_perm = _window_graph(win[perm], w1, w2)
     assert np.array_equal(w_perm, w[np.ix_(perm, perm)])
 
 
 def test_dynamic_graph_batched_matches_single():
     rng = RNG(18)
     wins = rng.standard_normal((3, 5, 4, 2))
-    p = gr.init_dynamic_graph(4, 2, d_emb=4, rng=RNG(19))
-    z = gr.flatten_window(wins)
-    batched = gr.dynamic_graph_op(z, p.w1, p.w2, p.beta).values
+    w1, w2 = _projection_params(4, 2, 4, RNG(19))
+    z = wins.reshape(3, 5, -1)
+    batched = gr.dynamic_graph_op(z, w1, w2, 0.5).values
     for b in range(3):
-        single = gr.eval_dynamic_graph(wins[b], p).weights
+        single = _window_graph(wins[b], w1, w2)
         assert np.allclose(batched[b], single, atol=1e-14)
 
 
@@ -291,21 +309,24 @@ def fused_oracle(adjs, weights):
     return out
 
 
+def _fused(adjs, weights):
+    return gr.fuse_graphs_op(adjs, weights).values
+
+
 def test_fusion_identity():
     rng = RNG(20)
     a = np.abs(rng.standard_normal((5, 5)))
     b = np.abs(rng.standard_normal((5, 5)))
-    fp = gr.FusionParams({"distance": np.ones((5, 5)),
-                          "neighbor": np.zeros((5, 5))})
-    fused = gr.fuse_graphs({"distance": a, "neighbor": b}, fp)
-    assert np.array_equal(fused.weights, a)
+    fused = _fused({"distance": a, "neighbor": b},
+                   {"distance": np.ones((5, 5)), "neighbor": np.zeros((5, 5))})
+    assert np.array_equal(fused, a)
 
 
 def test_fusion_all_zero():
     rng = RNG(21)
-    fp = gr.FusionParams({"a_": np.zeros((4, 4)) for a_ in ["distance"]})
-    fused = gr.fuse_graphs({"a_": rng.standard_normal((4, 4))}, fp)
-    assert np.array_equal(fused.weights, np.zeros((4, 4)))
+    fused = _fused({"a_": rng.standard_normal((4, 4))},
+                   {"a_": np.zeros((4, 4))})
+    assert np.array_equal(fused, np.zeros((4, 4)))
 
 
 def test_fusion_matches_loop_oracle_and_linearity():
@@ -314,11 +335,10 @@ def test_fusion_matches_loop_oracle_and_linearity():
     adjs = {k: rng.standard_normal((6, 6)) for k in kinds}
     w1 = {k: rng.standard_normal((6, 6)) for k in kinds}
     w2 = {k: rng.standard_normal((6, 6)) for k in kinds}
-    f1 = gr.fuse_graphs(adjs, gr.FusionParams(w1)).weights
+    f1 = _fused(adjs, w1)
     assert np.allclose(f1, fused_oracle(adjs, w1), atol=1e-12)
-    f2 = gr.fuse_graphs(adjs, gr.FusionParams(w2)).weights
-    both = gr.fuse_graphs(adjs, gr.FusionParams(
-        {k: w1[k] + w2[k] for k in kinds})).weights
+    f2 = _fused(adjs, w2)
+    both = _fused(adjs, {k: w1[k] + w2[k] for k in kinds})
     assert np.allclose(both, f1 + f2, atol=1e-12)
 
 
@@ -326,13 +346,6 @@ def test_fusion_key_mismatch():
     with pytest.raises(ConfigError):
         gr.fuse_graphs_op({"distance": np.ones((2, 2))},
                           {"neighbor": np.ones((2, 2))})
-
-
-def test_fusion_init_uniform():
-    fp = gr.init_fusion_params(4, ["distance", "neighbor", "pattern",
-                                   "learnable", "dynamic"])
-    for w in fp.weights.values():
-        assert np.array_equal(w, np.full((4, 4), 0.2))
 
 
 def test_fusion_gradients_flow_to_weights():

@@ -1,5 +1,6 @@
 """Forecaster architecture, gradients, training loop, and checkpoints."""
 
+import hashlib
 import json
 import struct
 
@@ -101,6 +102,39 @@ def test_build_model_deterministic():
         assert a.params[k].tobytes() == b.params[k].tobytes()
     assert any(a.params[k].tobytes() != c.params[k].tobytes()
                for k in a.params)
+
+
+def _two_blocks():
+    return [md.StBlockConfig(2, [3], 1, 4),
+            md.StBlockConfig(3, [1, 3, 5], 4, 6)]
+
+
+# SHA-256 over every parameter's name and little-endian float64 bytes, in
+# build_model order: the digests pin the draws and their RNG order, which
+# fixed-seed checkpoints depend on
+@pytest.mark.parametrize("n,seed,kwargs,digest", [
+    (6, 0, {},
+     "d55b707a0fae03ee82243f75a0b76f2454d0718f23bdc67450ddb80bd4450da5"),
+    (7, 1, dict(graph_kinds=("learnable",), d_emb=5, blocks=_two_blocks()),
+     "e27a239717d2afc89bd6e9c683809685b6d2eb1007a82d24e681ca97b34bdce6"),
+    (5, 2, dict(graph_kinds=("dynamic",), w_in=8, blocks=_two_blocks()),
+     "d6040238aad461b80c93bcaf7ad94c0bb04743bceb3653a4859a2031d65ffce7"),
+    (4, 3, dict(graph_kinds=md.STATIC_KINDS, blocks=_two_blocks()),
+     "6725c8e16859274b6bc0dbfaf071d1c5e7f9911a33fe007039b9e144092643a4"),
+], ids=["five-graph", "learnable", "dynamic", "static"])
+def test_build_model_init_is_pinned(n, seed, kwargs, digest):
+    model = md.build_model(n, md.ModelConfig(**kwargs), seed=seed)
+    h = hashlib.sha256()
+    for name, value in model.params.items():
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(value, dtype="<f8").tobytes())
+    assert h.hexdigest() == digest
+    share = 1.0 / len(model.config.graph_kinds)
+    for name, value in model.params.items():
+        if name.startswith("fusion_"):
+            assert np.array_equal(value, np.full((n, n), share))
+        if name.endswith("_bias") or name == "out_b":
+            assert not value.any()
 
 
 # ---------------------------------------------------------------------------
