@@ -11,6 +11,7 @@ import numpy as np
 from stationcast import data as dt
 from stationcast import graphs as gr
 from stationcast import model as md
+from stationcast import tape as tp
 
 
 def describe(name, w):
@@ -58,15 +59,15 @@ def main():
           f"{weights['distance'][0, 0]:.1f}; fused range "
           f"[{fused.min():+.3f}, {fused.max():+.3f}]")
 
-    lap = gr.scaled_laplacian(fused)
-    print(f"largest Laplacian eigenvalue {lap.lambda_max:.4f}; "
-          f"rescaled spectrum lies in [-1, 1]: "
-          f"[{np.linalg.eigvalsh(lap.l_tilde).min():+.4f}, "
-          f"{np.linalg.eigvalsh(lap.l_tilde).max():+.4f}]")
+    # the rescaled Laplacian 2L/lambda_max - I of the symmetrized blend
+    lap = tp.scaled_laplacian_op(gr.symmetrize_op(fused)).values
+    spectrum = np.linalg.eigvalsh(lap)
+    print(f"rescaled Laplacian spectrum lies in [-1, 1]: "
+          f"[{spectrum.min():+.4f}, {spectrum.max():+.4f}]")
 
     theta = np.random.default_rng(0).normal(0.0, 0.3, (3, 1, 2))
     x = train.values[:, 0, :1]
-    y = gr.cheb_filter(lap, theta, x)
+    y = gr.cheb_filter_op(lap, theta, x).values
     print(f"order-3 polynomial filter maps signal {x.shape} -> {y.shape} "
           f"without an eigendecomposition")
 

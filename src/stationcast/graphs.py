@@ -3,15 +3,14 @@
 Five adjacency matrices over the same station set: geographic distance,
 nearest-neighbor, series-pattern correlation, a trainable embedding graph,
 and a per-window dynamic graph.  Fusion combines them with per-node
-trainable weights.  The spectral half provides the rescaled Laplacian and
-Chebyshev polynomial filtering used by the forecasting model.
+trainable weights.  The spectral half symmetrizes the fused graph and
+filters signals with Chebyshev polynomials of its rescaled Laplacian.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence, Union
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import tape as tp
 from .data import PackedReader, StationMeta, WeatherSeriesDataset, _pack_str
-from .errors import ConfigError, PipelineError, SchemaError, StructuralError
+from .errors import ConfigError, PipelineError, StructuralError
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -64,8 +63,8 @@ class DistanceGraphConfig:
     epsilon: float = 0.1
 
     def __post_init__(self):
-        if self.sigma <= 0.0:
-            raise ConfigError("sigma must be positive")
+        if not 0.0 < self.sigma < np.inf:
+            raise ConfigError(f"sigma {self.sigma} must be positive and finite")
         if not 0.0 <= self.epsilon < 1.0:
             raise ConfigError("epsilon must lie in [0, 1)")
 
@@ -77,12 +76,6 @@ class NeighborGraphConfig:
     def __post_init__(self):
         if self.n_adjacent < 1:
             raise ConfigError("n_adjacent must be at least 1")
-
-
-@dataclass
-class ScaledLaplacian:
-    l_tilde: np.ndarray
-    lambda_max: float
 
 
 @dataclass
@@ -264,68 +257,23 @@ def fuse_graphs_op(adjs: dict, weights: dict) -> tp.TapeTensor:
 # spectral machinery
 
 
-def symmetrize(a: np.ndarray) -> np.ndarray:
-    """(|A| + |A|^T) / 2: symmetric nonnegative version of any adjacency.
-
-    Transposes the last two axes, so a [B, N, N] stack is symmetrized
-    matrix by matrix.
-    """
-    aa = np.abs(np.asarray(a, dtype=np.float64))
-    out = aa + np.swapaxes(aa, -1, -2)
-    out *= 0.5
-    return out
-
-
 def symmetrize_op(a) -> tp.TapeTensor:
-    """Tape version of symmetrize for [N, N] or [B, N, N] tensors.
+    """(|A| + |A|^T) / 2 over the last two axes of [N, N] or [B, N, N].
 
     One node; its gradient is sign(A) (G + G^T) / 2.
     """
     av = tp._as_array(a)
-    return tp._emit("symmetrize", (a,), symmetrize(av), lambda g: (
+    aa = np.abs(av)
+    out = aa + np.swapaxes(aa, -1, -2)
+    out *= 0.5
+    return tp._emit("symmetrize", (a,), out, lambda g: (
         np.sign(av) * ((g + np.swapaxes(g, -1, -2)) / 2.0),))
 
 
-def scaled_laplacian(adj: Union[Adjacency, np.ndarray]) -> ScaledLaplacian:
-    """Rescaled normalized Laplacian 2L/lambda_max - I of a graph.
-
-    The input is symmetrized first.  Isolated nodes get a unit self-loop
-    (with a warning) so degree normalization stays finite.
-    """
-    a = symmetrize(adj.weights if isinstance(adj, Adjacency) else adj)
-    if (a.sum(axis=1) <= 0.0).any():
-        warnings.warn("isolated node: unit self-loop injected before "
-                      "normalization", stacklevel=2)
-    l_tilde, saved = tp._laplacian_forward_batch(a[None])
-    return ScaledLaplacian(l_tilde[0], float(saved[3][0]))
-
-
-def cheb_filter(lap: Union[ScaledLaplacian, np.ndarray], theta: np.ndarray,
-                x: np.ndarray) -> np.ndarray:
-    """Chebyshev polynomial graph filter, no eigendecomposition.
-
-    y = sum_k T_k(L~) x theta_k with T_0 = I, T_1 = L~,
-    T_k = 2 L~ T_{k-1} - T_{k-2}.
-    """
-    lt = lap.l_tilde if isinstance(lap, ScaledLaplacian) else np.asarray(lap)
-    theta = np.asarray(theta, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if theta.ndim != 3 or theta.shape[1] != x.shape[-1]:
-        raise ConfigError(f"filter coefficients {theta.shape} do not match "
-                          f"signal {x.shape}")
-    prev = x
-    y = prev @ theta[0]
-    if theta.shape[0] > 1:
-        cur = lt @ x
-        y = y + cur @ theta[1]
-        for k in range(2, theta.shape[0]):
-            prev, cur = cur, 2.0 * (lt @ cur) - prev
-            y = y + cur @ theta[k]
-    return y
-
-
 def cheb_filter_op(l_tilde, theta, x) -> tp.TapeTensor:
-    """Tape version of cheb_filter; the order K is theta.shape[0].
+    """Chebyshev filter y = sum_k T_k(L~) x theta_k, no eigendecomposition.
+
+    T_0 = I, T_1 = L~, T_k = 2 L~ T_{k-1} - T_{k-2}; K = theta.shape[0].
 
     l_tilde: [N, N] or [B, N, N]; theta: [K, C_in, C_out]; x: [N, C_in],
     [B, N, C_in] or [B, N, T, C_in].  A [B, N, T, C_in] signal is filtered

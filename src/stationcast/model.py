@@ -154,6 +154,12 @@ class TrainConfig:
             raise ConfigError(f"unknown lr decay mode {self.lr_decay_mode!r}")
         if self.lr_decay_every < 1 or self.decay_window < 0:
             raise ConfigError("schedule intervals must be positive")
+        if not 0.0 <= self.lr0 < math.inf:
+            raise ConfigError(f"learning rate {self.lr0} is not nonnegative "
+                              "and finite")
+        if not 0.0 <= self.lr_decay_factor <= 1.0:
+            raise ConfigError(f"lr decay factor {self.lr_decay_factor} lies "
+                              "outside [0, 1]")
 
     def lr_at(self, epoch: int) -> float:
         """Learning rate for a 1-based epoch index; frozen past the window."""
@@ -558,4 +564,8 @@ def load_checkpoint(path) -> tuple:
         raise cur.corrupt()
     params = {k: cur.array("<f8", shapes[k]) for k in names}
     cur.end()
+    for k in names:
+        if not np.isfinite(params[k]).all():
+            raise CheckpointError(f"{path}: parameter {k!r} has non-finite "
+                                  "values")
     return MultiGraphForecaster(config, n, params, seed), extra

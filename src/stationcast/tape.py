@@ -396,7 +396,7 @@ def scaled_laplacian_op(a: ArrayLike) -> TapeTensor:
     """
     av = _as_array(a)
     if av.ndim not in (2, 3):
-        raise ShapeError(f"scaled_laplacian: rank {av.ndim} input")
+        raise ShapeError(f"scaled_laplacian_op: rank {av.ndim} input")
     stack = av.reshape((-1,) + av.shape[-2:])
     out, saved = _laplacian_forward_batch(stack)
     return _emit("scaled_laplacian", (a,), out.reshape(av.shape),

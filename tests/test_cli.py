@@ -316,6 +316,23 @@ def test_eval_malformed_checkpoint_exits_1(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("param", ["fusion_distance", "out_w"])
+def test_eval_nonfinite_checkpoint_exits_1(tmp_path, capsys, param, value):
+    data = tmp_path / "synth.w2kt"
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["synth", "--n", "5", "--t", "80", "--d", "1",
+                 "--seed", "5", "--out", str(data)]) == 0
+    model = md.build_model(5)
+    model.params[param].flat[0] = value
+    md.save_checkpoint(model, ckpt)
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data),
+                 "--factor", "t", "--out", str(tmp_path / "m.json")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "non-finite" in err[0], err
+
+
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("small_run")
@@ -341,10 +358,17 @@ def small_run(tmp_path_factory):
      "window lengths"),
     (["eval", "--baseline", "ridge", "--lam", "1", "--w", "0"],
      "window lengths"),
+    (["graphs", "--split", "1e308,0,0"], "is finite"),
+    (["graphs", "--sigma", "inf"], "sigma inf must be positive and finite"),
+    (["train", "--lr0", "-1"], "learning rate -1.0 is not"),
+    (["train", "--lr0", "nan"], "learning rate nan is not"),
+    (["train", "--config", '{"train": {"lr_decay_factor": 1.5}}'],
+     "lr decay factor 1.5 lies outside"),
 ], ids=["sigma-abc", "split-0-0-0", "config-list", "config-model-list",
         "config-train-string", "config-no-blocks", "config-block-int",
         "krr-gamma-0", "krr-gamma-negative", "ridge-lam-nan", "wprime-0",
-        "w-0"])
+        "w-0", "split-1e308", "sigma-inf", "lr0-negative", "lr0-nan",
+        "config-decay-factor-1.5"])
 def test_bad_input_exits_1_with_one_line(small_run, tmp_path, capsys, argv,
                                          where):
     argv = list(argv)

@@ -364,49 +364,24 @@ def test_fusion_gradients_flow_to_weights():
 # spectral machinery
 
 
-def test_scaled_laplacian_triangle():
-    adj = np.ones((3, 3)) - np.eye(3)
-    sl = gr.scaled_laplacian(adj)
-    assert abs(sl.lambda_max - 1.5) < 1e-9
-    lap = np.eye(3) - adj / 2.0
-    assert np.allclose(np.sort(np.linalg.eigvalsh(lap)), [0, 1.5, 1.5],
-                       atol=1e-12)
-    assert np.allclose(sl.l_tilde, 2.0 * lap / 1.5 - np.eye(3), atol=1e-9)
-
-
-def test_scaled_laplacian_self_loop_singleton():
-    sl = gr.scaled_laplacian(np.array([[1.0]]))
-    assert np.array_equal(sl.l_tilde, -np.eye(1))
-
-
 def test_scaled_laplacian_spectrum_in_unit_band():
     for seed in range(8):
         rng = RNG(seed)
         n = int(rng.integers(3, 17))
         raw = rng.uniform(0, 1, (n, n))
-        sl = gr.scaled_laplacian(raw)
-        evs = np.linalg.eigvalsh(sl.l_tilde)
+        lt = tp.scaled_laplacian_op(gr.symmetrize_op(raw)).values
+        evs = np.linalg.eigvalsh(lt)
         assert evs.min() >= -1.0 - 1e-9 and evs.max() <= 1.0 + 1e-9
-
-
-def test_scaled_laplacian_isolated_node_warns():
-    adj = np.zeros((3, 3))
-    adj[0, 1] = adj[1, 0] = 1.0
-    with pytest.warns(UserWarning, match="isolated"):
-        sl = gr.scaled_laplacian(adj)
-    assert np.isfinite(sl.l_tilde).all()
 
 
 def test_symmetrize_variants_agree():
     rng = RNG(24)
     a = rng.standard_normal((5, 5))
     want = (np.abs(a) + np.abs(a).T) / 2.0
-    assert np.array_equal(gr.symmetrize(a), want)
     assert np.array_equal(gr.symmetrize_op(a).values, want)
     # a stack with B != N is symmetrized matrix by matrix
     stack = rng.standard_normal((3, 5, 5))
-    want = np.stack([gr.symmetrize(m) for m in stack])
-    assert gr.symmetrize(stack).tobytes() == want.tobytes()
+    want = np.stack([(np.abs(m) + np.abs(m).T) / 2.0 for m in stack])
     assert gr.symmetrize_op(stack).values.tobytes() == want.tobytes()
 
 
@@ -437,23 +412,27 @@ def spectral_filter_oracle(l_tilde, theta, x):
     return y
 
 
+def _l_tilde(raw):
+    return tp.scaled_laplacian_op(gr.symmetrize_op(raw)).values
+
+
 def test_cheb_filter_order_one_graph_independent():
     rng = RNG(25)
     x = rng.standard_normal((6, 2))
     theta = rng.standard_normal((1, 2, 3))
-    lt1 = gr.scaled_laplacian(np.abs(rng.standard_normal((6, 6))))
-    y = gr.cheb_filter(lt1, theta, x)
+    lt1 = _l_tilde(np.abs(rng.standard_normal((6, 6))))
+    y = gr.cheb_filter_op(lt1, theta, x).values
     assert np.allclose(y, x @ theta[0], atol=1e-14)
 
 
 def test_cheb_filter_path_graph_by_hand():
     adj = np.array([[0.0, 1.0], [1.0, 0.0]])
-    sl = gr.scaled_laplacian(adj)
+    lt = _l_tilde(adj)
     # two-node path: L = I - A, lambda_max = 2, so L~ = -A
-    assert np.allclose(sl.l_tilde, -adj, atol=1e-9)
+    assert np.allclose(lt, -adj, atol=1e-9)
     x = np.array([[1.0], [2.0]])
     theta = np.array([[[0.5]], [[2.0]]])
-    y = gr.cheb_filter(sl, theta, x)
+    y = gr.cheb_filter_op(lt, theta, x).values
     want = x * 0.5 + (-adj @ x) * 2.0
     assert np.allclose(y, want, atol=1e-9)
 
@@ -464,26 +443,25 @@ def test_cheb_filter_matches_spectral_oracle():
         n = int(rng.integers(3, 9))
         k = int(rng.integers(1, 6))
         raw = rng.uniform(0, 1, (n, n))
-        sl = gr.scaled_laplacian(raw)
+        lt = _l_tilde(raw)
         x = rng.standard_normal((n, 3))
         theta = rng.standard_normal((k, 3, 2))
-        got = gr.cheb_filter(sl, theta, x)
-        want = spectral_filter_oracle(sl.l_tilde, theta, x)
+        got = gr.cheb_filter_op(lt, theta, x).values
+        want = spectral_filter_oracle(lt, theta, x)
         assert np.abs(got - want).max() < 1e-8
 
 
 def test_cheb_filter_op_matches_and_differentiates():
     rng = RNG(27)
     raw = rng.uniform(0.1, 1.0, (5, 5))
-    sl = gr.scaled_laplacian(raw)
+    lt = _l_tilde(raw)
     x = rng.standard_normal((5, 2))
     theta = rng.standard_normal((3, 2, 2))
-    got = gr.cheb_filter_op(sl.l_tilde, theta, x).values
-    assert np.allclose(got, gr.cheb_filter(sl, theta, x), atol=1e-12)
+    got = gr.cheb_filter_op(lt, theta, x).values
+    assert np.allclose(got, spectral_filter_oracle(lt, theta, x), atol=1e-12)
 
     def loss(t):
-        return tp.reduce_sum(gr.cheb_filter_op(sl.l_tilde, t["theta"],
-                                               t["x"]))
+        return tp.reduce_sum(gr.cheb_filter_op(lt, t["theta"], t["x"]))
 
     err = tp.finite_diff_check(loss, {"theta": theta, "x": x}, rng=RNG(0))
     assert err <= 1e-4
@@ -491,13 +469,13 @@ def test_cheb_filter_op_matches_and_differentiates():
 
 def test_cheb_filter_batched_matches_per_item():
     rng = RNG(28)
-    lts = np.stack([gr.scaled_laplacian(rng.uniform(0.1, 1.0, (4, 4))).l_tilde
+    lts = np.stack([_l_tilde(rng.uniform(0.1, 1.0, (4, 4)))
                     for _ in range(3)])
     x = rng.standard_normal((3, 4, 2))
     theta = rng.standard_normal((2, 2, 2))
     got = gr.cheb_filter_op(lts, theta, x).values
     for b in range(3):
-        want = gr.cheb_filter(gr.ScaledLaplacian(lts[b], 0.0), theta, x[b])
+        want = gr.cheb_filter_op(lts[b], theta, x[b]).values
         assert np.allclose(got[b], want, atol=1e-13)
     # [B, N, T, C]: every time slice is filtered on its own
     theta = rng.standard_normal((3, 2, 2))
@@ -506,7 +484,7 @@ def test_cheb_filter_batched_matches_per_item():
     assert got.shape == (3, 4, 5, 2)
     for b in range(3):
         for s in range(5):
-            want = gr.cheb_filter(lts[b], theta, x[b, :, s])
+            want = gr.cheb_filter_op(lts[b], theta, x[b, :, s]).values
             assert np.allclose(got[b, :, s], want, atol=1e-13)
 
 

@@ -231,9 +231,9 @@ def _fused_station_adjacencies(n, count, seed):
     ds = dt.generate_synthetic(dt.SynthConfig(n=n, t=400, d=1, seed=seed))
     graphs = gr.build_static_graphs(ds).graphs
     rng = RNG(seed)
-    return np.stack([gr.symmetrize(sum(
-        rng.uniform(0.0, 1.0, (n, n)) * a.weights for a in graphs.values()))
-        for _ in range(count)])
+    return np.stack([gr.symmetrize_op(sum(
+        rng.uniform(0.0, 1.0, (n, n)) * a.weights for a in graphs.values())
+    ).values for _ in range(count)])
 
 
 @pytest.mark.parametrize("n", [20, 100])
@@ -279,7 +279,7 @@ def test_scaled_laplacian_uses_exact_lambda_on_fused_graph():
     ds = dt.generate_synthetic(dt.SynthConfig(n=24, t=400, d=1, seed=0))
     graphs = gr.build_static_graphs(ds).graphs
     fused = sum(a.weights for a in graphs.values()) / len(graphs)
-    adj = gr.symmetrize(fused)
+    adj = gr.symmetrize_op(fused).values
     lt = tp.scaled_laplacian_op(adj).values
     s = 1.0 / np.sqrt(adj.sum(axis=1))
     lap = np.eye(len(adj)) - s[:, None] * adj * s[None, :]
