@@ -96,8 +96,7 @@ def _load_dataset_arg(path: Path, gaps_ok: bool = False):
     """Load a dataset argument; only preprocess may read unobserved cells."""
     if not path.exists():
         raise FileNotFoundError(f"dataset {path} does not exist")
-    ds = dt.load_dataset(path, format="csv_per_station" if path.is_dir()
-                         else "packed_binary")
+    ds = dt.load_dataset(path)
     if not (gaps_ok or ds.mask.all()):
         raise SchemaError(f"dataset {path} has {int((~ds.mask).sum())} "
                           "unobserved cells; fill them with `stationcast "
@@ -288,36 +287,33 @@ def _cmd_eval(args) -> int:
     ds = _load_dataset_arg(src)
     inputs = [src]
     scheme = _split_scheme(args.split)
-    space = args.space
+    part = {"train": 0, "val": 1, "test": 2}[args.eval_split]
 
     if args.pred:
         pred_path = _resolve(args.pred)
         inputs.append(pred_path)
-        _, _, _, factors, file_space = ev.load_predictions(pred_path)
+        loaded = ev.load_predictions(pred_path)
+        factors, file_space = loaded[3:]
         if set(factors) <= set(ds.factors) and \
                 list(factors) != list(ds.factors):
             ds = ds.select_factors(factors)
         splits = dt.split_temporal(ds, scheme)
-        part = {"train": 0, "val": 1, "test": 2}[args.eval_split]
         scoped = splits[part]
         if file_space == "normalized":
             # normalized predictions compare against z-scored truth, using
             # training-split statistics as everywhere else
             stats = dt.compute_norm_stats(splits[0])
             scoped, _ = dt.normalize(scoped, stats)
-        report = ev.score_external(pred_path, scoped)
+        report = ev.score_external(loaded, scoped)
     else:
         if args.baseline:
             if args.baseline not in _BASELINE_NAMES:
                 raise ConfigError(f"unknown baseline {args.baseline!r} "
                                   f"(have {sorted(_BASELINE_NAMES)})")
-            kind = _BASELINE_NAMES[args.baseline]
-            train_ds, val_ds, test_ds, stats = _prepare_splits(
-                ds, args.factor or "t", scheme)
-            scoped = {"train": train_ds, "val": val_ds,
-                      "test": test_ds}[args.eval_split]
+            *splits, stats = _prepare_splits(ds, args.factor or "t", scheme)
+            scoped = splits[part]
             preds, truth, starts = ev.evaluate_baseline(
-                kind, train_ds, scoped,
+                _BASELINE_NAMES[args.baseline], splits[0], scoped,
                 12 if args.wprime is None else args.wprime,
                 12 if args.w is None else args.w,
                 lam=args.lam, gamma=args.gamma)
@@ -330,10 +326,8 @@ def _cmd_eval(args) -> int:
             if factor is None:
                 raise ConfigError("checkpoint lacks a stored factor; pass "
                                   "--factor")
-            train_ds, val_ds, test_ds, stats = _prepare_splits(ds, factor,
-                                                               scheme)
-            scoped = {"train": train_ds, "val": val_ds,
-                      "test": test_ds}[args.eval_split]
+            *splits, stats = _prepare_splits(ds, factor, scheme)
+            scoped = splits[part]
             if graph_path is None:
                 stored = extra.get("graphs_file")
                 if stored is None:
@@ -345,7 +339,7 @@ def _cmd_eval(args) -> int:
             preds, truth, origins = md.predict_dataset(model, scoped, static)
             # prediction files label each forecast by its first target step
             starts = origins + model.config.w_in * scoped.time_step
-        if space == "physical":
+        if args.space == "physical":
             report = ev.physical_metrics(preds, truth, stats)
         else:
             report = ev.compute_metrics(preds, truth,

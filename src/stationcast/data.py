@@ -14,7 +14,7 @@ import struct
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -163,28 +163,18 @@ class WindowBatch:
 # loading and saving
 
 
-def _mask_default_codes(values: np.ndarray, mask: np.ndarray, factors,
-                        default_codes) -> None:
-    for d, name in enumerate(factors):
-        code = default_codes.get(name)
-        if code is not None:
-            mask[:, :, d] &= values[:, :, d] != code
+def load_dataset(path) -> WeatherSeriesDataset:
+    """Read a dataset: a directory is the per-station CSV layout, a file is
+    the packed binary layout.
 
-
-def load_dataset(path, format: str = "packed_binary",
-                 default_codes=DEFAULT_CODES) -> WeatherSeriesDataset:
-    """Read a dataset from a CSV directory or a packed binary file.
-
-    Cells holding a factor's default code are marked unobserved in either
-    format.
+    Cells holding a factor's code in ``DEFAULT_CODES`` are marked
+    unobserved in either layout.
     """
-    if format == "csv_per_station":
-        ds = _load_csv_dir(Path(path))
-    elif format == "packed_binary":
-        ds = _load_binary(Path(path))
-    else:
-        raise ConfigError(f"unknown dataset format {format!r}")
-    _mask_default_codes(ds.values, ds.mask, ds.factors, default_codes)
+    path = Path(path)
+    ds = _load_csv_dir(path) if path.is_dir() else _load_binary(path)
+    for d, name in enumerate(ds.factors):
+        if name in DEFAULT_CODES:
+            ds.mask[:, :, d] &= ds.values[:, :, d] != DEFAULT_CODES[name]
     return ds
 
 
@@ -487,27 +477,19 @@ def screen_missing(ds: WeatherSeriesDataset, max_ratio: float = 0.01):
     return ds.select_stations(keep), report
 
 
-def screen_defaults(ds: WeatherSeriesDataset, default_codes=None,
-                    max_ratio: float = 0.01, factors=None):
+def screen_defaults(ds: WeatherSeriesDataset, max_ratio: float = 0.01):
     """Drop stations where any factor reports its default code too often.
 
-    Surviving default-code cells are masked as unobserved so interpolation
-    replaces them.
+    The codes are ``DEFAULT_CODES``.  Surviving default-code cells are
+    masked as unobserved so interpolation replaces them.
     """
-    if default_codes is None:
-        default_codes = DEFAULT_CODES
-    if factors is None:
-        factors = [f for f in ds.factors if f in default_codes]
     ratios: dict = {}
     drop = set()
     mask = ds.mask.copy()
-    for name in factors:
-        if name not in default_codes:
-            raise ConfigError(f"no default code registered for factor {name!r}")
-        if name not in ds.factors:
+    for d, name in enumerate(ds.factors):
+        if name not in DEFAULT_CODES:
             continue
-        d = ds.factor_index(name)
-        hits = ds.values[:, :, d] == default_codes[name]
+        hits = ds.values[:, :, d] == DEFAULT_CODES[name]
         frac = hits.mean(axis=1)
         for i in range(ds.n_stations):
             ratios.setdefault(ds.stations[i].station_id, {})[name] = float(frac[i])
@@ -598,60 +580,48 @@ def denormalize(ds: WeatherSeriesDataset,
     return replace(ds, values=values, norm=None)
 
 
-def denormalize_values(arr: np.ndarray, stats: NormStats,
-                       factor: Optional[str] = None) -> np.ndarray:
+def denormalize_values(arr: np.ndarray, stats: NormStats) -> np.ndarray:
     """Undo z-scoring on a raw array whose last axis indexes factors."""
-    if factor is not None:
-        d = stats.factors.index(factor)
-        return arr * stats.std[d] + stats.mean[d]
     return arr * stats.std + stats.mean
 
 
 def split_temporal(ds: WeatherSeriesDataset,
-                   scheme: Union[tuple, list] = (3, 1, 2)):
+                   scheme: Sequence[float] = (3, 1, 2)):
     """Cut the timeline into contiguous train/val/test segments.
 
-    ``scheme`` is either a ratio triple like (3, 1, 2) or three explicit
-    (start, stop) index ranges.
+    ``scheme`` is a ratio triple like (3, 1, 2); each part's length is
+    rounded down, and the test segment takes the steps left over.
     """
     t = ds.n_steps
     if len(scheme) != 3:
         raise ConfigError("split scheme needs exactly three parts")
-    if all(isinstance(p, (tuple, list)) for p in scheme):
-        ranges = [(int(a), int(b)) for a, b in scheme]
-        if ranges[0][0] != 0 or ranges[2][1] != t:
-            raise ConfigError("explicit ranges must cover the full timeline")
-        for (a0, b0), (a1, _) in zip(ranges, ranges[1:]):
-            if b0 != a1:
-                raise ConfigError("explicit ranges must be contiguous")
-    else:
-        parts = [float(p) for p in scheme]
-        total = sum(parts)
-        if not (all(p >= 0.0 for p in parts) and total > 0.0
-                and math.isfinite(t * total)):
-            raise ConfigError(f"split ratio {scheme} needs nonnegative parts "
-                              "with a positive sum whose product with the "
-                              f"step count {t} is finite")
-        n_train = int(t * parts[0] / total)
-        n_val = int(t * parts[1] / total)
-        ranges = [(0, n_train), (n_train, n_train + n_val), (n_train + n_val, t)]
+    parts = [float(p) for p in scheme]
+    total = sum(parts)
+    if not (all(p >= 0.0 for p in parts) and total > 0.0
+            and math.isfinite(t * total)):
+        raise ConfigError(f"split ratio {scheme} needs nonnegative parts "
+                          "with a positive sum whose product with the "
+                          f"step count {t} is finite")
+    n_train = int(t * parts[0] / total)
+    n_val = int(t * parts[1] / total)
+    ranges = [(0, n_train), (n_train, n_train + n_val), (n_train + n_val, t)]
     return tuple(ds.slice_time(a, b) for a, b in ranges)
 
 
 def make_windows(split: WeatherSeriesDataset, w_in: int, w_out: int,
-                 stride: int = 1, batch_size: Optional[int] = None,
+                 batch_size: Optional[int] = None,
                  shuffle_rng: Optional[np.random.Generator] = None
                  ) -> Iterator[WindowBatch]:
     """Yield forecasting windows fully contained in one split.
 
-    Origins step by ``stride``; the window count at stride 1 is
-    T - w_in - w_out + 1.  Never crosses the split boundary because it
-    only ever sees one split.
+    A window starts at every step, so a split of T steps gives
+    max(0, T - w_in - w_out + 1) windows.  Never crosses the split
+    boundary because it only ever sees one split.
     """
-    if w_in <= 0 or w_out <= 0 or stride <= 0:
-        raise ConfigError("window lengths and stride must be positive")
+    if w_in <= 0 or w_out <= 0:
+        raise ConfigError("window lengths must be positive")
     t = split.n_steps
-    origins = np.arange(0, t - w_in - w_out + 1, stride, dtype=np.int64)
+    origins = np.arange(0, t - w_in - w_out + 1, dtype=np.int64)
     if shuffle_rng is not None:
         origins = origins[shuffle_rng.permutation(len(origins))]
     if batch_size is None:
@@ -667,10 +637,6 @@ def make_windows(split: WeatherSeriesDataset, w_in: int, w_out: int,
         yield WindowBatch(inputs, targets, stamps, chunk.copy())
 
 
-def count_windows(t: int, w_in: int, w_out: int, stride: int = 1) -> int:
-    return max(0, (t - w_in - w_out) // stride + 1)
-
-
 # ---------------------------------------------------------------------------
 # synthetic data
 
@@ -683,13 +649,8 @@ class SynthConfig:
     t: int = 2000
     d: int = 3
     seed: int = 0
-    lat_center: float = 35.0
-    lon_center: float = 110.0
-    patch_deg: float = 4.0
-    spatial_corr_scale_km: float = 150.0
     diurnal_amp: float = 5.0
     seasonal_amp: float = 8.0
-    seasonal_period: int = 720
     ar_coeff: float = 0.9
     ar_amp: float = 2.0
     noise_amp: float = 0.5
@@ -702,6 +663,12 @@ class SynthConfig:
         if not 0.0 <= self.ar_coeff < 1.0:
             raise ConfigError("ar_coeff must lie in [0, 1)")
 
+
+# stations fall in a 4-degree square around 35N 110E; the AR field
+# decorrelates over 150 km and the seasonal cycle repeats every 720 steps
+_SYNTH_LAT, _SYNTH_LON, _SYNTH_PATCH_DEG = 35.0, 110.0, 4.0
+_SYNTH_CORR_KM = 150.0
+_SYNTH_SEASON = 720
 
 # factors the generator emits, in order; chosen so the default pattern-graph
 # factor set is available whenever d >= 3
@@ -721,15 +688,15 @@ def generate_synthetic(cfg: SynthConfig) -> WeatherSeriesDataset:
     from .graphs import pairwise_distances_km  # local import, no cycle at call time
 
     rng = np.random.default_rng(cfg.seed)
-    half = cfg.patch_deg / 2.0
-    lats = cfg.lat_center + rng.uniform(-half, half, cfg.n)
-    lons = cfg.lon_center + rng.uniform(-half, half, cfg.n)
+    half = _SYNTH_PATCH_DEG / 2.0
+    lats = _SYNTH_LAT + rng.uniform(-half, half, cfg.n)
+    lons = _SYNTH_LON + rng.uniform(-half, half, cfg.n)
     alts = rng.uniform(0.0, 1500.0, cfg.n)
     stations = [StationMeta(f"S{i:03d}", float(lats[i]), float(lons[i]),
                             float(alts[i])) for i in range(cfg.n)]
 
     dist = pairwise_distances_km(lats, lons)
-    cov = np.exp(-(dist / cfg.spatial_corr_scale_km) ** 2)
+    cov = np.exp(-(dist / _SYNTH_CORR_KM) ** 2)
     chol = np.linalg.cholesky(cov + 1e-9 * np.eye(cfg.n))
 
     steps = np.arange(cfg.t)
@@ -744,7 +711,7 @@ def generate_synthetic(cfg: SynthConfig) -> WeatherSeriesDataset:
         diurnal = cfg.diurnal_amp * np.sin(
             2.0 * np.pi * (steps % 24) / 24.0 + phase[:, None])
         seasonal = cfg.seasonal_amp * np.sin(
-            2.0 * np.pi * (steps % cfg.seasonal_period) / cfg.seasonal_period
+            2.0 * np.pi * (steps % _SYNTH_SEASON) / _SYNTH_SEASON
             + season_phase[:, None])
         shocks = chol @ rng.standard_normal((cfg.t, cfg.n)).T
         ar = np.empty((cfg.n, cfg.t))

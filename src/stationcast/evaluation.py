@@ -119,19 +119,12 @@ def compute_metrics(pred: np.ndarray, truth: np.ndarray,
         rmse_by_horizon=np.sqrt(sq_err.mean(axis=(0, 1))))
 
 
-def physical_metrics(pred: np.ndarray, truth: np.ndarray, stats: NormStats,
-                     factors: Optional[Sequence[str]] = None) -> MetricsReport:
+def physical_metrics(pred: np.ndarray, truth: np.ndarray,
+                     stats: NormStats) -> MetricsReport:
     """Metrics after undoing z-scoring, reported in physical units."""
-    if factors is None:
-        factors = list(stats.factors)
-    sub = NormStats(factors=list(factors),
-                    mean=np.array([stats.mean[list(stats.factors).index(f)]
-                                   for f in factors]),
-                    std=np.array([stats.std[list(stats.factors).index(f)]
-                                  for f in factors]))
-    return compute_metrics(denormalize_values(pred, sub),
-                           denormalize_values(truth, sub),
-                           factors=factors, space="physical")
+    return compute_metrics(denormalize_values(pred, stats),
+                           denormalize_values(truth, stats),
+                           factors=stats.factors, space="physical")
 
 
 def horizon_curve(pred: np.ndarray, truth: np.ndarray) -> dict:
@@ -193,15 +186,15 @@ def load_predictions(path):
     return preds, target_starts, tables[0], tables[1], space
 
 
-def score_external(pred_path, ds: WeatherSeriesDataset,
-                   space: Optional[str] = None) -> MetricsReport:
-    """Score a packed prediction file against a dataset's own values.
+def score_external(loaded: tuple, ds: WeatherSeriesDataset) -> MetricsReport:
+    """Score a loaded prediction file against a dataset's own values.
 
-    Truth windows are located by each prediction's first target timestamp;
-    station and factor tables must match the dataset exactly.
+    ``loaded`` is the tuple ``load_predictions`` returns.  Truth windows are
+    located by each prediction's first target timestamp; station and factor
+    tables must match the dataset exactly.  The report takes the file's
+    space.
     """
-    preds, target_starts, stations, factors, file_space = \
-        load_predictions(pred_path)
+    preds, target_starts, stations, factors, space = loaded
     ds_ids = [s.station_id for s in ds.stations]
     if stations != ds_ids:
         raise ShapeError(f"prediction stations {stations} do not match "
@@ -222,7 +215,7 @@ def score_external(pred_path, ds: WeatherSeriesDataset,
                                   f"timeline")
         truth[i] = ds.values[:, idx:idx + w, :]
     return compute_metrics(preds, truth, factors=list(ds.factors),
-                           space=space or file_space)
+                           space=space)
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +224,7 @@ def score_external(pred_path, ds: WeatherSeriesDataset,
 
 def evaluate_baseline(kind: str, train_ds: WeatherSeriesDataset,
                       test_ds: WeatherSeriesDataset, w_in: int, w_out: int,
-                      lam: float = 0.0, gamma: Optional[float] = None,
-                      kernel: str = "rbf"):
+                      lam: float = 0.0, gamma: Optional[float] = None):
     """Fit (if needed) and score one reference predictor.
 
     Returns (preds, truth, target_starts) as [B, N, W, D] tensors; the
@@ -252,7 +244,7 @@ def evaluate_baseline(kind: str, train_ds: WeatherSeriesDataset,
             raise ConfigError("training split is too short to cut a single "
                               "window")
         model = bl.fit_regression(fit.inputs[..., 0], fit.targets[..., 0],
-                                  kind, lam=lam, gamma=gamma, kernel=kernel)
+                                  kind, lam=lam, gamma=gamma)
         preds = bl.predict_regression(model, test.inputs[..., 0])[..., None]
     else:
         raise ConfigError(f"unknown reference predictor {kind!r}")
@@ -369,7 +361,6 @@ def neighbor_count_sweep(train_ds: WeatherSeriesDataset,
                          counts: Sequence[int],
                          model_cfg: md.ModelConfig,
                          train_cfg: md.TrainConfig,
-                         sigma="auto", epsilon: float = 0.1,
                          pattern_factors: Optional[Sequence[str]] = None
                          ) -> dict:
     """Test error as a function of the nearest-neighbor graph's degree.
@@ -380,7 +371,7 @@ def neighbor_count_sweep(train_ds: WeatherSeriesDataset,
     curve = {"n_adjacent": [], "test_mae": [], "test_rmse": []}
     for na in counts:
         gs = gr.build_static_graphs(
-            train_ds, sigma=sigma, epsilon=epsilon, n_adjacent=int(na),
+            train_ds, n_adjacent=int(na),
             pattern_factors=pattern_factors or train_ds.factors)
         static = {k: gs[k].weights for k in gr.STATIC_KINDS}
         model = md.build_model(train_ds.n_stations, model_cfg,

@@ -150,6 +150,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch size must be positive")
+        if self.early_stop_patience < 1:
+            raise ConfigError(f"early-stop patience {self.early_stop_patience}"
+                              " must be at least 1")
         if self.lr_decay_mode not in ("compound", "literal"):
             raise ConfigError(f"unknown lr decay mode {self.lr_decay_mode!r}")
         if self.lr_decay_every < 1 or self.decay_window < 0:

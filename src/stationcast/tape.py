@@ -467,9 +467,9 @@ class AdamState:
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState, lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> dict[str, np.ndarray]:
+              state: AdamState, lr: float) -> dict[str, np.ndarray]:
     """One bias-corrected Adam update; mutates state, returns new params."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # the defaults of Kingma & Ba
     state.t += 1
     t = state.t
     out = {}

@@ -113,6 +113,23 @@ def test_eval_baseline_and_pred_agree(tmp_path):
     assert a["rmse"] == pytest.approx(b["rmse"], rel=1e-12)
 
 
+def test_eval_pred_reads_the_prediction_file_once(tmp_path, monkeypatch):
+    data = tmp_path / "synth.w2kt"
+    preds = tmp_path / "preds.bin"
+    assert main(["synth", "--n", "5", "--t", "120", "--d", "1",
+                 "--seed", "4", "--out", str(data)]) == 0
+    assert main(["eval", "--baseline", "persistence", "--data", str(data),
+                 "--wprime", "6", "--w", "3", "--save-pred", str(preds),
+                 "--out", str(tmp_path / "base.json")]) == 0
+    calls = []
+    real = ev.load_predictions
+    monkeypatch.setattr(ev, "load_predictions",
+                        lambda path: calls.append(path) or real(path))
+    assert main(["eval", "--pred", str(preds), "--data", str(data),
+                 "--out", str(tmp_path / "scored.json")]) == 0
+    assert calls == [preds]
+
+
 def test_eval_baseline_defaults_to_factor_t(tmp_path):
     data = tmp_path / "synth.w2kt"
     assert main(["synth", "--n", "5", "--t", "120", "--d", "2",
@@ -364,11 +381,16 @@ def small_run(tmp_path_factory):
     (["train", "--lr0", "nan"], "learning rate nan is not"),
     (["train", "--config", '{"train": {"lr_decay_factor": 1.5}}'],
      "lr decay factor 1.5 lies outside"),
+    (["train", "--patience", "-1"], "patience -1 must be at least 1"),
+    (["train", "--patience", "0"], "patience 0 must be at least 1"),
+    (["ablate", "--patience", "-1", "--n-adjacent", "2"],
+     "patience -1 must be at least 1"),
 ], ids=["sigma-abc", "split-0-0-0", "config-list", "config-model-list",
         "config-train-string", "config-no-blocks", "config-block-int",
         "krr-gamma-0", "krr-gamma-negative", "ridge-lam-nan", "wprime-0",
         "w-0", "split-1e308", "sigma-inf", "lr0-negative", "lr0-nan",
-        "config-decay-factor-1.5"])
+        "config-decay-factor-1.5", "patience-negative", "patience-0",
+        "ablate-patience-negative"])
 def test_bad_input_exits_1_with_one_line(small_run, tmp_path, capsys, argv,
                                          where):
     argv = list(argv)

@@ -202,13 +202,16 @@ def test_score_external_exact_truth_and_offset(tmp_path):
 
     exact = tmp_path / "exact.bin"
     ev.save_predictions(exact, batch.targets, starts, ids, ["t"])
-    rep = ev.score_external(exact, ds)
+    rep = ev.score_external(ev.load_predictions(exact), ds)
     assert rep.overall_mae == 0.0
+    assert rep.space == "normalized"
 
     off = tmp_path / "off.bin"
-    ev.save_predictions(off, batch.targets + 1.0, starts, ids, ["t"])
-    rep = ev.score_external(off, ds)
+    ev.save_predictions(off, batch.targets + 1.0, starts, ids, ["t"],
+                        space="physical")
+    rep = ev.score_external(ev.load_predictions(off), ds)
     assert rep.overall_mae == pytest.approx(1.0, abs=1e-12)
+    assert rep.space == "physical"
 
 
 def test_score_external_validates_stations_and_grid(tmp_path):
@@ -219,19 +222,19 @@ def test_score_external_validates_stations_and_grid(tmp_path):
     wrong = tmp_path / "wrong.bin"
     ev.save_predictions(wrong, batch.targets, starts, ["A", "B", "C"], ["t"])
     with pytest.raises(ShapeError, match="stations"):
-        ev.score_external(wrong, ds)
+        ev.score_external(ev.load_predictions(wrong), ds)
 
     ids = [s.station_id for s in ds.stations]
     offgrid = tmp_path / "offgrid.bin"
     ev.save_predictions(offgrid, batch.targets, starts + 7, ids, ["t"])
     with pytest.raises(StructuralError, match="time grid"):
-        ev.score_external(offgrid, ds)
+        ev.score_external(ev.load_predictions(offgrid), ds)
 
     outside = tmp_path / "outside.bin"
     ev.save_predictions(outside, batch.targets,
                         starts + 1000 * ds.time_step, ids, ["t"])
     with pytest.raises(StructuralError, match="outside"):
-        ev.score_external(outside, ds)
+        ev.score_external(ev.load_predictions(outside), ds)
 
 
 # ---------------------------------------------------------------------------
