@@ -96,6 +96,8 @@ class WeatherSeriesDataset:
         ids = [s.station_id for s in self.stations]
         if len(set(ids)) != len(ids):
             raise StructuralError("duplicate station ids")
+        if len(set(self.factors)) != len(self.factors):
+            raise StructuralError(f"duplicate factor names in {self.factors}")
         for name in self.factors:
             if name not in FACTOR_NAMES:
                 raise SchemaError(f"unknown factor name: {name!r}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tape as tp
 from .data import PackedReader, StationMeta, WeatherSeriesDataset, _pack_str
-from .errors import ConfigError, PipelineError, StructuralError
+from .errors import ConfigError, PipelineError, ShapeError, StructuralError
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -279,32 +279,71 @@ def cheb_filter_op(l_tilde, theta, x) -> tp.TapeTensor:
     [B, N, C_in] or [B, N, T, C_in].  A [B, N, T, C_in] signal is filtered
     at every time slice: the recurrence runs on [B, N, T*C_in] and theta_k
     mixes the channels of each (node, time) row.
+
+    One tape node with a hand-written backward, which walks the recurrence
+    in reverse; an [N, N] L~ gets its gradient summed over the batch.
     """
-    order, c_in, c_out = tp._as_array(theta).shape
-    shape = tp._as_array(x).shape
-    if len(shape) == 4:
-        b, n, t, _ = shape
-        signal = tp.reshape(x, (b, n, t * c_in))
-        rows = (b, n * t, c_in)
-    else:
-        signal, rows = x, None
+    lv, thv, xv = (tp._as_array(a) for a in (l_tilde, theta, x))
+    node_axis = 0 if xv.ndim == 2 else 1
+    if thv.ndim != 3 or xv.ndim not in (2, 3, 4) \
+            or xv.shape[-1] != thv.shape[1] or lv.ndim not in (2, 3) \
+            or lv.shape[-2:] != (xv.shape[node_axis],) * 2 \
+            or (lv.ndim == 3 and (xv.ndim == 2 or lv.shape[0] != xv.shape[0])):
+        raise ShapeError(f"cheb_filter_op: L~ {lv.shape}, theta "
+                         f"{thv.shape}, x {xv.shape}")
+    order, c_in, c_out = thv.shape
+    # the recurrence runs on signals; theta_k acts on their (node, time) rows
+    signal = xv.reshape(xv.shape[:2] + (-1,)) if xv.ndim == 4 else xv
+    rows = (xv.shape[0], -1, c_in) if xv.ndim == 4 else signal.shape
+    on_tape = tp._tape_of(l_tilde, theta, x) is not None
+    # the closure holds arrays only: a tensor would tie the tape into a
+    # reference cycle that only the garbage collector frees
+    need_x = tp._nid(x) is not None
+    basis = [signal]  # T_0 x .. T_{K-1} x, kept for the backward
+    out = signal.reshape(rows) @ thv[0]
+    for k in range(1, order):
+        nxt = lv @ basis[-1]
+        if k > 1:
+            nxt *= 2.0
+            nxt -= basis[-2]
+        # off the tape only the last two terms are kept
+        basis = basis + [nxt] if on_tape else basis[-1:] + [nxt]
+        out += nxt.reshape(rows) @ thv[k]
 
-    def term(s, k):
-        if rows is not None:
-            s = tp.reshape(s, rows)
-        coeff = tp.reshape(tp.slice_axis(theta, 0, k, k + 1), (c_in, c_out))
-        return tp.matmul(s, coeff)
+    rows_out = out.shape
 
-    acc = term(signal, 0)
-    if order > 1:
-        prev, cur = signal, tp.matmul(l_tilde, signal)
-        acc = tp.add(acc, term(cur, 1))
-        for k in range(2, order):
-            nxt = tp.sub(tp.scalar_mul(2.0, tp.matmul(l_tilde, cur)), prev)
-            # off the tape, T_{k-1} is freed here once no step needs it
-            prev, cur = (cur if k + 1 < order else None), nxt
-            acc = tp.add(acc, term(cur, k))
-    return acc if rows is None else tp.reshape(acc, (b, n, t, c_out))
+    def back(g):
+        g = g.reshape(rows_out)
+        g_flat = g.reshape(-1, c_out)
+        theta_t = np.ascontiguousarray(thv.transpose(0, 2, 1))
+        # T_k's factor 2 (k > 1) is folded into 2 L~^T, exact in floating
+        # point
+        lt = tp._transposed(lv)
+        lt2 = 2.0 * lt
+        g_theta = np.empty_like(thv)
+        g_l = np.zeros(lv.shape)
+        adj = [None, None]  # adjoints of T_{k+1} x and T_{k+2} x
+        for k in range(order - 1, -1, -1):
+            g_theta[k] = basis[k].reshape(-1, c_in).T @ g_flat
+            if k == 0 and not need_x:
+                break
+            a = (g @ theta_t[k]).reshape(signal.shape)
+            if adj[0] is not None:
+                a += (lt2 if k > 0 else lt) @ adj[0]
+            if adj[1] is not None:
+                a -= adj[1]
+            if k > 0:
+                # T_k x = c L~ T_{k-1} x - ..., with c = 2 for k > 1
+                part = a @ np.swapaxes(basis[k - 1], -1, -2)
+                if lv.ndim == 2 and part.ndim == 3:
+                    part = part.sum(axis=0)
+                g_l += 2.0 * part if k > 1 else part
+            adj = [a, adj[0]]
+        g_x = adj[0].reshape(xv.shape) if need_x else None
+        return g_l, g_theta, g_x
+
+    return tp._emit("cheb_filter", (l_tilde, theta, x),
+                    out.reshape(xv.shape[:-1] + (c_out,)), back)
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,20 @@ def test_malformed_csv_one_line_error(tmp_path, capsys, file, old, new,
         and where in err[0], err
 
 
+def test_repeated_series_column_one_line_error(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    (raw / "stations.csv").write_text(_RAW_STATIONS)
+    for name in ("S0.csv", "S1.csv"):
+        (raw / name).write_text(_RAW_SERIES.replace("t,rh", "t,t", 1))
+    capsys.readouterr()
+    assert main(["preprocess", "--data", str(raw), "--out",
+                 str(tmp_path / "clean.w2kt")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") \
+        and "duplicate factor names in ['t', 't']" in err[0], err
+
+
 def test_packed_default_codes_need_preprocess(tmp_path, capsys):
     ds = dt.generate_synthetic(dt.SynthConfig(n=4, t=400, d=11, seed=6))
     ds = ds.select_factors(["t", "vv"])
@@ -385,12 +399,14 @@ def small_run(tmp_path_factory):
     (["train", "--patience", "0"], "patience 0 must be at least 1"),
     (["ablate", "--patience", "-1", "--n-adjacent", "2"],
      "patience -1 must be at least 1"),
+    # without --n-adjacent the graph build would fail on 5 stations
+    (["ablate", "--patience", "-1"], "patience -1 must be at least 1"),
 ], ids=["sigma-abc", "split-0-0-0", "config-list", "config-model-list",
         "config-train-string", "config-no-blocks", "config-block-int",
         "krr-gamma-0", "krr-gamma-negative", "ridge-lam-nan", "wprime-0",
         "w-0", "split-1e308", "sigma-inf", "lr0-negative", "lr0-nan",
         "config-decay-factor-1.5", "patience-negative", "patience-0",
-        "ablate-patience-negative"])
+        "ablate-patience-negative", "ablate-patience-before-graphs"])
 def test_bad_input_exits_1_with_one_line(small_run, tmp_path, capsys, argv,
                                          where):
     argv = list(argv)

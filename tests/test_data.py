@@ -63,6 +63,12 @@ def test_duplicate_station_ids_rejected():
         dt.WeatherSeriesDataset(stations, ds.factors, ds.values, ds.mask)
 
 
+def test_duplicate_factor_names_rejected():
+    ds = tiny_dataset(d=2)
+    with pytest.raises(StructuralError, match="duplicate factor names"):
+        dt.WeatherSeriesDataset(ds.stations, ["t", "t"], ds.values, ds.mask)
+
+
 def test_csv_roundtrip(tmp_path):
     ds = tiny_dataset(n=2, t=48, d=3, seed=1)
     ds.mask[0, 5, 1] = False  # hole survives the round trip

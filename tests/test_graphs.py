@@ -1,7 +1,9 @@
 """Graph construction, fusion, and spectral filter checks."""
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ import pytest
 from stationcast import graphs as gr
 from stationcast import tape as tp
 from stationcast.data import StationMeta
-from stationcast.errors import ConfigError, PipelineError, StructuralError
+from stationcast.errors import (ConfigError, PipelineError, ShapeError,
+                                StructuralError)
 
 RNG = np.random.default_rng
 
@@ -486,6 +489,126 @@ def test_cheb_filter_batched_matches_per_item():
         for s in range(5):
             want = gr.cheb_filter_op(lts[b], theta, x[b, :, s]).values
             assert np.allclose(got[b, :, s], want, atol=1e-13)
+
+
+def cheb_filter_composed(l_tilde, theta, x):
+    # the same recurrence composed from tape primitives, one node per step
+    order, c_in, c_out = tp._as_array(theta).shape
+    shape = tp._as_array(x).shape
+    if len(shape) == 4:
+        b, n, t, _ = shape
+        signal = tp.reshape(x, (b, n, t * c_in))
+        rows = (b, n * t, c_in)
+    else:
+        signal, rows = x, None
+
+    def term(s, k):
+        if rows is not None:
+            s = tp.reshape(s, rows)
+        coeff = tp.reshape(tp.slice_axis(theta, 0, k, k + 1), (c_in, c_out))
+        return tp.matmul(s, coeff)
+
+    acc = term(signal, 0)
+    if order > 1:
+        prev, cur = signal, tp.matmul(l_tilde, signal)
+        acc = tp.add(acc, term(cur, 1))
+        for k in range(2, order):
+            nxt = tp.sub(tp.scalar_mul(2.0, tp.matmul(l_tilde, cur)), prev)
+            prev, cur = cur, nxt
+            acc = tp.add(acc, term(cur, k))
+    return acc if rows is None else tp.reshape(acc, (b, n, t, c_out))
+
+
+# (L~ shape, x shape) pairs: shared and per-window graphs, 3-D and 4-D signals
+_CHEB_SHAPES = {"l2-x2": ((4, 4), (4, 2)), "l2-x3": ((4, 4), (3, 4, 2)),
+                "l2-x4": ((4, 4), (3, 4, 5, 2)),
+                "l3-x3": ((3, 4, 4), (3, 4, 2)),
+                "l3-x4": ((3, 4, 4), (3, 4, 5, 2))}
+
+
+def _cheb_case(shapes, order, seed):
+    rng = RNG(seed)
+    l_shape, x_shape = shapes
+    # not symmetric, so a transpose missing from the backward shows up
+    return {"l": rng.uniform(-0.5, 0.5, l_shape),
+            "theta": rng.standard_normal((order, 2, 3)),
+            "x": rng.standard_normal(x_shape)}
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("shapes", list(_CHEB_SHAPES.values()),
+                         ids=list(_CHEB_SHAPES))
+def test_cheb_filter_op_matches_composed_recurrence(shapes, order):
+    vals = _cheb_case(shapes, order, 30 + order)
+    got = gr.cheb_filter_op(vals["l"], vals["theta"], vals["x"]).values
+    want = cheb_filter_composed(vals["l"], vals["theta"], vals["x"]).values
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    probe = RNG(order).standard_normal(got.shape)
+
+    def grads(op):
+        t = tp.Tape()
+        p = {k: t.param(v, name=k) for k, v in vals.items()}
+        out = op(p["l"], p["theta"], p["x"])
+        store = tp.backward(tp.reduce_sum(tp.hadamard(out, probe)))
+        return {k: tp.grad_of(store, v) for k, v in p.items()}, t
+
+    got_g, t = grads(gr.cheb_filter_op)
+    assert [node.op for node in t.nodes].count("cheb_filter") == 1
+    assert len(t.nodes) == 3 + 3  # three params, the filter, hadamard, sum
+    want_g, _ = grads(cheb_filter_composed)
+    for k in vals:
+        scale = np.abs(want_g[k]).max()
+        assert np.abs(got_g[k] - want_g[k]).max() <= 1e-13 * scale, k
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("shapes", list(_CHEB_SHAPES.values()),
+                         ids=list(_CHEB_SHAPES))
+def test_cheb_filter_op_finite_differences(shapes, order):
+    vals = _cheb_case(shapes, order, 40 + order)
+    probe = RNG(order).standard_normal(shapes[1][:-1] + (3,))
+
+    def loss(t):
+        return tp.reduce_sum(tp.hadamard(
+            gr.cheb_filter_op(t["l"], t["theta"], t["x"]), probe))
+
+    err = tp.finite_diff_check(loss, vals, max_coords=12, rng=RNG(0))
+    assert err < 1e-6
+
+
+def test_cheb_filter_op_constant_signal_gets_no_gradient():
+    vals = _cheb_case(_CHEB_SHAPES["l2-x4"], 3, 50)
+    t = tp.Tape()
+    theta = t.param(vals["theta"])
+    out = gr.cheb_filter_op(vals["l"], theta, vals["x"])
+    assert t.nodes[out.node_id].input_ids == (None, theta.node_id, None)
+    grads = t.nodes[out.node_id].backward(np.ones(out.shape))
+    assert grads[2] is None and grads[1].shape == vals["theta"].shape
+
+
+def test_cheb_filter_op_tape_is_freed_without_the_collector():
+    # the backward closure holds no tensor, so the tape sits in no cycle
+    vals = _cheb_case(_CHEB_SHAPES["l2-x4"], 3, 51)
+    gc.disable()
+    try:
+        t = tp.Tape()
+        p = {k: t.param(v) for k, v in vals.items()}
+        gr.cheb_filter_op(p["l"], p["theta"], p["x"])
+        alive = weakref.ref(t)
+        del t, p
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("l_shape,x_shape", [
+    ((4, 4), (5, 2)), ((4, 5), (4, 2)), ((2, 4, 4), (4, 2)),
+    ((2, 4, 4), (3, 4, 2)), ((4, 4), (4, 3))])
+def test_cheb_filter_op_rejects_mismatched_shapes(l_shape, x_shape):
+    with pytest.raises(ShapeError, match="cheb_filter_op"):
+        gr.cheb_filter_op(np.zeros(l_shape), np.zeros((2, 2, 3)),
+                          np.zeros(x_shape))
 
 
 # ---------------------------------------------------------------------------

@@ -436,6 +436,23 @@ def test_static_only_predictions_match_tiled_computation(monkeypatch):
     assert shared.tobytes() == per_window.tobytes()
 
 
+def test_default_step_tape_node_count():
+    # the default five-graph model: every Chebyshev filter is one node
+    rng = np.random.default_rng(24)
+    n, batch = 6, 2
+    cfg = md.ModelConfig()
+    model = md.build_model(n, cfg, seed=1)
+    t = tp.Tape()
+    tparams = {k: t.param(v, name=k) for k, v in model.params.items()}
+    inputs = rng.normal(0.0, 1.0, (batch, n, cfg.w_in, cfg.d))
+    targets = rng.normal(0.0, 1.0, (batch, n, cfg.w_out, cfg.d))
+    md._mae_loss(md.forward_on_tape(tparams, cfg, n, inputs,
+                                    _static_graphs(n, rng)), targets)
+    ops = [node.op for node in t.nodes]
+    assert len(ops) == 100
+    assert ops.count("cheb_filter") == len(cfg.blocks)
+
+
 def test_forward_rejects_wrong_window_shape():
     cfg = _tiny_config()
     model = md.build_model(4, cfg, seed=0)
