@@ -664,6 +664,11 @@ class SynthConfig:
             raise ConfigError(f"at most {len(FACTOR_NAMES)} factors")
         if not 0.0 <= self.ar_coeff < 1.0:
             raise ConfigError("ar_coeff must lie in [0, 1)")
+        for name in ("diurnal_amp", "seasonal_amp", "ar_amp", "noise_amp"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ConfigError(f"{name} {value} is not nonnegative and "
+                                  "finite")
 
 
 # stations fall in a 4-degree square around 35N 110E; the AR field

@@ -260,14 +260,16 @@ def fuse_graphs_op(adjs: dict, weights: dict) -> tp.TapeTensor:
 def symmetrize_op(a) -> tp.TapeTensor:
     """(|A| + |A|^T) / 2 over the last two axes of [N, N] or [B, N, N].
 
-    One node; its gradient is sign(A) (G + G^T) / 2.
+    One node; its gradient is sign(A) (G + G^T) / 2.  The closure keeps
+    sign(A) in float32, which holds -1, 0, 1 and nan exactly, not A.
     """
     av = tp._as_array(a)
     aa = np.abs(av)
     out = aa + np.swapaxes(aa, -1, -2)
     out *= 0.5
+    sign = np.sign(av).astype(np.float32)
     return tp._emit("symmetrize", (a,), out, lambda g: (
-        np.sign(av) * ((g + np.swapaxes(g, -1, -2)) / 2.0),))
+        sign * ((g + np.swapaxes(g, -1, -2)) / 2.0),))
 
 
 def cheb_filter_op(l_tilde, theta, x) -> tp.TapeTensor:
@@ -298,7 +300,7 @@ def cheb_filter_op(l_tilde, theta, x) -> tp.TapeTensor:
     on_tape = tp._tape_of(l_tilde, theta, x) is not None
     # the closure holds arrays only: a tensor would tie the tape into a
     # reference cycle that only the garbage collector frees
-    need_x = tp._nid(x) is not None
+    need_x = tp._on_tape(x)
     basis = [signal]  # T_0 x .. T_{K-1} x, kept for the backward
     out = signal.reshape(rows) @ thv[0]
     for k in range(1, order):
@@ -310,7 +312,7 @@ def cheb_filter_op(l_tilde, theta, x) -> tp.TapeTensor:
         basis = basis + [nxt] if on_tape else basis[-1:] + [nxt]
         out += nxt.reshape(rows) @ thv[k]
 
-    rows_out = out.shape
+    rows_out, x_shape = out.shape, xv.shape
 
     def back(g):
         g = g.reshape(rows_out)
@@ -339,7 +341,7 @@ def cheb_filter_op(l_tilde, theta, x) -> tp.TapeTensor:
                     part = part.sum(axis=0)
                 g_l += 2.0 * part if k > 1 else part
             adj = [a, adj[0]]
-        g_x = adj[0].reshape(xv.shape) if need_x else None
+        g_x = adj[0].reshape(x_shape) if need_x else None
         return g_l, g_theta, g_x
 
     return tp._emit("cheb_filter", (l_tilde, theta, x),

@@ -5,6 +5,12 @@ backward closure to the tape they found on their inputs; plain numpy arrays
 passed into an operation are treated as constants and receive no gradient.
 Calling :func:`backward` on a scalar output walks the tape in reverse append
 order and accumulates gradients into a store keyed by parameter id.
+
+Retention rule: a backward closure captures only the arrays its gradient
+reads, and otherwise shapes, offsets and scalars.  The tape outlives the
+forward, so an array a closure holds stays live until the step ends; an
+operand on no tape gets no gradient, and the arrays only its gradient
+would read are not kept either.
 """
 
 from __future__ import annotations
@@ -95,6 +101,10 @@ def _nid(t) -> Optional[int]:
     return None
 
 
+def _on_tape(t) -> bool:
+    return _nid(t) is not None
+
+
 def _emit(op: str, inputs: Sequence, values: np.ndarray,
           backward: Callable) -> TapeTensor:
     tape = _tape_of(*inputs)
@@ -118,15 +128,21 @@ def sub(a: ArrayLike, b: ArrayLike) -> TapeTensor:
     av, bv = _as_array(a), _as_array(b)
     if av.shape != bv.shape:
         raise ShapeError(f"sub: shapes {av.shape} and {bv.shape} differ")
-    return _emit("sub", (a, b), av - bv, lambda g: (g, -g))
+    need_a, need_b = _on_tape(a), _on_tape(b)
+    return _emit("sub", (a, b), av - bv, lambda g: (
+        g if need_a else None, -g if need_b else None))
 
 
 def hadamard(a: ArrayLike, b: ArrayLike) -> TapeTensor:
     av, bv = _as_array(a), _as_array(b)
     if av.shape != bv.shape:
         raise ShapeError(f"hadamard: shapes {av.shape} and {bv.shape} differ")
-    return _emit("hadamard", (a, b), av * bv,
-                 lambda g: (g * bv, g * av))
+    # each operand's gradient reads the other one
+    keep_b = bv if _on_tape(a) else None
+    keep_a = av if _on_tape(b) else None
+    return _emit("hadamard", (a, b), av * bv, lambda g: (
+        None if keep_b is None else g * keep_b,
+        None if keep_a is None else g * keep_a))
 
 
 def scalar_mul(c: float, a: ArrayLike) -> TapeTensor:
@@ -164,9 +180,15 @@ def matmul(a: ArrayLike, b: ArrayLike) -> TapeTensor:
     if not {av.ndim, bv.ndim} <= {2, 3} or av.shape[-1] != bv.shape[-2] \
             or len({x.shape[0] for x in (av, bv) if x.ndim == 3}) > 1:
         raise ShapeError(f"matmul: {av.shape} @ {bv.shape}")
+    nd_a, nd_b = av.ndim, bv.ndim
+    # each operand's gradient reads the other one
+    keep_b = bv if _on_tape(a) else None
+    keep_a = av if _on_tape(b) else None
     return _emit("matmul", (a, b), av @ bv, lambda g: (
-        _product_at_rank(av.ndim, g, _transposed(bv)),
-        _product_at_rank(bv.ndim, _transposed(av), g)))
+        None if keep_b is None
+        else _product_at_rank(nd_a, g, _transposed(keep_b)),
+        None if keep_a is None
+        else _product_at_rank(nd_b, _transposed(keep_a), g)))
 
 
 def tanh(a: ArrayLike) -> TapeTensor:
@@ -194,12 +216,11 @@ def absolute(a: ArrayLike) -> TapeTensor:
 def concat(tensors: Sequence[ArrayLike], axis: int) -> TapeTensor:
     arrs = [_as_array(t) for t in tensors]
     out = np.concatenate(arrs, axis=axis)
-    sizes = [a.shape[axis] for a in arrs]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [a.shape[axis] for a in arrs])
 
     def back(g):
         return tuple(np.take(g, range(offsets[i], offsets[i + 1]), axis=axis)
-                     for i in range(len(arrs)))
+                     for i in range(len(offsets) - 1))
 
     return _emit("concat", tuple(tensors), out, back)
 
@@ -210,9 +231,10 @@ def slice_axis(a: ArrayLike, axis: int, start: int, stop: int) -> TapeTensor:
     idx[axis] = slice(start, stop)
     idx = tuple(idx)
     out = av[idx].copy()
+    shape = av.shape
 
     def back(g):
-        ga = np.zeros_like(av)
+        ga = np.zeros(shape)
         ga[idx] = g
         return (ga,)
 
@@ -221,8 +243,9 @@ def slice_axis(a: ArrayLike, axis: int, start: int, stop: int) -> TapeTensor:
 
 def reshape(a: ArrayLike, shape) -> TapeTensor:
     av = _as_array(a)
-    out = av.reshape(shape)
-    return _emit("reshape", (a,), out, lambda g: (g.reshape(av.shape),))
+    in_shape = av.shape
+    return _emit("reshape", (a,), av.reshape(shape),
+                 lambda g: (g.reshape(in_shape),))
 
 
 def transpose(a: ArrayLike, axes: Sequence[int]) -> TapeTensor:
@@ -252,15 +275,16 @@ def add_bias(x: ArrayLike, b: ArrayLike) -> TapeTensor:
 
 def reduce_sum(a: ArrayLike) -> TapeTensor:
     av = _as_array(a)
+    shape = av.shape
     return _emit("reduce_sum", (a,), np.asarray(av.sum()),
-                 lambda g: (np.full_like(av, float(g)),))
+                 lambda g: (np.full(shape, float(g)),))
 
 
 def reduce_mean(a: ArrayLike) -> TapeTensor:
     av = _as_array(a)
-    n = av.size
+    shape, n = av.shape, av.size
     return _emit("reduce_mean", (a,), np.asarray(av.mean()),
-                 lambda g: (np.full_like(av, float(g) / n),))
+                 lambda g: (np.full(shape, float(g) / n),))
 
 
 def conv1d(x: ArrayLike, w: ArrayLike, dilation: int = 1) -> TapeTensor:
@@ -278,21 +302,30 @@ def conv1d(x: ArrayLike, w: ArrayLike, dilation: int = 1) -> TapeTensor:
             f"conv1d: kernel {k} with dilation {dilation} exceeds length "
             f"{xv.shape[1]}")
     out = np.zeros((xv.shape[0], t_out, wv.shape[2]))
+    taps = [slice(j * dilation, j * dilation + t_out) for j in range(k)]
     for j in range(k):
-        out += xv[:, j * dilation:j * dilation + t_out, :] @ wv[j]
+        out += xv[:, taps[j], :] @ wv[j]
+    x_shape, c_in, c_out = xv.shape, wv.shape[1], wv.shape[2]
+    # x's gradient reads w, and w's reads x
+    keep_w = wv if _on_tape(x) else None
+    keep_x = xv if _on_tape(w) else None
 
     def back(g):
-        gx = np.zeros_like(xv)
-        wt = np.ascontiguousarray(wv.transpose(0, 2, 1))  # per-tap w^T
-        for j in range(k):
-            gx[:, j * dilation:j * dilation + t_out, :] += g @ wt[j]
-        # im2col, built here so the tape keeps no k-fold copy of x: row
-        # (m, t) holds the taps x[m, t + j*dilation, :] for j = 0..k-1
-        taps = np.lib.stride_tricks.sliding_window_view(
-            xv, (k - 1) * dilation + 1, axis=1)[..., ::dilation]
-        cols = taps.transpose(0, 1, 3, 2).reshape(-1, k * xv.shape[2])
-        gw = cols.T @ g.reshape(-1, wv.shape[2])
-        return (gx, gw.reshape(wv.shape))
+        gx = gw = None
+        if keep_w is not None:
+            gx = np.zeros(x_shape)
+            wt = np.ascontiguousarray(keep_w.transpose(0, 2, 1))  # w_j^T
+            for j in range(k):
+                gx[:, taps[j], :] += g @ wt[j]
+        if keep_x is not None:
+            # one GEMM per tap: gw_j = sum over (m, t) of x[m, t + j*dilation]
+            # g[m, t]; each tap's slice is one [M*t_out, C_in] copy, never a
+            # k-fold im2col
+            g2 = g.reshape(-1, c_out)
+            gw = np.empty((k, c_in, c_out))
+            for j in range(k):
+                gw[j] = keep_x[:, taps[j], :].reshape(-1, c_in).T @ g2
+        return gx, gw
 
     return _emit("conv1d", (x, w), out, back)
 
@@ -405,11 +438,14 @@ def scaled_laplacian_op(a: ArrayLike) -> TapeTensor:
     av = _as_array(a)
     if av.ndim not in (2, 3):
         raise ShapeError(f"scaled_laplacian_op: rank {av.ndim} input")
-    stack = av.reshape((-1,) + av.shape[-2:])
+    shape = av.shape
+    stack = av.reshape((-1,) + shape[-2:])
     out, saved = _laplacian_forward_batch(stack)
-    return _emit("scaled_laplacian", (a,), out.reshape(av.shape),
+    stack_shape = stack.shape
+    # saved holds the adjacency (a copy where a self-loop was injected)
+    return _emit("scaled_laplacian", (a,), out.reshape(shape),
                  lambda g: (_laplacian_backward_batch(
-                     g.reshape(stack.shape), saved).reshape(av.shape),))
+                     g.reshape(stack_shape), saved).reshape(shape),))
 
 
 # ---------------------------------------------------------------------------

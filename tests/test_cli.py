@@ -401,12 +401,19 @@ def small_run(tmp_path_factory):
      "patience -1 must be at least 1"),
     # without --n-adjacent the graph build would fail on 5 stations
     (["ablate", "--patience", "-1"], "patience -1 must be at least 1"),
+    (["synth", "--noise-amp", "-1"], "noise_amp -1.0 is not nonnegative"),
+    (["synth", "--noise-amp", "nan"], "noise_amp nan is not nonnegative"),
+    (["synth", "--ar-amp", "inf"], "ar_amp inf is not nonnegative"),
+    (["synth", "--diurnal-amp", "-0.5"],
+     "diurnal_amp -0.5 is not nonnegative"),
 ], ids=["sigma-abc", "split-0-0-0", "config-list", "config-model-list",
         "config-train-string", "config-no-blocks", "config-block-int",
         "krr-gamma-0", "krr-gamma-negative", "ridge-lam-nan", "wprime-0",
         "w-0", "split-1e308", "sigma-inf", "lr0-negative", "lr0-nan",
         "config-decay-factor-1.5", "patience-negative", "patience-0",
-        "ablate-patience-negative", "ablate-patience-before-graphs"])
+        "ablate-patience-negative", "ablate-patience-before-graphs",
+        "synth-noise-amp-negative", "synth-noise-amp-nan", "synth-ar-amp-inf",
+        "synth-diurnal-amp-negative"])
 def test_bad_input_exits_1_with_one_line(small_run, tmp_path, capsys, argv,
                                          where):
     argv = list(argv)
@@ -414,8 +421,9 @@ def test_bad_input_exits_1_with_one_line(small_run, tmp_path, capsys, argv,
         i = argv.index("--config") + 1
         (tmp_path / "cfg.json").write_text(argv[i])
         argv[i] = str(tmp_path / "cfg.json")
-    argv += ["--data", str(small_run / "synth.w2kt"),
-             "--out", str(tmp_path / "out")]
+    if argv[0] != "synth":
+        argv += ["--data", str(small_run / "synth.w2kt")]
+    argv += ["--out", str(tmp_path / "out")]
     if argv[0] == "train":
         argv += ["--graphs", str(small_run / "graphs.json")]
     capsys.readouterr()
@@ -423,6 +431,7 @@ def test_bad_input_exits_1_with_one_line(small_run, tmp_path, capsys, argv,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") \
         and where in err[0], err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_input_exits_1(tmp_path):

@@ -552,3 +552,7 @@ def test_synthetic_config_validation():
         dt.SynthConfig(n=0, t=10)
     with pytest.raises(ConfigError):
         dt.SynthConfig(n=2, t=10, ar_coeff=1.0)
+    for name in ("diurnal_amp", "seasonal_amp", "ar_amp", "noise_amp"):
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match=name):
+                dt.SynthConfig(n=2, t=10, **{name: bad})

@@ -436,10 +436,9 @@ def test_static_only_predictions_match_tiled_computation(monkeypatch):
     assert shared.tobytes() == per_window.tobytes()
 
 
-def test_default_step_tape_node_count():
-    # the default five-graph model: every Chebyshev filter is one node
-    rng = np.random.default_rng(24)
-    n, batch = 6, 2
+def _default_step_tape(n, batch, seed):
+    """The tape of one default five-graph model step, forward and loss."""
+    rng = np.random.default_rng(seed)
     cfg = md.ModelConfig()
     model = md.build_model(n, cfg, seed=1)
     t = tp.Tape()
@@ -448,9 +447,42 @@ def test_default_step_tape_node_count():
     targets = rng.normal(0.0, 1.0, (batch, n, cfg.w_out, cfg.d))
     md._mae_loss(md.forward_on_tape(tparams, cfg, n, inputs,
                                     _static_graphs(n, rng)), targets)
-    ops = [node.op for node in t.nodes]
+    return t
+
+
+def test_default_step_tape_node_count():
+    # the default five-graph model: every Chebyshev filter is one node
+    ops = [node.op for node in _default_step_tape(6, 2, 24).nodes]
     assert len(ops) == 100
-    assert ops.count("cheb_filter") == len(cfg.blocks)
+    assert ops.count("cheb_filter") == len(md.ModelConfig().blocks)
+
+
+def _closure_buffers(tape):
+    """Root buffers of every array a backward closure on the tape holds."""
+    buffers = {}
+
+    def visit(obj):
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            buffers[id(obj)] = obj
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                visit(item)
+
+    for node in tape.nodes:
+        if node.backward is not None:
+            for cell in node.backward.__closure__ or ():
+                visit(cell.cell_contents)
+    return buffers.values()
+
+
+def test_default_step_closures_hold_pinned_bytes():
+    # a closure captures only the arrays its gradient reads, so one step's
+    # tape holds a fixed set of buffers; an op that starts keeping an input
+    # for its shape, or an array for a gradient it skips, moves this count
+    buffers = _closure_buffers(_default_step_tape(40, 8, 25))
+    assert sum(b.nbytes for b in buffers) == 6_536_616
 
 
 def test_forward_rejects_wrong_window_shape():

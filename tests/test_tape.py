@@ -1,6 +1,7 @@
 """Gradient and optimizer checks for the tape engine."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -117,8 +118,8 @@ def test_conv1d_gradients_with_dilation():
 
 
 def test_conv1d_gradients_non_square_dilated():
-    # C_in != C_out, an even kernel and dilation 2: the im2col weight
-    # gradient must order its columns by tap, then input channel
+    # C_in != C_out, an even kernel and dilation 2: the weight gradient
+    # must take each tap's input slice at its dilated offset
     p = {"x": RNG(19).standard_normal((3, 11, 3)),
          "w": RNG(20).standard_normal((4, 3, 5))}
 
@@ -144,6 +145,33 @@ def test_conv1d_matches_direct_sum():
                 want[m, t] += x[m, t + j * d] @ w[j]
     got = tp.conv1d(x, w, dilation=d).values
     assert np.allclose(got, want, atol=1e-12)
+
+
+def conv1d_weight_grad_im2col(x, g, k, dilation):
+    """conv1d's weight gradient as one GEMM over an im2col copy of x.
+
+    Row (m, t) of the [M*t_out, k*C_in] copy holds the taps
+    x[m, t + j*dilation, :] for j = 0..k-1.
+    """
+    taps = np.lib.stride_tricks.sliding_window_view(
+        x, (k - 1) * dilation + 1, axis=1)[..., ::dilation]
+    cols = taps.transpose(0, 1, 3, 2).reshape(-1, k * x.shape[2])
+    return (cols.T @ g.reshape(-1, g.shape[2])).reshape(
+        k, x.shape[2], g.shape[2])
+
+
+@pytest.mark.parametrize("dilation", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_conv1d_weight_gradient_matches_im2col(k, dilation):
+    rng = RNG(70 + 10 * dilation + k)
+    x = rng.standard_normal((6, 13, 3))
+    t = tp.Tape()
+    out = tp.conv1d(x, t.param(rng.standard_normal((k, 3, 4))), dilation)
+    g = rng.standard_normal(out.shape)
+    got = t.nodes[out.node_id].backward(g)[1]
+    want = conv1d_weight_grad_im2col(x, g, k, dilation)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_scaled_laplacian_gradients():
@@ -339,6 +367,81 @@ def test_backward_frees_consumed_gradients():
         out = np.tanh(out)
         want *= 1.0 - out * out
     assert np.allclose(tp.grad_of(store, x), want, rtol=1e-12)
+
+
+def _isolated_node_graph(rng):
+    adj = np.zeros((3, 3))
+    adj[0, 1] = adj[1, 0] = rng.uniform(0.5, 1.5)
+    return adj
+
+
+# op, its operands, the operands on the tape (the rest are constants), and
+# the operand whose array no gradient of the op reads
+_UNREAD_OPERAND = {
+    "add": (tp.add, [(3, 4), (3, 4)], {0, 1}, 0),
+    "sub-const": (tp.sub, [(3, 4), (3, 4)], {0}, 1),
+    "hadamard-const-b": (tp.hadamard, [(3, 4), (3, 4)], {0}, 0),
+    "hadamard-const-a": (tp.hadamard, [(3, 4), (3, 4)], {1}, 1),
+    "scalar_mul": (lambda a: tp.scalar_mul(2.0, a), [(3, 4)], {0}, 0),
+    "matmul-const-b": (tp.matmul, [(2, 3, 4), (4, 5)], {0}, 0),
+    "matmul-const-a": (tp.matmul, [(2, 3, 4), (4, 5)], {1}, 1),
+    "tanh": (tp.tanh, [(3, 4)], {0}, 0),
+    "relu": (tp.relu, [(3, 4)], {0}, 0),
+    "absolute": (tp.absolute, [(3, 4)], {0}, 0),
+    "concat": (lambda a, b: tp.concat([a, b], axis=0),
+               [(2, 4), (1, 4)], {0, 1}, 0),
+    "slice_axis": (lambda a: tp.slice_axis(a, 1, 1, 3), [(3, 4)], {0}, 0),
+    "reshape": (lambda a: tp.reshape(a, (2, 6)), [(3, 4)], {0}, 0),
+    "transpose": (lambda a: tp.transpose(a, (1, 0)), [(3, 4)], {0}, 0),
+    "tile_leading": (lambda a: tp.tile_leading(a, 2), [(3, 4)], {0}, 0),
+    "add_bias": (tp.add_bias, [(3, 4), (4,)], {0, 1}, 0),
+    "reduce_sum": (tp.reduce_sum, [(3, 4)], {0}, 0),
+    "reduce_mean": (tp.reduce_mean, [(3, 4)], {0}, 0),
+    "conv1d-const-w": (tp.conv1d, [(2, 7, 3), (3, 3, 4)], {0}, 0),
+    "conv1d-const-x": (tp.conv1d, [(2, 7, 3), (3, 3, 4)], {1}, 1),
+    # a self-loop is injected into a copy, which the backward reads instead
+    "scaled_laplacian-isolated": (tp.scaled_laplacian_op,
+                                  [_isolated_node_graph], {0}, 0),
+    "symmetrize": (gr.symmetrize_op, [(2, 3, 3)], {0}, 0),
+}
+# cheb_filter_op has no case: its backward reads L~, theta and x
+
+
+@pytest.mark.parametrize("case", list(_UNREAD_OPERAND))
+def test_tape_keeps_no_array_its_gradient_does_not_read(case):
+    op, operands, on_tape, unread = _UNREAD_OPERAND[case]
+    rng = RNG(60)
+    t = tp.Tape()
+    ins = []
+    for i, spec in enumerate(operands):
+        arr = spec(rng) if callable(spec) else rng.uniform(-1.0, 1.0, spec)
+        ins.append(t.param(arr) if i in on_tape else arr)
+    alive = weakref.ref(tp._as_array(ins[unread]))
+    op(*ins)
+    del ins, arr
+    assert t.nodes[-1].backward is not None  # the tape holds the closure
+    assert alive() is None
+
+
+@pytest.mark.parametrize("op,shapes", [
+    (tp.matmul, [(2, 3, 4), (4, 5)]), (tp.hadamard, [(3, 4), (3, 4)]),
+    (tp.sub, [(3, 4), (3, 4)]), (tp.conv1d, [(2, 7, 3), (3, 3, 4)])],
+    ids=["matmul", "hadamard", "sub", "conv1d"])
+@pytest.mark.parametrize("const", [0, 1])
+def test_constant_operand_gets_no_gradient(op, shapes, const):
+    rng = RNG(61)
+    vals = [rng.standard_normal(s) for s in shapes]
+
+    def grads(on_tape):
+        t = tp.Tape()
+        out = op(*(t.param(v) if i in on_tape else v
+                   for i, v in enumerate(vals)))
+        return t.nodes[out.node_id].backward(RNG(62).standard_normal(
+            out.shape))
+
+    part, full = grads({1 - const}), grads({0, 1})
+    assert part[const] is None
+    assert part[1 - const].tobytes() == full[1 - const].tobytes()
 
 
 def test_backward_zero_for_untouched_param():
