@@ -18,7 +18,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, PipelineError, SchemaError, StructuralError
+from .errors import (ConfigError, PipelineError, SchemaError, StructuralError,
+                     check_ints)
 
 # canonical factor short names; order fixes nothing, membership is the schema
 FACTOR_NAMES = (
@@ -348,19 +349,28 @@ def _pack_str(s: str) -> bytes:
 
 
 class PackedReader:
-    """Bounds-checked reader over the bytes of one packed binary file.
+    """Bounds-checked reader over one packed binary file.
 
-    Reads past the end, undecodable strings and bytes left after the last
-    field raise the format's error class (StructuralError unless given)
-    with a one-line diagnostic that names the file, never a struct or
-    index error.
+    Every packed format opens with a 4-byte magic and a u32 version; the
+    constructor reads the file, checks both and leaves the cursor after
+    the version.  A wrong magic or version, reads past the end,
+    undecodable strings and bytes left after the last field raise the
+    format's error class (StructuralError unless given) with a one-line
+    diagnostic that names the file and the format's noun, never a struct
+    or index error.
     """
 
-    def __init__(self, buf: bytes, what: str, error=StructuralError):
-        self.buf = buf
+    def __init__(self, path, noun: str, magic: bytes, version: int,
+                 error=StructuralError):
+        self.buf = Path(path).read_bytes()
         self.pos = 0
-        self.what = what
+        self.what = f"{path}: {noun}"
         self.error = error
+        if self.take(len(magic)) != magic:
+            raise error(f"{path}: not a {noun}")
+        (found,) = self.unpack("I")
+        if found != version:
+            raise error(f"{path}: unsupported {noun} version {found}")
 
     def corrupt(self) -> Exception:
         return self.error(f"{self.what} is truncated or corrupt")
@@ -421,12 +431,7 @@ def save_dataset(ds: WeatherSeriesDataset, path) -> None:
 
 
 def _load_binary(path: Path) -> WeatherSeriesDataset:
-    cur = PackedReader(path.read_bytes(), f"{path}: packed dataset file")
-    if cur.take(4) != _MAGIC:
-        raise StructuralError(f"{path}: not a packed dataset file")
-    (version,) = cur.unpack("I")
-    if version != _VERSION:
-        raise StructuralError(f"{path}: unsupported dataset version {version}")
+    cur = PackedReader(path, "packed dataset file", _MAGIC, _VERSION)
     n, t, d = cur.unpack("III")
     time_start, time_step = cur.unpack("qI")
     factors = [cur.string() for _ in range(d)]
@@ -658,8 +663,8 @@ class SynthConfig:
     noise_amp: float = 0.5
 
     def __post_init__(self):
-        if self.n < 1 or self.t < 1 or self.d < 1:
-            raise ConfigError("synthetic dims must be positive")
+        check_ints(1, n=self.n, t=self.t, d=self.d)
+        check_ints(0, seed=self.seed)
         if self.d > len(FACTOR_NAMES):
             raise ConfigError(f"at most {len(FACTOR_NAMES)} factors")
         if not 0.0 <= self.ar_coeff < 1.0:

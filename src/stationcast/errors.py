@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the integer-setting check."""
+
+import numbers
 
 
 class StationcastError(Exception):
@@ -35,3 +37,13 @@ class CheckpointError(StationcastError):
 
 class RegressionError(StationcastError):
     """A regression fit is ill-posed or a model is used before fitting."""
+
+
+def check_ints(low: int, **fields) -> None:
+    """Each keyword's value must be an integer of at least `low`; a bool is
+    not one.  The ConfigError names the first field that fails."""
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} {value!r} is not an integer")
+        if value < low:
+            raise ConfigError(f"{name} {value} must be at least {low}")

@@ -170,13 +170,8 @@ def save_predictions(path, preds: np.ndarray, target_starts: np.ndarray,
 def load_predictions(path):
     """Read a packed prediction file: (preds, target_starts, stations,
     factors, space)."""
-    cur = PackedReader(Path(path).read_bytes(), f"{path}: prediction file")
-    if cur.take(4) != _PRED_MAGIC:
-        raise StructuralError(f"{path}: not a prediction file")
-    version, b, n, w, d = cur.unpack("IIIII")
-    if version != _PRED_VERSION:
-        raise StructuralError(f"{path}: unsupported prediction file version "
-                              f"{version}")
+    cur = PackedReader(path, "prediction file", _PRED_MAGIC, _PRED_VERSION)
+    b, n, w, d = cur.unpack("IIII")
     (physical,) = cur.unpack("B")
     space = "physical" if physical else "normalized"
     target_starts = cur.array("<i8", (b,))

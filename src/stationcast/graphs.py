@@ -321,7 +321,7 @@ def cheb_filter_op(l_tilde, theta, x) -> tp.TapeTensor:
         # T_k's factor 2 (k > 1) is folded into 2 L~^T, exact in floating
         # point
         lt = tp._transposed(lv)
-        lt2 = 2.0 * lt
+        lt2 = 2.0 * lt if order > 2 else None
         g_theta = np.empty_like(thv)
         g_l = np.zeros(lv.shape)
         adj = [None, None]  # adjoints of T_{k+1} x and T_{k+2} x
@@ -353,23 +353,10 @@ def cheb_filter_op(l_tilde, theta, x) -> tp.TapeTensor:
 
 _GMAGIC = b"W2KG"
 _GVERSION = 1
-_JSON_MAX_N = 64
 
 
 def save_graphs(gs: GraphSet, path) -> None:
-    """Persist built graphs: JSON for small station sets, binary above."""
-    path = Path(path)
-    if gs.n <= _JSON_MAX_N:
-        doc = {
-            "format": "station-graphs",
-            "version": _GVERSION,
-            "n": gs.n,
-            "meta": gs.meta,
-            "graphs": {k: a.weights.tolist() for k, a in gs.graphs.items()},
-            "kinds": {k: a.kind for k, a in gs.graphs.items()},
-        }
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True))
-        return
+    """Persist built graphs in the packed W2KG layout."""
     parts = [_GMAGIC, struct.pack("<II", _GVERSION, gs.n)]
     meta_blob = json.dumps(gs.meta, sort_keys=True).encode("utf-8")
     parts.append(struct.pack("<I", len(meta_blob)))
@@ -380,47 +367,31 @@ def save_graphs(gs: GraphSet, path) -> None:
         parts.append(_pack_str(k))
         parts.append(_pack_str(a.kind))
         parts.append(np.ascontiguousarray(a.weights, dtype="<f8").tobytes())
-    path.write_bytes(b"".join(parts))
+    Path(path).write_bytes(b"".join(parts))
 
 
 def load_graphs(path) -> GraphSet:
-    path = Path(path)
-    raw = path.read_bytes()
-    if raw[:4] == _GMAGIC:
-        cur = PackedReader(raw, f"{path}: packed graph file")
-        cur.take(4)
-        version, n = cur.unpack("II")
-        if version != _GVERSION:
-            raise StructuralError(f"{path}: unsupported graph file version "
-                                  f"{version}")
-        (mlen,) = cur.unpack("I")
-        try:
-            meta = json.loads(cur.text(mlen))
-        except json.JSONDecodeError:
-            raise cur.corrupt() from None
-        (count,) = cur.unpack("I")
-        graphs = {}
-        for _ in range(count):
-            key = cur.string()
-            kind = cur.string()
-            graphs[key] = Adjacency(n, cur.array("<f8", (n, n)), kind)
-        cur.end()
-        return GraphSet(n, graphs, meta)
+    cur = PackedReader(path, "packed graph file", _GMAGIC, _GVERSION)
+    n, mlen = cur.unpack("II")
     try:
-        doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        raise StructuralError(f"{path}: neither a graph JSON document nor a "
-                              "packed graph file") from None
-    if doc.get("format") != "station-graphs":
-        raise StructuralError(f"{path}: not a graph document")
-    if doc.get("version") != _GVERSION:
-        raise StructuralError(f"{path}: unsupported graph file version "
-                              f"{doc.get('version')}")
-    n = int(doc["n"])
-    graphs = {k: Adjacency(n, np.asarray(v, dtype=np.float64),
-                           doc["kinds"][k])
-              for k, v in doc["graphs"].items()}
-    return GraphSet(n, graphs, doc.get("meta", {}))
+        meta = json.loads(cur.text(mlen))
+    except json.JSONDecodeError:
+        raise cur.corrupt() from None
+    if not isinstance(meta, dict):
+        raise StructuralError(f"{path}: graph metadata is not an object")
+    stations = meta.get("stations", [])
+    if not (isinstance(stations, list)
+            and all(isinstance(s, str) for s in stations)):
+        raise StructuralError(f"{path}: graph metadata 'stations' is not a "
+                              "list of station ids")
+    (count,) = cur.unpack("I")
+    graphs = {}
+    for _ in range(count):
+        key = cur.string()
+        kind = cur.string()
+        graphs[key] = Adjacency(n, cur.array("<f8", (n, n)), kind)
+    cur.end()
+    return GraphSet(n, graphs, meta)
 
 
 def build_static_graphs(train_ds: WeatherSeriesDataset,

@@ -22,7 +22,8 @@ import numpy as np
 from . import graphs as gr
 from . import tape as tp
 from .data import PackedReader, WeatherSeriesDataset, make_windows
-from .errors import CheckpointError, ConfigError, ShapeError, TrainingError
+from .errors import (CheckpointError, ConfigError, ShapeError, TrainingError,
+                     check_ints)
 
 STATIC_KINDS = gr.STATIC_KINDS
 ALL_GRAPH_KINDS = gr.MODEL_KINDS
@@ -41,16 +42,15 @@ class StBlockConfig:
     channels_out: int
 
     def __post_init__(self):
-        if self.cheb_order < 1:
-            raise ConfigError("cheb_order must be at least 1")
+        check_ints(1, cheb_order=self.cheb_order,
+                   channels_in=self.channels_in,
+                   channels_out=self.channels_out)
         if not self.temporal_kernels:
             raise ConfigError("at least one temporal branch is required")
         for k in self.temporal_kernels:
-            if k < 1 or k % 2 == 0:
-                raise ConfigError(f"temporal kernels must be odd and >= 1, "
-                                  f"got {k}")
-        if self.channels_in < 1 or self.channels_out < 1:
-            raise ConfigError("channel counts must be positive")
+            check_ints(1, temporal_kernels=k)
+            if k % 2 == 0:
+                raise ConfigError(f"temporal_kernels {k} must be odd")
 
     @property
     def max_kernel(self) -> int:
@@ -84,9 +84,8 @@ class ModelConfig:
         self.blocks = [b if isinstance(b, StBlockConfig) else
                        StBlockConfig(**b) for b in self.blocks]
         self.graph_kinds = tuple(self.graph_kinds)
-        if self.w_in < 1 or self.w_out < 1 or self.d < 1 or self.d_emb < 1:
-            raise ConfigError("window, factor and embedding dimensions must "
-                              "be positive")
+        check_ints(1, w_in=self.w_in, w_out=self.w_out, d=self.d,
+                   d_emb=self.d_emb)
         for name in ("alpha", "beta"):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or not value > 0.0:
@@ -144,19 +143,14 @@ class TrainConfig:
     lr_decay_factor: float = 0.05
     lr_decay_every: int = 10
     decay_window: int = 50
-    lr_decay_mode: str = "compound"  # or "literal": lr0 * factor^k
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch size must be positive")
-        if self.early_stop_patience < 1:
-            raise ConfigError(f"early-stop patience {self.early_stop_patience}"
-                              " must be at least 1")
-        if self.lr_decay_mode not in ("compound", "literal"):
-            raise ConfigError(f"unknown lr decay mode {self.lr_decay_mode!r}")
-        if self.lr_decay_every < 1 or self.decay_window < 0:
-            raise ConfigError("schedule intervals must be positive")
+        check_ints(1, epochs=self.epochs,
+                   early_stop_patience=self.early_stop_patience,
+                   batch_size=self.batch_size,
+                   lr_decay_every=self.lr_decay_every)
+        check_ints(0, decay_window=self.decay_window, seed=self.seed)
         if not 0.0 <= self.lr0 < math.inf:
             raise ConfigError(f"learning rate {self.lr0} is not nonnegative "
                               "and finite")
@@ -168,8 +162,6 @@ class TrainConfig:
         """Learning rate for a 1-based epoch index; frozen past the window."""
         max_steps = max(self.decay_window // self.lr_decay_every - 1, 0)
         k = min((epoch - 1) // self.lr_decay_every, max_steps)
-        if self.lr_decay_mode == "literal":
-            return self.lr0 * self.lr_decay_factor ** k
         return self.lr0 * (1.0 - self.lr_decay_factor) ** k
 
 
@@ -526,14 +518,9 @@ def load_checkpoint(path) -> tuple:
     stored config and station count.  Shapes come from param_shapes and
     are bounded by the file's length before any parameter is allocated.
     """
-    cur = PackedReader(Path(path).read_bytes(), f"{path}: checkpoint",
+    cur = PackedReader(path, "checkpoint", _CKPT_MAGIC, _CKPT_VERSION,
                        CheckpointError)
-    if cur.take(4) != _CKPT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file")
-    version, hlen = cur.unpack("II")
-    if version != _CKPT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version "
-                              f"{version}")
+    (hlen,) = cur.unpack("I")
     try:
         header = json.loads(cur.text(hlen))
     except json.JSONDecodeError:

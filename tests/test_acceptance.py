@@ -397,7 +397,7 @@ def test_criterion_09_neighbor_degree_harness():
 
 def test_criterion_10_smoke_chain_is_deterministic(tmp_path):
     data = tmp_path / "synth.w2kt"
-    graphs = tmp_path / "graphs.json"
+    graphs = tmp_path / "graphs.bin"
     ckpt = tmp_path / "model.ckpt"
     history = tmp_path / "history.jsonl"
     metrics = tmp_path / "metrics.json"

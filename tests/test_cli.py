@@ -58,7 +58,7 @@ def test_help_exits_0():
 
 def test_full_smoke_chain(tmp_path, monkeypatch):
     data = tmp_path / "synth.w2kt"
-    graphs = tmp_path / "graphs.json"
+    graphs = tmp_path / "graphs.bin"
     ckpt = tmp_path / "model.ckpt"
     history = tmp_path / "history.jsonl"
     metrics = tmp_path / "metrics.json"
@@ -157,7 +157,7 @@ def test_unobserved_cells_need_preprocess(tmp_path, capsys):
                  "--out", str(clean)]) == 0
     assert dt.load_dataset(clean).n_stations == 6
 
-    graphs, ckpt = tmp_path / "graphs.json", tmp_path / "model.ckpt"
+    graphs, ckpt = tmp_path / "graphs.bin", tmp_path / "model.ckpt"
     cfg = _tiny_model_json(tmp_path / "model.json", epochs=1)
     commands = {
         "graphs": ["graphs", "--n-adjacent", "2", "--out", str(graphs)],
@@ -239,7 +239,7 @@ def test_packed_default_codes_need_preprocess(tmp_path, capsys):
     raw, clean = tmp_path / "raw.w2kt", tmp_path / "clean.w2kt"
     dt.save_dataset(ds, raw)
     graphs = ["graphs", "--n-adjacent", "2", "--pattern-factors", "vv",
-              "--out", str(tmp_path / "g.json")]
+              "--out", str(tmp_path / "g.graphs")]
     capsys.readouterr()
     assert main(graphs + ["--data", str(raw)]) == 1
     err = capsys.readouterr().err.splitlines()
@@ -254,7 +254,7 @@ def test_packed_default_codes_need_preprocess(tmp_path, capsys):
 
 def test_eval_ckpt_and_pred_agree(tmp_path):
     data = tmp_path / "synth.w2kt"
-    graphs = tmp_path / "graphs.json"
+    graphs = tmp_path / "graphs.bin"
     ckpt = tmp_path / "model.ckpt"
     cfg = _tiny_model_json(tmp_path / "model.json", epochs=1)
     assert main(["synth", "--n", "5", "--t", "120", "--d", "1",
@@ -370,7 +370,7 @@ def small_run(tmp_path_factory):
     assert main(["synth", "--n", "5", "--t", "120", "--d", "1", "--seed",
                  "4", "--out", str(root / "synth.w2kt")]) == 0
     assert main(["graphs", "--data", str(root / "synth.w2kt"),
-                 "--n-adjacent", "2", "--out", str(root / "graphs.json")]) == 0
+                 "--n-adjacent", "2", "--out", str(root / "graphs.bin")]) == 0
     return root
 
 
@@ -406,6 +406,19 @@ def small_run(tmp_path_factory):
     (["synth", "--ar-amp", "inf"], "ar_amp inf is not nonnegative"),
     (["synth", "--diurnal-amp", "-0.5"],
      "diurnal_amp -0.5 is not nonnegative"),
+    (["train", "--seed", "-1"], "seed -1 must be at least 0"),
+    (["synth", "--seed", "-1"], "seed -1 must be at least 0"),
+    (["train", "--config", '{"model": {"d_emb": 2.5}}'],
+     "d_emb 2.5 is not an integer"),
+    (["train", "--config", '{"train": {"batch_size": 2.5}}'],
+     "batch_size 2.5 is not an integer"),
+    (["train", "--config", '{"train": {"seed": 1.5}}'],
+     "seed 1.5 is not an integer"),
+    (["train", "--config", '{"train": {"epochs": true}}'],
+     "epochs True is not an integer"),
+    (["train", "--config", '{"model": {"blocks": [{"cheb_order": 2, '
+      '"temporal_kernels": [3.0], "channels_in": 1, "channels_out": 4}]}}'],
+     "temporal_kernels 3.0 is not an integer"),
 ], ids=["sigma-abc", "split-0-0-0", "config-list", "config-model-list",
         "config-train-string", "config-no-blocks", "config-block-int",
         "krr-gamma-0", "krr-gamma-negative", "ridge-lam-nan", "wprime-0",
@@ -413,7 +426,10 @@ def small_run(tmp_path_factory):
         "config-decay-factor-1.5", "patience-negative", "patience-0",
         "ablate-patience-negative", "ablate-patience-before-graphs",
         "synth-noise-amp-negative", "synth-noise-amp-nan", "synth-ar-amp-inf",
-        "synth-diurnal-amp-negative"])
+        "synth-diurnal-amp-negative", "train-seed-negative",
+        "synth-seed-negative", "config-d-emb-float", "config-batch-size-float",
+        "config-seed-float", "config-epochs-bool",
+        "config-temporal-kernel-float"])
 def test_bad_input_exits_1_with_one_line(small_run, tmp_path, capsys, argv,
                                          where):
     argv = list(argv)
@@ -425,7 +441,7 @@ def test_bad_input_exits_1_with_one_line(small_run, tmp_path, capsys, argv,
         argv += ["--data", str(small_run / "synth.w2kt")]
     argv += ["--out", str(tmp_path / "out")]
     if argv[0] == "train":
-        argv += ["--graphs", str(small_run / "graphs.json")]
+        argv += ["--graphs", str(small_run / "graphs.bin")]
     capsys.readouterr()
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
@@ -435,7 +451,7 @@ def test_bad_input_exits_1_with_one_line(small_run, tmp_path, capsys, argv,
 
 
 def test_missing_input_exits_1(tmp_path):
-    out = tmp_path / "g.json"
+    out = tmp_path / "g.graphs"
     code = main(["graphs", "--data", str(tmp_path / "nope.w2kt"),
                  "--out", str(out)])
     assert code == 1
@@ -463,8 +479,8 @@ def test_env_var_resolves_relative_paths(tmp_path, monkeypatch):
                  "--seed", "6", "--out", "rel.w2kt"]) == 0
     assert (tmp_path / "rel.w2kt").exists()
     assert main(["graphs", "--data", "rel.w2kt", "--n-adjacent", "2",
-                 "--out", "rel_graphs.json"]) == 0
-    assert (tmp_path / "rel_graphs.json").exists()
+                 "--out", "rel_graphs.bin"]) == 0
+    assert (tmp_path / "rel_graphs.bin").exists()
 
 
 def test_env_var_resolves_checkpoint_graphs_path(tmp_path, monkeypatch):
@@ -476,10 +492,10 @@ def test_env_var_resolves_checkpoint_graphs_path(tmp_path, monkeypatch):
     assert main(["synth", "--n", "5", "--t", "80", "--d", "1",
                  "--seed", "6", "--out", "d.w2kt"]) == 0
     assert main(["graphs", "--data", "d.w2kt", "--n-adjacent", "2",
-                 "--out", "g.json"]) == 0
+                 "--out", "g.graphs"]) == 0
     cfg = work / "cfg.json"
     _tiny_model_json(cfg)
-    assert main(["train", "--data", "d.w2kt", "--graphs", "g.json",
+    assert main(["train", "--data", "d.w2kt", "--graphs", "g.graphs",
                  "--config", str(cfg), "--out", "m.ckpt",
                  "--history", "h.jsonl"]) == 0
     elsewhere = tmp_path / "elsewhere"
@@ -498,7 +514,7 @@ def test_commands_do_not_mutate_inputs(tmp_path):
                  "--seed", "7", "--out", str(data)]) == 0
     before = data.read_bytes()
     assert main(["graphs", "--data", str(data), "--n-adjacent", "2",
-                 "--out", str(tmp_path / "g.json")]) == 0
+                 "--out", str(tmp_path / "g.graphs")]) == 0
     assert data.read_bytes() == before
 
 
@@ -554,7 +570,7 @@ def test_ablate_and_sweep_small(tmp_path):
 
 def test_train_flag_overrides_config(tmp_path):
     data = tmp_path / "synth.w2kt"
-    graphs = tmp_path / "g.json"
+    graphs = tmp_path / "g.graphs"
     cfg = _tiny_model_json(tmp_path / "model.json", epochs=5, seed=1)
     assert main(["synth", "--n", "5", "--t", "100", "--d", "1",
                  "--seed", "10", "--out", str(data)]) == 0
@@ -594,8 +610,7 @@ def test_truncated_graph_file_is_a_structural_error(tmp_path):
     graphs = tmp_path / "graphs.bin"
     ckpt = tmp_path / "model.ckpt"
     cfg = _tiny_model_json(tmp_path / "model.json", epochs=1)
-    # above 64 stations the graph file is packed (W2KG), not JSON
-    assert main(["synth", "--n", "65", "--t", "80", "--d", "1",
+    assert main(["synth", "--n", "5", "--t", "80", "--d", "1",
                  "--seed", "11", "--out", str(data)]) == 0
     assert main(["graphs", "--data", str(data), "--n-adjacent", "2",
                  "--out", str(graphs)]) == 0
@@ -609,6 +624,36 @@ def test_truncated_graph_file_is_a_structural_error(tmp_path):
                        ["eval", "--ckpt", str(ckpt), "--data", str(data),
                         "--graphs", str(cut),
                         "--out", str(tmp_path / "m.json")], every=97)
+
+
+def _json_graph_doc(gs) -> str:
+    """A graph file in the JSON layout earlier versions wrote for small
+    station sets."""
+    return json.dumps({
+        "format": "station-graphs", "version": 1, "n": gs.n, "meta": gs.meta,
+        "graphs": {k: a.weights.tolist() for k, a in gs.graphs.items()},
+        "kinds": {k: a.kind for k, a in gs.graphs.items()}}, indent=2)
+
+
+@pytest.mark.parametrize("write", [
+    lambda gs, path: gr.save_graphs(replace(gs, meta=[]), path),
+    lambda gs, path: gr.save_graphs(replace(gs, meta={"stations": 5}), path),
+    lambda gs, path: gr.save_graphs(
+        replace(gs, meta={"stations": ["S0", 1, "S2", "S3", "S4"]}), path),
+    lambda gs, path: path.write_text(_json_graph_doc(gs)),
+], ids=["meta-list", "stations-int", "stations-mixed", "json-layout"])
+def test_malformed_graph_file_exits_1_with_one_line(small_run, tmp_path,
+                                                    capsys, write):
+    bad = tmp_path / "bad.graphs"
+    write(gr.load_graphs(small_run / "graphs.bin"), bad)
+    with pytest.raises(StructuralError):
+        gr.load_graphs(bad)
+    capsys.readouterr()
+    assert main(["train", "--data", str(small_run / "synth.w2kt"),
+                 "--graphs", str(bad), "--out", str(tmp_path / "m.ckpt")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_truncated_prediction_file_is_a_structural_error(tmp_path):
@@ -626,15 +671,13 @@ def test_truncated_prediction_file_is_a_structural_error(tmp_path):
                         "--out", str(tmp_path / "m.json")])
 
 
-def _flip_files(tmp_path, monkeypatch):
+def _flip_files(tmp_path):
     """Tiny files of all four packed formats and, per format, its loader,
     a command that reads a file of that format from `cut`, and the length
     of its fixed header."""
     data = tmp_path / "synth.w2kt"
     assert main(["synth", "--n", "3", "--t", "40", "--d", "1",
                  "--seed", "13", "--out", str(data)]) == 0
-    # the packed graph layout at three stations (JSON is used up to 64)
-    monkeypatch.setattr(gr, "_JSON_MAX_N", 0)
     graphs = tmp_path / "graphs.bin"
     assert main(["graphs", "--data", str(data), "--n-adjacent", "1",
                  "--out", str(graphs)]) == 0
@@ -663,11 +706,11 @@ def _flip_files(tmp_path, monkeypatch):
     }, {"W2KT": 32, "W2KG": 16, "W2KP": 25, "W2KC": 12}
 
 
-def test_header_byte_flips_never_raise(tmp_path, monkeypatch, capsys):
+def test_header_byte_flips_never_raise(tmp_path, capsys):
     """Every byte of each format's fixed header and first meta bytes,
     inverted, ends in exit 1 or 2 with one error line, unless the file
     still loads (a flipped time origin, say); no flip raises."""
-    cut, files, header = _flip_files(tmp_path, monkeypatch)
+    cut, files, header = _flip_files(tmp_path)
     rejected = {}
     for fmt, (src, load, argv) in files.items():
         raw = src.read_bytes()
@@ -700,7 +743,7 @@ def test_truncated_dataset_file_exits_cleanly(tmp_path):
                     src)
     raw = src.read_bytes()
     argv = ["graphs", "--data", str(cut), "--n-adjacent", "1",
-            "--out", str(tmp_path / "g.json")]
+            "--out", str(tmp_path / "g.graphs")]
     for k in range(len(raw)):
         cut.write_bytes(raw[:k])
         with pytest.raises(StructuralError):

@@ -1,6 +1,7 @@
 """Dataset I/O, quality pipeline, windowing, and synthesis checks."""
 
 import csv
+import struct
 
 import numpy as np
 import pytest
@@ -100,12 +101,29 @@ def test_packed_default_code_masked(tmp_path):
     assert back.values[0, 7, 2] == 999999.0
 
 
-def test_packed_reader_rejects_negative_length():
+def test_packed_reader_rejects_negative_length(tmp_path):
     # a length field decoded from a corrupt header must not move backwards
-    cur = dt.PackedReader(b"abcdef", "x.bin")
+    path = tmp_path / "x.bin"
+    path.write_bytes(b"TEST" + struct.pack("<I", 1) + b"abcdef")
+    cur = dt.PackedReader(path, "test file", b"TEST", 1)
     cur.take(2)
     with pytest.raises(StructuralError, match="truncated"):
         cur.take(-1)
+
+
+@pytest.mark.parametrize("head,match", [
+    (b"TEST" + struct.pack("<I", 1), None),
+    (b"TEST", "test file is truncated"),
+    (b"BEST" + struct.pack("<I", 1), "not a test file"),
+    (b"TEST" + struct.pack("<I", 2), "unsupported test file version 2")])
+def test_packed_reader_checks_magic_and_version(tmp_path, head, match):
+    path = tmp_path / "x.bin"
+    path.write_bytes(head)
+    if match is None:
+        assert dt.PackedReader(path, "test file", b"TEST", 1).pos == 8
+        return
+    with pytest.raises(StructuralError, match=match):
+        dt.PackedReader(path, "test file", b"TEST", 1)
 
 
 def test_csv_ragged_lengths_rejected(tmp_path):

@@ -615,36 +615,24 @@ def test_cheb_filter_op_rejects_mismatched_shapes(l_shape, x_shape):
 # serialization
 
 
-def test_graphset_json_roundtrip(tmp_path):
-    st = random_stations(8, 30)
+@pytest.mark.parametrize("n", [8, 70])
+def test_graphset_roundtrip(tmp_path, n):
+    st = random_stations(n, 30)
     from stationcast.data import WeatherSeriesDataset
-    vals = RNG(31).standard_normal((8, 60, 3))
+    vals = RNG(31).standard_normal((n, 60, 3))
     ds = WeatherSeriesDataset(st, ["t", "hv2", "rh"], vals,
                               np.ones_like(vals, dtype=bool))
     gs = gr.build_static_graphs(ds, sigma="auto", epsilon=0.1, n_adjacent=3)
-    out = tmp_path / "graphs.json"
-    gr.save_graphs(gs, out)
-    assert json.loads(out.read_text())["n"] == 8
-    back = gr.load_graphs(out)
-    for k in gs.graphs:
-        assert np.array_equal(back[k].weights, gs[k].weights)
-        assert back[k].kind == gs[k].kind
-    assert back.meta["n_adjacent"] == 3
-
-
-def test_graphset_binary_roundtrip(tmp_path):
-    n = 70  # above the JSON size cutoff
-    rng = RNG(32)
-    graphs = {"distance": gr.Adjacency(n, np.abs(rng.standard_normal((n, n)))
-                                       * (1 - np.eye(n)), "fused")}
-    gs = gr.GraphSet(n, graphs, {"note": "big"})
     out = tmp_path / "graphs.bin"
     gr.save_graphs(gs, out)
     assert out.read_bytes()[:4] == b"W2KG"
     back = gr.load_graphs(out)
-    assert np.array_equal(back["distance"].weights,
-                          gs["distance"].weights)
-    assert back.meta == {"note": "big"}
+    assert back.n == n and sorted(back.graphs) == sorted(gs.graphs)
+    for k in gs.graphs:
+        assert np.array_equal(back[k].weights, gs[k].weights)
+        assert back[k].kind == gs[k].kind
+    assert back.meta == json.loads(json.dumps(gs.meta))
+    assert back.meta["n_adjacent"] == 3
 
 
 def test_load_graphs_rejects_garbage(tmp_path):

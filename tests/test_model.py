@@ -528,13 +528,6 @@ def test_lr_schedule_compound():
     assert cfg.lr_at(100) == pytest.approx(1e-2 * 0.95 ** 4)
 
 
-def test_lr_schedule_literal():
-    cfg = md.TrainConfig(lr_decay_mode="literal")
-    assert cfg.lr_at(1) == pytest.approx(1e-2)
-    assert cfg.lr_at(11) == pytest.approx(5e-4)
-    assert cfg.lr_at(51) == pytest.approx(1e-2 * 0.05 ** 4)
-
-
 def _split(ds, a, b):
     return ds.slice_time(a, b)
 
