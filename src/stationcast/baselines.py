@@ -40,7 +40,6 @@ class RegressionModel:
     lam: float = 0.0
     gamma: Optional[float] = None
     kernel: str = "rbf"
-    fitted: bool = False
     # linear/ridge: beta [N, W', W]; kernel: dual [N, B, W] + train features
     beta: Optional[np.ndarray] = None
     dual: Optional[np.ndarray] = None
@@ -141,14 +140,13 @@ def fit_regression(inputs: np.ndarray, targets: np.ndarray, kind: str,
                     "lam > 0") from None
         model.dual = dual
         model.x_train = xc
-    model.fitted = True
     return model
 
 
 def predict_regression(model: RegressionModel,
                        inputs: np.ndarray) -> np.ndarray:
     """Forecast [B, N, W] from windows [B, N, W']."""
-    if not model.fitted:
+    if model.beta is None and model.dual is None:
         raise RegressionError("model is not fitted")
     if inputs.ndim != 3 or inputs.shape[2] != model.w_in:
         raise ConfigError(f"expected [B, N, {model.w_in}] inputs, got "

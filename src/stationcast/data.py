@@ -11,7 +11,7 @@ import csv
 import io
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
@@ -80,7 +80,6 @@ class WeatherSeriesDataset:
     mask: np.ndarray
     time_start: int = 0
     time_step: int = 3600
-    norm: Optional[NormStats] = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -139,17 +138,10 @@ class WeatherSeriesDataset:
 
     def select_factors(self, keep: Sequence[str]) -> "WeatherSeriesDataset":
         idx = [self.factor_index(name) for name in keep]
-        norm = self.norm
-        if norm is not None:
-            old = [list(norm.factors).index(n) for n in keep]
-            norm = NormStats(factors=list(keep),
-                             mean=norm.mean[old].copy(),
-                             std=norm.std[old].copy())
         return replace(self,
                        factors=list(keep),
                        values=self.values[:, :, idx].copy(),
-                       mask=self.mask[:, :, idx].copy(),
-                       norm=norm)
+                       mask=self.mask[:, :, idx].copy())
 
 
 @dataclass
@@ -409,7 +401,11 @@ class PackedReader:
 
 
 def save_dataset(ds: WeatherSeriesDataset, path) -> None:
-    """Write the packed little-endian binary layout."""
+    """Write the packed little-endian binary layout.
+
+    The byte after the station table is a flag that older writers set when
+    a block of 2*D normalization doubles followed it; it is always 0 here.
+    """
     parts = [_MAGIC, struct.pack("<I", _VERSION)]
     n, t, d = ds.values.shape
     parts.append(struct.pack("<III", n, t, d))
@@ -419,12 +415,7 @@ def save_dataset(ds: WeatherSeriesDataset, path) -> None:
     for s in ds.stations:
         parts.append(_pack_str(s.station_id))
         parts.append(struct.pack("<ddd", s.lat, s.lon, s.alt))
-    if ds.norm is not None:
-        parts.append(struct.pack("<B", 1))
-        parts.append(np.asarray(ds.norm.mean, dtype="<f8").tobytes())
-        parts.append(np.asarray(ds.norm.std, dtype="<f8").tobytes())
-    else:
-        parts.append(struct.pack("<B", 0))
+    parts.append(struct.pack("<B", 0))
     parts.append(np.ascontiguousarray(ds.values, dtype="<f8").tobytes())
     parts.append(np.packbits(ds.mask.reshape(-1)).tobytes())
     Path(path).write_bytes(b"".join(parts))
@@ -441,19 +432,15 @@ def _load_binary(path: Path) -> WeatherSeriesDataset:
         lat, lon, alt = cur.unpack("ddd")
         stations.append(StationMeta(sid, lat, lon, alt))
     (has_norm,) = cur.unpack("B")
-    norm = None
-    if has_norm:
-        mean = cur.array("<f8", (d,))
-        std = cur.array("<f8", (d,))
-        norm = NormStats(list(factors), mean, std)
+    if has_norm:  # an older writer's normalization block, not read
+        cur.take(16 * d)
     count = n * t * d
     values = cur.array("<f8", (n, t, d))
     mask = np.unpackbits(cur.array("u1", ((count + 7) // 8,)),
                          count=count).astype(bool).reshape(n, t, d)
     cur.end()
     return WeatherSeriesDataset(stations, factors, values, mask,
-                                time_start=time_start, time_step=time_step,
-                                norm=norm)
+                                time_start=time_start, time_step=time_step)
 
 
 # ---------------------------------------------------------------------------
@@ -566,25 +553,12 @@ def compute_norm_stats(ds: WeatherSeriesDataset) -> NormStats:
     return NormStats(list(ds.factors), mean, std)
 
 
-def normalize(ds: WeatherSeriesDataset,
-              stats: Optional[NormStats] = None):
-    """Z-score the dataset; stats should come from the training split."""
-    if stats is None:
-        stats = compute_norm_stats(ds)
+def normalize(ds: WeatherSeriesDataset, stats: NormStats):
+    """Z-score the dataset with stats from the training split."""
     if stats.factors != ds.factors:
         raise ConfigError("normalization stats cover different factors")
     values = (ds.values - stats.mean) / stats.std
-    return replace(ds, values=values, norm=stats), stats
-
-
-def denormalize(ds: WeatherSeriesDataset,
-                stats: Optional[NormStats] = None) -> WeatherSeriesDataset:
-    if stats is None:
-        stats = ds.norm
-    if stats is None:
-        raise ConfigError("dataset carries no normalization stats")
-    values = ds.values * stats.std + stats.mean
-    return replace(ds, values=values, norm=None)
+    return replace(ds, values=values), stats
 
 
 def denormalize_values(arr: np.ndarray, stats: NormStats) -> np.ndarray:

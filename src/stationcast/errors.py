@@ -1,5 +1,6 @@
-"""Exception types shared across the toolkit, and the integer-setting check."""
+"""Exception types shared across the toolkit, and the setting checks."""
 
+import math
 import numbers
 
 
@@ -47,3 +48,12 @@ def check_ints(low: int, **fields) -> None:
             raise ConfigError(f"{name} {value!r} is not an integer")
         if value < low:
             raise ConfigError(f"{name} {value} must be at least {low}")
+
+
+def check_reals(**fields) -> None:
+    """Each keyword's value must be a finite real number; a bool is not
+    one.  The ConfigError names the first field that fails."""
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                or not math.isfinite(value):
+            raise ConfigError(f"{name} {value!r} is not a finite number")

@@ -20,7 +20,7 @@ from . import graphs as gr
 from . import model as md
 from .data import (NormStats, PackedReader, WeatherSeriesDataset,
                    _pack_str, denormalize_values, make_windows)
-from .errors import ConfigError, ShapeError, StructuralError
+from .errors import ConfigError, ShapeError, StructuralError, check_ints
 
 _PRED_MAGIC = b"W2KP"
 _PRED_VERSION = 1
@@ -263,6 +263,8 @@ class AblationSpec:
         self.seeds = tuple(self.seeds)
         if not self.graph_kinds:
             raise ConfigError("an ablation row needs at least one graph")
+        for seed in self.seeds:
+            check_ints(0, seed=seed)
         for k in self.graph_kinds:
             if k not in gr.MODEL_KINDS:
                 raise ConfigError(f"unknown graph kind {k!r}")

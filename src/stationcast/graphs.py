@@ -26,7 +26,6 @@ EARTH_RADIUS_KM = 6371.0
 # graphs built from the stations' data, then every graph the model can fuse
 STATIC_KINDS = ("distance", "neighbor", "pattern")
 MODEL_KINDS = STATIC_KINDS + ("learnable", "dynamic")
-GRAPH_KINDS = MODEL_KINDS + ("fused",)
 
 # default factor set for the pattern graph: temperature, visibility, humidity
 PATTERN_FACTORS = ("t", "hv2", "rh")
@@ -34,7 +33,7 @@ PATTERN_FACTORS = ("t", "hv2", "rh")
 
 @dataclass
 class Adjacency:
-    """One dense graph over the station set."""
+    """One static graph over the station set."""
 
     n: int
     weights: np.ndarray
@@ -42,18 +41,17 @@ class Adjacency:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.kind not in GRAPH_KINDS:
+        if self.kind not in STATIC_KINDS:
             raise ConfigError(f"unknown graph kind {self.kind!r}")
         if self.weights.shape != (self.n, self.n):
             raise ConfigError(f"adjacency shape {self.weights.shape} "
                               f"does not match n={self.n}")
         if not np.isfinite(self.weights).all():
             raise StructuralError(f"{self.kind} graph has non-finite entries")
-        if self.kind in STATIC_KINDS:
-            if np.diagonal(self.weights).any():
-                raise StructuralError(f"{self.kind} graph has nonzero diagonal")
-        # pattern correlations are signed, and fusion inherits their sign
-        if self.kind not in ("pattern", "fused") and (self.weights < 0.0).any():
+        if np.diagonal(self.weights).any():
+            raise StructuralError(f"{self.kind} graph has nonzero diagonal")
+        # pattern correlations are signed
+        if self.kind != "pattern" and (self.weights < 0.0).any():
             raise StructuralError(f"{self.kind} graph has negative entries")
 
 
@@ -92,14 +90,6 @@ class GraphSet:
 
 # ---------------------------------------------------------------------------
 # distances
-
-
-def haversine_km(a, b) -> float:
-    """Great-circle distance between two stations (or (lat, lon) pairs)."""
-    lat1, lon1 = (a.lat, a.lon) if isinstance(a, StationMeta) else a
-    lat2, lon2 = (b.lat, b.lon) if isinstance(b, StationMeta) else b
-    return float(pairwise_distances_km(np.array([lat1, lat2]),
-                                       np.array([lon1, lon2]))[0, 1])
 
 
 def pairwise_distances_km(lats, lons) -> np.ndarray:
@@ -159,13 +149,12 @@ def build_neighbor_graph(stations: Sequence[StationMeta],
     lats = np.array([s.lat for s in stations])
     lons = np.array([s.lon for s in stations])
     d = pairwise_distances_km(lats, lons)
+    # a station is never its own neighbor; the stable sort keeps ties in
+    # index order
+    np.fill_diagonal(d, np.inf)
+    nearest = np.argsort(d, axis=1, kind="stable")[:, :cfg.n_adjacent]
     w = np.zeros((n, n))
-    idx = np.arange(n)
-    for i in range(n):
-        others = idx[idx != i]
-        # lexsort: primary key distance, secondary key station index
-        order = others[np.lexsort((others, d[i, others]))]
-        w[i, order[:cfg.n_adjacent]] = 1.0
+    w[np.arange(n)[:, None], nearest] = 1.0
     return Adjacency(n, w, "neighbor")
 
 
@@ -389,6 +378,9 @@ def load_graphs(path) -> GraphSet:
     for _ in range(count):
         key = cur.string()
         kind = cur.string()
+        if kind != key:
+            raise StructuralError(f"{path}: graph {key!r} is stored as kind "
+                                  f"{kind!r}")
         graphs[key] = Adjacency(n, cur.array("<f8", (n, n)), kind)
     cur.end()
     return GraphSet(n, graphs, meta)

@@ -23,7 +23,7 @@ from . import graphs as gr
 from . import tape as tp
 from .data import PackedReader, WeatherSeriesDataset, make_windows
 from .errors import (CheckpointError, ConfigError, ShapeError, TrainingError,
-                     check_ints)
+                     check_ints, check_reals)
 
 STATIC_KINDS = gr.STATIC_KINDS
 ALL_GRAPH_KINDS = gr.MODEL_KINDS
@@ -86,9 +86,9 @@ class ModelConfig:
         self.graph_kinds = tuple(self.graph_kinds)
         check_ints(1, w_in=self.w_in, w_out=self.w_out, d=self.d,
                    d_emb=self.d_emb)
+        check_reals(alpha=self.alpha, beta=self.beta)
         for name in ("alpha", "beta"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not value > 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be a positive number")
         if not self.graph_kinds:
             raise ConfigError("at least one graph kind is required")
@@ -157,6 +157,8 @@ class TrainConfig:
         if not 0.0 <= self.lr_decay_factor <= 1.0:
             raise ConfigError(f"lr decay factor {self.lr_decay_factor} lies "
                               "outside [0, 1]")
+        # the ranges above pass a bool
+        check_reals(lr0=self.lr0, lr_decay_factor=self.lr_decay_factor)
 
     def lr_at(self, epoch: int) -> float:
         """Learning rate for a 1-based epoch index; frozen past the window."""
@@ -170,12 +172,10 @@ class TrainHistory:
     train_loss: list = field(default_factory=list)
     val_mae: list = field(default_factory=list)
     lr: list = field(default_factory=list)
-    wall_time: list = field(default_factory=list)
     best_epoch: int = 0
     stopped_early: bool = False
 
     def to_dict(self) -> dict:
-        # wall time is excluded: reports must be byte-reproducible
         return {
             "epochs": [
                 {"epoch": i + 1, "train_loss": self.train_loss[i],
@@ -431,8 +431,6 @@ def train(model: MultiGraphForecaster, train_ds: WeatherSeriesDataset,
     ``progress(epoch, train_loss, val_mae, lr)`` is called after each epoch
     when given.
     """
-    import time as _time
-
     mcfg = model.config
     rng = np.random.default_rng(cfg.seed)
     params = {k: v.copy() for k, v in model.params.items()}
@@ -443,7 +441,6 @@ def train(model: MultiGraphForecaster, train_ds: WeatherSeriesDataset,
     best_epoch = 0
 
     for epoch in range(1, cfg.epochs + 1):
-        t0 = _time.monotonic()
         lr = cfg.lr_at(epoch)
         losses = []
         for step, batch in enumerate(make_windows(
@@ -472,7 +469,6 @@ def train(model: MultiGraphForecaster, train_ds: WeatherSeriesDataset,
         history.train_loss.append(float(np.mean(losses)))
         history.val_mae.append(val_mae)
         history.lr.append(lr)
-        history.wall_time.append(_time.monotonic() - t0)
         if progress is not None:
             progress(epoch, history.train_loss[-1], val_mae, lr)
         if val_mae < best_val:

@@ -419,6 +419,16 @@ def small_run(tmp_path_factory):
     (["train", "--config", '{"model": {"blocks": [{"cheb_order": 2, '
       '"temporal_kernels": [3.0], "channels_in": 1, "channels_out": 4}]}}'],
      "temporal_kernels 3.0 is not an integer"),
+    (["train", "--config", '{"model": {"alpha": Infinity}}'],
+     "alpha inf is not a finite number"),
+    (["train", "--config", '{"model": {"beta": true}}'],
+     "beta True is not a finite number"),
+    (["train", "--config", '{"train": {"lr0": true}}'],
+     "lr0 True is not a finite number"),
+    (["train", "--config", '{"train": {"lr_decay_factor": false}}'],
+     "lr_decay_factor False is not a finite number"),
+    (["ablate", "--seeds", "0,-1", "--n-adjacent", "2"],
+     "seed -1 must be at least 0"),
 ], ids=["sigma-abc", "split-0-0-0", "config-list", "config-model-list",
         "config-train-string", "config-no-blocks", "config-block-int",
         "krr-gamma-0", "krr-gamma-negative", "ridge-lam-nan", "wprime-0",
@@ -429,7 +439,8 @@ def small_run(tmp_path_factory):
         "synth-diurnal-amp-negative", "train-seed-negative",
         "synth-seed-negative", "config-d-emb-float", "config-batch-size-float",
         "config-seed-float", "config-epochs-bool",
-        "config-temporal-kernel-float"])
+        "config-temporal-kernel-float", "config-alpha-inf", "config-beta-bool",
+        "config-lr0-bool", "config-decay-factor-bool", "ablate-seed-negative"])
 def test_bad_input_exits_1_with_one_line(small_run, tmp_path, capsys, argv,
                                          where):
     argv = list(argv)
@@ -641,7 +652,12 @@ def _json_graph_doc(gs) -> str:
     lambda gs, path: gr.save_graphs(
         replace(gs, meta={"stations": ["S0", 1, "S2", "S3", "S4"]}), path),
     lambda gs, path: path.write_text(_json_graph_doc(gs)),
-], ids=["meta-list", "stations-int", "stations-mixed", "json-layout"])
+    lambda gs, path: gr.save_graphs(replace(gs, graphs={
+        **gs.graphs,
+        "distance": gr.Adjacency(gs.n, gs["distance"].weights, "neighbor")}),
+        path),
+], ids=["meta-list", "stations-int", "stations-mixed", "json-layout",
+        "distance-as-neighbor"])
 def test_malformed_graph_file_exits_1_with_one_line(small_run, tmp_path,
                                                     capsys, write):
     bad = tmp_path / "bad.graphs"

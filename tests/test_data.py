@@ -246,20 +246,28 @@ def test_binary_roundtrip_bit_identical(tmp_path):
     rng = RNG(5)
     ds = tiny_dataset(n=3, t=60, d=2, seed=5, factors=["t", "ws"])
     ds.mask[rng.random(ds.mask.shape) < 0.1] = False
-    ds.norm = dt.NormStats(list(ds.factors), np.array([1.0, 2.0]),
-                           np.array([3.0, 4.0]))
     p = tmp_path / "ds.w2kt"
     dt.save_dataset(ds, p)
-    back = dt.load_dataset(p)
-    assert back.values.tobytes() == ds.values.tobytes()
-    assert np.array_equal(back.mask, ds.mask)
-    assert back.factors == ds.factors
-    assert [s.station_id for s in back.stations] == \
-           [s.station_id for s in ds.stations]
-    assert np.array_equal(back.norm.mean, ds.norm.mean)
-    p2 = tmp_path / "ds2.w2kt"
-    dt.save_dataset(back, p2)
-    assert p.read_bytes() == p2.read_bytes()
+    raw = p.read_bytes()
+    # older writers set the flag after the station table and followed it
+    # with per-factor means and stds; the loader skips that block
+    flag = 4 + 4 + 12 + 12 + sum(2 + len(f) for f in ds.factors) \
+        + sum(2 + len(s.station_id) + 24 for s in ds.stations)
+    assert raw[flag] == 0
+    old = tmp_path / "old.w2kt"
+    old.write_bytes(raw[:flag] + b"\x01"
+                    + np.array([1.0, 2.0, 3.0, 4.0], dtype="<f8").tobytes()
+                    + raw[flag + 1:])
+    for path in (p, old):
+        back = dt.load_dataset(path)
+        assert back.values.tobytes() == ds.values.tobytes()
+        assert np.array_equal(back.mask, ds.mask)
+        assert back.factors == ds.factors
+        assert [s.station_id for s in back.stations] == \
+               [s.station_id for s in ds.stations]
+        p2 = tmp_path / "ds2.w2kt"
+        dt.save_dataset(back, p2)
+        assert p2.read_bytes() == raw
 
 
 def test_binary_bad_magic_and_version(tmp_path):
@@ -435,11 +443,11 @@ def test_boxplot_stats_far_outlier():
 
 def test_normalize_roundtrip():
     ds = tiny_dataset(n=3, t=50, d=2, seed=15, factors=["t", "ws"])
-    normed, stats = dt.normalize(ds)
+    normed, stats = dt.normalize(ds, dt.compute_norm_stats(ds))
     flat = normed.values.reshape(-1, 2)
     assert np.abs(flat.mean(axis=0)).max() < 1e-12
-    back = dt.denormalize(normed)
-    assert np.abs(back.values - ds.values).max() < 1e-12
+    back = dt.denormalize_values(normed.values, stats)
+    assert np.abs(back - ds.values).max() < 1e-12
 
 
 def test_normalize_train_stats_only():

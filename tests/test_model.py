@@ -581,7 +581,7 @@ def test_training_aborts_on_nonfinite_loss():
 
 def test_history_dict_has_no_wall_time():
     hist = md.TrainHistory(train_loss=[1.0], val_mae=[2.0], lr=[0.01],
-                           wall_time=[123.0], best_epoch=1)
+                           best_epoch=1)
     d = hist.to_dict()
     assert "wall_time" not in json.dumps(d)
     assert d["epochs"][0]["val_mae"] == 2.0
