@@ -59,10 +59,10 @@ def main():
         print(f"  {name:<12} mae {rep.overall_mae:.4f}  "
               f"rmse {rep.overall_rmse:.4f}")
 
-    curve = ev.horizon_curve(preds, truth)
+    curve = model_rep.mae_by_horizon[:, 0]  # the demo's one factor
     print("\nerror by forecast step (model):")
-    for h, mae, rmse in zip(curve["horizon"], curve["mae"], curve["rmse"]):
-        bar = "#" * int(40 * mae / max(curve["mae"]))
+    for h, mae in enumerate(curve, start=1):
+        bar = "#" * int(40 * mae / curve.max())
         print(f"  +{h:2d}h  mae {mae:.4f}  {bar}")
 
     phys = ev.physical_metrics(preds, truth, stats)

@@ -9,7 +9,7 @@ mean and stays unpenalized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -39,7 +39,6 @@ class RegressionModel:
     w_out: int
     lam: float = 0.0
     gamma: Optional[float] = None
-    kernel: str = "rbf"
     # linear/ridge: beta [N, W', W]; kernel: dual [N, B, W] + train features
     beta: Optional[np.ndarray] = None
     dual: Optional[np.ndarray] = None
@@ -57,37 +56,32 @@ class RegressionModel:
             raise ConfigError(f"gamma {self.gamma} is not positive and finite")
 
 
-def _kernel_matrix(a: np.ndarray, b: np.ndarray, kind: str,
-                   gamma: float) -> np.ndarray:
-    if kind == "linear":
-        return a @ b.T
-    if kind == "rbf":
-        # Gram form |a|^2 + |b|^2 - 2 a.b, on inputs shifted to b's mean:
-        # the distances do not move, but the cancellation does.  Two
-        # shifted copies keep a @ b.T on one GEMM kernel, so a self kernel
-        # that takes its norms from the Gram diagonal puts equal windows at
-        # distance exactly 0; the clamp keeps rounding from going negative.
-        shift = b.mean(axis=0)
-        same = a is b
-        a, b = a - shift, b - shift
-        gram = a @ b.T
-        if same:
-            na = nb = np.diag(gram)
-        else:
-            na, nb = np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b)
-        sq = np.maximum(na[:, None] + nb - 2.0 * gram, 0.0)
-        return np.exp(-gamma * sq)
-    raise ConfigError(f"unknown kernel {kind!r}")
+def _kernel_matrix(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
+    # Gram form |a|^2 + |b|^2 - 2 a.b, on inputs shifted to b's mean: the
+    # distances do not move, but the cancellation does.  Two shifted copies
+    # keep a @ b.T on one GEMM kernel, so a self kernel that takes its norms
+    # from the Gram diagonal puts equal windows at distance exactly 0; the
+    # clamp keeps rounding from going negative.
+    shift = b.mean(axis=0)
+    same = a is b
+    a, b = a - shift, b - shift
+    gram = a @ b.T
+    if same:
+        na = nb = np.diag(gram)
+    else:
+        na, nb = np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b)
+    sq = np.maximum(na[:, None] + nb - 2.0 * gram, 0.0)
+    return np.exp(-gamma * sq)
 
 
 def fit_regression(inputs: np.ndarray, targets: np.ndarray, kind: str,
-                   lam: float = 0.0, gamma: Optional[float] = None,
-                   kernel: str = "rbf") -> RegressionModel:
+                   lam: float = 0.0, gamma: Optional[float] = None
+                   ) -> RegressionModel:
     """Fit per-station regressors from stacked windows.
 
     inputs: [B, N, W'] windows of the target factor; targets: [B, N, W].
     linear/ridge solve the normal equations (X'X + lam I) beta = X'y per
-    horizon; kernel_ridge stores dual weights (K + lam I)^{-1} y.
+    horizon; kernel_ridge stores dual weights (K + lam I)^{-1} y for RBF K.
     """
     if inputs.ndim != 3 or targets.ndim != 3:
         raise ConfigError(f"expected [B, N, W'] inputs and [B, N, W] targets, "
@@ -100,7 +94,7 @@ def fit_regression(inputs: np.ndarray, targets: np.ndarray, kind: str,
     if kind == "linear" and lam != 0.0:
         raise ConfigError("linear regression takes no ridge penalty")
     model = RegressionModel(kind=kind, w_in=w_in, w_out=w_out, lam=lam,
-                            gamma=gamma, kernel=kernel)
+                            gamma=gamma)
     x_mean = inputs.mean(axis=0)    # [N, W']
     y_mean = targets.mean(axis=0)   # [N, W]
     xc = inputs - x_mean
@@ -131,7 +125,7 @@ def fit_regression(inputs: np.ndarray, targets: np.ndarray, kind: str,
         dual = np.empty((n, b, w_out))
         for s in range(n):
             x = xc[:, s, :]
-            k = _kernel_matrix(x, x, kernel, gamma)
+            k = _kernel_matrix(x, x, gamma)
             try:
                 dual[s] = np.linalg.solve(k + lam * np.eye(b), yc[:, s, :])
             except np.linalg.LinAlgError:
@@ -159,6 +153,6 @@ def predict_regression(model: RegressionModel,
             out[:, s, :] = xc[:, s, :] @ model.beta[s]
         else:
             k = _kernel_matrix(xc[:, s, :], model.x_train[:, s, :],
-                               model.kernel, model.gamma)
+                               model.gamma)
             out[:, s, :] = k @ model.dual[s]
     return out + model.y_mean

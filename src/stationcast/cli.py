@@ -286,7 +286,7 @@ def _cmd_eval(args) -> int:
     src = _resolve(args.data)
     ds = _load_dataset_arg(src)
     inputs = [src]
-    scheme = _split_scheme(args.split)
+    scheme = _split_scheme(args.split or "3,1,2")
     part = {"train": 0, "val": 1, "test": 2}[args.eval_split]
 
     if args.pred:
@@ -326,6 +326,14 @@ def _cmd_eval(args) -> int:
             if factor is None:
                 raise ConfigError("checkpoint lacks a stored factor; pass "
                                   "--factor")
+            stored = extra.get("split")  # the split train normalized with
+            if args.split is None and stored is not None:
+                # split_temporal rejects the non-finite parts
+                if not (isinstance(stored, list) and len(stored) == 3 and all(
+                        type(p) in (int, float) for p in stored)):
+                    raise CheckpointError(f"{ckpt_path}: stored split "
+                                          f"{stored!r} is not three numbers")
+                scheme = tuple(stored)
             *splits, stats = _prepare_splits(ds, factor, scheme)
             scoped = splits[part]
             if graph_path is None:
@@ -500,7 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", default=None, help="packed prediction file")
     p.add_argument("--graphs", default=None)
     p.add_argument("--factor", default=None)
-    p.add_argument("--split", default="3,1,2")
+    p.add_argument("--split", default=None,
+                   help="train:val:test ratio (3,1,2, or a --ckpt's own)")
     p.add_argument("--eval-split", dest="eval_split", default="test",
                    choices=("train", "val", "test"))
     p.add_argument("--wprime", type=int, default=None)

@@ -19,7 +19,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import (ConfigError, PipelineError, SchemaError, StructuralError,
-                     check_ints)
+                     check_ints, check_reals)
 
 # canonical factor short names; order fixes nothing, membership is the schema
 FACTOR_NAMES = (
@@ -57,17 +57,6 @@ class NormStats:
     factors: list
     mean: np.ndarray
     std: np.ndarray
-
-
-@dataclass
-class BoxStats:
-    q1: float
-    median: float
-    q3: float
-    mean: float
-    lower_whisker: float
-    upper_whisker: float
-    outlier_indices: np.ndarray
 
 
 @dataclass
@@ -151,7 +140,6 @@ class WindowBatch:
     inputs: np.ndarray   # [B, N, W_in, D]
     targets: np.ndarray  # [B, N, W_out, D]
     origins: np.ndarray  # epoch seconds of each window's first input step
-    origin_indices: np.ndarray  # index of the first input step in the split
 
 
 # ---------------------------------------------------------------------------
@@ -308,31 +296,6 @@ def _load_csv_dir(root: Path) -> WeatherSeriesDataset:
     values[~mask] = 0.0
     return WeatherSeriesDataset(metas, factors, values, mask,
                                 time_start=time_start)
-
-
-def save_csv_dir(ds: WeatherSeriesDataset, root) -> None:
-    """Write the per-station CSV layout (used for fixtures and exports)."""
-    root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    with open(root / "stations.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["station_id", "lat", "lon", "alt", "time_start"])
-        for s in ds.stations:
-            w.writerow([s.station_id, repr(float(s.lat)), repr(float(s.lon)),
-                        repr(float(s.alt)), ds.time_start])
-    for i, s in enumerate(ds.stations):
-        with open(root / f"{s.station_id}.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(ds.factors)
-            for t in range(ds.n_steps):
-                row = []
-                for d in range(ds.n_factors):
-                    if ds.mask[i, t, d]:
-                        # repr of a python float round-trips exactly
-                        row.append(repr(float(ds.values[i, t, d])))
-                    else:
-                        row.append("")
-                w.writerow(row)
 
 
 def _pack_str(s: str) -> bytes:
@@ -525,18 +488,6 @@ def interpolate_linear(ds: WeatherSeriesDataset) -> WeatherSeriesDataset:
     return replace(ds, values=values, mask=np.ones_like(ds.mask))
 
 
-def boxplot_stats(series) -> BoxStats:
-    """Quartiles, whiskers at 1.5 IQR, and indices of points beyond them."""
-    x = np.asarray(series, dtype=np.float64)
-    q1, med, q3 = np.quantile(x, [0.25, 0.5, 0.75])
-    iqr = q3 - q1
-    lo = q1 - 1.5 * iqr
-    hi = q3 + 1.5 * iqr
-    out = np.where((x < lo) | (x > hi))[0]
-    return BoxStats(float(q1), float(med), float(q3), float(x.mean()),
-                    float(lo), float(hi), out)
-
-
 # ---------------------------------------------------------------------------
 # normalization and splitting
 
@@ -615,7 +566,7 @@ def make_windows(split: WeatherSeriesDataset, w_in: int, w_out: int,
         targets = np.stack([split.values[:, o + w_in:o + w_in + w_out, :]
                             for o in chunk])
         stamps = split.time_start + chunk * split.time_step
-        yield WindowBatch(inputs, targets, stamps, chunk.copy())
+        yield WindowBatch(inputs, targets, stamps)
 
 
 # ---------------------------------------------------------------------------
@@ -639,11 +590,14 @@ class SynthConfig:
     def __post_init__(self):
         check_ints(1, n=self.n, t=self.t, d=self.d)
         check_ints(0, seed=self.seed)
+        amps = ("diurnal_amp", "seasonal_amp", "ar_amp", "noise_amp")
+        check_reals(finite=False, ar_coeff=self.ar_coeff,
+                    **{name: getattr(self, name) for name in amps})
         if self.d > len(FACTOR_NAMES):
             raise ConfigError(f"at most {len(FACTOR_NAMES)} factors")
         if not 0.0 <= self.ar_coeff < 1.0:
             raise ConfigError("ar_coeff must lie in [0, 1)")
-        for name in ("diurnal_amp", "seasonal_amp", "ar_amp", "noise_amp"):
+        for name in amps:
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise ConfigError(f"{name} {value} is not nonnegative and "

@@ -50,10 +50,11 @@ def check_ints(low: int, **fields) -> None:
             raise ConfigError(f"{name} {value} must be at least {low}")
 
 
-def check_reals(**fields) -> None:
-    """Each keyword's value must be a finite real number; a bool is not
-    one.  The ConfigError names the first field that fails."""
+def check_reals(*, finite: bool = True, **fields) -> None:
+    """Each keyword's value must be a real number, finite unless `finite` is
+    false; a bool is not one.  Call it before a range check, which raises
+    TypeError on a string.  The ConfigError names the first field failing."""
     for name, value in fields.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                or not math.isfinite(value):
+                or finite and not math.isfinite(value):
             raise ConfigError(f"{name} {value!r} is not a finite number")

@@ -127,17 +127,6 @@ def physical_metrics(pred: np.ndarray, truth: np.ndarray,
                            factors=stats.factors, space="physical")
 
 
-def horizon_curve(pred: np.ndarray, truth: np.ndarray) -> dict:
-    """Per-horizon-step MAE/RMSE pooled over factors, for plotting."""
-    report = compute_metrics(pred, truth)
-    err = np.asarray(pred, dtype=np.float64) - truth
-    mae = np.abs(err).mean(axis=(0, 1, 3))
-    rmse = np.sqrt((err * err).mean(axis=(0, 1, 3)))
-    return {"horizon": list(range(1, report.counts["horizon"] + 1)),
-            "mae": [float(v) for v in mae],
-            "rmse": [float(v) for v in rmse]}
-
-
 # ---------------------------------------------------------------------------
 # packed prediction files
 
@@ -251,6 +240,20 @@ def evaluate_baseline(kind: str, train_ds: WeatherSeriesDataset,
 # ablation grid
 
 
+def _fit_and_score(train_ds: WeatherSeriesDataset,
+                   val_ds: WeatherSeriesDataset,
+                   test_ds: WeatherSeriesDataset, static_graphs: dict,
+                   model_cfg: md.ModelConfig, train_cfg: md.TrainConfig):
+    """Build a model from train_cfg's seed, train it, and score it on test;
+    returns (metrics report, training history)."""
+    model = md.build_model(train_ds.n_stations, model_cfg,
+                           seed=train_cfg.seed)
+    fitted, hist = md.train(model, train_ds, val_ds, static_graphs, train_cfg)
+    preds, truth, _ = md.predict_dataset(fitted, test_ds, static_graphs,
+                                         batch_size=train_cfg.batch_size)
+    return compute_metrics(preds, truth, factors=test_ds.factors), hist
+
+
 @dataclass
 class AblationSpec:
     """One fusion-study row: which graphs stay in, trained over seeds."""
@@ -321,14 +324,9 @@ def run_ablation(specs: Sequence[AblationSpec],
         cfg = replace(model_cfg, graph_kinds=spec.graph_kinds)
         per_seed = []
         for seed in spec.seeds:
-            tcfg = replace(train_cfg, seed=seed)
-            model = md.build_model(train_ds.n_stations, cfg, seed=seed)
-            fitted, hist = md.train(model, train_ds, val_ds, static_graphs,
-                                    tcfg)
-            preds, truth, _ = md.predict_dataset(fitted, test_ds,
-                                                 static_graphs,
-                                                 batch_size=tcfg.batch_size)
-            rep = compute_metrics(preds, truth, factors=test_ds.factors)
+            rep, hist = _fit_and_score(train_ds, val_ds, test_ds,
+                                       static_graphs, cfg,
+                                       replace(train_cfg, seed=seed))
             per_seed.append({"seed": seed,
                              "mae": rep.overall_mae,
                              "rmse": rep.overall_rmse,
@@ -371,12 +369,8 @@ def neighbor_count_sweep(train_ds: WeatherSeriesDataset,
             train_ds, n_adjacent=int(na),
             pattern_factors=pattern_factors or train_ds.factors)
         static = {k: gs[k].weights for k in gr.STATIC_KINDS}
-        model = md.build_model(train_ds.n_stations, model_cfg,
-                               seed=train_cfg.seed)
-        fitted, _ = md.train(model, train_ds, val_ds, static, train_cfg)
-        preds, truth, _ = md.predict_dataset(fitted, test_ds, static,
-                                             batch_size=train_cfg.batch_size)
-        rep = compute_metrics(preds, truth, factors=test_ds.factors)
+        rep, _ = _fit_and_score(train_ds, val_ds, test_ds, static, model_cfg,
+                                train_cfg)
         curve["n_adjacent"].append(int(na))
         curve["test_mae"].append(rep.overall_mae)
         curve["test_rmse"].append(rep.overall_rmse)

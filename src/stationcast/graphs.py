@@ -19,7 +19,8 @@ import numpy as np
 
 from . import tape as tp
 from .data import PackedReader, StationMeta, WeatherSeriesDataset, _pack_str
-from .errors import ConfigError, PipelineError, ShapeError, StructuralError
+from .errors import (ConfigError, PipelineError, ShapeError, StructuralError,
+                     check_ints, check_reals)
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -61,6 +62,7 @@ class DistanceGraphConfig:
     epsilon: float = 0.1
 
     def __post_init__(self):
+        check_reals(finite=False, sigma=self.sigma, epsilon=self.epsilon)
         if not 0.0 < self.sigma < np.inf:
             raise ConfigError(f"sigma {self.sigma} must be positive and finite")
         if not 0.0 <= self.epsilon < 1.0:
@@ -72,8 +74,7 @@ class NeighborGraphConfig:
     n_adjacent: int = 10
 
     def __post_init__(self):
-        if self.n_adjacent < 1:
-            raise ConfigError("n_adjacent must be at least 1")
+        check_ints(1, n_adjacent=self.n_adjacent)
 
 
 @dataclass

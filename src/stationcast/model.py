@@ -151,14 +151,15 @@ class TrainConfig:
                    batch_size=self.batch_size,
                    lr_decay_every=self.lr_decay_every)
         check_ints(0, decay_window=self.decay_window, seed=self.seed)
+        # the ranges reject nan and inf with their own texts
+        check_reals(finite=False, lr0=self.lr0,
+                    lr_decay_factor=self.lr_decay_factor)
         if not 0.0 <= self.lr0 < math.inf:
             raise ConfigError(f"learning rate {self.lr0} is not nonnegative "
                               "and finite")
         if not 0.0 <= self.lr_decay_factor <= 1.0:
             raise ConfigError(f"lr decay factor {self.lr_decay_factor} lies "
                               "outside [0, 1]")
-        # the ranges above pass a bool
-        check_reals(lr0=self.lr0, lr_decay_factor=self.lr_decay_factor)
 
     def lr_at(self, epoch: int) -> float:
         """Learning rate for a 1-based epoch index; frozen past the window."""
@@ -195,11 +196,6 @@ class MultiGraphForecaster:
     n: int
     params: dict
     seed: int = 0
-
-    def copy(self) -> "MultiGraphForecaster":
-        return MultiGraphForecaster(self.config, self.n,
-                           {k: v.copy() for k, v in self.params.items()},
-                           self.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -399,18 +395,6 @@ def predict_dataset(model: MultiGraphForecaster, ds: WeatherSeriesDataset,
         raise ConfigError("split is too short to cut a single window")
     return (np.concatenate(preds), np.concatenate(targets),
             np.concatenate(origins))
-
-
-def permute_nodes(model: MultiGraphForecaster, perm: np.ndarray) -> MultiGraphForecaster:
-    """Model with stations relabeled by perm (for equivariance checks)."""
-    out = model.copy()
-    for name in ("emb1", "emb2"):
-        if name in out.params:
-            out.params[name] = out.params[name][perm]
-    for name in list(out.params):
-        if name.startswith("fusion_"):
-            out.params[name] = out.params[name][np.ix_(perm, perm)]
-    return out
 
 
 # ---------------------------------------------------------------------------

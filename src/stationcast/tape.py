@@ -15,7 +15,6 @@ would read are not kept either.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -273,13 +272,6 @@ def add_bias(x: ArrayLike, b: ArrayLike) -> TapeTensor:
                  lambda g: (g, g.sum(axis=axes)))
 
 
-def reduce_sum(a: ArrayLike) -> TapeTensor:
-    av = _as_array(a)
-    shape = av.shape
-    return _emit("reduce_sum", (a,), np.asarray(av.sum()),
-                 lambda g: (np.full(shape, float(g)),))
-
-
 def reduce_mean(a: ArrayLike) -> TapeTensor:
     av = _as_array(a)
     shape, n = av.shape, av.size
@@ -287,22 +279,20 @@ def reduce_mean(a: ArrayLike) -> TapeTensor:
                  lambda g: (np.full(shape, float(g) / n),))
 
 
-def conv1d(x: ArrayLike, w: ArrayLike, dilation: int = 1) -> TapeTensor:
+def conv1d(x: ArrayLike, w: ArrayLike) -> TapeTensor:
     """Valid 1-D convolution over the middle axis.
 
-    x: [M, T, C_in], w: [k, C_in, C_out] -> [M, T - (k-1)*dilation, C_out].
+    x: [M, T, C_in], w: [k, C_in, C_out] -> [M, T - k + 1, C_out].
     """
     xv, wv = _as_array(x), _as_array(w)
     if xv.ndim != 3 or wv.ndim != 3 or xv.shape[2] != wv.shape[1]:
         raise ShapeError(f"conv1d: {xv.shape} * {wv.shape}")
     k = wv.shape[0]
-    t_out = xv.shape[1] - (k - 1) * dilation
+    t_out = xv.shape[1] - k + 1
     if t_out <= 0:
-        raise ShapeError(
-            f"conv1d: kernel {k} with dilation {dilation} exceeds length "
-            f"{xv.shape[1]}")
+        raise ShapeError(f"conv1d: kernel {k} exceeds length {xv.shape[1]}")
     out = np.zeros((xv.shape[0], t_out, wv.shape[2]))
-    taps = [slice(j * dilation, j * dilation + t_out) for j in range(k)]
+    taps = [slice(j, j + t_out) for j in range(k)]
     for j in range(k):
         out += xv[:, taps[j], :] @ wv[j]
     x_shape, c_in, c_out = xv.shape, wv.shape[1], wv.shape[2]
@@ -318,9 +308,9 @@ def conv1d(x: ArrayLike, w: ArrayLike, dilation: int = 1) -> TapeTensor:
             for j in range(k):
                 gx[:, taps[j], :] += g @ wt[j]
         if keep_x is not None:
-            # one GEMM per tap: gw_j = sum over (m, t) of x[m, t + j*dilation]
-            # g[m, t]; each tap's slice is one [M*t_out, C_in] copy, never a
-            # k-fold im2col
+            # one GEMM per tap: gw_j = sum over (m, t) of x[m, t + j] g[m, t];
+            # each tap's slice is one [M*t_out, C_in] copy, never a k-fold
+            # im2col
             g2 = g.reshape(-1, c_out)
             gw = np.empty((k, c_in, c_out))
             for j in range(k):
@@ -532,59 +522,3 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         v_hat = v / (1.0 - beta2 ** t)
         out[name] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
     return out
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-
-def finite_diff_check(build_loss: Callable[[dict], TapeTensor],
-                      params: dict[str, np.ndarray],
-                      h: float = 1e-5,
-                      max_coords: int = 8,
-                      rng: Optional[np.random.Generator] = None) -> float:
-    """Worst relative error between tape gradients and central differences.
-
-    ``build_loss`` maps a dict of named tensors to a scalar; it is called
-    once on tape parameters for the analytic pass and repeatedly on plain
-    arrays for the numeric probes.  Up to ``max_coords`` coordinates per
-    parameter are probed.  Disagreements below the rounding noise of the
-    probe itself (roughly eps*|loss|/h) count as exact, so coordinates
-    whose true gradient cancels to zero do not report spurious error.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    tape = Tape()
-    tparams = {k: tape.param(v, name=k) for k, v in params.items()}
-    loss = build_loss(tparams)
-    store = backward(loss)
-    analytic = {k: grad_of(store, t) for k, t in tparams.items()}
-
-    def eval_loss(pdict):
-        out = build_loss({k: TapeTensor(v) for k, v in pdict.items()})
-        return float(out.values)
-
-    noise_floor = 64.0 * np.finfo(np.float64).eps \
-        * max(1.0, abs(float(loss.values))) / h
-    worst = 0.0
-    for name, p in params.items():
-        flat_n = p.size
-        if flat_n == 0:
-            continue
-        count = min(max_coords, flat_n)
-        coords = rng.choice(flat_n, size=count, replace=False)
-        for c in coords:
-            idx = np.unravel_index(int(c), p.shape)
-            pp = {k: v.copy() for k, v in params.items()}
-            pp[name][idx] += h
-            up = eval_loss(pp)
-            pp[name][idx] -= 2.0 * h
-            dn = eval_loss(pp)
-            numeric = (up - dn) / (2.0 * h)
-            a = float(analytic[name][idx])
-            if abs(a - numeric) <= noise_floor:
-                continue
-            denom = max(abs(a), abs(numeric), 1e-8)
-            err = abs(a - numeric) / denom
-            worst = max(worst, err)
-    return worst

@@ -22,6 +22,8 @@ from stationcast import tape as tp
 from stationcast.cli import main as cli_main
 from stationcast.data import StationMeta, WeatherSeriesDataset
 
+from helpers import finite_diff_check, reduce_sum
+
 
 def _verdict(num: int, msg: str) -> None:
     print(f"criterion {num:2d}: PASS ({msg})")
@@ -99,9 +101,9 @@ def test_criterion_02_gradient_suite():
     def loss_embedding(p):
         a = gr.learnable_graph_op(p["e1"], p["e2"], p["theta1"], p["theta2"],
                                   3.0)
-        return tp.reduce_sum(tp.hadamard(a, probe))
+        return reduce_sum(tp.hadamard(a, probe))
 
-    worst["embedding graph"] = tp.finite_diff_check(
+    worst["embedding graph"] = finite_diff_check(
         loss_embedding,
         {"e1": e1, "e2": e2, "theta1": theta1, "theta2": theta2},
         rng=np.random.default_rng(1))
@@ -113,9 +115,9 @@ def test_criterion_02_gradient_suite():
 
     def loss_dynamic(p):
         a = gr.dynamic_graph_op(z, p["w1"], p["w2"], 0.5)
-        return tp.reduce_sum(tp.hadamard(a, probe))
+        return reduce_sum(tp.hadamard(a, probe))
 
-    worst["window graph"] = tp.finite_diff_check(
+    worst["window graph"] = finite_diff_check(
         loss_dynamic, {"w1": w1, "w2": w2},
         rng=np.random.default_rng(2))
 
@@ -123,9 +125,9 @@ def test_criterion_02_gradient_suite():
     adjs = {k: rng.uniform(0.0, 1.0, (5, 5)) for k in kinds}
 
     def loss_fusion(p):
-        return tp.reduce_sum(tp.hadamard(gr.fuse_graphs_op(adjs, p), probe))
+        return reduce_sum(tp.hadamard(gr.fuse_graphs_op(adjs, p), probe))
 
-    worst["fusion weights"] = tp.finite_diff_check(
+    worst["fusion weights"] = finite_diff_check(
         loss_fusion, {k: rng.uniform(0.0, 1.0, (5, 5)) for k in kinds},
         rng=np.random.default_rng(3))
 
@@ -147,7 +149,7 @@ def test_criterion_02_gradient_suite():
         pred = md.forward_on_tape(p, cfg, n, inputs, static)
         return tp.reduce_mean(tp.absolute(tp.sub(pred, targets)))
 
-    worst["full model"] = tp.finite_diff_check(
+    worst["full model"] = finite_diff_check(
         loss_model, model.params, rng=np.random.default_rng(4))
 
     elapsed = time.monotonic() - t0

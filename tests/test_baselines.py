@@ -196,7 +196,7 @@ def test_rbf_gram_form_matches_explicit_differences():
     for s in range(n):
         xs = x[:, s, :]
         want = np.exp(-model.gamma * ((xs[:, None] - xs[None]) ** 2).sum(-1))
-        got = bl._kernel_matrix(xs, xs, "rbf", model.gamma)
+        got = bl._kernel_matrix(xs, xs, model.gamma)
         assert (np.abs(got - want) <= 1e-12 * want).all()
         assert got.max() == 1.0
         assert (np.diag(got) == 1.0).all()
@@ -204,7 +204,7 @@ def test_rbf_gram_form_matches_explicit_differences():
         # query windows that repeat training windows: rounding may not
         # push a squared distance below 0, so no entry exceeds 1
         xq = xs[::-1] + 0.0
-        cross = bl._kernel_matrix(xq, xs, "rbf", model.gamma)
+        cross = bl._kernel_matrix(xq, xs, model.gamma)
         assert (np.abs(cross - want[::-1]) <= 1e-12 * want[::-1]).all()
         assert cross.max() <= 1.0
         xc = model.x_train[:, s, :]
@@ -212,19 +212,6 @@ def test_rbf_gram_form_matches_explicit_differences():
         dual = np.linalg.solve(k + lam * np.eye(b), y[:, s] - y[:, s].mean(0))
         assert np.abs(model.dual[s] - dual).max() <= \
             1e-12 * np.abs(dual).max()
-
-
-def test_linear_kernel_krr_equals_ridge():
-    rng = RNG(11)
-    x = rng.standard_normal((40, 2, 5))
-    y = rng.standard_normal((40, 2, 3))
-    q = rng.standard_normal((7, 2, 5))
-    lam = 0.8
-    ridge = bl.predict_regression(bl.fit_regression(x, y, "ridge", lam=lam), q)
-    krr = bl.predict_regression(
-        bl.fit_regression(x, y, "kernel_ridge", lam=lam, gamma=1.0,
-                          kernel="linear"), q)
-    assert np.abs(ridge - krr).max() < 1e-8
 
 
 def test_default_gamma_recorded():

@@ -15,6 +15,8 @@ from stationcast.cli import build_parser, main
 from stationcast.data import StationMeta, WeatherSeriesDataset
 from stationcast.errors import StationcastError, StructuralError
 
+from helpers import save_csv_dir
+
 
 def _tiny_model_json(path, epochs=2, seed=1):
     doc = {
@@ -151,7 +153,7 @@ def test_unobserved_cells_need_preprocess(tmp_path, capsys):
     gaps = np.random.default_rng(3).choice(mask.size, 50, replace=False)
     mask.reshape(-1)[gaps] = False
     raw = tmp_path / "raw"
-    dt.save_csv_dir(replace(ds, mask=mask), raw)
+    save_csv_dir(replace(ds, mask=mask), raw)
     clean = tmp_path / "clean.w2kt"
     assert main(["preprocess", "--data", str(raw), "--max-missing", "0.1",
                  "--out", str(clean)]) == 0
@@ -296,7 +298,7 @@ _CLI_SURFACE = {
               "batch_size": None, "lr0": None, "seed": None, "wprime": None,
               "w": None, "out": "<req>"},
     "eval": {"data": "<req>", "ckpt": None, "baseline": None, "pred": None,
-             "graphs": None, "factor": None, "split": "3,1,2",
+             "graphs": None, "factor": None, "split": None,
              "eval_split": "test", "wprime": None, "w": None, "lam": 0.0,
              "gamma": None, "space": "normalized", "save_pred": None,
              "out": "<req>"},
@@ -345,6 +347,46 @@ def test_eval_malformed_checkpoint_exits_1(tmp_path, capsys):
                  "--factor", "t", "--out", str(tmp_path / "m.json")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_eval_ckpt_defaults_to_the_stored_split(tmp_path):
+    data, graphs = tmp_path / "synth.w2kt", tmp_path / "net.graphs"
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["synth", "--n", "5", "--t", "200", "--d", "1",
+                 "--seed", "6", "--out", str(data)]) == 0
+    assert main(["graphs", "--data", str(data), "--n-adjacent", "2",
+                 "--split", "4,1,1", "--out", str(graphs)]) == 0
+    assert main(["train", "--data", str(data), "--graphs", str(graphs),
+                 "--split", "4,1,1", "--epochs", "1", "--out",
+                 str(ckpt)]) == 0
+    docs = []
+    for split in ([], ["--split", "4,1,1"]):
+        out = tmp_path / f"m{len(docs)}.json"
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(data),
+                     "--out", str(out)] + split) == 0
+        docs.append(out.read_bytes())
+    assert docs[0] == docs[1]
+    # 200 steps at 4:1:1 leave 34 test steps, so 34 - 24 + 1 windows
+    assert json.loads(docs[0])["counts"]["windows"] == 11
+
+
+@pytest.mark.parametrize("stored", ["4,1,1", [4, 1], [4, 1, True],
+                                    [4, 1, None], [4, 1, float("nan")]],
+                         ids=["string", "two", "bool", "null", "nan"])
+def test_eval_malformed_stored_split_exits_1(small_run, tmp_path, capsys,
+                                             stored):
+    ckpt = tmp_path / "model.ckpt"
+    md.save_checkpoint(md.build_model(5), ckpt,
+                       extra={"factor": "t", "split": stored})
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(ckpt), "--data",
+                 str(small_run / "synth.w2kt"), "--graphs",
+                 str(small_run / "graphs.bin"), "--out",
+                 str(tmp_path / "m.json")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") \
+        and "split" in err[0], err
+    assert not (tmp_path / "m.json").exists()
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
@@ -427,6 +469,10 @@ def small_run(tmp_path_factory):
      "lr0 True is not a finite number"),
     (["train", "--config", '{"train": {"lr_decay_factor": false}}'],
      "lr_decay_factor False is not a finite number"),
+    (["train", "--config", '{"train": {"lr0": "0.1"}}'],
+     "lr0 '0.1' is not a finite number"),
+    (["train", "--config", '{"train": {"lr_decay_factor": "0.1"}}'],
+     "lr_decay_factor '0.1' is not a finite number"),
     (["ablate", "--seeds", "0,-1", "--n-adjacent", "2"],
      "seed -1 must be at least 0"),
 ], ids=["sigma-abc", "split-0-0-0", "config-list", "config-model-list",
@@ -440,7 +486,8 @@ def small_run(tmp_path_factory):
         "synth-seed-negative", "config-d-emb-float", "config-batch-size-float",
         "config-seed-float", "config-epochs-bool",
         "config-temporal-kernel-float", "config-alpha-inf", "config-beta-bool",
-        "config-lr0-bool", "config-decay-factor-bool", "ablate-seed-negative"])
+        "config-lr0-bool", "config-decay-factor-bool", "config-lr0-string",
+        "config-decay-factor-string", "ablate-seed-negative"])
 def test_bad_input_exits_1_with_one_line(small_run, tmp_path, capsys, argv,
                                          where):
     argv = list(argv)

@@ -10,6 +10,8 @@ from stationcast import data as dt
 from stationcast.errors import (ConfigError, PipelineError, SchemaError,
                                 StructuralError)
 
+from helpers import save_csv_dir
+
 RNG = np.random.default_rng
 
 
@@ -73,7 +75,7 @@ def test_duplicate_factor_names_rejected():
 def test_csv_roundtrip(tmp_path):
     ds = tiny_dataset(n=2, t=48, d=3, seed=1)
     ds.mask[0, 5, 1] = False  # hole survives the round trip
-    dt.save_csv_dir(ds, tmp_path / "csv")
+    save_csv_dir(ds, tmp_path / "csv")
     back = dt.load_dataset(tmp_path / "csv")
     assert back.n_stations == 2 and back.n_steps == 48 and back.n_factors == 3
     assert not back.mask[0, 5, 1]
@@ -84,7 +86,7 @@ def test_csv_roundtrip(tmp_path):
 def test_csv_default_code_masked(tmp_path):
     ds = tiny_dataset(n=1, t=24, d=3, seed=2, factors=["t", "rh", "hv2"])
     ds.values[0, 7, 2] = 999999.0
-    dt.save_csv_dir(ds, tmp_path / "csv")
+    save_csv_dir(ds, tmp_path / "csv")
     back = dt.load_dataset(tmp_path / "csv")
     assert not back.mask[0, 7, 2]
     assert back.mask[0, 7, 0]
@@ -128,7 +130,7 @@ def test_packed_reader_checks_magic_and_version(tmp_path, head, match):
 
 def test_csv_ragged_lengths_rejected(tmp_path):
     ds = tiny_dataset(n=2, t=10, d=2, seed=3, factors=["t", "rh"])
-    dt.save_csv_dir(ds, tmp_path / "csv")
+    save_csv_dir(ds, tmp_path / "csv")
     f = tmp_path / "csv" / "S1.csv"
     lines = f.read_text().strip().splitlines()
     f.write_text("\n".join(lines[:-2]) + "\n")
@@ -138,7 +140,7 @@ def test_csv_ragged_lengths_rejected(tmp_path):
 
 def test_csv_unknown_factor_rejected(tmp_path):
     ds = tiny_dataset(n=1, t=5, d=1, seed=4, factors=["t"])
-    dt.save_csv_dir(ds, tmp_path / "csv")
+    save_csv_dir(ds, tmp_path / "csv")
     f = tmp_path / "csv" / "S0.csv"
     f.write_text(f.read_text().replace("t\n", "temperature\n", 1))
     with pytest.raises(SchemaError, match="temperature"):
@@ -396,48 +398,6 @@ def test_interpolate_unfillable():
 
 
 # ---------------------------------------------------------------------------
-# box stats
-
-
-def test_boxplot_stats_1_to_100():
-    bs = dt.boxplot_stats(np.arange(1, 101, dtype=float))
-    assert bs.q1 == pytest.approx(25.75, abs=1e-12)
-    assert bs.q3 == pytest.approx(75.25, abs=1e-12)
-    assert bs.median == pytest.approx(50.5, abs=1e-12)
-    assert len(bs.outlier_indices) == 0
-
-
-def test_boxplot_stats_quantile_oracle():
-    # independent linear-interpolation quantile computation
-    rng = RNG(14)
-    x = rng.standard_normal(37)
-    s = np.sort(x)
-
-    def quant(q):
-        pos = q * (len(s) - 1)
-        lo = int(np.floor(pos))
-        hi = min(lo + 1, len(s) - 1)
-        return s[lo] + (pos - lo) * (s[hi] - s[lo])
-
-    bs = dt.boxplot_stats(x)
-    assert bs.q1 == pytest.approx(quant(0.25), abs=1e-12)
-    assert bs.median == pytest.approx(quant(0.5), abs=1e-12)
-    assert bs.q3 == pytest.approx(quant(0.75), abs=1e-12)
-
-
-def test_boxplot_stats_constant():
-    bs = dt.boxplot_stats(np.full(20, 3.3))
-    assert bs.q1 == bs.q3 == bs.lower_whisker == bs.upper_whisker == 3.3
-    assert len(bs.outlier_indices) == 0
-
-
-def test_boxplot_stats_far_outlier():
-    x = np.concatenate([np.arange(1.0, 21.0), [1000.0]])
-    bs = dt.boxplot_stats(x)
-    assert list(bs.outlier_indices) == [20]
-
-
-# ---------------------------------------------------------------------------
 # normalization and splits
 
 
@@ -493,11 +453,16 @@ def test_windows_too_short_yields_nothing():
     assert list(dt.make_windows(ds, 12, 12)) == []
 
 
+def origin_steps(batch, split):
+    """Index in the split of each window's first input step."""
+    return (batch.origins - split.time_start) // split.time_step
+
+
 def test_window_contents_align():
     ds = tiny_dataset(n=2, t=40, d=2, seed=23, factors=["t", "rh"])
     (batch,) = dt.make_windows(ds, 5, 3)
-    o = batch.origin_indices[4]
-    assert batch.origins[4] == ds.time_start + o * ds.time_step
+    o = origin_steps(batch, ds)[4]
+    assert batch.origins[4] == ds.time_start + 4 * ds.time_step and o == 4
     assert np.array_equal(batch.inputs[4], ds.values[:, o:o + 5, :])
     assert np.array_equal(batch.targets[4], ds.values[:, o + 5:o + 8, :])
 
@@ -506,10 +471,10 @@ def test_window_batching_and_shuffle_determinism():
     ds = tiny_dataset(n=1, t=60, d=1, seed=24, factors=["t"])
     sizes = [b.inputs.shape[0] for b in dt.make_windows(ds, 6, 2, batch_size=16)]
     assert sizes == [16, 16, 16, 5]
-    seen1 = np.concatenate([b.origin_indices for b in
+    seen1 = np.concatenate([origin_steps(b, ds) for b in
                             dt.make_windows(ds, 6, 2, batch_size=16,
                                             shuffle_rng=RNG(7))])
-    seen2 = np.concatenate([b.origin_indices for b in
+    seen2 = np.concatenate([origin_steps(b, ds) for b in
                             dt.make_windows(ds, 6, 2, batch_size=16,
                                             shuffle_rng=RNG(7))])
     assert np.array_equal(seen1, seen2)
@@ -522,7 +487,7 @@ def test_windows_never_cross_split_boundary():
     train, val, test = dt.split_temporal(ds, (3, 1, 2))
     for split, lo, hi in [(train, 0, 30), (val, 30, 40), (test, 40, 60)]:
         for batch in dt.make_windows(split, 4, 2):
-            for o in batch.origin_indices:
+            for o in origin_steps(batch, split):
                 assert lo + o + 6 <= hi
 
 
@@ -582,3 +547,7 @@ def test_synthetic_config_validation():
         for bad in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ConfigError, match=name):
                 dt.SynthConfig(n=2, t=10, **{name: bad})
+    # the type is checked before the range, which a string cannot meet
+    for name in ("ar_coeff", "noise_amp"):
+        with pytest.raises(ConfigError, match=f"{name} '1' is not"):
+            dt.SynthConfig(n=2, t=10, **{name: "1"})

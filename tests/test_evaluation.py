@@ -139,19 +139,19 @@ def test_horizon_curve_averages_back_to_scalars():
     pred = rng.normal(0.0, 1.0, (6, 4, 5, 1))
     truth = rng.normal(0.0, 1.0, (6, 4, 5, 1))
     rep = ev.compute_metrics(pred, truth)
-    curve = ev.horizon_curve(pred, truth)
-    assert np.mean(curve["mae"]) == pytest.approx(rep.overall_mae, abs=1e-12)
-    msq = np.mean(np.square(curve["rmse"]))
+    mae, rmse = rep.mae_by_horizon[:, 0], rep.rmse_by_horizon[:, 0]
+    assert np.mean(mae) == pytest.approx(rep.overall_mae, abs=1e-12)
+    msq = np.mean(np.square(rmse))
     assert np.sqrt(msq) == pytest.approx(rep.overall_rmse, abs=1e-12)
 
 
 def test_persistence_on_ramp_grows_linearly():
     ds = _dataset(n=3, t=60, slope=0.1)
     preds, truth, _ = ev.evaluate_baseline("persistence", ds, ds, 6, 4)
-    curve = ev.horizon_curve(preds, truth)
+    mae = list(ev.compute_metrics(preds, truth).mae_by_horizon[:, 0])
     expected = [0.1 * h for h in range(1, 5)]
-    np.testing.assert_allclose(curve["mae"], expected, atol=1e-9)
-    assert curve["mae"] == sorted(curve["mae"])
+    np.testing.assert_allclose(mae, expected, atol=1e-9)
+    assert mae == sorted(mae)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from stationcast.data import StationMeta
 from stationcast.errors import (ConfigError, PipelineError, ShapeError,
                                 StructuralError)
 
+from helpers import finite_diff_check, reduce_sum
+
 RNG = np.random.default_rng
 
 
@@ -107,6 +109,9 @@ def test_distance_graph_config_validation():
         gr.DistanceGraphConfig(sigma=0.0)
     with pytest.raises(ConfigError):
         gr.DistanceGraphConfig(sigma=1.0, epsilon=1.0)
+    # the type is checked before the range, which a string cannot meet
+    with pytest.raises(ConfigError, match="sigma '100' is not"):
+        gr.DistanceGraphConfig(sigma="100")
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +146,15 @@ def test_neighbor_graph_tie_breaks_by_index():
     adj = gr.build_neighbor_graph(st, gr.NeighborGraphConfig(1))
     assert adj.weights[0, 1] == 1.0
     assert adj.weights[0, 2] == 0.0
+
+
+@pytest.mark.parametrize("bad,text", [(2.5, "is not an integer"),
+                                      ("3", "is not an integer"),
+                                      (0, "must be at least 1")],
+                         ids=["float", "string", "zero"])
+def test_neighbor_graph_config_validation(bad, text):
+    with pytest.raises(ConfigError, match=f"n_adjacent {bad!r} {text}"):
+        gr.NeighborGraphConfig(bad)
 
 
 def test_neighbor_graph_na_too_large():
@@ -261,9 +275,9 @@ def test_learnable_graph_gradients():
 
     def loss(t):
         a = gr.learnable_graph_op(t["e1"], t["e2"], t["th1"], t["th2"], 3.0)
-        return tp.reduce_sum(a)
+        return reduce_sum(a)
 
-    err = tp.finite_diff_check(loss, params, rng=RNG(0))
+    err = finite_diff_check(loss, params, rng=RNG(0))
     assert err <= 1e-4
 
 
@@ -357,9 +371,9 @@ def test_fusion_gradients_flow_to_weights():
     params = {"w": np.full((4, 4), 0.5)}
 
     def loss(t):
-        return tp.reduce_sum(gr.fuse_graphs_op(adjs, {"distance": t["w"]}))
+        return reduce_sum(gr.fuse_graphs_op(adjs, {"distance": t["w"]}))
 
-    err = tp.finite_diff_check(loss, params, rng=RNG(0))
+    err = finite_diff_check(loss, params, rng=RNG(0))
     assert err <= 1e-4
 
 
@@ -394,13 +408,13 @@ def test_symmetrize_op_gradients():
     w = rng.standard_normal((3, 5, 5))
 
     def loss(t):
-        return tp.reduce_sum(tp.hadamard(gr.symmetrize_op(t["a"]), w))
+        return reduce_sum(tp.hadamard(gr.symmetrize_op(t["a"]), w))
 
     t = tp.Tape()
     a = t.param(params["a"])
     gr.symmetrize_op(a)
     assert [node.op for node in t.nodes] == ["param:", "symmetrize"]
-    err = tp.finite_diff_check(loss, params, max_coords=30, rng=RNG(0))
+    err = finite_diff_check(loss, params, max_coords=30, rng=RNG(0))
     assert err < 1e-6
 
 
@@ -464,9 +478,9 @@ def test_cheb_filter_op_matches_and_differentiates():
     assert np.allclose(got, spectral_filter_oracle(lt, theta, x), atol=1e-12)
 
     def loss(t):
-        return tp.reduce_sum(gr.cheb_filter_op(lt, t["theta"], t["x"]))
+        return reduce_sum(gr.cheb_filter_op(lt, t["theta"], t["x"]))
 
-    err = tp.finite_diff_check(loss, {"theta": theta, "x": x}, rng=RNG(0))
+    err = finite_diff_check(loss, {"theta": theta, "x": x}, rng=RNG(0))
     assert err <= 1e-4
 
 
@@ -550,7 +564,7 @@ def test_cheb_filter_op_matches_composed_recurrence(shapes, order):
         t = tp.Tape()
         p = {k: t.param(v, name=k) for k, v in vals.items()}
         out = op(p["l"], p["theta"], p["x"])
-        store = tp.backward(tp.reduce_sum(tp.hadamard(out, probe)))
+        store = tp.backward(reduce_sum(tp.hadamard(out, probe)))
         return {k: tp.grad_of(store, v) for k, v in p.items()}, t
 
     got_g, t = grads(gr.cheb_filter_op)
@@ -570,10 +584,10 @@ def test_cheb_filter_op_finite_differences(shapes, order):
     probe = RNG(order).standard_normal(shapes[1][:-1] + (3,))
 
     def loss(t):
-        return tp.reduce_sum(tp.hadamard(
+        return reduce_sum(tp.hadamard(
             gr.cheb_filter_op(t["l"], t["theta"], t["x"]), probe))
 
-    err = tp.finite_diff_check(loss, vals, max_coords=12, rng=RNG(0))
+    err = finite_diff_check(loss, vals, max_coords=12, rng=RNG(0))
     assert err < 1e-6
 
 

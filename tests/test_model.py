@@ -14,6 +14,8 @@ from stationcast.data import StationMeta, WeatherSeriesDataset
 from stationcast.errors import (CheckpointError, ConfigError, ShapeError,
                                TrainingError)
 
+from helpers import finite_diff_check, reduce_sum
+
 
 def _static_graphs(n, rng):
     out = {}
@@ -213,7 +215,7 @@ def test_temporal_multibranch_matches_uncollapsed_tape(kernels):
         p = {k: tape.param(v, name=k) for k, v in values.items()}
         out = block(p["x"], kernels, [p[f"w{j}"] for j in range(len(kernels))],
                     p["fuse"], p["bias"])
-        store = tp.backward(tp.reduce_sum(tp.hadamard(out, probe)))
+        store = tp.backward(reduce_sum(tp.hadamard(out, probe)))
         return out.values, {k: tp.grad_of(store, v) for k, v in p.items()}
 
     got, got_grads = run(md.temporal_multibranch)
@@ -311,8 +313,17 @@ def test_forward_permutation_equivariance():
     inputs = rng.normal(0.0, 1.0, (3, n, cfg.w_in, 1))
     base = md.forward(model, inputs, static)
 
+    # relabel stations: node embeddings permute by row, fusion weights by
+    # row and column
     perm = rng.permutation(n)
-    pmodel = md.permute_nodes(model, perm)
+    params = {}
+    for name, value in model.params.items():
+        if name in ("emb1", "emb2"):
+            value = value[perm]
+        elif name.startswith("fusion_"):
+            value = value[np.ix_(perm, perm)]
+        params[name] = value
+    pmodel = md.MultiGraphForecaster(model.config, n, params, model.seed)
     pstatic = {k: v[np.ix_(perm, perm)] for k, v in static.items()}
     ppreds = md.forward(pmodel, inputs[:, perm], pstatic)
     np.testing.assert_allclose(ppreds, base[:, perm], atol=1e-9)
@@ -506,8 +517,8 @@ def test_full_model_finite_diff():
         pred = md.forward_on_tape(tparams, cfg, n, inputs, static)
         return tp.reduce_mean(tp.absolute(tp.sub(pred, targets)))
 
-    worst = tp.finite_diff_check(build_loss, model.params,
-                                 rng=np.random.default_rng(1))
+    worst = finite_diff_check(build_loss, model.params,
+                              rng=np.random.default_rng(1))
     assert worst <= 1e-4, f"worst relative gradient error {worst}"
 
 

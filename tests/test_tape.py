@@ -11,18 +11,20 @@ from stationcast import graphs as gr
 from stationcast import tape as tp
 from stationcast.errors import ShapeError
 
+from helpers import finite_diff_check, reduce_sum
+
 RNG = np.random.default_rng
 
 
 def fd_ok(build_loss, params, tol=1e-4, h=1e-5, seed=0):
-    err = tp.finite_diff_check(build_loss, params, h=h,
-                               rng=np.random.default_rng(seed))
+    err = finite_diff_check(build_loss, params, h=h,
+                            rng=np.random.default_rng(seed))
     assert err <= tol, f"worst relative gradient error {err:.3e}"
 
 
 def test_matmul_2d_gradients():
     p = {"a": RNG(1).standard_normal((4, 3)), "b": RNG(2).standard_normal((3, 5))}
-    fd_ok(lambda t: tp.reduce_sum(tp.tanh(tp.matmul(t["a"], t["b"]))), p)
+    fd_ok(lambda t: reduce_sum(tp.tanh(tp.matmul(t["a"], t["b"]))), p)
 
 
 def test_matmul_batched_gradients():
@@ -35,7 +37,7 @@ def test_matmul_batched_by_shared_gradients():
     # second case is the Chebyshev recurrence's [N, N] @ [B, N, C] product
     for sa, sb, seed in (((3, 2, 4), (4, 6), 5), ((4, 4), (3, 4, 5), 7)):
         p = {"a": RNG(seed).standard_normal(sa), "b": RNG(seed + 1).standard_normal(sb)}
-        fd_ok(lambda t: tp.reduce_sum(tp.tanh(tp.matmul(t["a"], t["b"]))), p)
+        fd_ok(lambda t: reduce_sum(tp.tanh(tp.matmul(t["a"], t["b"]))), p)
 
 
 def test_matmul_shared_operand_matches_tiled():
@@ -45,7 +47,7 @@ def test_matmul_shared_operand_matches_tiled():
         t = tp.Tape()
         pa, pb = t.param(a), t.param(b)
         out = tp.matmul(tp.tile_leading(pa, 3) if tile else pa, pb)
-        return out.values, tp.backward(tp.reduce_sum(tp.tanh(out)))
+        return out.values, tp.backward(reduce_sum(tp.tanh(out)))
 
     (shared, gs), (tiled, gt) = run(False), run(True)
     assert shared.tobytes() == tiled.tobytes()
@@ -61,7 +63,7 @@ def test_elementwise_gradients():
         s = tp.add(t["a"], t["b"])
         d = tp.sub(t["a"], t["b"])
         m = tp.hadamard(s, d)
-        return tp.reduce_sum(tp.tanh(tp.scalar_mul(0.7, m)))
+        return reduce_sum(tp.tanh(tp.scalar_mul(0.7, m)))
 
     fd_ok(loss, p)
 
@@ -70,7 +72,7 @@ def test_relu_abs_gradients_away_from_kink():
     p = {"a": RNG(9).standard_normal((5, 5)) * 2.0}
 
     def loss(t):
-        return tp.reduce_sum(tp.add(tp.relu(t["a"]), tp.absolute(t["a"])))
+        return reduce_sum(tp.add(tp.relu(t["a"]), tp.absolute(t["a"])))
 
     fd_ok(loss, p)
 
@@ -78,7 +80,7 @@ def test_relu_abs_gradients_away_from_kink():
 def test_relu_zero_subgradient():
     t = tp.Tape()
     a = t.param(np.zeros(3))
-    loss = tp.reduce_sum(tp.relu(a))
+    loss = reduce_sum(tp.relu(a))
     g = tp.grad_of(tp.backward(loss), a)
     assert np.array_equal(g, np.zeros(3))
 
@@ -101,31 +103,20 @@ def test_tile_and_bias_gradients():
 
     def loss(t):
         tiled = tp.tile_leading(t["x"], 5)
-        return tp.reduce_sum(tp.tanh(tp.add_bias(tiled, t["b"])))
+        return reduce_sum(tp.tanh(tp.add_bias(tiled, t["b"])))
 
     fd_ok(loss, p)
 
 
-def test_conv1d_gradients_with_dilation():
-    p = {"x": RNG(14).standard_normal((2, 10, 3)),
-         "w": RNG(15).standard_normal((3, 3, 4))}
-
-    def loss(t):
-        y = tp.conv1d(t["x"], t["w"], dilation=2)
-        return tp.reduce_mean(tp.tanh(y))
-
-    fd_ok(loss, p)
-
-
-def test_conv1d_gradients_non_square_dilated():
-    # C_in != C_out, an even kernel and dilation 2: the weight gradient
-    # must take each tap's input slice at its dilated offset
+def test_conv1d_gradients_non_square():
+    # C_in != C_out and an even kernel: the weight gradient must take each
+    # tap's input slice at its own offset
     p = {"x": RNG(19).standard_normal((3, 11, 3)),
          "w": RNG(20).standard_normal((4, 3, 5))}
 
     def loss(t):
-        y = tp.conv1d(t["x"], t["w"], dilation=2)
-        return tp.reduce_sum(tp.tanh(y))
+        y = tp.conv1d(t["x"], t["w"])
+        return reduce_sum(tp.tanh(y))
 
     fd_ok(loss, p, seed=3)
     fd_ok(loss, p, seed=4)
@@ -136,40 +127,37 @@ def test_conv1d_matches_direct_sum():
     rng = RNG(16)
     x = rng.standard_normal((2, 8, 3))
     w = rng.standard_normal((4, 3, 2))
-    d = 2
-    t_out = 8 - 3 * d
+    t_out = 8 - 3
     want = np.zeros((2, t_out, 2))
     for m in range(2):
         for t in range(t_out):
             for j in range(4):
-                want[m, t] += x[m, t + j * d] @ w[j]
-    got = tp.conv1d(x, w, dilation=d).values
+                want[m, t] += x[m, t + j] @ w[j]
+    got = tp.conv1d(x, w).values
     assert np.allclose(got, want, atol=1e-12)
 
 
-def conv1d_weight_grad_im2col(x, g, k, dilation):
+def conv1d_weight_grad_im2col(x, g, k):
     """conv1d's weight gradient as one GEMM over an im2col copy of x.
 
-    Row (m, t) of the [M*t_out, k*C_in] copy holds the taps
-    x[m, t + j*dilation, :] for j = 0..k-1.
+    Row (m, t) of the [M*t_out, k*C_in] copy holds the taps x[m, t + j, :]
+    for j = 0..k-1.
     """
-    taps = np.lib.stride_tricks.sliding_window_view(
-        x, (k - 1) * dilation + 1, axis=1)[..., ::dilation]
+    taps = np.lib.stride_tricks.sliding_window_view(x, k, axis=1)
     cols = taps.transpose(0, 1, 3, 2).reshape(-1, k * x.shape[2])
     return (cols.T @ g.reshape(-1, g.shape[2])).reshape(
         k, x.shape[2], g.shape[2])
 
 
-@pytest.mark.parametrize("dilation", [1, 2])
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
-def test_conv1d_weight_gradient_matches_im2col(k, dilation):
-    rng = RNG(70 + 10 * dilation + k)
+def test_conv1d_weight_gradient_matches_im2col(k):
+    rng = RNG(80 + k)
     x = rng.standard_normal((6, 13, 3))
     t = tp.Tape()
-    out = tp.conv1d(x, t.param(rng.standard_normal((k, 3, 4))), dilation)
+    out = tp.conv1d(x, t.param(rng.standard_normal((k, 3, 4))))
     g = rng.standard_normal(out.shape)
     got = t.nodes[out.node_id].backward(g)[1]
-    want = conv1d_weight_grad_im2col(x, g, k, dilation)
+    want = conv1d_weight_grad_im2col(x, g, k)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -183,7 +171,7 @@ def test_scaled_laplacian_gradients():
     def loss(t):
         sym = tp.scalar_mul(0.5, tp.add(t["a"], tp.transpose(t["a"], (1, 0))))
         lt = tp.scaled_laplacian_op(tp.absolute(sym))
-        return tp.reduce_sum(tp.hadamard(lt, lt))
+        return reduce_sum(tp.hadamard(lt, lt))
 
     fd_ok(loss, {"a": adj}, tol=1e-4)
 
@@ -209,7 +197,7 @@ def test_scaled_laplacian_batched_matches_single():
         t = tp.Tape()
         p = t.param(a)
         lt = tp.scaled_laplacian_op(p)
-        loss = tp.reduce_sum(tp.hadamard(lt, lt))
+        loss = reduce_sum(tp.hadamard(lt, lt))
         grads.append(tp.grad_of(tp.backward(loss), p))
     assert np.array_equal(grads[0], grads[1][0])
 
@@ -223,7 +211,7 @@ def test_scaled_laplacian_stack_gradients():
         sym = tp.scalar_mul(0.5, tp.add(t["a"],
                                         tp.transpose(t["a"], (0, 2, 1))))
         lt = tp.scaled_laplacian_op(tp.absolute(sym))
-        return tp.reduce_sum(tp.hadamard(lt, t["w"]))
+        return reduce_sum(tp.hadamard(lt, t["w"]))
 
     fd_ok(loss, p, tol=1e-4)
 
@@ -245,7 +233,7 @@ def test_scaled_laplacian_stack_mixes_valid_and_fallback():
                           tp.slice_axis(sym, 0, 1, 2)], axis=0)
 
     def loss(t):
-        return tp.reduce_sum(tp.hadamard(tp.scaled_laplacian_op(stack(t)), w))
+        return reduce_sum(tp.hadamard(tp.scaled_laplacian_op(stack(t)), w))
 
     _, saved = tp._laplacian_forward_batch(stack(p).values)
     assert saved[4].tolist() == [True, False, True]
@@ -295,7 +283,7 @@ def test_scaled_laplacian_repeated_top_eigenvalue():
     for _ in range(2):
         t = tp.Tape()
         a = t.param(adj)
-        loss = tp.reduce_sum(tp.hadamard(tp.scaled_laplacian_op(a), w))
+        loss = reduce_sum(tp.hadamard(tp.scaled_laplacian_op(a), w))
         grads.append(tp.grad_of(tp.backward(loss), a))
     assert np.isfinite(grads[0]).all()
     assert grads[0].tobytes() == grads[1].tobytes()
@@ -340,8 +328,8 @@ def test_scaled_laplacian_isolated_node_stays_finite():
     assert np.isfinite(lt.values).all()
     t = tp.Tape()
     a = t.param(adj)
-    loss = tp.reduce_sum(tp.hadamard(tp.scaled_laplacian_op(a),
-                                     tp.scaled_laplacian_op(a)))
+    loss = reduce_sum(tp.hadamard(tp.scaled_laplacian_op(a),
+                                  tp.scaled_laplacian_op(a)))
     g = tp.grad_of(tp.backward(loss), a)
     assert np.isfinite(g).all()
 
@@ -354,7 +342,7 @@ def test_backward_frees_consumed_gradients():
     y = x
     for _ in range(12):
         y = tp.tanh(y)
-    loss = tp.reduce_sum(y)
+    loss = reduce_sum(y)
     tracemalloc.start()
     try:
         store = tp.backward(loss)
@@ -395,7 +383,7 @@ _UNREAD_OPERAND = {
     "transpose": (lambda a: tp.transpose(a, (1, 0)), [(3, 4)], {0}, 0),
     "tile_leading": (lambda a: tp.tile_leading(a, 2), [(3, 4)], {0}, 0),
     "add_bias": (tp.add_bias, [(3, 4), (4,)], {0, 1}, 0),
-    "reduce_sum": (tp.reduce_sum, [(3, 4)], {0}, 0),
+    "reduce_sum": (reduce_sum, [(3, 4)], {0}, 0),
     "reduce_mean": (tp.reduce_mean, [(3, 4)], {0}, 0),
     "conv1d-const-w": (tp.conv1d, [(2, 7, 3), (3, 3, 4)], {0}, 0),
     "conv1d-const-x": (tp.conv1d, [(2, 7, 3), (3, 3, 4)], {1}, 1),
@@ -448,7 +436,7 @@ def test_backward_zero_for_untouched_param():
     t = tp.Tape()
     a = t.param(np.ones((2, 2)))
     b = t.param(np.ones((3,)))
-    loss = tp.reduce_sum(a)
+    loss = reduce_sum(a)
     store = tp.backward(loss)
     assert np.array_equal(tp.grad_of(store, b), np.zeros(3))
     assert np.array_equal(tp.grad_of(store, a), np.ones((2, 2)))
@@ -510,8 +498,8 @@ def test_corrupted_derivative_is_caught():
                         lambda g: (1.05 * g * (1.0 - out * out),))
 
     p = {"a": RNG(20).standard_normal((3, 3))}
-    err = tp.finite_diff_check(
-        lambda t: tp.reduce_sum(bad_tanh(t["a"])), p,
+    err = finite_diff_check(
+        lambda t: reduce_sum(bad_tanh(t["a"])), p,
         rng=np.random.default_rng(0))
     assert err > 1e-2
 
@@ -520,8 +508,8 @@ def test_linear_function_checks_tightly():
     # central differences are exact on affine maps up to rounding
     p = {"a": RNG(21).standard_normal((4, 4))}
     w = RNG(22).standard_normal((4, 4))
-    err = tp.finite_diff_check(
-        lambda t: tp.reduce_sum(tp.hadamard(t["a"], tp.TapeTensor(w))), p,
+    err = finite_diff_check(
+        lambda t: reduce_sum(tp.hadamard(t["a"], tp.TapeTensor(w))), p,
         rng=np.random.default_rng(0))
     assert err < 1e-9
 
