@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, RegressionError
+from .errors import ConfigError, RegressionError, check_reals
 
 REGRESSION_KINDS = ("linear", "ridge", "kernel_ridge")
 
@@ -49,6 +49,10 @@ class RegressionModel:
     def __post_init__(self):
         if self.kind not in REGRESSION_KINDS:
             raise ConfigError(f"unknown regression kind {self.kind!r}")
+        # the ranges reject nan and inf with their own texts
+        check_reals(finite=False, lam=self.lam)
+        if self.gamma is not None:
+            check_reals(finite=False, gamma=self.gamma)
         if not 0.0 <= self.lam < np.inf:
             raise ConfigError(f"ridge penalty {self.lam} is not nonnegative "
                               "and finite")
@@ -91,10 +95,10 @@ def fit_regression(inputs: np.ndarray, targets: np.ndarray, kind: str,
                           f"{targets.shape}")
     b, n, w_in = inputs.shape
     w_out = targets.shape[2]
-    if kind == "linear" and lam != 0.0:
-        raise ConfigError("linear regression takes no ridge penalty")
     model = RegressionModel(kind=kind, w_in=w_in, w_out=w_out, lam=lam,
                             gamma=gamma)
+    if kind == "linear" and lam != 0.0:
+        raise ConfigError("linear regression takes no ridge penalty")
     x_mean = inputs.mean(axis=0)    # [N, W']
     y_mean = targets.mean(axis=0)   # [N, W]
     xc = inputs - x_mean

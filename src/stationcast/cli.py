@@ -286,6 +286,7 @@ def _cmd_eval(args) -> int:
     src = _resolve(args.data)
     ds = _load_dataset_arg(src)
     inputs = [src]
+    config = _args_config(args)
     scheme = _split_scheme(args.split or "3,1,2")
     part = {"train": 0, "val": 1, "test": 2}[args.eval_split]
 
@@ -343,6 +344,9 @@ def _cmd_eval(args) -> int:
                                       "graph path)")
                 graph_path = _resolve(stored)
             inputs.append(graph_path)
+            # what the checkpoint supplied, not the flags left unset
+            config.update(factor=factor, split=list(scheme),
+                          graphs=str(graph_path))
             static = _static_from_graphset(gr.load_graphs(graph_path), scoped)
             preds, truth, origins = md.predict_dataset(model, scoped, static)
             # prediction files label each forecast by its first target step
@@ -367,7 +371,7 @@ def _cmd_eval(args) -> int:
     ev.dump_report(doc, out)
     _log(f"overall mae {report.overall_mae:.6f}  "
          f"rmse {report.overall_rmse:.6f} ({report.space}) -> {out}")
-    _write_manifest(out, "eval", _args_config(args), inputs,
+    _write_manifest(out, "eval", config, inputs,
                     getattr(args, "seed", None), started)
     return 0
 

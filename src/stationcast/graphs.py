@@ -201,21 +201,58 @@ def build_pattern_graph(train_ds: WeatherSeriesDataset,
 # trainable graphs and fusion (tape ops; accept tensors or arrays)
 
 
-def _swap_last(x) -> tp.TapeTensor:
-    """Transpose the last two axes of an [N, N] or [B, N, N] tensor."""
-    nd = tp._as_array(x).ndim
-    return tp.transpose(x, (*range(nd - 2), nd - 1, nd - 2))
-
-
 def _antisym_graph(x1, w1, x2, w2, s: float) -> tp.TapeTensor:
     """ReLU(tanh(s (M1 M2^T - M2 M1^T))) with M_i = tanh(s X_i W_i).
 
     One-sided by antisymmetry: A_ij and A_ji are never both positive.
+    X_i is [N, F] or [B, N, F] and W_i is [F, E].  One tape node: since
+    M2 M1^T = (M1 M2^T)^T, the forward forms one product G = M1 M2^T and
+    takes G - G^T.  G's gradient gG is antisymmetric, so the backward too
+    needs one product per factor: gM1 = gG M2 and gM2 = -gG M1.
     """
-    m1 = tp.tanh(tp.scalar_mul(s, tp.matmul(x1, w1)))
-    m2 = tp.tanh(tp.scalar_mul(s, tp.matmul(x2, w2)))
-    g = tp.sub(tp.matmul(m1, _swap_last(m2)), tp.matmul(m2, _swap_last(m1)))
-    return tp.relu(tp.tanh(tp.scalar_mul(s, g)))
+    x1v, w1v, x2v, w2v = (tp._as_array(a) for a in (x1, w1, x2, w2))
+    if x1v.ndim not in (2, 3) or x1v.shape[:-1] != x2v.shape[:-1] \
+            or w1v.ndim != 2 or w2v.shape[1:] != w1v.shape[1:] \
+            or x1v.shape[-1] != w1v.shape[0] \
+            or x2v.shape[-1] != w2v.shape[0]:
+        raise ShapeError(f"antisym_graph: X1 {x1v.shape}, W1 {w1v.shape}, "
+                         f"X2 {x2v.shape}, W2 {w2v.shape}")
+    m1 = np.tanh(s * (x1v @ w1v))
+    m2 = np.tanh(s * (x2v @ w2v))
+    # a contiguous M2^T: the stacked GEMM is faster than on a view
+    g = m1 @ np.ascontiguousarray(np.swapaxes(m2, -1, -2))
+    out = g - np.swapaxes(g, -1, -2)
+    out *= s
+    np.tanh(out, out=out)
+    np.maximum(out, 0.0, out=out)
+    # X_i's gradient reads W_i, and W_i's reads X_i
+    factors = ((m1, m2, 1.0, w1v if tp._on_tape(x1) else None,
+                x1v if tp._on_tape(w1) else None),
+               (m2, m1, -1.0, w2v if tp._on_tape(x2) else None,
+                x2v if tp._on_tape(w2) else None))
+
+    def back(g):
+        # relu's mask and tanh's 1 - h^2 both read the output: h = out
+        # wherever the mask is set
+        gd = out * out
+        np.subtract(1.0, gd, out=gd)
+        gd *= g
+        gd *= out > 0.0
+        gd *= s
+        gg = gd - np.swapaxes(gd, -1, -2)
+        grads = []
+        for m, other, sign, keep_w, keep_x in factors:
+            gp = gg @ other
+            gp *= 1.0 - m * m
+            gp *= sign * s
+            grads.append(None if keep_w is None
+                         else gp @ tp._transposed(keep_w))
+            grads.append(None if keep_x is None else
+                         keep_x.reshape(-1, keep_x.shape[-1]).T
+                         @ gp.reshape(-1, gp.shape[-1]))
+        return tuple(grads)
+
+    return tp._emit("antisym_graph", (x1, w1, x2, w2), out, back)
 
 
 def learnable_graph_op(e1, e2, theta1, theta2, alpha: float) -> tp.TapeTensor:
@@ -232,15 +269,54 @@ def dynamic_graph_op(z, w1, w2, beta: float) -> tp.TapeTensor:
 
 
 def fuse_graphs_op(adjs: dict, weights: dict) -> tp.TapeTensor:
-    """Differentiable weighted elementwise sum over the graph set."""
+    """Differentiable weighted elementwise sum over the graph set.
+
+    Every weight is [N, N]; a graph is [N, N], or [B, N, N] for one that
+    varies per window.  One tape node: the [N, N] terms are summed in
+    sorted-kind order, then each [B, N, N] term is added by broadcasting,
+    so the shared part is formed once, not once per window.
+    """
     if set(adjs) != set(weights):
         raise ConfigError(f"graph set {sorted(adjs)} does not match fusion "
                           f"weights {sorted(weights)}")
+    av = {k: tp._as_array(a) for k, a in adjs.items()}
+    wv = {k: tp._as_array(w) for k, w in weights.items()}
+    kinds = sorted(av, key=lambda k: (av[k].ndim, k))
+    n = wv[kinds[0]].shape[-1]
+    if any(wv[k].shape != (n, n) or av[k].shape[-2:] != (n, n)
+           or av[k].ndim not in (2, 3) for k in kinds) \
+            or len({av[k].shape for k in kinds if av[k].ndim == 3}) > 1:
+        raise ShapeError("fuse_graphs_op: graphs "
+                         f"{[av[k].shape for k in kinds]}, weights "
+                         f"{[wv[k].shape for k in kinds]}")
     total = None
-    for kind in sorted(adjs):
-        term = tp.hadamard(weights[kind], adjs[kind])
-        total = term if total is None else tp.add(total, term)
-    return total
+    for k in kinds:
+        term = wv[k] * av[k]
+        if total is None:
+            total = term
+        elif term.ndim > total.ndim:
+            # the per-window term takes the shared sum by broadcasting
+            term += total
+            total = term
+        else:
+            total += term
+    # a weight's gradient reads its graph, and a graph's its weight
+    keep = [(av[k].ndim, av[k] if tp._on_tape(weights[k]) else None,
+             wv[k] if tp._on_tape(adjs[k]) else None) for k in kinds]
+
+    def back(g):
+        shared = g.sum(axis=0) if g.ndim == 3 else g
+        grads = []
+        for ndim, keep_a, keep_w in keep:
+            gk = g if ndim == 3 else shared
+            gw = None if keep_a is None else gk * keep_a
+            if gw is not None and gw.ndim == 3:
+                gw = gw.sum(axis=0)
+            grads += [gw, None if keep_w is None else gk * keep_w]
+        return tuple(grads)
+
+    inputs = [t for k in kinds for t in (weights[k], adjs[k])]
+    return tp._emit("fuse_graphs", inputs, total, back)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +348,11 @@ def cheb_filter_op(l_tilde, theta, x) -> tp.TapeTensor:
     at every time slice: the recurrence runs on [B, N, T*C_in] and theta_k
     mixes the channels of each (node, time) row.
 
-    One tape node with a hand-written backward, which walks the recurrence
-    in reverse; an [N, N] L~ gets its gradient summed over the batch.
+    The forward runs one window at a time: it sets the window's K terms
+    side by side and mixes their channels with one GEMM, against theta
+    reshaped to [K*C_in, C_out].  One tape node with a hand-written
+    backward, which walks the recurrence in reverse; an [N, N] L~ gets its
+    gradient summed over the batch.
     """
     lv, thv, xv = (tp._as_array(a) for a in (l_tilde, theta, x))
     node_axis = 0 if xv.ndim == 2 else 1
@@ -286,21 +365,35 @@ def cheb_filter_op(l_tilde, theta, x) -> tp.TapeTensor:
     order, c_in, c_out = thv.shape
     # the recurrence runs on signals; theta_k acts on their (node, time) rows
     signal = xv.reshape(xv.shape[:2] + (-1,)) if xv.ndim == 4 else xv
-    rows = (xv.shape[0], -1, c_in) if xv.ndim == 4 else signal.shape
+    batched = signal.ndim == 3
+    n_rows = signal.shape[-2] * signal.shape[-1] // c_in  # rows per window
     on_tape = tp._tape_of(l_tilde, theta, x) is not None
     # the closure holds arrays only: a tensor would tie the tape into a
     # reference cycle that only the garbage collector frees
     need_x = tp._on_tape(x)
-    basis = [signal]  # T_0 x .. T_{K-1} x, kept for the backward
-    out = signal.reshape(rows) @ thv[0]
-    for k in range(1, order):
-        nxt = lv @ basis[-1]
-        if k > 1:
-            nxt *= 2.0
-            nxt -= basis[-2]
-        # off the tape only the last two terms are kept
-        basis = basis + [nxt] if on_tape else basis[-1:] + [nxt]
-        out += nxt.reshape(rows) @ thv[k]
+    # T_1 x .. T_{K-1} x: on the tape the whole batch's, which the backward
+    # reads; off it one window's, reused.  T_0 x is x itself, so the buffer
+    # holds no copy of it.
+    terms = np.empty((order - 1,) + (signal.shape if on_tape
+                                     else signal.shape[-2:]))
+    # one window's K terms side by side, so theta is one GEMM per window
+    chunk = np.empty((n_rows, order, c_in))
+    theta_flat = thv.reshape(order * c_in, c_out)
+    out = np.empty(signal.shape[:-2] + (n_rows, c_out))
+    for b in range(len(signal) if batched else 1):
+        xb = signal[b] if batched else signal
+        lb = lv[b] if lv.ndim == 3 else lv
+        tb = terms[:, b] if on_tape and batched else terms
+        chunk[:, 0] = xb.reshape(n_rows, c_in)
+        for k in range(1, order):
+            np.matmul(lb, xb if k == 1 else tb[k - 2], out=tb[k - 1])
+            if k > 1:
+                tb[k - 1] *= 2.0
+                tb[k - 1] -= xb if k == 2 else tb[k - 3]
+            chunk[:, k] = tb[k - 1].reshape(n_rows, c_in)
+        np.matmul(chunk.reshape(n_rows, -1), theta_flat,
+                  out=out[b] if batched else out)
+    basis = [signal, *terms] if on_tape else None
 
     rows_out, x_shape = out.shape, xv.shape
 

@@ -322,30 +322,23 @@ def _fused_graph(weights: dict, cfg: ModelConfig, n: int, batch: int,
     graph, an [N, N] matrix; the dynamic graph makes it a per-window
     [B, N, N] stack.
     """
-    terms2d = {}
+    adjs = {}
     for kind in cfg.graph_kinds:
         if kind in STATIC_KINDS:
             if kind not in static_graphs:
                 raise ConfigError(f"model needs the {kind} graph but it was "
                                   "not supplied")
-            terms2d[kind] = np.asarray(static_graphs[kind])
+            adjs[kind] = np.asarray(static_graphs[kind])
         elif kind == "learnable":
-            terms2d[kind] = gr.learnable_graph_op(
+            adjs[kind] = gr.learnable_graph_op(
                 weights["emb1"], weights["emb2"], weights["emb_theta1"],
                 weights["emb_theta2"], cfg.alpha)
-    fused = None
-    if terms2d:
-        fused = gr.fuse_graphs_op(
-            terms2d, {k: weights[f"fusion_{k}"] for k in terms2d})
-    if "dynamic" not in cfg.graph_kinds:
-        return fused
-    # node characteristics: the window of the first factor channel
-    z = np.ascontiguousarray(inputs[:, :, :, 0]).reshape(batch, n, -1)
-    a_k = gr.dynamic_graph_op(z, weights["dyn_w1"], weights["dyn_w2"],
-                              cfg.beta)
-    term = tp.hadamard(tp.tile_leading(weights["fusion_dynamic"], batch), a_k)
-    return term if fused is None \
-        else tp.add(tp.tile_leading(fused, batch), term)
+        else:
+            # node characteristics: the window of the first factor channel
+            z = np.ascontiguousarray(inputs[:, :, :, 0]).reshape(batch, n, -1)
+            adjs[kind] = gr.dynamic_graph_op(z, weights["dyn_w1"],
+                                             weights["dyn_w2"], cfg.beta)
+    return gr.fuse_graphs_op(adjs, {k: weights[f"fusion_{k}"] for k in adjs})
 
 
 def _fused_laplacian(weights: dict, cfg: ModelConfig, n: int, batch: int,

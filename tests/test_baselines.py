@@ -104,6 +104,17 @@ def test_kernel_rejects_bad_gamma(gamma):
                           lam=1.0, gamma=gamma)
 
 
+@pytest.mark.parametrize("kind,settings,field", [
+    ("ridge", {"lam": "1"}, "lam"), ("linear", {"lam": "1"}, "lam"),
+    ("kernel_ridge", {"lam": 1.0, "gamma": "1"}, "gamma")],
+    ids=["ridge-lam", "linear-lam", "kernel_ridge-gamma"])
+def test_string_penalty_or_bandwidth_is_a_config_error(kind, settings, field):
+    rng = RNG(5)
+    with pytest.raises(ConfigError, match=f"^{field} '1' is not"):
+        bl.fit_regression(rng.standard_normal((20, 1, 4)),
+                          rng.standard_normal((20, 1, 2)), kind, **settings)
+
+
 def test_ridge_continuity_in_lambda():
     rng = RNG(6)
     x = rng.standard_normal((50, 2, 6))

@@ -416,6 +416,25 @@ def small_run(tmp_path_factory):
     return root
 
 
+@pytest.mark.parametrize("flags,resolved", [
+    ([], {"factor": "t", "split": [3, 1, 2]}),
+    (["--split", "2,1,1"], {"factor": "t", "split": [2.0, 1.0, 1.0]})],
+    ids=["stored", "flag"])
+def test_eval_ckpt_manifest_records_resolved_values(small_run, tmp_path,
+                                                    flags, resolved):
+    ckpt, graphs = tmp_path / "model.ckpt", small_run / "graphs.bin"
+    md.save_checkpoint(md.build_model(5), ckpt, extra={
+        "factor": "t", "split": [3, 1, 2], "graphs_file": str(graphs)})
+    out = tmp_path / "m.json"
+    assert main(["eval", "--ckpt", str(ckpt), "--data",
+                 str(small_run / "synth.w2kt"), "--out", str(out)]
+                + flags) == 0
+    config = json.loads((tmp_path / "m.json.manifest.json").read_text())[
+        "config"]
+    assert {k: config[k] for k in ("factor", "split", "graphs")} \
+        == {**resolved, "graphs": str(graphs)}
+
+
 @pytest.mark.parametrize("argv,where", [
     (["graphs", "--sigma", "abc"], "--sigma takes a bandwidth"),
     (["graphs", "--split", "0,0,0"], "positive sum"),

@@ -312,6 +312,97 @@ def test_dynamic_graph_batched_matches_single():
         assert np.allclose(batched[b], single, atol=1e-14)
 
 
+def _swap_last(x):
+    nd = tp._as_array(x).ndim
+    return tp.transpose(x, (*range(nd - 2), nd - 1, nd - 2))
+
+
+def antisym_graph_composed(x1, w1, x2, w2, s):
+    # the same graph composed from tape primitives, 14 nodes: both products
+    # M1 M2^T and M2 M1^T are formed
+    m1 = tp.tanh(tp.scalar_mul(s, tp.matmul(x1, w1)))
+    m2 = tp.tanh(tp.scalar_mul(s, tp.matmul(x2, w2)))
+    g = tp.sub(tp.matmul(m1, _swap_last(m2)), tp.matmul(m2, _swap_last(m1)))
+    return tp.relu(tp.tanh(tp.scalar_mul(s, g)))
+
+
+# (X shape, W shape): the learnable graph's [N, N] and the dynamic [B, N, N]
+_ANTISYM_SHAPES = {"nn": ((6, 4), (4, 5)), "bnn": ((3, 6, 7), (7, 5))}
+
+
+def _antisym_case(shapes, seed):
+    rng = RNG(seed)
+    x_shape, w_shape = shapes
+    # scaled so that tanh is not saturated and many node pairs have an edge
+    return {"x1": rng.uniform(-1.0, 1.0, x_shape),
+            "w1": rng.uniform(-0.6, 0.6, w_shape),
+            "x2": rng.uniform(-1.0, 1.0, x_shape),
+            "w2": rng.uniform(-0.6, 0.6, w_shape)}
+
+
+@pytest.mark.parametrize("shapes", list(_ANTISYM_SHAPES.values()),
+                         ids=list(_ANTISYM_SHAPES))
+def test_antisym_graph_matches_composed_oracle(shapes):
+    vals = _antisym_case(shapes, 70)
+    probe = RNG(71).standard_normal(shapes[0][:-1] + (shapes[0][-2],))
+
+    def run(op):
+        t = tp.Tape()
+        p = {k: t.param(v, name=k) for k, v in vals.items()}
+        out = op(p["x1"], p["w1"], p["x2"], p["w2"], 0.8)
+        store = tp.backward(reduce_sum(tp.hadamard(out, probe)))
+        return out.values, {k: tp.grad_of(store, v) for k, v in p.items()}, t
+
+    got, got_g, t = run(gr._antisym_graph)
+    assert [node.op for node in t.nodes].count("antisym_graph") == 1
+    assert len(t.nodes) == 4 + 3  # four params, the graph, hadamard, sum
+    want, want_g, _ = run(antisym_graph_composed)
+    assert 0.2 < (want > 0.0).mean() < 0.5
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    for k in vals:
+        scale = np.abs(want_g[k]).max()
+        assert np.abs(got_g[k] - want_g[k]).max() <= 1e-13 * scale, k
+
+
+@pytest.mark.parametrize("shapes", list(_ANTISYM_SHAPES.values()),
+                         ids=list(_ANTISYM_SHAPES))
+def test_antisym_graph_finite_differences(shapes):
+    vals = _antisym_case(shapes, 72)
+    probe = RNG(73).standard_normal(shapes[0][:-1] + (shapes[0][-2],))
+
+    def loss(t):
+        return reduce_sum(tp.hadamard(gr._antisym_graph(
+            t["x1"], t["w1"], t["x2"], t["w2"], 0.8), probe))
+
+    err = finite_diff_check(loss, vals, max_coords=12, rng=RNG(0))
+    assert err < 1e-6
+
+
+def test_antisym_graph_shared_input_sums_both_gradients():
+    # the dynamic graph passes one z as X1 and X2
+    vals = _antisym_case(_ANTISYM_SHAPES["bnn"], 74)
+    probe = RNG(75).standard_normal((3, 6, 6))
+    grads = []
+    for op in (gr._antisym_graph, antisym_graph_composed):
+        t = tp.Tape()
+        z, w1, w2 = (t.param(vals[k]) for k in ("x1", "w1", "w2"))
+        store = tp.backward(reduce_sum(tp.hadamard(
+            op(z, w1, z, w2, 0.5), probe)))
+        grads.append(tp.grad_of(store, z))
+    scale = np.abs(grads[1]).max()
+    assert np.abs(grads[0] - grads[1]).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("x1,w1,x2,w2", [
+    ((5, 4), (4, 3), (5, 4), (3, 3)), ((5, 4), (4, 3), (6, 4), (4, 3)),
+    ((5, 4), (4, 3), (5, 4), (4, 2)), ((2, 5, 4), (4, 3), (5, 4), (4, 3)),
+    ((5,), (5, 3), (5,), (5, 3))])
+def test_antisym_graph_rejects_mismatched_shapes(x1, w1, x2, w2):
+    with pytest.raises(ShapeError, match="antisym_graph"):
+        gr._antisym_graph(np.zeros(x1), np.zeros(w1), np.zeros(x2),
+                          np.zeros(w2), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # fusion
 
@@ -375,6 +466,97 @@ def test_fusion_gradients_flow_to_weights():
 
     err = finite_diff_check(loss, params, rng=RNG(0))
     assert err <= 1e-4
+
+
+def fuse_graphs_tiled(adjs, weights):
+    # the per-window fusion from tape primitives: the [N, N] terms summed
+    # in sorted-kind order, tiled to the batch, plus the weighted [B, N, N]
+    # graph; 2 nodes per [N, N] term and 4 for the stacked one
+    flat = sorted(k for k in adjs if tp._as_array(adjs[k]).ndim == 2)
+    total = None
+    for k in flat:
+        term = tp.hadamard(weights[k], adjs[k])
+        total = term if total is None else tp.add(total, term)
+    for k in sorted(set(adjs) - set(flat)):
+        batch = tp._as_array(adjs[k]).shape[0]
+        term = tp.hadamard(tp.tile_leading(weights[k], batch), adjs[k])
+        total = term if total is None \
+            else tp.add(tp.tile_leading(total, batch), term)
+    return total
+
+
+# graph kind -> whether it varies per window
+_FUSION_SETS = {"nn": {"distance": False, "learnable": False,
+                       "neighbor": False, "pattern": False},
+                "bnn": {"distance": False, "dynamic": True,
+                        "learnable": False, "neighbor": False,
+                        "pattern": False},
+                "bnn-only": {"dynamic": True}}
+
+
+def _fusion_case(kinds, seed, batch=3, n=5):
+    rng = RNG(seed)
+    vals = {}
+    for k, stacked in kinds.items():
+        vals["a_" + k] = rng.uniform(0.0, 1.0, (batch, n, n) if stacked
+                                     else (n, n))
+        vals["w_" + k] = rng.uniform(-1.0, 1.0, (n, n))
+    return vals
+
+
+def _fuse(p):
+    kinds = [k[2:] for k in p if k.startswith("a_")]
+    return ({k: p["a_" + k] for k in kinds}, {k: p["w_" + k] for k in kinds})
+
+
+@pytest.mark.parametrize("kinds", list(_FUSION_SETS.values()),
+                         ids=list(_FUSION_SETS))
+def test_fusion_matches_tiled_oracle(kinds):
+    vals = _fusion_case(kinds, 80)
+    stacked = any(kinds.values())
+    probe = RNG(81).standard_normal((3, 5, 5) if stacked else (5, 5))
+
+    def run(op):
+        t = tp.Tape()
+        p = {k: t.param(v, name=k) for k, v in vals.items()}
+        out = op(*_fuse(p))
+        store = tp.backward(reduce_sum(tp.hadamard(out, probe)))
+        return out.values, {k: tp.grad_of(store, v) for k, v in p.items()}, t
+
+    got, got_g, t = run(gr.fuse_graphs_op)
+    assert [node.op for node in t.nodes].count("fuse_graphs") == 1
+    assert len(t.nodes) == len(vals) + 3
+    want, want_g, _ = run(fuse_graphs_tiled)
+    # the same sums in the same order
+    assert got.tobytes() == want.tobytes()
+    for k in vals:
+        scale = np.abs(want_g[k]).max()
+        assert np.abs(got_g[k] - want_g[k]).max() <= 1e-13 * scale, k
+
+
+@pytest.mark.parametrize("kinds", list(_FUSION_SETS.values()),
+                         ids=list(_FUSION_SETS))
+def test_fusion_finite_differences(kinds):
+    vals = _fusion_case(kinds, 82)
+    probe = RNG(83).standard_normal((3, 5, 5) if any(kinds.values())
+                                    else (5, 5))
+
+    def loss(t):
+        return reduce_sum(tp.hadamard(gr.fuse_graphs_op(*_fuse(t)), probe))
+
+    err = finite_diff_check(loss, vals, max_coords=10, rng=RNG(0))
+    assert err < 1e-6
+
+
+@pytest.mark.parametrize("a_shapes,w_shape", [
+    ([(4, 4), (5, 5)], (4, 4)), ([(4, 4), (2, 4, 4)], (4, 5)),
+    ([(2, 4, 4), (3, 4, 4)], (4, 4)), ([(4,), (4, 4)], (4, 4)),
+    ([(1, 2, 4, 4), (4, 4)], (4, 4))])
+def test_fusion_rejects_mismatched_shapes(a_shapes, w_shape):
+    kinds = ("distance", "neighbor")
+    with pytest.raises(ShapeError, match="fuse_graphs_op"):
+        gr.fuse_graphs_op({k: np.ones(s) for k, s in zip(kinds, a_shapes)},
+                          {k: np.ones(w_shape) for k in kinds})
 
 
 # ---------------------------------------------------------------------------
@@ -505,32 +687,42 @@ def test_cheb_filter_batched_matches_per_item():
             assert np.allclose(got[b, :, s], want, atol=1e-13)
 
 
-def cheb_filter_composed(l_tilde, theta, x):
-    # the same recurrence composed from tape primitives, one node per step
-    order, c_in, c_out = tp._as_array(theta).shape
+def _cheb_terms(l_tilde, theta, x):
+    """T_0 x .. T_{K-1} x as tape nodes, each cut into (node, time) rows."""
+    order, c_in, _ = tp._as_array(theta).shape
     shape = tp._as_array(x).shape
+    signal = tp.reshape(x, shape[:2] + (-1,)) if len(shape) == 4 else x
+    terms = [signal]
+    for k in range(1, order):
+        nxt = tp.matmul(l_tilde, terms[-1])
+        if k > 1:
+            nxt = tp.sub(tp.scalar_mul(2.0, nxt), terms[-2])
+        terms.append(nxt)
     if len(shape) == 4:
-        b, n, t, _ = shape
-        signal = tp.reshape(x, (b, n, t * c_in))
-        rows = (b, n * t, c_in)
-    else:
-        signal, rows = x, None
+        rows = (shape[0], -1, c_in)
+        terms = [tp.reshape(t, rows) for t in terms]
+    return terms
 
-    def term(s, k):
-        if rows is not None:
-            s = tp.reshape(s, rows)
+
+def cheb_filter_composed(l_tilde, theta, x):
+    # the same recurrence composed from tape primitives, one node per step;
+    # theta mixes the concatenated terms in one product
+    order, c_in, c_out = tp._as_array(theta).shape
+    terms = _cheb_terms(l_tilde, theta, x)
+    stacked = tp.concat(terms, axis=tp._as_array(terms[0]).ndim - 1)
+    acc = tp.matmul(stacked, tp.reshape(theta, (order * c_in, c_out)))
+    return tp.reshape(acc, tp._as_array(x).shape[:-1] + (c_out,))
+
+
+def cheb_filter_per_term(l_tilde, theta, x):
+    # the mix as one product per term, summed: equal to rounding
+    order, c_in, c_out = tp._as_array(theta).shape
+    acc = None
+    for k, term in enumerate(_cheb_terms(l_tilde, theta, x)):
         coeff = tp.reshape(tp.slice_axis(theta, 0, k, k + 1), (c_in, c_out))
-        return tp.matmul(s, coeff)
-
-    acc = term(signal, 0)
-    if order > 1:
-        prev, cur = signal, tp.matmul(l_tilde, signal)
-        acc = tp.add(acc, term(cur, 1))
-        for k in range(2, order):
-            nxt = tp.sub(tp.scalar_mul(2.0, tp.matmul(l_tilde, cur)), prev)
-            prev, cur = cur, nxt
-            acc = tp.add(acc, term(cur, k))
-    return acc if rows is None else tp.reshape(acc, (b, n, t, c_out))
+        part = tp.matmul(term, coeff)
+        acc = part if acc is None else tp.add(acc, part)
+    return tp.reshape(acc, tp._as_array(x).shape[:-1] + (c_out,))
 
 
 # (L~ shape, x shape) pairs: shared and per-window graphs, 3-D and 4-D signals
@@ -570,10 +762,13 @@ def test_cheb_filter_op_matches_composed_recurrence(shapes, order):
     got_g, t = grads(gr.cheb_filter_op)
     assert [node.op for node in t.nodes].count("cheb_filter") == 1
     assert len(t.nodes) == 3 + 3  # three params, the filter, hadamard, sum
-    want_g, _ = grads(cheb_filter_composed)
-    for k in vals:
-        scale = np.abs(want_g[k]).max()
-        assert np.abs(got_g[k] - want_g[k]).max() <= 1e-13 * scale, k
+    for oracle in (cheb_filter_composed, cheb_filter_per_term):
+        want_g, _ = grads(oracle)
+        for k in vals:
+            scale = np.abs(want_g[k]).max()
+            assert np.abs(got_g[k] - want_g[k]).max() <= 1e-13 * scale, k
+    per_term = cheb_filter_per_term(vals["l"], vals["theta"], vals["x"]).values
+    assert np.abs(got - per_term).max() <= 1e-13 * np.abs(per_term).max()
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])

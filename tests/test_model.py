@@ -462,10 +462,12 @@ def _default_step_tape(n, batch, seed):
 
 
 def test_default_step_tape_node_count():
-    # the default five-graph model: every Chebyshev filter is one node
+    # the default five-graph model: every Chebyshev filter, each trainable
+    # graph and the fusion are one node
     ops = [node.op for node in _default_step_tape(6, 2, 24).nodes]
-    assert len(ops) == 100
+    assert len(ops) == 64
     assert ops.count("cheb_filter") == len(md.ModelConfig().blocks)
+    assert ops.count("antisym_graph") == 2 and ops.count("fuse_graphs") == 1
 
 
 def _closure_buffers(tape):
@@ -493,7 +495,7 @@ def test_default_step_closures_hold_pinned_bytes():
     # tape holds a fixed set of buffers; an op that starts keeping an input
     # for its shape, or an array for a gradient it skips, moves this count
     buffers = _closure_buffers(_default_step_tape(40, 8, 25))
-    assert sum(b.nbytes for b in buffers) == 6_536_616
+    assert sum(b.nbytes for b in buffers) == 6_239_656
 
 
 def test_forward_rejects_wrong_window_shape():

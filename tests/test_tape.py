@@ -391,6 +391,15 @@ _UNREAD_OPERAND = {
     "scaled_laplacian-isolated": (tp.scaled_laplacian_op,
                                   [_isolated_node_graph], {0}, 0),
     "symmetrize": (gr.symmetrize_op, [(2, 3, 3)], {0}, 0),
+    # the dynamic graph: z is a constant, so no gradient reads W1 or W2
+    "antisym_graph-const-x": (lambda z, w1, w2: gr.dynamic_graph_op(
+        z, w1, w2, 0.5), [(2, 3, 4), (4, 5), (4, 5)], {1, 2}, 1),
+    "antisym_graph-const-w": (lambda x1, w1, x2, w2: gr._antisym_graph(
+        x1, w1, x2, w2, 3.0), [(3, 4), (4, 2), (3, 4), (4, 2)], {0, 2}, 0),
+    # a static graph: its weight's gradient reads it, nothing reads the
+    # weight
+    "fuse_graphs-const-graph": (lambda a, w: gr.fuse_graphs_op(
+        {"distance": a}, {"distance": w}), [(3, 3), (3, 3)], {1}, 1),
 }
 # cheb_filter_op has no case: its backward reads L~, theta and x
 
