@@ -383,6 +383,8 @@ def _cmd_ablate(args) -> int:
     train_ds, val_ds, test_ds, _ = _prepare_splits(
         ds, args.factor, _split_scheme(args.split))
     mcfg, tcfg = _model_and_train_config(args)
+    seeds = [int(s) for s in _parse_numbers(args.seeds, cast=int)]
+    specs = ev.grid_specs(args.grid, seeds=tuple(seeds))
     inputs = [src]
     if args.graphs:
         graph_path = _resolve(args.graphs)
@@ -392,8 +394,6 @@ def _cmd_ablate(args) -> int:
         gs = gr.build_static_graphs(train_ds, n_adjacent=args.n_adjacent,
                                     pattern_factors=train_ds.factors)
         static = _static_from_graphset(gs, train_ds)
-    seeds = [int(s) for s in _parse_numbers(args.seeds, cast=int)]
-    specs = ev.grid_specs(args.grid, seeds=tuple(seeds))
     _log(f"running {len(specs)} rows x {len(seeds)} seeds "
          f"({len(specs) * len(seeds)} trainings)")
     report = ev.run_ablation(specs, train_ds, val_ds, test_ds, static,

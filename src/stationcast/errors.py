@@ -58,3 +58,12 @@ def check_reals(*, finite: bool = True, **fields) -> None:
         if isinstance(value, bool) or not isinstance(value, numbers.Real) \
                 or finite and not math.isfinite(value):
             raise ConfigError(f"{name} {value!r} is not a finite number")
+
+
+def check_distinct(name: str, values) -> None:
+    """No value may appear twice; the ConfigError names the first repeat."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ConfigError(f"{name} {value!r} is repeated")
+        seen.add(value)

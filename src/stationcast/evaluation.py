@@ -20,7 +20,8 @@ from . import graphs as gr
 from . import model as md
 from .data import (NormStats, PackedReader, WeatherSeriesDataset,
                    _pack_str, denormalize_values, make_windows)
-from .errors import ConfigError, ShapeError, StructuralError, check_ints
+from .errors import (ConfigError, ShapeError, StructuralError, check_distinct,
+                     check_ints)
 
 _PRED_MAGIC = b"W2KP"
 _PRED_VERSION = 1
@@ -268,6 +269,7 @@ class AblationSpec:
             raise ConfigError("an ablation row needs at least one graph")
         for seed in self.seeds:
             check_ints(0, seed=seed)
+        check_distinct("seed", self.seeds)
         for k in self.graph_kinds:
             if k not in gr.MODEL_KINDS:
                 raise ConfigError(f"unknown graph kind {k!r}")
@@ -363,6 +365,7 @@ def neighbor_count_sweep(train_ds: WeatherSeriesDataset,
     Rebuilds the static graphs at each count with everything else frozen;
     runs are deterministic for fixed seeds.
     """
+    check_distinct("neighbor count", counts)
     curve = {"n_adjacent": [], "test_mae": [], "test_rmse": []}
     for na in counts:
         gs = gr.build_static_graphs(

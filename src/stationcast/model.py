@@ -305,6 +305,9 @@ def st_block_forward(x, blk: StBlockConfig, l_tilde, weights: dict,
     temporal = temporal_multibranch(flat, blk.temporal_kernels, branches,
                                     weights[prefix + "_fuse"],
                                     weights[prefix + "_fuse_bias"])
+    # nothing below reads the filter output: off the tape this frees it
+    # before the residual; on a tape the closures still hold what they read
+    del spatial, flat
     temporal = tp.reshape(temporal, (b, n, t_out, blk.channels_out))
     lead = (blk.max_kernel - 1) // 2
     res = tp.slice_axis(x, 2, lead, lead + t_out)
@@ -406,9 +409,15 @@ def train(model: MultiGraphForecaster, train_ds: WeatherSeriesDataset,
     The best snapshot is the lowest validation MAE; training stops early
     when validation has not improved for the configured patience.
     ``progress(epoch, train_loss, val_mae, lr)`` is called after each epoch
-    when given.
+    when given.  A training or validation split too short for one window
+    raises ConfigError before the first step.
     """
     mcfg = model.config
+    span = mcfg.w_in + mcfg.w_out
+    for name, split in (("training", train_ds), ("validation", val_ds)):
+        if split.n_steps < span:
+            raise ConfigError(f"{name} split has {split.n_steps} steps, "
+                              f"fewer than the {span} one window spans")
     rng = np.random.default_rng(cfg.seed)
     params = {k: v.copy() for k, v in model.params.items()}
     state = tp.AdamState()
@@ -436,8 +445,6 @@ def train(model: MultiGraphForecaster, train_ds: WeatherSeriesDataset,
             store = tp.backward(loss)
             grads = {k: tp.grad_of(store, tparams[k]) for k in params}
             params = tp.adam_step(params, grads, state, lr)
-        if not losses:
-            raise TrainingError("training split yields no windows")
 
         current = MultiGraphForecaster(mcfg, model.n, params, model.seed)
         val_pred, val_tgt, _ = predict_dataset(current, val_ds, static_graphs,

@@ -360,10 +360,12 @@ def _top_eigvec_batch(shifted: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return v[:, :, 0]
 
 
-def _laplacian_forward_batch(a: np.ndarray):
+def _laplacian_forward_batch(a: np.ndarray, grad: bool):
     """Scaled Laplacians of a [B, N, N] stack of symmetric adjacencies.
 
-    Returns (l_tilde, saved) where saved carries what backward needs.
+    Returns (l_tilde, saved).  With `grad`, saved carries what backward
+    needs.  Without it saved is None and L~ is formed in the buffer that
+    held I - S A S, so the stack costs one [B, N, N] array, not two.
     """
     n = a.shape[1]
     deg = a.sum(axis=2)
@@ -383,6 +385,11 @@ def _laplacian_forward_batch(a: np.ndarray):
     lap *= s[:, None, :]
     np.subtract(eye, lap, out=lap)
     lam, valid = _lambda_max_batch(lap)
+    if not grad:
+        # x * (2/lam) rounds as (2/lam) * x does, so the bytes match
+        lap *= (2.0 / lam)[:, None, None]
+        lap -= eye
+        return lap, None
     l_tilde = (2.0 / lam)[:, None, None] * lap
     l_tilde -= eye
     return l_tilde, (a_eff, s, lap, lam, valid, isolated)
@@ -423,16 +430,18 @@ def scaled_laplacian_op(a: ArrayLike) -> TapeTensor:
     Accepts one [N, N] matrix or a stack [B, N, N]; each matrix must be
     symmetric with nonnegative entries.  The forward takes lambda_max from
     one batched eigvalsh and forms no eigenvector; the backward forms the
-    top eigenvector, for lambda's own gradient, by inverse iteration.
+    top eigenvector, for lambda's own gradient, by inverse iteration.  Off
+    the tape it keeps no backward state and forms L~ in place.
     """
     av = _as_array(a)
     if av.ndim not in (2, 3):
         raise ShapeError(f"scaled_laplacian_op: rank {av.ndim} input")
     shape = av.shape
     stack = av.reshape((-1,) + shape[-2:])
-    out, saved = _laplacian_forward_batch(stack)
+    out, saved = _laplacian_forward_batch(stack, _on_tape(a))
     stack_shape = stack.shape
-    # saved holds the adjacency (a copy where a self-loop was injected)
+    # on a tape, saved holds the adjacency (a copy where a self-loop was
+    # injected)
     return _emit("scaled_laplacian", (a,), out.reshape(shape),
                  lambda g: (_laplacian_backward_batch(
                      g.reshape(stack_shape), saved).reshape(shape),))

@@ -494,6 +494,9 @@ def test_eval_ckpt_manifest_records_resolved_values(small_run, tmp_path,
      "lr_decay_factor '0.1' is not a finite number"),
     (["ablate", "--seeds", "0,-1", "--n-adjacent", "2"],
      "seed -1 must be at least 0"),
+    # the synth has 120 steps; a default window spans 12 + 12 = 24
+    (["train", "--split", "3,0.1,2"], "validation split has 2 steps"),
+    (["train", "--w", "400"], "training split has 60 steps"),
 ], ids=["sigma-abc", "split-0-0-0", "config-list", "config-model-list",
         "config-train-string", "config-no-blocks", "config-block-int",
         "krr-gamma-0", "krr-gamma-negative", "ridge-lam-nan", "wprime-0",
@@ -506,7 +509,8 @@ def test_eval_ckpt_manifest_records_resolved_values(small_run, tmp_path,
         "config-seed-float", "config-epochs-bool",
         "config-temporal-kernel-float", "config-alpha-inf", "config-beta-bool",
         "config-lr0-bool", "config-decay-factor-bool", "config-lr0-string",
-        "config-decay-factor-string", "ablate-seed-negative"])
+        "config-decay-factor-string", "ablate-seed-negative",
+        "train-val-split-short", "train-split-short"])
 def test_bad_input_exits_1_with_one_line(small_run, tmp_path, capsys, argv,
                                          where):
     argv = list(argv)
@@ -525,6 +529,26 @@ def test_bad_input_exits_1_with_one_line(small_run, tmp_path, capsys, argv,
     assert len(err) == 1 and err[0].startswith("error: ") \
         and where in err[0], err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,where", [
+    (["ablate", "--grid", "singles", "--seeds", "0,0", "--n-adjacent", "2"],
+     "seed 0 is repeated"),
+    (["sweep", "--counts", "3,2,3"], "neighbor count 3 is repeated"),
+], ids=["ablate-seeds", "sweep-counts"])
+def test_repeated_values_exit_1_before_training(small_run, tmp_path, capsys,
+                                                monkeypatch, argv, where):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a model was trained")
+
+    monkeypatch.setattr(md, "train", no_training)
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert main(argv + ["--data", str(small_run / "synth.w2kt"),
+                        "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {where}"]
+    assert not out.exists()
 
 
 def test_missing_input_exits_1(tmp_path):

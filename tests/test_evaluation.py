@@ -280,6 +280,13 @@ def test_grid_definitions():
         ev.grid_specs("everything")
 
 
+def test_repeated_seeds_rejected():
+    with pytest.raises(ConfigError, match="seed 0 is repeated"):
+        ev.AblationSpec(("distance",), seeds=(0, 1, 0))
+    with pytest.raises(ConfigError, match="seed 3 is repeated"):
+        ev.grid_specs("singles", seeds=(3, 3))
+
+
 def test_single_spec_ablation_equals_plain_run():
     ds = _dataset(n=4, t=80, seed=13)
     train = ds.slice_time(0, 50)
@@ -340,6 +347,21 @@ def test_neighbor_sweep_is_deterministic():
     assert a["n_adjacent"] == [2, 4]
     assert len(a["test_mae"]) == 2
     assert all(np.isfinite(a["test_mae"]))
+
+
+def test_neighbor_sweep_rejects_repeated_counts_before_training(
+        monkeypatch):
+    ds = _dataset(n=6, t=70, seed=17)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a model was trained")
+
+    monkeypatch.setattr(md, "train", no_training)
+    with pytest.raises(ConfigError, match="neighbor count 2 is repeated"):
+        ev.neighbor_count_sweep(ds.slice_time(0, 45), ds.slice_time(45, 58),
+                                ds.slice_time(58, 70), (2, 4, 2),
+                                _tiny_model_cfg(),
+                                md.TrainConfig(epochs=1, seed=3))
 
 
 def test_dump_report_stable_bytes(tmp_path):

@@ -235,7 +235,7 @@ def test_scaled_laplacian_stack_mixes_valid_and_fallback():
     def loss(t):
         return reduce_sum(tp.hadamard(tp.scaled_laplacian_op(stack(t)), w))
 
-    _, saved = tp._laplacian_forward_batch(stack(p).values)
+    _, saved = tp._laplacian_forward_batch(stack(p).values, True)
     assert saved[4].tolist() == [True, False, True]
     assert np.array_equal(tp.scaled_laplacian_op(stack(p)).values[1],
                           -np.eye(n))
@@ -255,7 +255,7 @@ def _fused_station_adjacencies(n, count, seed):
 @pytest.mark.parametrize("n", [20, 100])
 def test_inverse_iteration_matches_eigh(n):
     _, saved = tp._laplacian_forward_batch(
-        _fused_station_adjacencies(n, 4, seed=n))
+        _fused_station_adjacencies(n, 4, seed=n), True)
     lap, lam, valid = saved[2], saved[3], saved[4]
     assert valid.all()
     v = tp._top_eigvec_batch(lap.copy(), lam)
@@ -273,7 +273,7 @@ def test_scaled_laplacian_repeated_top_eigenvalue():
     n = 6
     adj = np.ones((n, n)) - np.eye(n)
     w = RNG(26).standard_normal((n, n))
-    _, saved = tp._laplacian_forward_batch(adj[None])
+    _, saved = tp._laplacian_forward_batch(adj[None], True)
     lap, lam = saved[2], saved[3]
     assert lam[0] == pytest.approx(n / (n - 1), abs=1e-14)
     v = tp._top_eigvec_batch(lap.copy(), lam)[0]
@@ -332,6 +332,41 @@ def test_scaled_laplacian_isolated_node_stays_finite():
                                   tp.scaled_laplacian_op(a)))
     g = tp.grad_of(tp.backward(loss), a)
     assert np.isfinite(g).all()
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("isolated", [False, True],
+                         ids=["connected", "isolated"])
+def test_scaled_laplacian_off_tape_matches_on_tape(rank, isolated):
+    # off the tape L~ is formed in place and no backward state is kept;
+    # the bytes must equal the on-tape op's and the input stays as it was
+    rng = RNG(62)
+    a = rng.uniform(0.1, 1.0, (3, 6, 6))
+    a = a + a.transpose(0, 2, 1)
+    if isolated:
+        a[:, 2, :] = a[:, :, 2] = 0.0  # a self-loop is injected for node 2
+    if rank == 2:
+        a = a[0]
+    before = a.copy()
+    off = tp.scaled_laplacian_op(a).values
+    assert a.tobytes() == before.tobytes()
+    on = tp.scaled_laplacian_op(tp.Tape().param(a)).values
+    assert off.tobytes() == on.tobytes()
+    assert np.isfinite(off).all()
+
+
+def test_scaled_laplacian_off_tape_keeps_one_stack():
+    # off the tape I - S A S and L~ share one [B, N, N] buffer: the peak is
+    # 1.24 input stacks, and a second buffer for L~ would make it 2.23
+    a = RNG(63).uniform(0.0, 1.0, (16, 60, 60))
+    a = a + a.transpose(0, 2, 1)
+    tracemalloc.start()
+    try:
+        tp.scaled_laplacian_op(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * a.nbytes
 
 
 def test_backward_frees_consumed_gradients():
