@@ -34,11 +34,11 @@ def main():
                           blocks=[md.StBlockConfig(2, [3], 1, 6)], d_emb=4)
     tcfg = md.TrainConfig(epochs=args.epochs, batch_size=32, seed=0)
 
-    specs = [ev.AblationSpec((k,)) for k in md.ALL_GRAPH_KINDS]
-    specs.append(ev.AblationSpec(md.ALL_GRAPH_KINDS))
-    print(f"training {len(specs)} graph subsets for {args.epochs} epochs "
+    subsets = [(k,) for k in md.ALL_GRAPH_KINDS] + [md.ALL_GRAPH_KINDS]
+    print(f"training {len(subsets)} graph subsets for {args.epochs} epochs "
           f"each...")
-    report = ev.run_ablation(specs, train, val, test, static, mcfg, tcfg)
+    report = ev.run_ablation(subsets, train, val, test, static, mcfg, tcfg,
+                             seeds=(0,))
     print(f"{'graphs':<45} {'test mae':>9} {'test rmse':>10}")
     for row in sorted(report["rows"], key=lambda r: r["mean_mae"]):
         print(f"{row['label']:<45} {row['mean_mae']:9.4f} "

@@ -383,8 +383,12 @@ def _cmd_ablate(args) -> int:
     train_ds, val_ds, test_ds, _ = _prepare_splits(
         ds, args.factor, _split_scheme(args.split))
     mcfg, tcfg = _model_and_train_config(args)
-    seeds = [int(s) for s in _parse_numbers(args.seeds, cast=int)]
-    specs = ev.grid_specs(args.grid, seeds=tuple(seeds))
+    subsets = ev.grid_specs(args.grid)
+    seeds = _parse_numbers(args.seeds, cast=int)
+    ev.check_seeds(seeds)
+    # before the graph build, which is the costlier step at full scale
+    dt.check_windows(mcfg.w_in, mcfg.w_out, training=train_ds,
+                     validation=val_ds, test=test_ds)
     inputs = [src]
     if args.graphs:
         graph_path = _resolve(args.graphs)
@@ -394,10 +398,10 @@ def _cmd_ablate(args) -> int:
         gs = gr.build_static_graphs(train_ds, n_adjacent=args.n_adjacent,
                                     pattern_factors=train_ds.factors)
         static = _static_from_graphset(gs, train_ds)
-    _log(f"running {len(specs)} rows x {len(seeds)} seeds "
-         f"({len(specs) * len(seeds)} trainings)")
-    report = ev.run_ablation(specs, train_ds, val_ds, test_ds, static,
-                             mcfg, tcfg)
+    _log(f"running {len(subsets)} rows x {len(seeds)} seeds "
+         f"({len(subsets) * len(seeds)} trainings)")
+    report = ev.run_ablation(subsets, train_ds, val_ds, test_ds, static,
+                             mcfg, tcfg, seeds)
     out = _resolve(args.out)
     ev.dump_report(report, out)
     best = min(report["rows"], key=lambda r: r["mean_mae"])

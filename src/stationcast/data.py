@@ -410,6 +410,14 @@ def _load_binary(path: Path) -> WeatherSeriesDataset:
 # quality screening
 
 
+def _check_max_ratio(screen: str, max_ratio) -> None:
+    """A screening threshold is a share of steps: a real number in [0, 1]."""
+    check_reals(**{f"{screen} max_ratio": max_ratio})
+    if not 0.0 <= max_ratio <= 1.0:
+        raise ConfigError(f"{screen} max_ratio {max_ratio} lies outside "
+                          "[0, 1]")
+
+
 def screen_missing(ds: WeatherSeriesDataset, max_ratio: float = 0.01):
     """Drop stations with too many incomplete records.
 
@@ -417,6 +425,7 @@ def screen_missing(ds: WeatherSeriesDataset, max_ratio: float = 0.01):
     factor cell is unobserved; the station is dropped when the missing
     fraction strictly exceeds ``max_ratio``.
     """
+    _check_max_ratio("missing-data", max_ratio)
     record_missing = ~ds.mask.all(axis=2)  # [N, T]
     ratios = record_missing.mean(axis=1)
     keep = [i for i in range(ds.n_stations) if ratios[i] <= max_ratio]
@@ -440,6 +449,7 @@ def screen_defaults(ds: WeatherSeriesDataset, max_ratio: float = 0.01):
     The codes are ``DEFAULT_CODES``.  Surviving default-code cells are
     masked as unobserved so interpolation replaces them.
     """
+    _check_max_ratio("default-code", max_ratio)
     ratios: dict = {}
     drop = set()
     mask = ds.mask.copy()
@@ -538,6 +548,16 @@ def split_temporal(ds: WeatherSeriesDataset,
     n_val = int(t * parts[1] / total)
     ranges = [(0, n_train), (n_train, n_train + n_val), (n_train + n_val, t)]
     return tuple(ds.slice_time(a, b) for a, b in ranges)
+
+
+def check_windows(w_in: int, w_out: int, **splits) -> None:
+    """Each keyword's split must hold one window of w_in + w_out steps; the
+    ConfigError names the first split that does not."""
+    span = w_in + w_out
+    for name, split in splits.items():
+        if split.n_steps < span:
+            raise ConfigError(f"{name} split has {split.n_steps} steps, "
+                              f"fewer than the {span} one window spans")
 
 
 def make_windows(split: WeatherSeriesDataset, w_in: int, w_out: int,

@@ -19,7 +19,7 @@ from . import baselines as bl
 from . import graphs as gr
 from . import model as md
 from .data import (NormStats, PackedReader, WeatherSeriesDataset,
-                   _pack_str, denormalize_values, make_windows)
+                   _pack_str, check_windows, denormalize_values, make_windows)
 from .errors import (ConfigError, ShapeError, StructuralError, check_distinct,
                      check_ints)
 
@@ -215,19 +215,16 @@ def evaluate_baseline(kind: str, train_ds: WeatherSeriesDataset,
     Returns (preds, truth, target_starts) as [B, N, W, D] tensors; the
     regression kinds require a single-factor dataset.
     """
-    test = next(make_windows(test_ds, w_in, w_out), None)
-    if test is None:
-        raise ConfigError("test split is too short to cut a single window")
+    check_windows(w_in, w_out, test=test_ds)
+    test = next(make_windows(test_ds, w_in, w_out))
     if kind == "persistence":
         preds = bl.persistence_forecast(test.inputs, w_out)
     elif kind in bl.REGRESSION_KINDS:
         if train_ds.n_factors != 1:
             raise ConfigError("regression references are univariate; select "
                               "one factor first")
-        fit = next(make_windows(train_ds, w_in, w_out), None)
-        if fit is None:
-            raise ConfigError("training split is too short to cut a single "
-                              "window")
+        check_windows(w_in, w_out, training=train_ds)
+        fit = next(make_windows(train_ds, w_in, w_out))
         model = bl.fit_regression(fit.inputs[..., 0], fit.targets[..., 0],
                                   kind, lam=lam, gamma=gamma)
         preds = bl.predict_regression(model, test.inputs[..., 0])[..., None]
@@ -255,28 +252,14 @@ def _fit_and_score(train_ds: WeatherSeriesDataset,
     return compute_metrics(preds, truth, factors=test_ds.factors), hist
 
 
-@dataclass
-class AblationSpec:
-    """One fusion-study row: which graphs stay in, trained over seeds."""
-
-    graph_kinds: tuple
-    seeds: tuple = (0,)
-
-    def __post_init__(self):
-        self.graph_kinds = tuple(self.graph_kinds)
-        self.seeds = tuple(self.seeds)
-        if not self.graph_kinds:
-            raise ConfigError("an ablation row needs at least one graph")
-        for seed in self.seeds:
-            check_ints(0, seed=seed)
-        check_distinct("seed", self.seeds)
-        for k in self.graph_kinds:
-            if k not in gr.MODEL_KINDS:
-                raise ConfigError(f"unknown graph kind {k!r}")
-
-    @property
-    def label(self) -> str:
-        return "+".join(self.graph_kinds)
+def check_seeds(seeds: Sequence[int]) -> None:
+    """An ablation needs at least one seed; each is an integer of at least
+    0, and none repeats."""
+    if not seeds:
+        raise ConfigError("at least one seed is required")
+    for seed in seeds:
+        check_ints(0, seed=seed)
+    check_distinct("seed", seeds)
 
 
 FULL13_SUBSETS = (
@@ -302,40 +285,48 @@ GRIDS = {
 }
 
 
-def grid_specs(grid: str, seeds: Sequence[int] = (0,)) -> list:
+def grid_specs(grid: str) -> list:
+    """The graph-kind subsets of a named ablation grid."""
     if grid not in GRIDS:
         raise ConfigError(f"unknown ablation grid {grid!r} "
                           f"(have {sorted(GRIDS)})")
-    return [AblationSpec(kinds, tuple(seeds)) for kinds in GRIDS[grid]]
+    return list(GRIDS[grid])
 
 
-def run_ablation(specs: Sequence[AblationSpec],
+def run_ablation(subsets: Sequence[Sequence[str]],
                  train_ds: WeatherSeriesDataset,
                  val_ds: WeatherSeriesDataset,
                  test_ds: WeatherSeriesDataset,
                  static_graphs: dict,
                  model_cfg: md.ModelConfig,
-                 train_cfg: md.TrainConfig) -> dict:
-    """Train one model per (row, seed) with shared settings; score on test.
+                 train_cfg: md.TrainConfig,
+                 seeds: Sequence[int] = (0,)) -> dict:
+    """Train one model per (graph subset, seed) with shared settings; score
+    each on test.
 
     Every run differs only in which graphs enter the fusion and in the
-    seed, so rows are comparable.  Returns a plain report dict.
+    seed, so rows are comparable.  Every row's and seed's configuration is
+    built, and every split checked, before the first training.  Returns a
+    plain report dict.
     """
+    check_seeds(seeds)
+    check_windows(model_cfg.w_in, model_cfg.w_out, training=train_ds,
+                  validation=val_ds, test=test_ds)
+    row_cfgs = [replace(model_cfg, graph_kinds=kinds) for kinds in subsets]
+    seed_cfgs = [replace(train_cfg, seed=seed) for seed in seeds]
     rows = []
-    for spec in specs:
-        cfg = replace(model_cfg, graph_kinds=spec.graph_kinds)
+    for cfg in row_cfgs:
         per_seed = []
-        for seed in spec.seeds:
+        for tcfg in seed_cfgs:
             rep, hist = _fit_and_score(train_ds, val_ds, test_ds,
-                                       static_graphs, cfg,
-                                       replace(train_cfg, seed=seed))
-            per_seed.append({"seed": seed,
+                                       static_graphs, cfg, tcfg)
+            per_seed.append({"seed": tcfg.seed,
                              "mae": rep.overall_mae,
                              "rmse": rep.overall_rmse,
                              "best_epoch": hist.best_epoch})
         rows.append({
-            "graphs": list(spec.graph_kinds),
-            "label": spec.label,
+            "graphs": list(cfg.graph_kinds),
+            "label": "+".join(cfg.graph_kinds),
             "per_seed": per_seed,
             "mean_mae": float(np.mean([r["mae"] for r in per_seed])),
             "mean_rmse": float(np.mean([r["rmse"] for r in per_seed])),
@@ -363,13 +354,21 @@ def neighbor_count_sweep(train_ds: WeatherSeriesDataset,
     """Test error as a function of the nearest-neighbor graph's degree.
 
     Rebuilds the static graphs at each count with everything else frozen;
-    runs are deterministic for fixed seeds.
+    runs are deterministic for fixed seeds.  Every count and split is
+    checked before the first training.
     """
     check_distinct("neighbor count", counts)
+    check_windows(model_cfg.w_in, model_cfg.w_out, training=train_ds,
+                  validation=val_ds, test=test_ds)
+    dist = gr.pairwise_distances_km([s.lat for s in train_ds.stations],
+                                    [s.lon for s in train_ds.stations])
+    for na in counts:
+        # the neighbor builder checks its count; one graph is kept at a time
+        gr.build_neighbor_graph(dist, na)
     curve = {"n_adjacent": [], "test_mae": [], "test_rmse": []}
     for na in counts:
         gs = gr.build_static_graphs(
-            train_ds, n_adjacent=int(na),
+            train_ds, n_adjacent=na,
             pattern_factors=pattern_factors or train_ds.factors)
         static = {k: gs[k].weights for k in gr.STATIC_KINDS}
         rep, _ = _fit_and_score(train_ds, val_ds, test_ds, static, model_cfg,

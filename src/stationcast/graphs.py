@@ -18,7 +18,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import tape as tp
-from .data import PackedReader, StationMeta, WeatherSeriesDataset, _pack_str
+from .data import PackedReader, WeatherSeriesDataset, _pack_str
 from .errors import (ConfigError, PipelineError, ShapeError, StructuralError,
                      check_ints, check_reals)
 
@@ -54,27 +54,6 @@ class Adjacency:
         # pattern correlations are signed
         if self.kind != "pattern" and (self.weights < 0.0).any():
             raise StructuralError(f"{self.kind} graph has negative entries")
-
-
-@dataclass
-class DistanceGraphConfig:
-    sigma: float
-    epsilon: float = 0.1
-
-    def __post_init__(self):
-        check_reals(finite=False, sigma=self.sigma, epsilon=self.epsilon)
-        if not 0.0 < self.sigma < np.inf:
-            raise ConfigError(f"sigma {self.sigma} must be positive and finite")
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ConfigError("epsilon must lie in [0, 1)")
-
-
-@dataclass
-class NeighborGraphConfig:
-    n_adjacent: int = 10
-
-    def __post_init__(self):
-        check_ints(1, n_adjacent=self.n_adjacent)
 
 
 @dataclass
@@ -124,36 +103,36 @@ def auto_sigma(dist: np.ndarray) -> float:
 # static graph builders
 
 
-def build_distance_graph(stations: Sequence[StationMeta],
-                         cfg: DistanceGraphConfig) -> Adjacency:
-    """Thresholded Gaussian kernel on great-circle distance."""
-    lats = np.array([s.lat for s in stations])
-    lons = np.array([s.lon for s in stations])
-    d = pairwise_distances_km(lats, lons)
-    w = np.exp(-(d ** 2) / cfg.sigma ** 2)
-    w = np.where(w >= cfg.epsilon, w, 0.0)
+def build_distance_graph(dist: np.ndarray, sigma: float,
+                         epsilon: float) -> Adjacency:
+    """Thresholded Gaussian kernel on a great-circle distance matrix."""
+    check_reals(finite=False, sigma=sigma, epsilon=epsilon)
+    if not 0.0 < sigma < np.inf:
+        raise ConfigError(f"sigma {sigma} must be positive and finite")
+    if not 0.0 <= epsilon < 1.0:
+        raise ConfigError("epsilon must lie in [0, 1)")
+    w = np.exp(-(dist ** 2) / sigma ** 2)
+    w = np.where(w >= epsilon, w, 0.0)
     np.fill_diagonal(w, 0.0)
-    return Adjacency(len(stations), w, "distance")
+    return Adjacency(len(dist), w, "distance")
 
 
-def build_neighbor_graph(stations: Sequence[StationMeta],
-                         cfg: NeighborGraphConfig) -> Adjacency:
+def build_neighbor_graph(dist: np.ndarray, n_adjacent: int) -> Adjacency:
     """Directed k-nearest graph: row i marks the n_adjacent closest stations.
 
     Distance ties break toward the lower station index, so the build is
     deterministic.
     """
-    n = len(stations)
-    if cfg.n_adjacent >= n:
-        raise ConfigError(f"n_adjacent={cfg.n_adjacent} must be below the "
+    n = len(dist)
+    check_ints(1, n_adjacent=n_adjacent)
+    if n_adjacent >= n:
+        raise ConfigError(f"n_adjacent={n_adjacent} must be below the "
                           f"station count {n}")
-    lats = np.array([s.lat for s in stations])
-    lons = np.array([s.lon for s in stations])
-    d = pairwise_distances_km(lats, lons)
     # a station is never its own neighbor; the stable sort keeps ties in
     # index order
+    d = dist.copy()
     np.fill_diagonal(d, np.inf)
-    nearest = np.argsort(d, axis=1, kind="stable")[:, :cfg.n_adjacent]
+    nearest = np.argsort(d, axis=1, kind="stable")[:, :n_adjacent]
     w = np.zeros((n, n))
     w[np.arange(n)[:, None], nearest] = 1.0
     return Adjacency(n, w, "neighbor")
@@ -487,18 +466,12 @@ def build_static_graphs(train_ds: WeatherSeriesDataset,
                         pattern_factors: Sequence[str] = PATTERN_FACTORS
                         ) -> GraphSet:
     """Distance, neighbor, and pattern graphs in one pass."""
-    lats = np.array([s.lat for s in train_ds.stations])
-    lons = np.array([s.lon for s in train_ds.stations])
-    dist = pairwise_distances_km(lats, lons)
-    if sigma == "auto":
-        sigma_v = auto_sigma(dist)
-    else:
-        sigma_v = float(sigma)
+    dist = pairwise_distances_km([s.lat for s in train_ds.stations],
+                                 [s.lon for s in train_ds.stations])
+    sigma_v = auto_sigma(dist) if sigma == "auto" else float(sigma)
     graphs = {
-        "distance": build_distance_graph(
-            train_ds.stations, DistanceGraphConfig(sigma_v, epsilon)),
-        "neighbor": build_neighbor_graph(
-            train_ds.stations, NeighborGraphConfig(n_adjacent)),
+        "distance": build_distance_graph(dist, sigma_v, epsilon),
+        "neighbor": build_neighbor_graph(dist, n_adjacent),
         "pattern": build_pattern_graph(train_ds, pattern_factors),
     }
     meta = {"sigma": sigma_v, "epsilon": epsilon, "n_adjacent": n_adjacent,

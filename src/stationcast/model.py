@@ -21,7 +21,8 @@ import numpy as np
 
 from . import graphs as gr
 from . import tape as tp
-from .data import PackedReader, WeatherSeriesDataset, make_windows
+from .data import (PackedReader, WeatherSeriesDataset, check_windows,
+                   make_windows)
 from .errors import (CheckpointError, ConfigError, ShapeError, TrainingError,
                      check_ints, check_reals)
 
@@ -381,14 +382,13 @@ def forward(model: MultiGraphForecaster, inputs: np.ndarray,
 def predict_dataset(model: MultiGraphForecaster, ds: WeatherSeriesDataset,
                     static_graphs: dict, batch_size: int = 64):
     """Forecast every window of a split; returns (preds, targets, origins)."""
+    check_windows(model.config.w_in, model.config.w_out, forecast=ds)
     preds, targets, origins = [], [], []
     for batch in make_windows(ds, model.config.w_in, model.config.w_out,
                               batch_size=batch_size):
         preds.append(forward(model, batch.inputs, static_graphs))
         targets.append(batch.targets)
         origins.append(batch.origins)
-    if not preds:
-        raise ConfigError("split is too short to cut a single window")
     return (np.concatenate(preds), np.concatenate(targets),
             np.concatenate(origins))
 
@@ -413,11 +413,7 @@ def train(model: MultiGraphForecaster, train_ds: WeatherSeriesDataset,
     raises ConfigError before the first step.
     """
     mcfg = model.config
-    span = mcfg.w_in + mcfg.w_out
-    for name, split in (("training", train_ds), ("validation", val_ds)):
-        if split.n_steps < span:
-            raise ConfigError(f"{name} split has {split.n_steps} steps, "
-                              f"fewer than the {span} one window spans")
+    check_windows(mcfg.w_in, mcfg.w_out, training=train_ds, validation=val_ds)
     rng = np.random.default_rng(cfg.seed)
     params = {k: v.copy() for k, v in model.params.items()}
     state = tp.AdamState()

@@ -8,6 +8,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from stationcast import graphs as gr
 from stationcast import tape as tp
 from stationcast.data import WeatherSeriesDataset
 
@@ -70,6 +71,13 @@ def finite_diff_check(build_loss: Callable[[dict], tp.TapeTensor],
             err = abs(a - numeric) / denom
             worst = max(worst, err)
     return worst
+
+
+def station_distances(stations) -> np.ndarray:
+    """Great-circle distance matrix of a station list, as the graph
+    builders take it."""
+    return gr.pairwise_distances_km([s.lat for s in stations],
+                                    [s.lon for s in stations])
 
 
 def save_csv_dir(ds: WeatherSeriesDataset, root) -> None:

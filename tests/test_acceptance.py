@@ -22,7 +22,7 @@ from stationcast import tape as tp
 from stationcast.cli import main as cli_main
 from stationcast.data import StationMeta, WeatherSeriesDataset
 
-from helpers import finite_diff_check, reduce_sum
+from helpers import finite_diff_check, reduce_sum, station_distances
 
 
 def _verdict(num: int, msg: str) -> None:
@@ -171,14 +171,13 @@ def test_criterion_03_graph_invariants():
         sigma = float(rng.uniform(50.0, 400.0))
         na = int(rng.integers(1, n))
 
-        a_d = gr.build_distance_graph(
-            stations, gr.DistanceGraphConfig(sigma=sigma, epsilon=eps)).weights
+        dist = station_distances(stations)
+        a_d = gr.build_distance_graph(dist, sigma, eps).weights
         assert np.array_equal(a_d, a_d.T)
         assert not np.diagonal(a_d).any()
         assert np.all((a_d == 0.0) | ((a_d >= eps) & (a_d <= 1.0)))
 
-        a_n = gr.build_neighbor_graph(
-            stations, gr.NeighborGraphConfig(n_adjacent=na)).weights
+        a_n = gr.build_neighbor_graph(dist, na).weights
         assert np.all(a_n.sum(axis=1) == float(na))
         assert np.all((a_n == 0.0) | (a_n == 1.0))
 
@@ -358,10 +357,9 @@ def test_criterion_08_fusion_holds_up_in_ablation(synth_splits, synth_static):
                           blocks=[md.StBlockConfig(2, [3], 1, 8)], d_emb=8)
     tcfg = md.TrainConfig(epochs=15, batch_size=32, seed=0)
     seeds = (0, 1, 2)
-    specs = [ev.AblationSpec((k,), seeds) for k in md.ALL_GRAPH_KINDS]
-    specs.append(ev.AblationSpec(md.ALL_GRAPH_KINDS, seeds))
-    report = ev.run_ablation(specs, train, val, test, synth_static,
-                             mcfg, tcfg)
+    subsets = [(k,) for k in md.ALL_GRAPH_KINDS] + [md.ALL_GRAPH_KINDS]
+    report = ev.run_ablation(subsets, train, val, test, synth_static,
+                             mcfg, tcfg, seeds)
     singles = {r["label"]: r["mean_mae"] for r in report["rows"]
                if len(r["graphs"]) == 1}
     full = [r for r in report["rows"] if len(r["graphs"]) == 5][0]["mean_mae"]

@@ -497,6 +497,12 @@ def test_eval_ckpt_manifest_records_resolved_values(small_run, tmp_path,
     # the synth has 120 steps; a default window spans 12 + 12 = 24
     (["train", "--split", "3,0.1,2"], "validation split has 2 steps"),
     (["train", "--w", "400"], "training split has 60 steps"),
+    (["preprocess", "--max-missing", "nan"],
+     "missing-data max_ratio nan is not a finite number"),
+    (["preprocess", "--max-missing", "-0.5"],
+     "missing-data max_ratio -0.5 lies outside [0, 1]"),
+    (["preprocess", "--max-defaults", "nan"],
+     "default-code max_ratio nan is not a finite number"),
 ], ids=["sigma-abc", "split-0-0-0", "config-list", "config-model-list",
         "config-train-string", "config-no-blocks", "config-block-int",
         "krr-gamma-0", "krr-gamma-negative", "ridge-lam-nan", "wprime-0",
@@ -510,7 +516,9 @@ def test_eval_ckpt_manifest_records_resolved_values(small_run, tmp_path,
         "config-temporal-kernel-float", "config-alpha-inf", "config-beta-bool",
         "config-lr0-bool", "config-decay-factor-bool", "config-lr0-string",
         "config-decay-factor-string", "ablate-seed-negative",
-        "train-val-split-short", "train-split-short"])
+        "train-val-split-short", "train-split-short",
+        "preprocess-max-missing-nan", "preprocess-max-missing-negative",
+        "preprocess-max-defaults-nan"])
 def test_bad_input_exits_1_with_one_line(small_run, tmp_path, capsys, argv,
                                          where):
     argv = list(argv)
@@ -548,6 +556,36 @@ def test_repeated_values_exit_1_before_training(small_run, tmp_path, capsys,
                         "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: {where}"]
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def study_data(tmp_path_factory):
+    path = tmp_path_factory.mktemp("study") / "synth.w2kt"
+    assert main(["synth", "--n", "6", "--t", "200", "--d", "1", "--seed",
+                 "2", "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("argv,where", [
+    # the default --n-adjacent 10 could not build graphs on 6 stations
+    (["ablate", "--grid", "singles", "--split", "3,1,0.04"],
+     "test split has 3 steps, fewer than the 24 one window spans"),
+    (["sweep", "--split", "3,1,0.04", "--counts", "2,3"],
+     "test split has 3 steps, fewer than the 24 one window spans"),
+    (["sweep", "--counts", "2,9"],
+     "n_adjacent=9 must be below the station count 6"),
+], ids=["ablate-short-test", "sweep-short-test", "sweep-count-too-large"])
+def test_study_input_exits_1_before_training(study_data, tmp_path, capsys,
+                                             monkeypatch, argv, where):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a model was trained")
+
+    monkeypatch.setattr(md, "train", no_training)
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert main(argv + ["--data", str(study_data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {where}"]
     assert not out.exists()
 
 

@@ -332,6 +332,26 @@ def test_screen_defaults_any_factor_rule():
     assert report["dropped"] == ["S1"]
 
 
+@pytest.mark.parametrize("bad,text", [
+    (float("nan"), "max_ratio nan is not a finite number"),
+    (float("inf"), "max_ratio inf is not a finite number"),
+    ("0.1", "max_ratio '0.1' is not a finite number"),
+    (True, "max_ratio True is not a finite number"),
+    (-0.5, r"max_ratio -0.5 lies outside \[0, 1\]"),
+    (1.5, r"max_ratio 1.5 lies outside \[0, 1\]"),
+], ids=["nan", "inf", "string", "bool", "negative", "above-1"])
+def test_screening_rejects_bad_thresholds(bad, text):
+    ds = tiny_dataset(n=2, t=10, d=1, seed=7, factors=["t"])
+    with pytest.raises(ConfigError, match=f"^missing-data {text}"):
+        dt.screen_missing(ds, max_ratio=bad)
+    with pytest.raises(ConfigError, match=f"^default-code {text}"):
+        dt.screen_defaults(ds, max_ratio=bad)
+    # both ends of the range are valid shares
+    for ok in (0, 1.0):
+        dt.screen_missing(ds, max_ratio=ok)
+        dt.screen_defaults(ds, max_ratio=ok)
+
+
 def test_screening_pipeline_idempotent():
     rng = RNG(11)
     ds = tiny_dataset(n=5, t=200, d=2, seed=11, factors=["t", "hv2"])

@@ -38,6 +38,10 @@ def _tiny_model_cfg(w_in=6, w_out=3):
                           blocks=[md.StBlockConfig(2, [3], 1, 2)], d_emb=2)
 
 
+def _no_training(*args, **kwargs):
+    raise AssertionError("a model was trained")
+
+
 # ---------------------------------------------------------------------------
 # metric values
 
@@ -254,6 +258,21 @@ def test_evaluate_baseline_shapes_and_kinds():
         ev.evaluate_baseline("oracle", train, test, 6, 3)
 
 
+def test_short_splits_are_named():
+    ds = _dataset(n=4, t=70, seed=11)
+    long, short = ds.slice_time(0, 50), ds.slice_time(50, 58)
+    with pytest.raises(ConfigError, match="^test split has 8 steps, fewer "
+                                          "than the 9 one window spans$"):
+        ev.evaluate_baseline("persistence", long, short, 6, 3)
+    with pytest.raises(ConfigError, match="^training split has 8 steps"):
+        ev.evaluate_baseline("ridge", short, long, 6, 3, lam=1e-3)
+    model = md.build_model(4, _tiny_model_cfg(), seed=0)
+    with pytest.raises(ConfigError, match="^forecast split has 8 steps, "
+                                          "fewer than the 9 one window"):
+        md.predict_dataset(model, short, _static_graphs(
+            4, np.random.default_rng(0)))
+
+
 def test_evaluate_baseline_rejects_multifactor_regression():
     rng = np.random.default_rng(12)
     stations = [StationMeta(f"S{i}", 35.0, 110.0 + i * 0.1) for i in range(3)]
@@ -269,12 +288,11 @@ def test_evaluate_baseline_rejects_multifactor_regression():
 
 
 def test_grid_definitions():
-    specs = ev.grid_specs("full13", seeds=(0, 1))
-    assert len(specs) == 13
-    assert specs[-1].graph_kinds == md.ALL_GRAPH_KINDS
-    assert all(s.seeds == (0, 1) for s in specs)
+    subsets = ev.grid_specs("full13")
+    assert len(subsets) == 13
+    assert subsets[-1] == md.ALL_GRAPH_KINDS
     assert ev.grid_specs("table4") == ev.grid_specs("full13")
-    sizes = sorted(len(s.graph_kinds) for s in specs)
+    sizes = sorted(len(kinds) for kinds in subsets)
     assert sizes == [1, 1, 1, 1, 1, 2, 3, 4, 4, 4, 4, 4, 5]
     with pytest.raises(ConfigError, match="unknown ablation grid"):
         ev.grid_specs("everything")
@@ -282,9 +300,63 @@ def test_grid_definitions():
 
 def test_repeated_seeds_rejected():
     with pytest.raises(ConfigError, match="seed 0 is repeated"):
-        ev.AblationSpec(("distance",), seeds=(0, 1, 0))
+        ev.check_seeds((0, 1, 0))
     with pytest.raises(ConfigError, match="seed 3 is repeated"):
-        ev.grid_specs("singles", seeds=(3, 3))
+        ev.check_seeds((3, 3))
+
+
+@pytest.mark.parametrize("seeds,text", [
+    ((), "at least one seed is required"),
+    ((0, -1), "seed -1 must be at least 0"),
+    ((0, 1.5), "seed 1.5 is not an integer"),
+    ((2, 2), "seed 2 is repeated"),
+], ids=["none", "negative", "float", "repeated"])
+def test_ablation_rejects_bad_seeds_before_training(monkeypatch, seeds,
+                                                    text):
+    ds = _dataset(n=4, t=70, seed=15)
+    monkeypatch.setattr(md, "train", _no_training)
+    with pytest.raises(ConfigError, match=text):
+        ev.check_seeds(seeds)
+    with pytest.raises(ConfigError, match=text):
+        ev.run_ablation([("distance",)], ds.slice_time(0, 45),
+                        ds.slice_time(45, 58), ds.slice_time(58, 70),
+                        _static_graphs(4, np.random.default_rng(16)),
+                        _tiny_model_cfg(), md.TrainConfig(epochs=1),
+                        seeds=seeds)
+
+
+@pytest.mark.parametrize("subsets,text", [
+    ([("distance",), ("bogus",)], "unknown graph kind 'bogus'"),
+    ([("distance",), ()], "at least one graph kind is required"),
+], ids=["unknown-kind", "empty-subset"])
+def test_ablation_rejects_bad_subsets_before_training(monkeypatch, subsets,
+                                                      text):
+    ds = _dataset(n=4, t=70, seed=15)
+    monkeypatch.setattr(md, "train", _no_training)
+    with pytest.raises(ConfigError, match=text):
+        ev.run_ablation(subsets, ds.slice_time(0, 45),
+                        ds.slice_time(45, 58), ds.slice_time(58, 70),
+                        _static_graphs(4, np.random.default_rng(16)),
+                        _tiny_model_cfg(), md.TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("bounds,text", [
+    ((40, 44, 70), "validation split has 4 steps, fewer than the 9 one"),
+    ((45, 58, 63), "test split has 5 steps, fewer than the 9 one window"),
+], ids=["validation", "test"])
+def test_studies_reject_short_splits_before_training(monkeypatch, bounds,
+                                                     text):
+    ds = _dataset(n=6, t=70, seed=17)
+    a, b, c = bounds
+    splits = ds.slice_time(0, a), ds.slice_time(a, b), ds.slice_time(b, c)
+    mcfg, tcfg = _tiny_model_cfg(), md.TrainConfig(epochs=1)
+    monkeypatch.setattr(md, "train", _no_training)
+    with pytest.raises(ConfigError, match=text):
+        ev.run_ablation(ev.grid_specs("singles"), *splits,
+                        _static_graphs(6, np.random.default_rng(16)),
+                        mcfg, tcfg, seeds=(0, 1))
+    with pytest.raises(ConfigError, match=text):
+        ev.neighbor_count_sweep(*splits, (2, 3), mcfg, tcfg)
 
 
 def test_single_spec_ablation_equals_plain_run():
@@ -296,8 +368,8 @@ def test_single_spec_ablation_equals_plain_run():
     mcfg = _tiny_model_cfg()
     tcfg = md.TrainConfig(epochs=2, batch_size=16, seed=5)
 
-    spec = ev.AblationSpec(md.ALL_GRAPH_KINDS, seeds=(5,))
-    report = ev.run_ablation([spec], train, val, test, static, mcfg, tcfg)
+    report = ev.run_ablation([md.ALL_GRAPH_KINDS], train, val, test, static,
+                             mcfg, tcfg, seeds=(5,))
 
     model = md.build_model(4, mcfg, seed=5)
     fitted, _ = md.train(model, train, val, static, tcfg)
@@ -319,9 +391,9 @@ def test_ablation_rows_cover_specs_and_seeds():
     static = _static_graphs(4, np.random.default_rng(16))
     mcfg = _tiny_model_cfg()
     tcfg = md.TrainConfig(epochs=1, batch_size=16, seed=0)
-    specs = [ev.AblationSpec(("distance",), seeds=(0, 1)),
-             ev.AblationSpec(("distance", "dynamic"), seeds=(0, 1))]
-    report = ev.run_ablation(specs, train, val, test, static, mcfg, tcfg)
+    subsets = [("distance",), ("distance", "dynamic")]
+    report = ev.run_ablation(subsets, train, val, test, static, mcfg, tcfg,
+                             seeds=(0, 1))
     assert [r["label"] for r in report["rows"]] == ["distance",
                                                     "distance+dynamic"]
     for row in report["rows"]:
@@ -352,14 +424,26 @@ def test_neighbor_sweep_is_deterministic():
 def test_neighbor_sweep_rejects_repeated_counts_before_training(
         monkeypatch):
     ds = _dataset(n=6, t=70, seed=17)
-
-    def no_training(*args, **kwargs):
-        raise AssertionError("a model was trained")
-
-    monkeypatch.setattr(md, "train", no_training)
+    monkeypatch.setattr(md, "train", _no_training)
     with pytest.raises(ConfigError, match="neighbor count 2 is repeated"):
         ev.neighbor_count_sweep(ds.slice_time(0, 45), ds.slice_time(45, 58),
                                 ds.slice_time(58, 70), (2, 4, 2),
+                                _tiny_model_cfg(),
+                                md.TrainConfig(epochs=1, seed=3))
+
+
+@pytest.mark.parametrize("counts,text", [
+    ((2, 6), "n_adjacent=6 must be below the station count 6"),
+    ((2, 0), "n_adjacent 0 must be at least 1"),
+    ((2, 2.5), "n_adjacent 2.5 is not an integer"),
+], ids=["too-many", "zero", "float"])
+def test_neighbor_sweep_checks_every_count_before_training(monkeypatch,
+                                                           counts, text):
+    ds = _dataset(n=6, t=70, seed=17)
+    monkeypatch.setattr(md, "train", _no_training)
+    with pytest.raises(ConfigError, match=text):
+        ev.neighbor_count_sweep(ds.slice_time(0, 45), ds.slice_time(45, 58),
+                                ds.slice_time(58, 70), counts,
                                 _tiny_model_cfg(),
                                 md.TrainConfig(epochs=1, seed=3))
 

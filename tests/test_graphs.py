@@ -14,7 +14,7 @@ from stationcast.data import StationMeta
 from stationcast.errors import (ConfigError, PipelineError, ShapeError,
                                 StructuralError)
 
-from helpers import finite_diff_check, reduce_sum
+from helpers import finite_diff_check, reduce_sum, station_distances
 
 RNG = np.random.default_rng
 
@@ -77,7 +77,7 @@ def test_pairwise_matrix_bitwise_symmetric():
 def test_distance_graph_coincident_stations():
     st = [StationMeta("a", 30.0, 100.0), StationMeta("b", 30.0, 100.0),
           StationMeta("c", 31.0, 101.0)]
-    adj = gr.build_distance_graph(st, gr.DistanceGraphConfig(sigma=100.0))
+    adj = gr.build_distance_graph(station_distances(st), 100.0, 0.1)
     assert adj.weights[0, 1] == 1.0
     assert adj.weights[0, 0] == 0.0
 
@@ -88,15 +88,14 @@ def test_distance_graph_threshold_cutoff():
     d_cut = sigma * math.sqrt(-math.log(eps - 1e-6))
     dlat = math.degrees(d_cut / 6371.0)
     st = [StationMeta("a", 0.0, 0.0), StationMeta("b", dlat, 0.0)]
-    adj = gr.build_distance_graph(st, gr.DistanceGraphConfig(sigma, eps))
+    adj = gr.build_distance_graph(station_distances(st), sigma, eps)
     assert adj.weights[0, 1] == 0.0
 
 
 def test_distance_graph_entries_and_symmetry():
     for seed in range(5):
         st = random_stations(15, seed)
-        adj = gr.build_distance_graph(st, gr.DistanceGraphConfig(
-            sigma=200.0, epsilon=0.2))
+        adj = gr.build_distance_graph(station_distances(st), 200.0, 0.2)
         w = adj.weights
         assert np.array_equal(w, w.T)
         assert np.array_equal(np.diagonal(w), np.zeros(15))
@@ -105,13 +104,14 @@ def test_distance_graph_entries_and_symmetry():
 
 
 def test_distance_graph_config_validation():
+    dist = station_distances(random_stations(3, 0))
     with pytest.raises(ConfigError):
-        gr.DistanceGraphConfig(sigma=0.0)
+        gr.build_distance_graph(dist, 0.0, 0.1)
     with pytest.raises(ConfigError):
-        gr.DistanceGraphConfig(sigma=1.0, epsilon=1.0)
+        gr.build_distance_graph(dist, 1.0, 1.0)
     # the type is checked before the range, which a string cannot meet
     with pytest.raises(ConfigError, match="sigma '100' is not"):
-        gr.DistanceGraphConfig(sigma="100")
+        gr.build_distance_graph(dist, "100", 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -121,20 +121,20 @@ def test_distance_graph_config_validation():
 def test_neighbor_graph_collinear():
     st = [StationMeta("a", 30.0, 100.0), StationMeta("b", 30.0, 101.0),
           StationMeta("c", 30.0, 102.0)]
-    adj = gr.build_neighbor_graph(st, gr.NeighborGraphConfig(1))
+    adj = gr.build_neighbor_graph(station_distances(st), 1)
     assert adj.weights[0, 1] == 1.0 and adj.weights[2, 1] == 1.0
     assert adj.weights[0, 2] == 0.0 and adj.weights[2, 0] == 0.0
 
 
 def test_neighbor_graph_full():
     st = random_stations(6, 3)
-    adj = gr.build_neighbor_graph(st, gr.NeighborGraphConfig(5))
+    adj = gr.build_neighbor_graph(station_distances(st), 5)
     assert np.array_equal(adj.weights, np.ones((6, 6)) - np.eye(6))
 
 
 def test_neighbor_graph_row_sums():
     st = random_stations(20, 4)
-    adj = gr.build_neighbor_graph(st, gr.NeighborGraphConfig(7))
+    adj = gr.build_neighbor_graph(station_distances(st), 7)
     assert np.array_equal(adj.weights.sum(axis=1), np.full(20, 7.0))
     assert np.array_equal(np.diagonal(adj.weights), np.zeros(20))
 
@@ -143,7 +143,7 @@ def test_neighbor_graph_tie_breaks_by_index():
     # stations 1 and 2 equidistant from station 0: lower index wins
     st = [StationMeta("mid", 0.0, 100.0), StationMeta("west", 0.0, 99.0),
           StationMeta("east", 0.0, 101.0)]
-    adj = gr.build_neighbor_graph(st, gr.NeighborGraphConfig(1))
+    adj = gr.build_neighbor_graph(station_distances(st), 1)
     assert adj.weights[0, 1] == 1.0
     assert adj.weights[0, 2] == 0.0
 
@@ -154,13 +154,14 @@ def test_neighbor_graph_tie_breaks_by_index():
                          ids=["float", "string", "zero"])
 def test_neighbor_graph_config_validation(bad, text):
     with pytest.raises(ConfigError, match=f"n_adjacent {bad!r} {text}"):
-        gr.NeighborGraphConfig(bad)
+        gr.build_neighbor_graph(station_distances(random_stations(5, 5)),
+                                bad)
 
 
 def test_neighbor_graph_na_too_large():
     st = random_stations(5, 5)
     with pytest.raises(ConfigError):
-        gr.build_neighbor_graph(st, gr.NeighborGraphConfig(5))
+        gr.build_neighbor_graph(station_distances(st), 5)
 
 
 # ---------------------------------------------------------------------------
