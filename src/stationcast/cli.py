@@ -311,16 +311,11 @@ def _cmd_eval(args) -> int:
             if args.baseline not in _BASELINE_NAMES:
                 raise ConfigError(f"unknown baseline {args.baseline!r} "
                                   f"(have {sorted(_BASELINE_NAMES)})")
-            *splits, stats = _prepare_splits(ds, args.factor or "t", scheme)
-            scoped = splits[part]
-            preds, truth, starts = ev.evaluate_baseline(
-                _BASELINE_NAMES[args.baseline], splits[0], scoped,
-                12 if args.wprime is None else args.wprime,
-                12 if args.w is None else args.w,
-                lam=args.lam, gamma=args.gamma)
+            factor = args.factor or "t"
+            w_in = 12 if args.wprime is None else args.wprime
+            w_out = 12 if args.w is None else args.w
         else:
             ckpt_path = _resolve(args.ckpt)
-            graph_path = _resolve(args.graphs) if args.graphs else None
             inputs.append(ckpt_path)
             model, extra = md.load_checkpoint(ckpt_path)
             factor = args.factor or extra.get("factor")
@@ -335,8 +330,17 @@ def _cmd_eval(args) -> int:
                     raise CheckpointError(f"{ckpt_path}: stored split "
                                           f"{stored!r} is not three numbers")
                 scheme = tuple(stored)
-            *splits, stats = _prepare_splits(ds, factor, scheme)
-            scoped = splits[part]
+            w_in, w_out = model.config.w_in, model.config.w_out
+        *splits, stats = _prepare_splits(ds, factor, scheme)
+        scoped = splits[part]
+        noun = ("training", "validation", "test")[part]
+        dt.check_windows(w_in, w_out, **{noun: scoped})
+        if args.baseline:
+            preds, truth, starts = ev.evaluate_baseline(
+                _BASELINE_NAMES[args.baseline], splits[0], scoped, w_in,
+                w_out, lam=args.lam, gamma=args.gamma)
+        else:
+            graph_path = _resolve(args.graphs) if args.graphs else None
             if graph_path is None:
                 stored = extra.get("graphs_file")
                 if stored is None:

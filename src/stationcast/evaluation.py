@@ -247,8 +247,7 @@ def _fit_and_score(train_ds: WeatherSeriesDataset,
     model = md.build_model(train_ds.n_stations, model_cfg,
                            seed=train_cfg.seed)
     fitted, hist = md.train(model, train_ds, val_ds, static_graphs, train_cfg)
-    preds, truth, _ = md.predict_dataset(fitted, test_ds, static_graphs,
-                                         batch_size=train_cfg.batch_size)
+    preds, truth, _ = md.predict_dataset(fitted, test_ds, static_graphs)
     return compute_metrics(preds, truth, factors=test_ds.factors), hist
 
 

@@ -497,6 +497,11 @@ def test_eval_ckpt_manifest_records_resolved_values(small_run, tmp_path,
     # the synth has 120 steps; a default window spans 12 + 12 = 24
     (["train", "--split", "3,0.1,2"], "validation split has 2 steps"),
     (["train", "--w", "400"], "training split has 60 steps"),
+    # the scored split is checked under its own noun, in either mode
+    (["eval", "--baseline", "ridge", "--lam", "1", "--eval-split", "val",
+      "--split", "3,0.04,1"], "validation split has 1 steps"),
+    (["eval", "--ckpt", "CKPT", "--eval-split", "val", "--split",
+      "3,0.04,1"], "validation split has 1 steps"),
     (["preprocess", "--max-missing", "nan"],
      "missing-data max_ratio nan is not a finite number"),
     (["preprocess", "--max-missing", "-0.5"],
@@ -517,6 +522,7 @@ def test_eval_ckpt_manifest_records_resolved_values(small_run, tmp_path,
         "config-lr0-bool", "config-decay-factor-bool", "config-lr0-string",
         "config-decay-factor-string", "ablate-seed-negative",
         "train-val-split-short", "train-split-short",
+        "eval-baseline-val-split-short", "eval-ckpt-val-split-short",
         "preprocess-max-missing-nan", "preprocess-max-missing-negative",
         "preprocess-max-defaults-nan"])
 def test_bad_input_exits_1_with_one_line(small_run, tmp_path, capsys, argv,
@@ -526,6 +532,11 @@ def test_bad_input_exits_1_with_one_line(small_run, tmp_path, capsys, argv,
         i = argv.index("--config") + 1
         (tmp_path / "cfg.json").write_text(argv[i])
         argv[i] = str(tmp_path / "cfg.json")
+    if "CKPT" in argv:
+        ckpt = tmp_path / "model.ckpt"
+        md.save_checkpoint(md.build_model(5), ckpt, extra={
+            "factor": "t", "graphs_file": str(small_run / "graphs.bin")})
+        argv[argv.index("CKPT")] = str(ckpt)
     if argv[0] != "synth":
         argv += ["--data", str(small_run / "synth.w2kt")]
     argv += ["--out", str(tmp_path / "out")]

@@ -373,7 +373,7 @@ def test_single_spec_ablation_equals_plain_run():
 
     model = md.build_model(4, mcfg, seed=5)
     fitted, _ = md.train(model, train, val, static, tcfg)
-    preds, truth, _ = md.predict_dataset(fitted, test, static, batch_size=16)
+    preds, truth, _ = md.predict_dataset(fitted, test, static)
     direct = ev.compute_metrics(preds, truth, factors=test.factors)
 
     row = report["rows"][0]

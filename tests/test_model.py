@@ -11,7 +11,7 @@ import pytest
 from stationcast import graphs as gr
 from stationcast import model as md
 from stationcast import tape as tp
-from stationcast.data import StationMeta, WeatherSeriesDataset
+from stationcast.data import StationMeta, WeatherSeriesDataset, make_windows
 from stationcast.errors import (CheckpointError, ConfigError, ShapeError,
                                TrainingError)
 
@@ -425,7 +425,7 @@ def test_predict_dataset_forms_no_eigenvectors(monkeypatch):
     linalg = _spy_linalg(monkeypatch)
     for kinds in (md.STATIC_KINDS, md.ALL_GRAPH_KINDS):
         model = md.build_model(5, _two_block_config(kinds), seed=2)
-        md.predict_dataset(model, ds, static, batch_size=16)
+        md.predict_dataset(model, ds, static)
     assert linalg == {"eigh": [], "solve": []}
 
 
@@ -433,7 +433,7 @@ def test_static_only_predictions_match_tiled_computation(monkeypatch):
     ds = _tiny_dataset(n=5, t=60, seed=3)
     static = _static_graphs(5, np.random.default_rng(22))
     model = md.build_model(5, _two_block_config(), seed=2)
-    shared = md.predict_dataset(model, ds, static, batch_size=16)[0]
+    shared = md.predict_dataset(model, ds, static)[0]
 
     def tiled(weights, cfg, n, batch, inputs, static_graphs):
         # the per-window computation: B copies of the one fused graph
@@ -444,7 +444,7 @@ def test_static_only_predictions_match_tiled_computation(monkeypatch):
             gr.symmetrize_op(tp.tile_leading(fused, batch)))
 
     monkeypatch.setattr(md, "_fused_laplacian", tiled)
-    per_window = md.predict_dataset(model, ds, static, batch_size=16)[0]
+    per_window = md.predict_dataset(model, ds, static)[0]
     assert shared.tobytes() == per_window.tobytes()
 
 
@@ -648,12 +648,180 @@ def test_predict_dataset_counts_windows():
         w_in=12, w_out=12, blocks=[md.StBlockConfig(2, [3], 1, 3)],
         d_emb=4), seed=0)
     static = _static_graphs(4, np.random.default_rng(15))
-    preds, tgts, origins = md.predict_dataset(model, ds, static,
-                                              batch_size=3)
+    preds, tgts, origins = md.predict_dataset(model, ds, static)
     assert preds.shape == (7, 4, 12, 1)
     assert tgts.shape == (7, 4, 12, 1)
     # origins are absolute timestamps: one per hour from the epoch start
     assert list(origins) == [i * 3600 for i in range(7)]
+
+
+# ---------------------------------------------------------------------------
+# window chunks
+
+
+def _set_chunk(monkeypatch, n, cfg, windows):
+    """Size md._CHUNK_BYTES so that one chunk holds `windows` windows."""
+    widest = max(blk.channels_out for blk in cfg.blocks)
+    monkeypatch.setattr(md, "_CHUNK_BYTES",
+                        windows * 8 * n * cfg.w_in * widest)
+    assert md._chunk_windows(n, cfg) == windows
+
+
+def _spy_sizes(monkeypatch, name):
+    """Window counts of every call to md.<name>, which takes its inputs
+    second (forward) or fourth (_chunk_gradients)."""
+    sizes = []
+    real = getattr(md, name)
+    at = 1 if name == "forward" else 3
+
+    def spy(*args):
+        sizes.append(len(args[at]))
+        return real(*args)
+
+    monkeypatch.setattr(md, name, spy)
+    return sizes
+
+
+@pytest.mark.parametrize("kinds", [md.ALL_GRAPH_KINDS, md.STATIC_KINDS],
+                         ids=["five-graph", "static"])
+def test_predictions_do_not_depend_on_the_chunk(monkeypatch, kinds):
+    # 22 windows: chunks of 1, of 3 (the last one ragged) and of all 22
+    ds = _tiny_dataset(n=5, t=30, seed=8)
+    static = _static_graphs(5, np.random.default_rng(32))
+    model = md.build_model(5, _two_block_config(kinds), seed=5)
+    sizes = _spy_sizes(monkeypatch, "forward")
+    runs = {}
+    for windows in (1, 3, 22):
+        _set_chunk(monkeypatch, 5, model.config, windows)
+        sizes.clear()
+        runs[windows] = [a.tobytes()
+                         for a in md.predict_dataset(model, ds, static)]
+        assert sizes == [windows] * (22 // windows) + [22 % windows] * (
+            22 % windows > 0)
+    assert runs[1] == runs[3] == runs[22]
+
+
+def _chunk_fixture():
+    # 52 training windows: batches of 16, 16, 16 and a ragged 4
+    ds = _tiny_dataset(n=5, t=90, seed=6)
+    model = md.build_model(5, _two_block_config(md.ALL_GRAPH_KINDS), seed=4)
+    return (model, _split(ds, 0, 60), _split(ds, 60, 90),
+            _static_graphs(5, np.random.default_rng(31)),
+            md.TrainConfig(epochs=1, batch_size=16, seed=7))
+
+
+def _batch_gradients(params, cfg, n, batch, static):
+    """Loss and gradients of one tape over a whole batch."""
+    t = tp.Tape()
+    tparams = {k: t.param(v, name=k) for k, v in params.items()}
+    loss = md._mae_loss(md.forward_on_tape(tparams, cfg, n, batch.inputs,
+                                           static), batch.targets)
+    store = tp.backward(loss)
+    return float(loss.values), {k: tp.grad_of(store, tparams[k])
+                                for k in params}
+
+
+def test_one_chunk_training_writes_the_whole_batch_checkpoint(tmp_path):
+    # the step before chunking: one tape per batch, its gradient unweighted
+    model, train_ds, val_ds, static, tcfg = _chunk_fixture()
+    cfg = model.config
+    assert md._chunk_windows(5, cfg) >= tcfg.batch_size
+    fitted, hist = md.train(model, train_ds, val_ds, static, tcfg)
+    params, state, losses = dict(model.params), tp.AdamState(), []
+    for batch in make_windows(train_ds, cfg.w_in, cfg.w_out,
+                              batch_size=tcfg.batch_size,
+                              shuffle_rng=np.random.default_rng(tcfg.seed)):
+        loss, grads = _batch_gradients(params, cfg, 5, batch, static)
+        losses.append(loss)
+        params = tp.adam_step(params, grads, state, tcfg.lr_at(1))
+    assert hist.train_loss == [float(np.mean(losses))]
+    md.save_checkpoint(fitted, tmp_path / "chunked.ckpt")
+    md.save_checkpoint(md.MultiGraphForecaster(cfg, 5, params, model.seed),
+                       tmp_path / "whole.ckpt")
+    assert (tmp_path / "chunked.ckpt").read_bytes() \
+        == (tmp_path / "whole.ckpt").read_bytes()
+
+
+def test_multi_chunk_training_matches_one_chunk(monkeypatch):
+    model, train_ds, val_ds, static, tcfg = _chunk_fixture()
+    one, one_hist = md.train(model, train_ds, val_ds, static, tcfg)
+    sizes = _spy_sizes(monkeypatch, "_chunk_gradients")
+    _set_chunk(monkeypatch, 5, model.config, 3)
+    runs = [md.train(model, train_ds, val_ds, static, tcfg)
+            for _ in range(2)]
+    # three full batches of 5 + 1 chunks, then the ragged batch's 3 + 1
+    assert sizes == 2 * (([3] * 5 + [1]) * 3 + [3, 1])
+    (a, a_hist), (b, b_hist) = runs
+    for k in one.params:
+        assert a.params[k].tobytes() == b.params[k].tobytes()
+        np.testing.assert_allclose(
+            a.params[k], one.params[k], rtol=0,
+            atol=1e-12 * np.abs(one.params[k]).max())
+    assert a_hist.train_loss == b_hist.train_loss
+    assert a_hist.train_loss[0] == pytest.approx(one_hist.train_loss[0],
+                                                 rel=1e-12, abs=0)
+
+
+def test_ragged_last_batch_is_weighted_by_its_windows(monkeypatch):
+    model, train_ds, val_ds, static, tcfg = _chunk_fixture()
+    cfg = model.config
+    steps = []
+    real_step = tp.adam_step
+
+    def spy(params, grads, state, lr):
+        steps.append((params, grads))
+        return real_step(params, grads, state, lr)
+
+    monkeypatch.setattr(tp, "adam_step", spy)
+    _set_chunk(monkeypatch, 5, cfg, 3)
+    md.train(model, train_ds, val_ds, static, tcfg)
+    last = list(make_windows(train_ds, cfg.w_in, cfg.w_out,
+                             batch_size=tcfg.batch_size,
+                             shuffle_rng=np.random.default_rng(tcfg.seed)))[-1]
+    # chunks of 3 and 1, weighted 3/4 and 1/4, give the 4 windows' mean
+    assert len(last.inputs) == 4
+    params, grads = steps[-1]
+    _, want = _batch_gradients(params, cfg, 5, last, static)
+    for k, g in want.items():
+        np.testing.assert_allclose(grads[k], g, rtol=0,
+                                   atol=1e-12 * np.abs(g).max())
+
+
+def test_default_training_step_memory_follows_the_chunk():
+    # at n=100 a chunk holds 6 windows, so one B=32 step spans 6 tapes;
+    # one tape over the whole batch peaked at 119 MB traced
+    n = 100
+    ds = _tiny_dataset(n=n, t=79, seed=9)
+    train_ds, val_ds = _split(ds, 0, 55), _split(ds, 55, 79)
+    static = _static_graphs(n, np.random.default_rng(33))
+    model = md.build_model(n, md.ModelConfig(), seed=0)
+    assert md._chunk_windows(n, model.config) == 6
+    tracemalloc.start()
+    try:
+        _, hist = md.train(model, train_ds, val_ds, static,
+                           md.TrainConfig(epochs=1, batch_size=32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(hist.train_loss) == 1
+    assert peak < 40e6
+
+
+def test_predict_dataset_memory_follows_the_chunk():
+    # 311 windows at n=100: the outputs and one 6-window chunk; one forward
+    # over 64 windows and a concatenated copy peaked at 60 MB traced
+    n = 100
+    ds = _tiny_dataset(n=n, t=334, seed=10)
+    static = _static_graphs(n, np.random.default_rng(34))
+    model = md.build_model(n, md.ModelConfig(), seed=0)
+    tracemalloc.start()
+    try:
+        preds = md.predict_dataset(model, ds, static)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert preds.shape == (311, n, 12, 1)
+    assert peak < 16e6
 
 
 # ---------------------------------------------------------------------------
