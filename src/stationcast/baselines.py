@@ -81,9 +81,13 @@ def _kernel_matrix(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
 def fit_regression(inputs: np.ndarray, targets: np.ndarray, kind: str,
                    lam: float = 0.0, gamma: Optional[float] = None
                    ) -> RegressionModel:
-    """Fit per-station regressors from stacked windows.
+    """Fit per-station regressors from windows.
 
     inputs: [B, N, W'] windows of the target factor; targets: [B, N, W].
+    Either may be a strided view, such as a sliding window over the
+    series: the fit centres one station at a time and forms no window
+    stack, except the centred C-ordered copy of the inputs that
+    kernel_ridge keeps as ``x_train``.
     linear/ridge solve the normal equations (X'X + lam I) beta = X'y per
     horizon; kernel_ridge stores dual weights (K + lam I)^{-1} y for RBF K.
     """
@@ -101,14 +105,12 @@ def fit_regression(inputs: np.ndarray, targets: np.ndarray, kind: str,
         raise ConfigError("linear regression takes no ridge penalty")
     x_mean = inputs.mean(axis=0)    # [N, W']
     y_mean = targets.mean(axis=0)   # [N, W]
-    xc = inputs - x_mean
-    yc = targets - y_mean
     model.x_mean, model.y_mean = x_mean, y_mean
 
     if kind in ("linear", "ridge"):
         beta = np.empty((n, w_in, w_out))
         for s in range(n):
-            x = xc[:, s, :]
+            x = inputs[:, s, :] - x_mean[s]
             gram = x.T @ x
             if lam == 0.0:
                 if np.linalg.matrix_rank(gram) < w_in:
@@ -116,9 +118,10 @@ def fit_regression(inputs: np.ndarray, targets: np.ndarray, kind: str,
                         "normal equations are singular; use ridge (lam > 0) "
                         "or add more training windows")
             beta[s] = np.linalg.solve(gram + lam * np.eye(w_in),
-                                      x.T @ yc[:, s, :])
+                                      x.T @ (targets[:, s, :] - y_mean[s]))
         model.beta = beta
     else:
+        xc = np.subtract(inputs, x_mean, order="C")
         if gamma is None:
             var = float(xc.var())
             if var <= 0.0:
@@ -131,7 +134,8 @@ def fit_regression(inputs: np.ndarray, targets: np.ndarray, kind: str,
             x = xc[:, s, :]
             k = _kernel_matrix(x, x, gamma)
             try:
-                dual[s] = np.linalg.solve(k + lam * np.eye(b), yc[:, s, :])
+                dual[s] = np.linalg.solve(k + lam * np.eye(b),
+                                          targets[:, s, :] - y_mean[s])
             except np.linalg.LinAlgError:
                 raise RegressionError(
                     "kernel matrix is singular; use a ridge penalty "

@@ -109,7 +109,11 @@ def _split_scheme(text: str):
 
 
 def _prepare_splits(ds, factor: str, scheme):
-    """Slice one factor, cut train/val/test, z-score with train stats."""
+    """Slice one factor, cut train/val/test, z-score with train stats.
+
+    Nothing of the result refers to ``ds``: a caller that drops its own
+    reference frees the all-factor dataset.
+    """
     sliced = ds.select_factors([factor])
     train, val, test = dt.split_temporal(sliced, scheme)
     stats = dt.compute_norm_stats(train)
@@ -187,14 +191,16 @@ def _cmd_preprocess(args) -> int:
     started = time.monotonic()
     src = _resolve(args.data)
     ds = _load_dataset_arg(src, gaps_ok=True)
+    n_loaded = ds.n_stations
     # default codes load as unobserved, so their rule runs first: the gap
     # rule would count them as gaps
     kept, default_report = dt.screen_defaults(ds, max_ratio=args.max_defaults)
+    del ds  # screening copied the stations it keeps
     kept, missing_report = dt.screen_missing(kept, max_ratio=args.max_missing)
     filled = dt.interpolate_linear(kept)
     out = _resolve(args.out)
     dt.save_dataset(filled, out)
-    _log(f"screened {ds.n_stations} -> {filled.n_stations} stations "
+    _log(f"screened {n_loaded} -> {filled.n_stations} stations "
          f"(missing rule dropped {len(missing_report['dropped'])}, "
          f"default codes dropped {len(default_report['dropped'])})")
     config = _args_config(args)
@@ -207,8 +213,8 @@ def _cmd_preprocess(args) -> int:
 def _cmd_graphs(args) -> int:
     started = time.monotonic()
     src = _resolve(args.data)
-    ds = _load_dataset_arg(src)
-    train = dt.split_temporal(ds, _split_scheme(args.split))[0]
+    train = dt.split_temporal(_load_dataset_arg(src),
+                              _split_scheme(args.split))[0]
     factors = (args.pattern_factors.split(",") if args.pattern_factors
                else gr.PATTERN_FACTORS)
     try:
@@ -232,9 +238,8 @@ def _cmd_train(args) -> int:
     started = time.monotonic()
     src = _resolve(args.data)
     graph_path = _resolve(args.graphs)
-    ds = _load_dataset_arg(src)
     train_ds, val_ds, test_ds, stats = _prepare_splits(
-        ds, args.factor, _split_scheme(args.split))
+        _load_dataset_arg(src), args.factor, _split_scheme(args.split))
     gs = gr.load_graphs(graph_path)
     static = _static_from_graphset(gs, train_ds)
     mcfg, tcfg = _model_and_train_config(args)
@@ -299,6 +304,7 @@ def _cmd_eval(args) -> int:
                 list(factors) != list(ds.factors):
             ds = ds.select_factors(factors)
         splits = dt.split_temporal(ds, scheme)
+        del ds
         scoped = splits[part]
         if file_space == "normalized":
             # normalized predictions compare against z-scored truth, using
@@ -332,6 +338,7 @@ def _cmd_eval(args) -> int:
                 scheme = tuple(stored)
             w_in, w_out = model.config.w_in, model.config.w_out
         *splits, stats = _prepare_splits(ds, factor, scheme)
+        del ds
         scoped = splits[part]
         noun = ("training", "validation", "test")[part]
         dt.check_windows(w_in, w_out, **{noun: scoped})
@@ -383,9 +390,8 @@ def _cmd_eval(args) -> int:
 def _cmd_ablate(args) -> int:
     started = time.monotonic()
     src = _resolve(args.data)
-    ds = _load_dataset_arg(src)
     train_ds, val_ds, test_ds, _ = _prepare_splits(
-        ds, args.factor, _split_scheme(args.split))
+        _load_dataset_arg(src), args.factor, _split_scheme(args.split))
     mcfg, tcfg = _model_and_train_config(args)
     subsets = ev.grid_specs(args.grid)
     seeds = _parse_numbers(args.seeds, cast=int)
@@ -419,9 +425,8 @@ def _cmd_ablate(args) -> int:
 def _cmd_sweep(args) -> int:
     started = time.monotonic()
     src = _resolve(args.data)
-    ds = _load_dataset_arg(src)
     train_ds, val_ds, test_ds, _ = _prepare_splits(
-        ds, args.factor, _split_scheme(args.split))
+        _load_dataset_arg(src), args.factor, _split_scheme(args.split))
     mcfg, tcfg = _model_and_train_config(args)
     counts = [int(c) for c in _parse_numbers(args.counts, cast=int)]
     curve = ev.neighbor_count_sweep(train_ds, val_ds, test_ds, counts,

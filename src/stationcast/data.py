@@ -90,7 +90,10 @@ class WeatherSeriesDataset:
         for name in self.factors:
             if name not in FACTOR_NAMES:
                 raise SchemaError(f"unknown factor name: {name!r}")
-        if not np.isfinite(self.values[self.mask]).all():
+        # finite where observed, tested in place: no gather of those cells
+        finite = np.ones(self.values.shape, dtype=bool)
+        np.isfinite(self.values, out=finite, where=self.mask)
+        if not finite.all():
             raise StructuralError("non-finite values at observed cells")
 
     @property
@@ -114,10 +117,11 @@ class WeatherSeriesDataset:
 
     def select_stations(self, keep: Sequence[int]) -> "WeatherSeriesDataset":
         keep = list(keep)
+        # an index list along the first axis copies into C order already
         return replace(self,
                        stations=[self.stations[i] for i in keep],
-                       values=self.values[keep].copy(),
-                       mask=self.mask[keep].copy())
+                       values=self.values[keep],
+                       mask=self.mask[keep])
 
     def slice_time(self, start: int, stop: int) -> "WeatherSeriesDataset":
         return replace(self,
@@ -127,10 +131,12 @@ class WeatherSeriesDataset:
 
     def select_factors(self, keep: Sequence[str]) -> "WeatherSeriesDataset":
         idx = [self.factor_index(name) for name in keep]
+        # take copies once into C order; an index list on the last axis can
+        # leave another order, which a second copy would then have to fix
         return replace(self,
                        factors=list(keep),
-                       values=self.values[:, :, idx].copy(),
-                       mask=self.mask[:, :, idx].copy())
+                       values=np.take(self.values, idx, axis=2),
+                       mask=np.take(self.mask, idx, axis=2))
 
 
 @dataclass
@@ -275,23 +281,24 @@ def _load_csv_dir(root: Path) -> WeatherSeriesDataset:
     if not meta_path.exists():
         raise StructuralError(f"missing station metadata file {meta_path}")
     metas, time_start = _load_station_table(meta_path)
-    factors, blocks = None, []
-    for meta in metas:
+    factors, values = None, None
+    for i, meta in enumerate(metas):
         f = root / f"{meta.station_id}.csv"
         if not f.exists():
             raise StructuralError(f"missing series file {f}")
         header, block = _load_series_file(f)
         if factors is None:
+            # the first station fixes the shape every later one fills
             factors = header
+            values = np.empty((len(metas),) + block.shape)
         elif header != factors:
             raise SchemaError(f"{f}: factor columns {header} differ from "
                               f"{factors}")
-        if blocks and len(block) != len(blocks[0]):
+        if len(block) != values.shape[1]:
             raise StructuralError(
                 f"{f}: {len(block)} rows, other stations have "
-                f"{len(blocks[0])}")
-        blocks.append(block)
-    values = np.stack(blocks)
+                f"{values.shape[1]}")
+        values[i] = block
     mask = np.isfinite(values)
     values[~mask] = 0.0
     return WeatherSeriesDataset(metas, factors, values, mask,
@@ -308,16 +315,17 @@ class PackedReader:
 
     Every packed format opens with a 4-byte magic and a u32 version; the
     constructor reads the file, checks both and leaves the cursor after
-    the version.  A wrong magic or version, reads past the end,
-    undecodable strings and bytes left after the last field raise the
-    format's error class (StructuralError unless given) with a one-line
-    diagnostic that names the file and the format's noun, never a struct
-    or index error.
+    the version.  Fields are slices of one memoryview over the file, so
+    ``array`` copies each array out of the file once.  A wrong magic or
+    version, reads past the end, undecodable strings and bytes left after
+    the last field raise the format's error class (StructuralError unless
+    given) with a one-line diagnostic that names the file and the format's
+    noun, never a struct or index error.
     """
 
     def __init__(self, path, noun: str, magic: bytes, version: int,
                  error=StructuralError):
-        self.buf = Path(path).read_bytes()
+        self.buf = memoryview(Path(path).read_bytes())
         self.pos = 0
         self.what = f"{path}: {noun}"
         self.error = error
@@ -330,7 +338,7 @@ class PackedReader:
     def corrupt(self) -> Exception:
         return self.error(f"{self.what} is truncated or corrupt")
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if n < 0 or self.pos + n > len(self.buf):
             raise self.corrupt()
         out = self.buf[self.pos:self.pos + n]
@@ -342,7 +350,7 @@ class PackedReader:
 
     def text(self, n: int) -> str:
         try:
-            return self.take(n).decode("utf-8")
+            return str(self.take(n), "utf-8")
         except UnicodeDecodeError:
             raise self.corrupt() from None
 
@@ -363,6 +371,20 @@ class PackedReader:
                              "trailing bytes")
 
 
+def write_packed(path, parts) -> None:
+    """Write a packed file part by part, never joining the parts.
+
+    A part is bytes, written as they are, or an array, written straight
+    from its C-ordered little-endian float64 buffer (a copy only when the
+    array is not already laid out so).
+    """
+    with open(path, "wb") as f:
+        for part in parts:
+            if not isinstance(part, bytes):
+                part = np.ascontiguousarray(part, dtype="<f8")
+            f.write(part)
+
+
 def save_dataset(ds: WeatherSeriesDataset, path) -> None:
     """Write the packed little-endian binary layout.
 
@@ -379,9 +401,9 @@ def save_dataset(ds: WeatherSeriesDataset, path) -> None:
         parts.append(_pack_str(s.station_id))
         parts.append(struct.pack("<ddd", s.lat, s.lon, s.alt))
     parts.append(struct.pack("<B", 0))
-    parts.append(np.ascontiguousarray(ds.values, dtype="<f8").tobytes())
+    parts.append(ds.values)
     parts.append(np.packbits(ds.mask.reshape(-1)).tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    write_packed(path, parts)
 
 
 def _load_binary(path: Path) -> WeatherSeriesDataset:
@@ -399,8 +421,9 @@ def _load_binary(path: Path) -> WeatherSeriesDataset:
         cur.take(16 * d)
     count = n * t * d
     values = cur.array("<f8", (n, t, d))
+    # unpackbits gives each cell 0 or 1, which reads as bool without a copy
     mask = np.unpackbits(cur.array("u1", ((count + 7) // 8,)),
-                         count=count).astype(bool).reshape(n, t, d)
+                         count=count).view(bool).reshape(n, t, d)
     cur.end()
     return WeatherSeriesDataset(stations, factors, values, mask,
                                 time_start=time_start, time_step=time_step)
@@ -428,10 +451,10 @@ def screen_missing(ds: WeatherSeriesDataset, max_ratio: float = 0.01):
     _check_max_ratio("missing-data", max_ratio)
     record_missing = ~ds.mask.all(axis=2)  # [N, T]
     ratios = record_missing.mean(axis=1)
-    keep = [i for i in range(ds.n_stations) if ratios[i] <= max_ratio]
-    dropped = [ds.stations[i].station_id for i in range(ds.n_stations)
-               if i not in keep]
-    if not keep:
+    kept = ratios <= max_ratio
+    keep = np.flatnonzero(kept)
+    dropped = [ds.stations[i].station_id for i in np.flatnonzero(~kept)]
+    if not keep.size:
         raise PipelineError("missing-data screening dropped every station")
     report = {
         "rule": "whole-record: a step is missing if any factor cell is unobserved",

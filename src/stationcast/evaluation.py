@@ -14,12 +14,14 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import baselines as bl
 from . import graphs as gr
 from . import model as md
 from .data import (NormStats, PackedReader, WeatherSeriesDataset,
-                   _pack_str, check_windows, denormalize_values, make_windows)
+                   _pack_str, check_windows, denormalize_values, make_windows,
+                   write_packed)
 from .errors import (ConfigError, ShapeError, StructuralError, check_distinct,
                      check_ints)
 
@@ -153,8 +155,8 @@ def save_predictions(path, preds: np.ndarray, target_starts: np.ndarray,
         out.append(struct.pack("<q", int(ts)))
     for table in (stations, factors):
         out.extend(_pack_str(str(name)) for name in table)
-    out.append(np.ascontiguousarray(preds, dtype="<f8").tobytes())
-    Path(path).write_bytes(b"".join(out))
+    out.append(preds)
+    write_packed(path, out)
 
 
 def load_predictions(path):
@@ -207,6 +209,17 @@ def score_external(loaded: tuple, ds: WeatherSeriesDataset) -> MetricsReport:
 # baseline evaluation
 
 
+def _series_windows(ds: WeatherSeriesDataset, w_in: int, w_out: int):
+    """Views [B, N, w_in] and [B, N, w_out] of the windows make_windows
+    would stack from a one-factor dataset, over one time-major copy of the
+    series.  Time-major puts the stations, not the windows, on the unit
+    stride, so numpy sums over windows one window at a time, as it sums a
+    stacked batch."""
+    series = np.ascontiguousarray(ds.values[:, :, 0].T)  # [T, N]
+    windows = sliding_window_view(series, w_in + w_out, axis=0)
+    return windows[..., :w_in], windows[..., w_in:]
+
+
 def evaluate_baseline(kind: str, train_ds: WeatherSeriesDataset,
                       test_ds: WeatherSeriesDataset, w_in: int, w_out: int,
                       lam: float = 0.0, gamma: Optional[float] = None):
@@ -224,9 +237,9 @@ def evaluate_baseline(kind: str, train_ds: WeatherSeriesDataset,
             raise ConfigError("regression references are univariate; select "
                               "one factor first")
         check_windows(w_in, w_out, training=train_ds)
-        fit = next(make_windows(train_ds, w_in, w_out))
-        model = bl.fit_regression(fit.inputs[..., 0], fit.targets[..., 0],
-                                  kind, lam=lam, gamma=gamma)
+        inputs, targets = _series_windows(train_ds, w_in, w_out)
+        model = bl.fit_regression(inputs, targets, kind, lam=lam,
+                                  gamma=gamma)
         preds = bl.predict_regression(model, test.inputs[..., 0])[..., None]
     else:
         raise ConfigError(f"unknown reference predictor {kind!r}")

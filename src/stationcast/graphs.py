@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence, Union
 
 import numpy as np
 
 from . import tape as tp
-from .data import PackedReader, WeatherSeriesDataset, _pack_str
+from .data import (PackedReader, WeatherSeriesDataset, _pack_str,
+                   write_packed)
 from .errors import (ConfigError, PipelineError, ShapeError, StructuralError,
                      check_ints, check_reals)
 
@@ -428,8 +428,8 @@ def save_graphs(gs: GraphSet, path) -> None:
         a = gs.graphs[k]
         parts.append(_pack_str(k))
         parts.append(_pack_str(a.kind))
-        parts.append(np.ascontiguousarray(a.weights, dtype="<f8").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+        parts.append(a.weights)
+    write_packed(path, parts)
 
 
 def load_graphs(path) -> GraphSet:

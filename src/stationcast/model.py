@@ -15,7 +15,6 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field, asdict
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from . import graphs as gr
 from . import tape as tp
 from .data import (PackedReader, WeatherSeriesDataset, check_windows,
-                   make_windows)
+                   make_windows, write_packed)
 from .errors import (CheckpointError, ConfigError, ShapeError, TrainingError,
                      check_ints, check_reals)
 
@@ -551,10 +550,7 @@ def save_checkpoint(model: MultiGraphForecaster, path,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     parts = [_CKPT_MAGIC, struct.pack("<II", _CKPT_VERSION, len(blob)), blob]
-    for k in names:
-        parts.append(np.ascontiguousarray(model.params[k],
-                                          dtype="<f8").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    write_packed(path, parts + [model.params[k] for k in names])
 
 
 def load_checkpoint(path) -> tuple:

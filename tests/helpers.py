@@ -1,8 +1,10 @@
 """Test scaffolding shared across test files: a finite-difference gradient
-reference, a summing loss op, and a writer for the per-station CSV layout.
+reference, a summing loss op, a writer for the per-station CSV layout, and
+a tracemalloc peak probe.
 """
 
 import csv
+import tracemalloc
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -103,3 +105,13 @@ def save_csv_dir(ds: WeatherSeriesDataset, root) -> None:
                     else:
                         row.append("")
                 w.writerow(row)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes tracemalloc sees allocated while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from stationcast import baselines as bl
+from stationcast import data as dt
+from stationcast import evaluation as ev
 from stationcast.errors import ConfigError, RegressionError
+
+from helpers import traced_peak
 
 RNG = np.random.default_rng
 
@@ -242,3 +246,66 @@ def test_shape_validation():
                               RNG(14).standard_normal((5, 1, 2)), "ridge", lam=1.0)
     with pytest.raises(ConfigError):
         bl.predict_regression(model, np.zeros((2, 1, 4)))
+
+
+# ---------------------------------------------------------------------------
+# fitting on window views
+
+
+def _stack_centred_fit(x, y, kind, lam):
+    # the fit as it once ran: centre the whole window stack, then solve
+    xc, yc = x - x.mean(axis=0), y - y.mean(axis=0)
+    out = []
+    for s in range(x.shape[1]):
+        xs, ys = xc[:, s, :], yc[:, s, :]
+        if kind == "kernel_ridge":
+            gamma = 1.0 / (x.shape[2] * float(xc.var()))
+            k = bl._kernel_matrix(xs, xs, gamma)
+            out.append(np.linalg.solve(k + lam * np.eye(len(k)), ys))
+        else:
+            out.append(np.linalg.solve(xs.T @ xs + lam * np.eye(x.shape[2]),
+                                       xs.T @ ys))
+    return np.stack(out), xc
+
+
+@pytest.mark.parametrize("w_in, w_out", [(12, 12), (6, 3)])
+@pytest.mark.parametrize("kind, lam", [("linear", 0.0), ("ridge", 1.0),
+                                       ("kernel_ridge", 0.5)])
+def test_fit_on_window_views_equals_fit_on_stacked_windows(kind, lam, w_in,
+                                                           w_out):
+    ds = dt.generate_synthetic(dt.SynthConfig(n=7, t=150, d=1, seed=3))
+    views = ev._series_windows(ds, w_in, w_out)
+    batch = next(dt.make_windows(ds, w_in, w_out))
+    stacked = (batch.inputs[..., 0], batch.targets[..., 0])
+    for view, stack in zip(views, stacked):
+        assert view.base is not None  # a view, no stack of its own
+        assert np.array_equal(view, stack)
+    a = bl.fit_regression(*views, kind, lam=lam)
+    b = bl.fit_regression(*stacked, kind, lam=lam)
+    for name in ("beta", "dual", "x_train", "x_mean", "y_mean"):
+        got, want = getattr(a, name), getattr(b, name)
+        assert (got is None) == (want is None), name
+        if got is not None:
+            assert got.tobytes() == want.tobytes(), name
+    assert a.gamma == b.gamma
+    ref, xc = _stack_centred_fit(*stacked, kind, lam)
+    if kind == "kernel_ridge":
+        assert a.x_train.flags.c_contiguous
+        assert a.x_train.tobytes() == xc.tobytes()
+        assert a.dual.tobytes() == ref.tobytes()
+        assert a.gamma == 1.0 / (w_in * float(xc.var()))
+    else:
+        assert a.beta.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("kind, limit", [("ridge", 0.25),
+                                         ("kernel_ridge", 2.5)])
+def test_fit_on_window_views_forms_no_window_stack(kind, limit):
+    ds = dt.generate_synthetic(dt.SynthConfig(n=300, t=200, d=1, seed=0))
+    inputs, targets = ev._series_windows(ds, 12, 12)
+    stack = inputs.shape[0] * inputs.shape[1] * 12 * 8  # bytes of one stack
+    # ridge: one station's centred windows at a time; kernel_ridge keeps
+    # the centred inputs as x_train and its duals, one stack each
+    peak = traced_peak(lambda: bl.fit_regression(inputs, targets, kind,
+                                                 lam=1.0))
+    assert peak < limit * stack, peak / stack

@@ -15,7 +15,7 @@ from stationcast.cli import build_parser, main
 from stationcast.data import StationMeta, WeatherSeriesDataset
 from stationcast.errors import StationcastError, StructuralError
 
-from helpers import save_csv_dir
+from helpers import save_csv_dir, traced_peak
 
 
 def _tiny_model_json(path, epochs=2, seed=1):
@@ -694,6 +694,26 @@ def test_preprocess_screens_and_fills(tmp_path):
                           .read_text())
     assert manifest["config"]["missing_report"]["dropped"] == ["S0"]
     assert manifest["config"]["default_report"]["dropped"] == ["S2"]
+
+
+def test_preprocess_holds_one_copy_of_the_data(tmp_path):
+    ds = dt.generate_synthetic(dt.SynthConfig(n=300, t=1000, d=3, seed=0))
+    hv2 = ds.factors.index("hv2")
+    ds.values[7, :30, hv2] = dt.DEFAULT_CODES["hv2"]   # 3% codes: dropped
+    ds.values[8, :3, hv2] = dt.DEFAULT_CODES["hv2"]    # kept, filled
+    ds.mask[11, :40, 0] = False                        # 4% gaps: dropped
+    ds.mask[12, 5:8, 2] = False                        # kept, filled
+    raw = tmp_path / "raw"
+    save_csv_dir(ds, raw)
+    clean = tmp_path / "clean.w2kt"
+    argv = ["preprocess", "--data", str(raw), "--out", str(clean)]
+    codes = []
+    peak = traced_peak(lambda: codes.append(main(argv)))
+    assert codes == [0]
+    assert dt.load_dataset(clean).n_stations == 298
+    v = ds.values.nbytes
+    # the loaded values, the stations screening keeps, their filled copy
+    assert peak < 3.0 * v, peak / v
 
 
 def test_ablate_and_sweep_small(tmp_path):

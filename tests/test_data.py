@@ -1,16 +1,21 @@
 """Dataset I/O, quality pipeline, windowing, and synthesis checks."""
 
 import csv
+import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from stationcast import data as dt
+from stationcast import evaluation as ev
+from stationcast import graphs as gr
+from stationcast import model as md
 from stationcast.errors import (ConfigError, PipelineError, SchemaError,
                                 StructuralError)
 
-from helpers import save_csv_dir
+from helpers import save_csv_dir, traced_peak
 
 RNG = np.random.default_rng
 
@@ -57,6 +62,36 @@ def test_dataset_validation():
         tiny_dataset(factors=["t", "rh", "bogus"])
     with pytest.raises(SchemaError):
         dt.StationMeta("x", 91.0, 0.0)
+
+
+def test_non_finite_values_only_at_unobserved_cells():
+    ds = tiny_dataset(n=2, t=10, d=2, seed=1, factors=["t", "rh"])
+    values = ds.values.copy()
+    mask = ds.mask.copy()
+    values[1, 4, 0], values[0, 7, 1] = np.nan, np.inf
+    mask[1, 4, 0] = mask[0, 7, 1] = False
+    replace(ds, values=values, mask=mask)  # unobserved: allowed
+    mask[0, 7, 1] = True
+    with pytest.raises(StructuralError, match="non-finite values at "
+                                              "observed cells"):
+        replace(ds, values=values, mask=mask)
+
+
+def test_select_factors_copies_once_into_c_order():
+    ds = tiny_dataset(n=3, t=20, d=3, seed=9)
+    ds.mask[0, 2, 2] = False
+    out = ds.select_factors(["hv2", "t"])
+    assert out.factors == ["hv2", "t"]
+    for got, src in ((out.values, ds.values), (out.mask, ds.mask)):
+        # a last-axis index list alone leaves another order
+        assert not src[:, :, [2, 0]].flags.c_contiguous
+        assert got.flags.c_contiguous and got.flags.owndata
+        assert np.array_equal(got, src[:, :, [2, 0]].copy())
+        assert not np.shares_memory(got, src)
+    sel = ds.select_stations([2, 0])
+    assert sel.values.flags.c_contiguous and sel.mask.flags.c_contiguous
+    assert np.array_equal(sel.values, ds.values[[2, 0]])
+    assert not np.shares_memory(sel.values, ds.values)
 
 
 def test_duplicate_station_ids_rejected():
@@ -292,6 +327,87 @@ def test_binary_bad_magic_and_version(tmp_path):
         dt.load_dataset(bad)
 
 
+def test_packed_writers_match_joined_layout(tmp_path):
+    # each packed writer's file against the same file built the way the
+    # writers once built it: every field's bytes joined, arrays by tobytes()
+    def raw(a):
+        return np.ascontiguousarray(a, dtype="<f8").tobytes()
+
+    def s(text):
+        b = text.encode("utf-8")
+        return struct.pack("<H", len(b)) + b
+
+    out = []
+    ds = tiny_dataset(n=3, t=30, d=2, seed=2, factors=["t", "rh"])
+    ds.mask[1, 3, 0] = False
+    # Fortran order: the writer must lay the array out in C order itself
+    ds = replace(ds, values=np.asfortranarray(ds.values))
+    dt.save_dataset(ds, tmp_path / "ds.w2kt")
+    parts = [b"W2KT", struct.pack("<I", 1), struct.pack("<III", 3, 30, 2),
+             struct.pack("<qI", ds.time_start, ds.time_step)]
+    parts += [s(f) for f in ds.factors]
+    for st in ds.stations:
+        parts += [s(st.station_id), struct.pack("<ddd", st.lat, st.lon,
+                                                st.alt)]
+    parts += [struct.pack("<B", 0), raw(ds.values),
+              np.packbits(ds.mask.reshape(-1)).tobytes()]
+    out.append((tmp_path / "ds.w2kt", b"".join(parts)))
+
+    gs = gr.build_static_graphs(ds, n_adjacent=1, pattern_factors=["t"])
+    gr.save_graphs(gs, tmp_path / "g.bin")
+    meta = json.dumps(gs.meta, sort_keys=True).encode("utf-8")
+    parts = [b"W2KG", struct.pack("<II", 1, gs.n), struct.pack("<I",
+             len(meta)), meta, struct.pack("<I", len(gs.graphs))]
+    for k in sorted(gs.graphs):
+        parts += [s(k), s(gs.graphs[k].kind), raw(gs.graphs[k].weights)]
+    out.append((tmp_path / "g.bin", b"".join(parts)))
+
+    model = md.build_model(3, md.ModelConfig(), seed=4)
+    md.save_checkpoint(model, tmp_path / "m.ckpt", extra={"factor": "t"})
+    names = sorted(model.params)
+    header = {"model_config": model.config.to_dict(), "n": 3, "seed": 4,
+              "params": [{"name": k, "shape": list(model.params[k].shape)}
+                         for k in names], "extra": {"factor": "t"}}
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    parts = [b"W2KC", struct.pack("<II", 1, len(blob)), blob]
+    parts += [raw(model.params[k]) for k in names]
+    out.append((tmp_path / "m.ckpt", b"".join(parts)))
+
+    preds = RNG(3).standard_normal((4, 3, 5, 2))[::-1]  # negative strides
+    starts = np.arange(4) * 3600
+    ids = [st.station_id for st in ds.stations]
+    ev.save_predictions(tmp_path / "p.pred", preds, starts, ids, ds.factors,
+                        space="physical")
+    parts = [b"W2KP", struct.pack("<IIIII", 1, 4, 3, 5, 2),
+             struct.pack("<B", 1)]
+    parts += [struct.pack("<q", int(t)) for t in starts]
+    parts += [s(x) for x in ids + ds.factors] + [raw(preds)]
+    out.append((tmp_path / "p.pred", b"".join(parts)))
+    for path, want in out:
+        assert path.read_bytes() == want, path.name
+
+
+@pytest.fixture(scope="module")
+def net300():
+    # the [300, 1000, 3] dataset the memory limits are stated for
+    return dt.generate_synthetic(dt.SynthConfig(n=300, t=1000, d=3, seed=0))
+
+
+def test_save_dataset_streams_its_arrays(net300, tmp_path):
+    v = net300.values.nbytes
+    peak = traced_peak(lambda: dt.save_dataset(net300, tmp_path / "a.w2kt"))
+    assert peak < 0.1 * v, peak / v  # 0.04 V: the packed mask bits
+
+
+def test_load_packed_dataset_copies_the_values_once(net300, tmp_path):
+    path = tmp_path / "a.w2kt"
+    dt.save_dataset(net300, path)
+    v = net300.values.nbytes
+    # the file's bytes, the values copied out of them, and the mask
+    peak = traced_peak(lambda: dt.load_dataset(path))
+    assert peak < 2.5 * v, peak / v
+
+
 # ---------------------------------------------------------------------------
 # screening
 
@@ -305,6 +421,19 @@ def test_screen_missing_thresholds():
     assert [s.station_id for s in out.stations] == ["S1", "S2"]
     assert report["ratios"]["S0"] == pytest.approx(0.02)
     assert report["ratios"]["S1"] == pytest.approx(0.01)
+
+
+def test_screen_missing_reports_in_station_order():
+    ds = tiny_dataset(n=7, t=50, d=1, seed=7, factors=["t"])
+    for i in (5, 1, 3):
+        ds.mask[i, :i + 1, 0] = False   # (i + 1) / 50 > 2%
+    ds.mask[6, 0, 0] = False            # exactly 2%: retained
+    out, report = dt.screen_missing(ds, max_ratio=0.02)
+    assert report["dropped"] == ["S1", "S3", "S5"]
+    assert [s.station_id for s in out.stations] == ["S0", "S2", "S4", "S6"]
+    assert list(report["ratios"]) == [f"S{i}" for i in range(7)]
+    assert np.array_equal(out.values, ds.values[[0, 2, 4, 6]])
+    assert np.array_equal(out.mask, ds.mask[[0, 2, 4, 6]])
 
 
 def test_screen_missing_all_dropped():
