@@ -330,8 +330,10 @@ def cheb_filter_op(l_tilde, theta, x) -> tp.TapeTensor:
     The forward runs one window at a time: it sets the window's K terms
     side by side and mixes their channels with one GEMM, against theta
     reshaped to [K*C_in, C_out].  One tape node with a hand-written
-    backward, which walks the recurrence in reverse; an [N, N] L~ gets its
-    gradient summed over the batch.
+    backward, which walks the recurrence in reverse one window at a time,
+    in a few reused window-sized buffers; theta's gradient is one GEMM per
+    order over the whole batch, and an [N, N] L~ gets its gradient summed
+    over the batch.
     """
     lv, thv, xv = (tp._as_array(a) for a in (l_tilde, theta, x))
     node_axis = 0 if xv.ndim == 2 else 1
@@ -375,36 +377,61 @@ def cheb_filter_op(l_tilde, theta, x) -> tp.TapeTensor:
     basis = [signal, *terms] if on_tape else None
 
     rows_out, x_shape = out.shape, xv.shape
+    shared_l = lv.ndim == 2 and batched
 
     def back(g):
         g = g.reshape(rows_out)
         g_flat = g.reshape(-1, c_out)
-        theta_t = np.ascontiguousarray(thv.transpose(0, 2, 1))
-        # T_k's factor 2 (k > 1) is folded into 2 L~^T, exact in floating
-        # point
-        lt = tp._transposed(lv)
-        lt2 = 2.0 * lt if order > 2 else None
         g_theta = np.empty_like(thv)
-        g_l = np.zeros(lv.shape)
-        adj = [None, None]  # adjoints of T_{k+1} x and T_{k+2} x
-        for k in range(order - 1, -1, -1):
+        for k in range(order):
             g_theta[k] = basis[k].reshape(-1, c_in).T @ g_flat
-            if k == 0 and not need_x:
-                break
-            a = (g @ theta_t[k]).reshape(signal.shape)
-            if adj[0] is not None:
-                a += (lt2 if k > 0 else lt) @ adj[0]
-            if adj[1] is not None:
-                a -= adj[1]
-            if k > 0:
-                # T_k x = c L~ T_{k-1} x - ..., with c = 2 for k > 1
-                part = a @ np.swapaxes(basis[k - 1], -1, -2)
-                if lv.ndim == 2 and part.ndim == 3:
-                    part = part.sum(axis=0)
-                g_l += 2.0 * part if k > 1 else part
-            adj = [a, adj[0]]
-        g_x = adj[0].reshape(x_shape) if need_x else None
-        return g_l, g_theta, g_x
+        theta_t = np.ascontiguousarray(thv.transpose(0, 2, 1))
+        lt = tp._transposed(lv)
+        g_l = np.zeros(lv.shape)
+        # a shared L~'s gradient, per order k > 0, summed over the windows
+        # from zero in window order, as numpy sums a [B, N, N] stack
+        sums = np.zeros((order - 1,) + lv.shape) if shared_l else None
+        g_x = np.empty(signal.shape) if need_x else None
+        # one window's adjoints of T_k x, k > 0: three are live at most
+        adjoints = np.empty((min(3, order - 1),) + signal.shape[-2:])
+        scratch = np.empty(signal.shape[-2:])
+        part = np.empty(lv.shape[-2:])
+        for b in range(len(signal) if batched else 1):
+            gb = g[b] if batched else g
+            ltb, g_lb = (lt[b], g_l[b]) if lv.ndim == 3 else (lt, g_l)
+            adj = [None, None]  # adjoints of T_{k+1} x and T_{k+2} x
+            for k in range(order - 1, -1 if need_x else 0, -1):
+                if k > 0:
+                    a = adjoints[k % len(adjoints)]
+                else:
+                    a = g_x[b] if batched else g_x
+                np.matmul(gb, theta_t[k], out=a.reshape(n_rows, c_in))
+                if adj[0] is not None:
+                    np.matmul(ltb, adj[0], out=scratch)
+                    if k > 0:
+                        # T_{k+1} x = 2 L~ T_k x - ...: doubling the product
+                        # is exact, so this equals (2 L~^T) adj
+                        scratch *= 2.0
+                    a += scratch
+                if adj[1] is not None:
+                    a -= adj[1]
+                if k > 0:
+                    # T_k x = c L~ T_{k-1} x - ..., with c = 2 for k > 1
+                    basis_b = basis[k - 1][b] if batched else basis[k - 1]
+                    np.matmul(a, basis_b.T, out=part)
+                    if shared_l:
+                        sums[k - 1] += part
+                    else:
+                        if k > 1:
+                            part *= 2.0
+                        g_lb += part
+                adj = [a, adj[0]]
+        if shared_l:
+            for k in range(order - 1, 0, -1):
+                if k > 1:
+                    sums[k - 1] *= 2.0
+                g_l += sums[k - 1]
+        return g_l, g_theta, None if g_x is None else g_x.reshape(x_shape)
 
     return tp._emit("cheb_filter", (l_tilde, theta, x),
                     out.reshape(xv.shape[:-1] + (c_out,)), back)

@@ -392,12 +392,12 @@ _M_TOP_PAD = -2
 def _keep_chunk_heap() -> None:
     """Let the heap keep what one chunk frees for the next chunk.
 
-    Each chunk frees its buffers, about 13 _CHUNK_BYTES for the default
-    model, before the next chunk allocates the same shapes.  glibc's
-    default trims them off the heap and the next chunk faults them back in
-    page by page: on a 2-core Xeon with glibc 2.36 that made a chunked
-    n=100 epoch 20% slower, with 20 times the minor faults.  A 64 MiB top
-    pad keeps them; without glibc this does nothing.
+    Each chunk frees its buffers, about 7.5 _CHUNK_BYTES for the default
+    model at its backward's peak, before the next chunk allocates the same
+    shapes.  glibc's default trims them off the heap and the next chunk
+    faults them back in page by page: on a 2-core Xeon with glibc 2.36 that
+    made a chunked n=100 epoch 20% slower, with 20 times the minor faults.
+    A 64 MiB top pad keeps them; without glibc this does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -7,10 +7,11 @@ Calling :func:`backward` on a scalar output walks the tape in reverse append
 order and accumulates gradients into a store keyed by parameter id.
 
 Retention rule: a backward closure captures only the arrays its gradient
-reads, and otherwise shapes, offsets and scalars.  The tape outlives the
-forward, so an array a closure holds stays live until the step ends; an
-operand on no tape gets no gradient, and the arrays only its gradient
-would read are not kept either.
+reads, and otherwise shapes, offsets and scalars.  An array a closure holds
+stays live until that node's backward has run: :func:`backward` drops each
+closure once it has called it, so a tape can be walked once.  An operand on
+no tape gets no gradient, and the arrays only its gradient would read are
+not kept either.
 """
 
 from __future__ import annotations
@@ -455,7 +456,9 @@ def backward(loss: TapeTensor) -> dict[int, np.ndarray]:
     """Gradients of a scalar loss w.r.t. every parameter on its tape.
 
     Returns a dict keyed by parameter node id; parameters the loss never
-    touched get zeros.
+    touched get zeros.  Each node's closure is dropped once it has run, and
+    with it the arrays only that gradient read, so the walk frees the tape
+    as it goes; a second walk through a node raises ShapeError.
     """
     if loss.tape is None:
         raise ShapeError("backward: loss is a constant, nothing to differentiate")
@@ -469,12 +472,17 @@ def backward(loss: TapeTensor) -> dict[int, np.ndarray]:
         if g is None:
             continue
         node = tape.nodes[nid]
-        if node.backward is None:
+        if node.is_param:
             continue
+        if node.backward is None:
+            raise ShapeError(f"backward: node {nid} ({node.op}) was already "
+                             "walked; a tape's backward runs once")
         # every consumer of node nid sits later on the tape, so g is
         # complete here; dropping it keeps only live gradients in memory
         grads[nid] = None
-        for in_id, gin in zip(node.input_ids, node.backward(g)):
+        grads_in = node.backward(g)
+        node.backward = None
+        for in_id, gin in zip(node.input_ids, grads_in):
             if in_id is None or gin is None:
                 continue
             if grads[in_id] is None:

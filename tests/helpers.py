@@ -1,6 +1,6 @@
 """Test scaffolding shared across test files: a finite-difference gradient
-reference, a summing loss op, a writer for the per-station CSV layout, and
-a tracemalloc peak probe.
+reference, a summing loss op, a whole-batch Chebyshev backward reference, a
+writer for the per-station CSV layout, and a tracemalloc peak probe.
 """
 
 import csv
@@ -73,6 +73,57 @@ def finite_diff_check(build_loss: Callable[[dict], tp.TapeTensor],
             err = abs(a - numeric) / denom
             worst = max(worst, err)
     return worst
+
+
+def cheb_backward_batched(l_tilde, theta, x, g, need_x=True):
+    """Gradients (g_L, g_theta, g_x) of graphs.cheb_filter_op for the
+    output gradient g, by the reverse recurrence over the whole batch at
+    once: every adjoint and every [B, N, N] part of L~'s gradient is one
+    batch-sized array.  The op walks it one window at a time; this is the
+    reference it must equal byte for byte.
+    """
+    lv, thv, xv = (np.asarray(a, dtype=np.float64)
+                   for a in (l_tilde, theta, x))
+    order, c_in, c_out = thv.shape
+    signal = xv.reshape(xv.shape[:2] + (-1,)) if xv.ndim == 4 else xv
+    # the basis as the op's forward forms it, window by window
+    terms = np.empty((order - 1,) + signal.shape)
+    for b in range(len(signal) if signal.ndim == 3 else 1):
+        xb = signal[b] if signal.ndim == 3 else signal
+        lb = lv[b] if lv.ndim == 3 else lv
+        tb = terms[:, b] if signal.ndim == 3 else terms
+        for k in range(1, order):
+            np.matmul(lb, xb if k == 1 else tb[k - 2], out=tb[k - 1])
+            if k > 1:
+                tb[k - 1] *= 2.0
+                tb[k - 1] -= xb if k == 2 else tb[k - 3]
+    basis = [signal, *terms]
+    g = np.asarray(g, dtype=np.float64).reshape(
+        signal.shape[:-2] + (-1, c_out))
+    g_flat = g.reshape(-1, c_out)
+    theta_t = np.ascontiguousarray(thv.transpose(0, 2, 1))
+    lt = tp._transposed(lv)
+    lt2 = 2.0 * lt if order > 2 else None
+    g_theta = np.empty_like(thv)
+    g_l = np.zeros(lv.shape)
+    adj = [None, None]  # adjoints of T_{k+1} x and T_{k+2} x
+    for k in range(order - 1, -1, -1):
+        g_theta[k] = basis[k].reshape(-1, c_in).T @ g_flat
+        if k == 0 and not need_x:
+            break
+        a = (g @ theta_t[k]).reshape(signal.shape)
+        if adj[0] is not None:
+            a += (lt2 if k > 0 else lt) @ adj[0]
+        if adj[1] is not None:
+            a -= adj[1]
+        if k > 0:
+            part = a @ np.swapaxes(basis[k - 1], -1, -2)
+            if lv.ndim == 2 and part.ndim == 3:
+                part = part.sum(axis=0)
+            g_l += 2.0 * part if k > 1 else part
+        adj = [a, adj[0]]
+    g_x = adj[0].reshape(xv.shape) if need_x else None
+    return g_l, g_theta, g_x
 
 
 def station_distances(stations) -> np.ndarray:

@@ -14,7 +14,8 @@ from stationcast.data import StationMeta
 from stationcast.errors import (ConfigError, PipelineError, ShapeError,
                                 StructuralError)
 
-from helpers import finite_diff_check, reduce_sum, station_distances
+from helpers import (cheb_backward_batched, finite_diff_check, reduce_sum,
+                     station_distances)
 
 RNG = np.random.default_rng
 
@@ -770,6 +771,37 @@ def test_cheb_filter_op_matches_composed_recurrence(shapes, order):
             assert np.abs(got_g[k] - want_g[k]).max() <= 1e-13 * scale, k
     per_term = cheb_filter_per_term(vals["l"], vals["theta"], vals["x"]).values
     assert np.abs(got - per_term).max() <= 1e-13 * np.abs(per_term).max()
+
+
+# single-window batches, and windows wide enough for blocked GEMMs
+_CHEB_BACKWARD_SHAPES = dict(_CHEB_SHAPES, **{
+    "l2-x4-b1": ((4, 4), (1, 4, 5, 2)), "l3-x3-b1": ((1, 4, 4), (1, 4, 2)),
+    "l2-x4-wide": ((30, 30), (6, 30, 10, 2)),
+    "l3-x4-wide": ((6, 30, 30), (6, 30, 10, 2))})
+
+
+@pytest.mark.parametrize("x_on_tape", [True, False], ids=["x", "const-x"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("shapes", list(_CHEB_BACKWARD_SHAPES.values()),
+                         ids=list(_CHEB_BACKWARD_SHAPES))
+def test_cheb_filter_op_backward_equals_the_batched_reference(shapes, order,
+                                                              x_on_tape):
+    # the backward walks one window at a time; every gradient keeps the
+    # bytes of the reverse recurrence run over the whole batch at once
+    vals = _cheb_case(shapes, order, 60 + order)
+    t = tp.Tape()
+    lt, theta = t.param(vals["l"]), t.param(vals["theta"])
+    x = t.param(vals["x"]) if x_on_tape else vals["x"]
+    out = gr.cheb_filter_op(lt, theta, x)
+    g = RNG(order).standard_normal(out.shape)
+    got = t.nodes[out.node_id].backward(g)
+    want = cheb_backward_batched(vals["l"], vals["theta"], vals["x"], g,
+                                 need_x=x_on_tape)
+    for name, a, b in zip(("L", "theta", "x"), got, want):
+        if b is None:
+            assert a is None, name
+        else:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])

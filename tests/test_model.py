@@ -448,8 +448,8 @@ def test_static_only_predictions_match_tiled_computation(monkeypatch):
     assert shared.tobytes() == per_window.tobytes()
 
 
-def _default_step_tape(n, batch, seed):
-    """The tape of one default five-graph model step, forward and loss."""
+def _default_step_loss(n, batch, seed):
+    """The loss of one default five-graph model step, on its tape."""
     rng = np.random.default_rng(seed)
     cfg = md.ModelConfig()
     model = md.build_model(n, cfg, seed=1)
@@ -457,15 +457,14 @@ def _default_step_tape(n, batch, seed):
     tparams = {k: t.param(v, name=k) for k, v in model.params.items()}
     inputs = rng.normal(0.0, 1.0, (batch, n, cfg.w_in, cfg.d))
     targets = rng.normal(0.0, 1.0, (batch, n, cfg.w_out, cfg.d))
-    md._mae_loss(md.forward_on_tape(tparams, cfg, n, inputs,
-                                    _static_graphs(n, rng)), targets)
-    return t
+    return md._mae_loss(md.forward_on_tape(tparams, cfg, n, inputs,
+                                           _static_graphs(n, rng)), targets)
 
 
 def test_default_step_tape_node_count():
     # the default five-graph model: every Chebyshev filter, each trainable
     # graph and the fusion are one node
-    ops = [node.op for node in _default_step_tape(6, 2, 24).nodes]
+    ops = [node.op for node in _default_step_loss(6, 2, 24).tape.nodes]
     assert len(ops) == 64
     assert ops.count("cheb_filter") == len(md.ModelConfig().blocks)
     assert ops.count("antisym_graph") == 2 and ops.count("fuse_graphs") == 1
@@ -495,8 +494,26 @@ def test_default_step_closures_hold_pinned_bytes():
     # a closure captures only the arrays its gradient reads, so one step's
     # tape holds a fixed set of buffers; an op that starts keeping an input
     # for its shape, or an array for a gradient it skips, moves this count
-    buffers = _closure_buffers(_default_step_tape(40, 8, 25))
+    buffers = _closure_buffers(_default_step_loss(40, 8, 25).tape)
     assert sum(b.nbytes for b in buffers) == 6_239_656
+
+
+def test_default_step_backward_frees_as_it_walks():
+    # each closure dies once it has run, and the Chebyshev backward works in
+    # window-sized buffers, so the walk adds 1.81 of block 0's [B, N, T, 32]
+    # activation to what the forward left live; with every closure held to
+    # the end and whole-batch adjoints it added 5.48
+    n, batch = 40, 8
+    tracemalloc.start()
+    try:
+        loss = _default_step_loss(n, batch, 25)
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tp.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - live < 2.5 * (batch * n * 12 * 32 * 8)
 
 
 def test_off_tape_forward_frees_what_no_later_op_reads():
@@ -789,7 +806,7 @@ def test_ragged_last_batch_is_weighted_by_its_windows(monkeypatch):
 
 def test_default_training_step_memory_follows_the_chunk():
     # at n=100 a chunk holds 6 windows, so one B=32 step spans 6 tapes;
-    # one tape over the whole batch peaked at 119 MB traced
+    # one tape over the whole batch peaks at 84 MB traced
     n = 100
     ds = _tiny_dataset(n=n, t=79, seed=9)
     train_ds, val_ds = _split(ds, 0, 55), _split(ds, 55, 79)

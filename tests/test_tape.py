@@ -493,6 +493,46 @@ def test_backward_requires_scalar():
         tp.backward(tp.tanh(a))
 
 
+def test_second_backward_on_a_walked_tape_raises():
+    # the first walk drops every closure; a second one would otherwise
+    # return zero gradients for every parameter
+    t = tp.Tape()
+    a = t.param(np.ones((2, 2)))
+    loss = reduce_sum(tp.tanh(a))
+    first = tp.grad_of(tp.backward(loss), a)
+    assert np.all(first != 0.0)
+    assert all(node.backward is None for node in t.nodes)
+    with pytest.raises(ShapeError, match=r"^backward: node 2 \(reduce_sum\) "
+                                         r"was already walked"):
+        tp.backward(loss)
+    # a scalar parameter as the loss has no closure to run, walked or not
+    s = t.param(3.0)
+    for _ in range(2):
+        assert tp.grad_of(tp.backward(s), s) == 1.0
+
+
+def test_backward_frees_a_closure_once_it_has_run():
+    # `held` is read only by the hadamard node's closure; by the time the
+    # earlier spy node's backward runs, that closure is gone and so is it
+    t = tp.Tape()
+    p = t.param(np.ones(3))
+    held = np.arange(3.0)
+    alive = weakref.ref(held)
+    freed = []
+
+    def spy(g):
+        freed.append(alive() is None)
+        return (g,)
+
+    first = tp._emit("spy", (p,), p.values.copy(), spy)
+    loss = reduce_sum(tp.hadamard(first, held))
+    del held
+    assert alive() is not None
+    grad = tp.grad_of(tp.backward(loss), p)
+    assert freed == [True]
+    assert grad.tolist() == [0.0, 1.0, 2.0]
+
+
 def test_mixing_tapes_raises():
     t1, t2 = tp.Tape(), tp.Tape()
     a = t1.param(np.ones((2, 2)))
