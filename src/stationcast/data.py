@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -314,35 +315,54 @@ class PackedReader:
     """Bounds-checked reader over one packed binary file.
 
     Every packed format opens with a 4-byte magic and a u32 version; the
-    constructor reads the file, checks both and leaves the cursor after
-    the version.  Fields are slices of one memoryview over the file, so
-    ``array`` copies each array out of the file once.  A wrong magic or
-    version, reads past the end, undecodable strings and bytes left after
-    the last field raise the format's error class (StructuralError unless
-    given) with a one-line diagnostic that names the file and the format's
-    noun, never a struct or index error.
+    constructor opens the file, checks both and leaves the cursor after
+    the version.  Small fields are read through the buffered file, and
+    ``array`` reads each array straight from the file into its own buffer,
+    so a load holds the values once.  Use it in a ``with`` block, which
+    closes the file.  A wrong magic or version, reads past the end,
+    undecodable strings and bytes left after the last field raise the
+    format's error class (StructuralError unless given) with a one-line
+    diagnostic that names the file and the format's noun, never a struct
+    or index error.
     """
 
     def __init__(self, path, noun: str, magic: bytes, version: int,
                  error=StructuralError):
-        self.buf = memoryview(Path(path).read_bytes())
-        self.pos = 0
         self.what = f"{path}: {noun}"
         self.error = error
-        if self.take(len(magic)) != magic:
-            raise error(f"{path}: not a {noun}")
-        (found,) = self.unpack("I")
-        if found != version:
-            raise error(f"{path}: unsupported {noun} version {found}")
+        self.file = open(path, "rb")
+        try:
+            self.size = os.fstat(self.file.fileno()).st_size
+            self.pos = 0
+            if self.take(len(magic)) != magic:
+                raise error(f"{path}: not a {noun}")
+            (found,) = self.unpack("I")
+            if found != version:
+                raise error(f"{path}: unsupported {noun} version {found}")
+        except BaseException:
+            self.file.close()
+            raise
+
+    def __enter__(self) -> "PackedReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.file.close()
 
     def corrupt(self) -> Exception:
         return self.error(f"{self.what} is truncated or corrupt")
 
-    def take(self, n: int) -> memoryview:
-        if n < 0 or self.pos + n > len(self.buf):
+    def _advance(self, n: int) -> None:
+        """Move the cursor over n bytes that the file must still hold."""
+        if n < 0 or self.pos + n > self.size:
             raise self.corrupt()
-        out = self.buf[self.pos:self.pos + n]
         self.pos += n
+
+    def take(self, n: int) -> bytes:
+        self._advance(n)
+        out = self.file.read(n)
+        if len(out) != n:  # the file shrank since it was opened
+            raise self.corrupt()
         return out
 
     def unpack(self, fmt: str):
@@ -359,15 +379,19 @@ class PackedReader:
         return self.text(n)
 
     def array(self, dtype: str, shape) -> np.ndarray:
-        """A little-endian array of this dtype and shape, copied out."""
+        """A little-endian array of this dtype and shape, read into a
+        buffer of its own once the file is known to hold it."""
         dtype = np.dtype(dtype)
-        raw = self.take(dtype.itemsize * math.prod(shape))
-        return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        self._advance(dtype.itemsize * math.prod(shape))
+        out = np.empty(shape, dtype)
+        if self.file.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:
+            raise self.corrupt()
+        return out
 
     def end(self) -> None:
         """Reject bytes left over after the last field."""
-        if self.pos != len(self.buf):
-            raise self.error(f"{self.what} has {len(self.buf) - self.pos} "
+        if self.pos != self.size:
+            raise self.error(f"{self.what} has {self.size - self.pos} "
                              "trailing bytes")
 
 
@@ -407,24 +431,24 @@ def save_dataset(ds: WeatherSeriesDataset, path) -> None:
 
 
 def _load_binary(path: Path) -> WeatherSeriesDataset:
-    cur = PackedReader(path, "packed dataset file", _MAGIC, _VERSION)
-    n, t, d = cur.unpack("III")
-    time_start, time_step = cur.unpack("qI")
-    factors = [cur.string() for _ in range(d)]
-    stations = []
-    for _ in range(n):
-        sid = cur.string()
-        lat, lon, alt = cur.unpack("ddd")
-        stations.append(StationMeta(sid, lat, lon, alt))
-    (has_norm,) = cur.unpack("B")
-    if has_norm:  # an older writer's normalization block, not read
-        cur.take(16 * d)
-    count = n * t * d
-    values = cur.array("<f8", (n, t, d))
+    with PackedReader(path, "packed dataset file", _MAGIC, _VERSION) as cur:
+        n, t, d = cur.unpack("III")
+        time_start, time_step = cur.unpack("qI")
+        factors = [cur.string() for _ in range(d)]
+        stations = []
+        for _ in range(n):
+            sid = cur.string()
+            lat, lon, alt = cur.unpack("ddd")
+            stations.append(StationMeta(sid, lat, lon, alt))
+        (has_norm,) = cur.unpack("B")
+        if has_norm:  # an older writer's normalization block, not read
+            cur.take(16 * d)
+        count = n * t * d
+        values = cur.array("<f8", (n, t, d))
+        packed = cur.array("u1", ((count + 7) // 8,))
+        cur.end()
     # unpackbits gives each cell 0 or 1, which reads as bool without a copy
-    mask = np.unpackbits(cur.array("u1", ((count + 7) // 8,)),
-                         count=count).view(bool).reshape(n, t, d)
-    cur.end()
+    mask = np.unpackbits(packed, count=count).view(bool).reshape(n, t, d)
     return WeatherSeriesDataset(stations, factors, values, mask,
                                 time_start=time_start, time_step=time_step)
 

@@ -162,14 +162,15 @@ def save_predictions(path, preds: np.ndarray, target_starts: np.ndarray,
 def load_predictions(path):
     """Read a packed prediction file: (preds, target_starts, stations,
     factors, space)."""
-    cur = PackedReader(path, "prediction file", _PRED_MAGIC, _PRED_VERSION)
-    b, n, w, d = cur.unpack("IIII")
-    (physical,) = cur.unpack("B")
-    space = "physical" if physical else "normalized"
-    target_starts = cur.array("<i8", (b,))
-    tables = [[cur.string() for _ in range(count)] for count in (n, d)]
-    preds = cur.array("<f8", (b, n, w, d))
-    cur.end()
+    with PackedReader(path, "prediction file", _PRED_MAGIC,
+                      _PRED_VERSION) as cur:
+        b, n, w, d = cur.unpack("IIII")
+        (physical,) = cur.unpack("B")
+        space = "physical" if physical else "normalized"
+        target_starts = cur.array("<i8", (b,))
+        tables = [[cur.string() for _ in range(count)] for count in (n, d)]
+        preds = cur.array("<f8", (b, n, w, d))
+        cur.end()
     return preds, target_starts, tables[0], tables[1], space
 
 

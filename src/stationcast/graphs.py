@@ -460,29 +460,29 @@ def save_graphs(gs: GraphSet, path) -> None:
 
 
 def load_graphs(path) -> GraphSet:
-    cur = PackedReader(path, "packed graph file", _GMAGIC, _GVERSION)
-    n, mlen = cur.unpack("II")
-    try:
-        meta = json.loads(cur.text(mlen))
-    except json.JSONDecodeError:
-        raise cur.corrupt() from None
-    if not isinstance(meta, dict):
-        raise StructuralError(f"{path}: graph metadata is not an object")
-    stations = meta.get("stations", [])
-    if not (isinstance(stations, list)
-            and all(isinstance(s, str) for s in stations)):
-        raise StructuralError(f"{path}: graph metadata 'stations' is not a "
-                              "list of station ids")
-    (count,) = cur.unpack("I")
-    graphs = {}
-    for _ in range(count):
-        key = cur.string()
-        kind = cur.string()
-        if kind != key:
-            raise StructuralError(f"{path}: graph {key!r} is stored as kind "
-                                  f"{kind!r}")
-        graphs[key] = Adjacency(n, cur.array("<f8", (n, n)), kind)
-    cur.end()
+    with PackedReader(path, "packed graph file", _GMAGIC, _GVERSION) as cur:
+        n, mlen = cur.unpack("II")
+        try:
+            meta = json.loads(cur.text(mlen))
+        except json.JSONDecodeError:
+            raise cur.corrupt() from None
+        if not isinstance(meta, dict):
+            raise StructuralError(f"{path}: graph metadata is not an object")
+        stations = meta.get("stations", [])
+        if not (isinstance(stations, list)
+                and all(isinstance(s, str) for s in stations)):
+            raise StructuralError(f"{path}: graph metadata 'stations' is "
+                                  "not a list of station ids")
+        (count,) = cur.unpack("I")
+        graphs = {}
+        for _ in range(count):
+            key = cur.string()
+            kind = cur.string()
+            if kind != key:
+                raise StructuralError(f"{path}: graph {key!r} is stored as "
+                                      f"kind {kind!r}")
+            graphs[key] = Adjacency(n, cur.array("<f8", (n, n)), kind)
+        cur.end()
     return GraphSet(n, graphs, meta)
 
 

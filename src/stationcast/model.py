@@ -372,9 +372,12 @@ def forward_on_tape(weights: dict, cfg: ModelConfig, n: int,
     return tp.reshape(out, (batch, n, cfg.w_out, cfg.d))
 
 
-# activation bytes one tape or one off-tape forward may span: 2 MiB, the
-# per-core L2 of the Xeon the benchmark runs on
-_CHUNK_BYTES = 2 << 20
+# bytes of the widest activation one tape or one off-tape forward may span:
+# 1 MiB.  A default tape holds about 7.5 widest activations per window (its
+# closures hold 6.6 MiB for a 3-window n=100 chunk), so the tape, not the
+# activation, sets a step's peak, and 2 MiB chunks held twice the memory for
+# no time gained.  512 KiB made n=100 chunks one window and looked slower.
+_CHUNK_BYTES = 1 << 20
 
 
 def _chunk_windows(n: int, cfg: ModelConfig) -> int:
@@ -392,12 +395,13 @@ _M_TOP_PAD = -2
 def _keep_chunk_heap() -> None:
     """Let the heap keep what one chunk frees for the next chunk.
 
-    Each chunk frees its buffers, about 7.5 _CHUNK_BYTES for the default
+    Each chunk frees its buffers, about 8 _CHUNK_BYTES for the default
     model at its backward's peak, before the next chunk allocates the same
     shapes.  glibc's default trims them off the heap and the next chunk
-    faults them back in page by page: on a 2-core Xeon with glibc 2.36 that
-    made a chunked n=100 epoch 20% slower, with 20 times the minor faults.
-    A 64 MiB top pad keeps them; without glibc this does nothing.
+    faults them back in page by page.  A top pad of 32 _CHUNK_BYTES (32 MiB)
+    keeps them: on a 2-core Xeon with glibc 2.36 a warm n=100 training of
+    two epochs takes 14-26 minor faults with it and about 460k without.
+    Without glibc this does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -482,11 +486,15 @@ def train(model: MultiGraphForecaster, train_ds: WeatherSeriesDataset,
     chunk = _chunk_windows(model.n, mcfg)
     _keep_chunk_heap()
     rng = np.random.default_rng(cfg.seed)
+    # every parameter-sized buffer is allocated here, once: Adam updates
+    # params, m and v in place, the step's gradient sum fills grads, and an
+    # improvement copies into best_params
     params = {k: v.copy() for k, v in model.params.items()}
+    grads = {k: np.empty_like(v) for k, v in params.items()}
+    best_params = {k: v.copy() for k, v in params.items()}
     state = tp.AdamState()
     history = TrainHistory()
     best_val = np.inf
-    best_params = {k: v.copy() for k, v in params.items()}
     best_epoch = 0
 
     for epoch in range(1, cfg.epochs + 1):
@@ -496,7 +504,9 @@ def train(model: MultiGraphForecaster, train_ds: WeatherSeriesDataset,
                 train_ds, mcfg.w_in, mcfg.w_out,
                 batch_size=cfg.batch_size, shuffle_rng=rng)):
             size = len(batch.inputs)
-            loss, grads = 0.0, dict.fromkeys(params, 0.0)
+            loss = 0.0
+            for buf in grads.values():
+                buf.fill(0.0)
             for at in range(0, size, chunk):
                 inputs = batch.inputs[at:at + chunk]
                 lv, g = _chunk_gradients(params, mcfg, model.n, inputs,
@@ -507,15 +517,18 @@ def train(model: MultiGraphForecaster, train_ds: WeatherSeriesDataset,
                                         f"step {step}")
                 share = len(inputs) / size
                 loss += share * lv
+                # g's arrays are backward's own and may be shared between
+                # parameters, so they are read, never written
                 for k, v in g.items():
                     grads[k] += share * v
             losses.append(loss)
-            params = tp.adam_step(params, grads, state, lr)
+            tp.adam_step(params, grads, state, lr)
 
         current = MultiGraphForecaster(mcfg, model.n, params, model.seed)
-        val_pred, val_tgt, _ = predict_dataset(current, val_ds,
-                                               static_graphs)
-        val_mae = float(np.abs(val_pred - val_tgt).mean())
+        val_err, val_tgt, _ = predict_dataset(current, val_ds, static_graphs)
+        np.subtract(val_err, val_tgt, out=val_err)
+        val_mae = float(np.abs(val_err, out=val_err).mean())
+        del val_err, val_tgt  # not held through the next epoch's steps
         history.train_loss.append(float(np.mean(losses)))
         history.val_mae.append(val_mae)
         history.lr.append(lr)
@@ -523,7 +536,8 @@ def train(model: MultiGraphForecaster, train_ds: WeatherSeriesDataset,
             progress(epoch, history.train_loss[-1], val_mae, lr)
         if val_mae < best_val:
             best_val = val_mae
-            best_params = {k: v.copy() for k, v in params.items()}
+            for k, v in params.items():
+                np.copyto(best_params[k], v)
             best_epoch = epoch
         elif epoch - best_epoch >= cfg.early_stop_patience:
             history.stopped_early = True
@@ -553,21 +567,9 @@ def save_checkpoint(model: MultiGraphForecaster, path,
     write_packed(path, parts + [model.params[k] for k in names])
 
 
-def load_checkpoint(path) -> tuple:
-    """Read a save_checkpoint file: (model, the header's extra dict).
-
-    Any malformed file raises CheckpointError, including one whose
-    parameter names or shapes differ from what build_model makes for the
-    stored config and station count.  Shapes come from param_shapes and
-    are bounded by the file's length before any parameter is allocated.
-    """
-    cur = PackedReader(path, "checkpoint", _CKPT_MAGIC, _CKPT_VERSION,
-                       CheckpointError)
-    (hlen,) = cur.unpack("I")
-    try:
-        header = json.loads(cur.text(hlen))
-    except json.JSONDecodeError:
-        raise CheckpointError(f"{path}: corrupt checkpoint header") from None
+def _checkpoint_header(path, header) -> tuple:
+    """(config, n, seed, parameter shapes, extra) of a checkpoint header,
+    checked against what build_model makes for its config."""
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: checkpoint header is not an object")
     for fld in ("model_config", "n", "seed", "params"):
@@ -588,15 +590,35 @@ def load_checkpoint(path) -> tuple:
             AttributeError) as e:
         raise CheckpointError(f"{path}: incompatible checkpoint header "
                               f"({type(e).__name__}: {e})") from None
-    names = sorted(shapes)
-    if listed != [(k, list(shapes[k])) for k in names]:
+    if listed != [(k, list(shapes[k])) for k in sorted(shapes)]:
         raise CheckpointError(f"{path}: checkpoint parameters do not match "
                               "its model config")
-    if 8 * sum(math.prod(s) for s in shapes.values()) \
-            > len(cur.buf) - cur.pos:
-        raise cur.corrupt()
-    params = {k: cur.array("<f8", shapes[k]) for k in names}
-    cur.end()
+    return config, n, seed, shapes, extra
+
+
+def load_checkpoint(path) -> tuple:
+    """Read a save_checkpoint file: (model, the header's extra dict).
+
+    Any malformed file raises CheckpointError, including one whose
+    parameter names or shapes differ from what build_model makes for the
+    stored config and station count.  Shapes come from param_shapes and
+    are bounded by the file's length before any parameter is allocated.
+    """
+    with PackedReader(path, "checkpoint", _CKPT_MAGIC, _CKPT_VERSION,
+                      CheckpointError) as cur:
+        (hlen,) = cur.unpack("I")
+        try:
+            header = json.loads(cur.text(hlen))
+        except json.JSONDecodeError:
+            raise CheckpointError(f"{path}: corrupt checkpoint header") \
+                from None
+        config, n, seed, shapes, extra = _checkpoint_header(path, header)
+        if 8 * sum(math.prod(s) for s in shapes.values()) \
+                > cur.size - cur.pos:
+            raise cur.corrupt()
+        names = sorted(shapes)
+        params = {k: cur.array("<f8", shapes[k]) for k in names}
+        cur.end()
     for k in names:
         if not np.isfinite(params[k]).all():
             raise CheckpointError(f"{path}: parameter {k!r} has non-finite "

@@ -519,23 +519,38 @@ class AdamState:
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, lr: float) -> dict[str, np.ndarray]:
-    """One bias-corrected Adam update; mutates state, returns new params."""
+    """One bias-corrected Adam update of params, m and v in place.
+
+    Runs the operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g²
+    and p - lr m̂ / (sqrt(v̂) + eps) in that order, so the bytes match the
+    out-of-place form, through two scratch arrays sized to the largest
+    parameter and shared by all of them.  Returns params.
+    """
     beta1, beta2, eps = 0.9, 0.999, 1e-8  # the defaults of Kingma & Ba
     state.t += 1
     t = state.t
-    out = {}
+    size = max((p.size for p in params.values()), default=0)
+    scratch = np.empty(size), np.empty(size)
     for name, p in params.items():
         g = grads[name]
         m = state.m.get(name)
         if m is None:
-            m = np.zeros_like(p)
+            m = state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
         v = state.v[name]
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * (g * g)
-        state.m[name] = m
-        state.v[name] = v
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        out[name] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return out
+        s1, s2 = (s[:p.size].reshape(p.shape) for s in scratch)
+        m *= beta1
+        np.multiply(1.0 - beta1, g, out=s1)
+        m += s1
+        v *= beta2
+        np.multiply(g, g, out=s1)
+        s1 *= 1.0 - beta2
+        v += s1
+        np.divide(m, 1.0 - beta1 ** t, out=s1)  # m_hat
+        np.divide(v, 1.0 - beta2 ** t, out=s2)  # v_hat
+        np.sqrt(s2, out=s2)
+        s2 += eps
+        s1 *= lr
+        s1 /= s2
+        p -= s1
+    return params

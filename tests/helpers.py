@@ -1,6 +1,7 @@
 """Test scaffolding shared across test files: a finite-difference gradient
-reference, a summing loss op, a whole-batch Chebyshev backward reference, a
-writer for the per-station CSV layout, and a tracemalloc peak probe.
+reference, a summing loss op, a whole-batch Chebyshev backward reference,
+an out-of-place Adam reference, a writer for the per-station CSV layout,
+and a tracemalloc peak probe.
 """
 
 import csv
@@ -124,6 +125,32 @@ def cheb_backward_batched(l_tilde, theta, x, g, need_x=True):
         adj = [a, adj[0]]
     g_x = adj[0].reshape(xv.shape) if need_x else None
     return g_l, g_theta, g_x
+
+
+def adam_step_reference(params: dict, grads: dict, state: tp.AdamState,
+                        lr: float) -> dict:
+    """One bias-corrected Adam update in the out-of-place form: new m, v
+    and parameter arrays each step.  tape.adam_step updates them in place
+    and must equal this byte for byte."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    state.t += 1
+    t = state.t
+    out = {}
+    for name, p in params.items():
+        g = grads[name]
+        m = state.m.get(name)
+        if m is None:
+            m = np.zeros_like(p)
+            state.v[name] = np.zeros_like(p)
+        v = state.v[name]
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * (g * g)
+        state.m[name] = m
+        state.v[name] = v
+        m_hat = m / (1.0 - beta1 ** t)
+        v_hat = v / (1.0 - beta2 ** t)
+        out[name] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return out
 
 
 def station_distances(stations) -> np.ndarray:

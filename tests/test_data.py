@@ -142,10 +142,22 @@ def test_packed_reader_rejects_negative_length(tmp_path):
     # a length field decoded from a corrupt header must not move backwards
     path = tmp_path / "x.bin"
     path.write_bytes(b"TEST" + struct.pack("<I", 1) + b"abcdef")
-    cur = dt.PackedReader(path, "test file", b"TEST", 1)
-    cur.take(2)
-    with pytest.raises(StructuralError, match="truncated"):
-        cur.take(-1)
+    with dt.PackedReader(path, "test file", b"TEST", 1) as cur:
+        cur.take(2)
+        with pytest.raises(StructuralError, match="truncated"):
+            cur.take(-1)
+
+
+def test_packed_reader_reads_arrays_in_place(tmp_path):
+    # each array is read into its own buffer, an empty one included
+    path = tmp_path / "x.bin"
+    path.write_bytes(b"TEST" + struct.pack("<I", 1)
+                     + np.arange(6.0).astype("<f8").tobytes())
+    with dt.PackedReader(path, "test file", b"TEST", 1) as cur:
+        assert cur.array("<f8", (0, 3)).shape == (0, 3)
+        assert cur.array("<f8", (2, 3)).tolist() == [[0, 1, 2], [3, 4, 5]]
+        cur.end()
+    assert cur.file.closed
 
 
 @pytest.mark.parametrize("head,match", [
@@ -157,7 +169,8 @@ def test_packed_reader_checks_magic_and_version(tmp_path, head, match):
     path = tmp_path / "x.bin"
     path.write_bytes(head)
     if match is None:
-        assert dt.PackedReader(path, "test file", b"TEST", 1).pos == 8
+        with dt.PackedReader(path, "test file", b"TEST", 1) as cur:
+            assert cur.pos == 8
         return
     with pytest.raises(StructuralError, match=match):
         dt.PackedReader(path, "test file", b"TEST", 1)
@@ -403,9 +416,10 @@ def test_load_packed_dataset_copies_the_values_once(net300, tmp_path):
     path = tmp_path / "a.w2kt"
     dt.save_dataset(net300, path)
     v = net300.values.nbytes
-    # the file's bytes, the values copied out of them, and the mask
+    # the values, read straight into their array, and the mask: 1.28 V.
+    # Reading the whole file and copying each array out of it took 2.28 V
     peak = traced_peak(lambda: dt.load_dataset(path))
-    assert peak < 2.5 * v, peak / v
+    assert peak < 1.35 * v, peak / v
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from stationcast.data import StationMeta, WeatherSeriesDataset, make_windows
 from stationcast.errors import (CheckpointError, ConfigError, ShapeError,
                                TrainingError)
 
-from helpers import finite_diff_check, reduce_sum
+from helpers import adam_step_reference, finite_diff_check, reduce_sum
 
 
 def _static_graphs(n, rng):
@@ -651,6 +651,40 @@ def test_training_rejects_a_short_split_before_any_step(monkeypatch, short,
                  md.TrainConfig(epochs=1))
 
 
+def test_adam_step_updates_in_place_with_the_reference_bytes():
+    # the default model at n=300: five [N, N] fusion weights are 94% of one
+    # parameter copy.  The out-of-place step allocated 3.55 copies; in place
+    # it needs only two scratch arrays the size of the largest parameter
+    model = md.build_model(300, md.ModelConfig(), seed=3)
+    rng = np.random.default_rng(35)
+    copy = sum(v.nbytes for v in model.params.values())
+    params = {k: v.copy() for k, v in model.params.items()}
+    state, ref_state = tp.AdamState(), tp.AdamState()
+    ref = {k: v.copy() for k, v in params.items()}
+    for step in range(3):
+        grads = {k: rng.normal(0.0, 1.0, v.shape) for k, v in params.items()}
+        before = [(params[k], state.m.get(k), state.v.get(k))
+                  for k in params]
+        tracemalloc.start()
+        try:
+            out = tp.adam_step(params, grads, state, 1e-2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ref = adam_step_reference(ref, grads, ref_state, 1e-2)
+        assert out is params
+        for k, (p, m, v) in zip(params, before):
+            assert params[k] is p
+            if step:  # the first step allocates m and v, once
+                assert state.m[k] is m and state.v[k] is v
+            for got, want in ((params, ref), (state.m, ref_state.m),
+                              (state.v, ref_state.v)):
+                assert got[k].tobytes() == want[k].tobytes()
+        if step:
+            assert peak < 0.5 * copy, peak / copy
+    assert state.t == ref_state.t == 3
+
+
 def test_history_dict_has_no_wall_time():
     hist = md.TrainHistory(train_loss=[1.0], val_mae=[2.0], lr=[0.01],
                            best_epoch=1)
@@ -786,7 +820,9 @@ def test_ragged_last_batch_is_weighted_by_its_windows(monkeypatch):
     real_step = tp.adam_step
 
     def spy(params, grads, state, lr):
-        steps.append((params, grads))
+        # train updates both dicts' arrays in place: keep this step's values
+        steps.append(({k: v.copy() for k, v in params.items()},
+                      {k: v.copy() for k, v in grads.items()}))
         return real_step(params, grads, state, lr)
 
     monkeypatch.setattr(tp, "adam_step", spy)
@@ -805,14 +841,15 @@ def test_ragged_last_batch_is_weighted_by_its_windows(monkeypatch):
 
 
 def test_default_training_step_memory_follows_the_chunk():
-    # at n=100 a chunk holds 6 windows, so one B=32 step spans 6 tapes;
-    # one tape over the whole batch peaks at 84 MB traced
+    # at n=100 a chunk holds 3 windows, so one B=32 step spans 11 tapes and
+    # peaks at 11.2 MB traced; 6-window chunks peaked at 18.8 MB and one
+    # tape over the whole batch at 84 MB
     n = 100
     ds = _tiny_dataset(n=n, t=79, seed=9)
     train_ds, val_ds = _split(ds, 0, 55), _split(ds, 55, 79)
     static = _static_graphs(n, np.random.default_rng(33))
     model = md.build_model(n, md.ModelConfig(), seed=0)
-    assert md._chunk_windows(n, model.config) == 6
+    assert md._chunk_windows(n, model.config) == 3
     tracemalloc.start()
     try:
         _, hist = md.train(model, train_ds, val_ds, static,
@@ -821,12 +858,13 @@ def test_default_training_step_memory_follows_the_chunk():
     finally:
         tracemalloc.stop()
     assert len(hist.train_loss) == 1
-    assert peak < 40e6
+    assert peak < 13e6
 
 
 def test_predict_dataset_memory_follows_the_chunk():
-    # 311 windows at n=100: the outputs and one 6-window chunk; one forward
-    # over 64 windows and a concatenated copy peaked at 60 MB traced
+    # 311 windows at n=100: the outputs and one 3-window chunk, 9.1 MB
+    # traced (11.7 MB with 6-window chunks); one forward over 64 windows and
+    # a concatenated copy peaked at 60 MB
     n = 100
     ds = _tiny_dataset(n=n, t=334, seed=10)
     static = _static_graphs(n, np.random.default_rng(34))
@@ -838,7 +876,7 @@ def test_predict_dataset_memory_follows_the_chunk():
     finally:
         tracemalloc.stop()
     assert preds.shape == (311, n, 12, 1)
-    assert peak < 16e6
+    assert peak < 10.5e6
 
 
 # ---------------------------------------------------------------------------

@@ -602,9 +602,9 @@ def test_adam_first_step_closed_form():
     p = {"w": np.array([1.0, -2.0, 3.0])}
     g = {"w": np.array([0.5, -0.25, 1.0])}
     st = tp.AdamState()
-    out = tp.adam_step(p, g, st, lr=0.1)
     # after bias correction the first step is lr * g / (|g| + eps)
     want = p["w"] - 0.1 * g["w"] / (np.abs(g["w"]) + 1e-8)
+    out = tp.adam_step(p, g, st, lr=0.1)
     assert np.allclose(out["w"], want, atol=1e-12)
     assert st.t == 1
 
