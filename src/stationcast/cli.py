@@ -324,6 +324,11 @@ def _cmd_eval(args) -> int:
             ckpt_path = _resolve(args.ckpt)
             inputs.append(ckpt_path)
             model, extra = md.load_checkpoint(ckpt_path)
+            for key in ("factor", "graphs_file"):
+                stored = extra.get(key)
+                if stored is not None and not isinstance(stored, str):
+                    raise CheckpointError(f"{ckpt_path}: stored {key} "
+                                          f"{stored!r} is not a string")
             factor = args.factor or extra.get("factor")
             if factor is None:
                 raise ConfigError("checkpoint lacks a stored factor; pass "
@@ -374,12 +379,7 @@ def _cmd_eval(args) -> int:
                                 scoped.factors, space="normalized")
 
     out = _resolve(args.out)
-    doc = report.to_dict()
-    doc["horizon_curve"] = {
-        f: {"mae": doc["per_factor"][f]["mae_by_horizon"],
-            "rmse": doc["per_factor"][f]["rmse_by_horizon"]}
-        for f in doc["per_factor"]}
-    ev.dump_report(doc, out)
+    ev.dump_report(report.to_dict(), out)
     _log(f"overall mae {report.overall_mae:.6f}  "
          f"rmse {report.overall_rmse:.6f} ({report.space}) -> {out}")
     _write_manifest(out, "eval", config, inputs,

@@ -627,8 +627,6 @@ def make_windows(split: WeatherSeriesDataset, w_in: int, w_out: int,
         batch_size = max(len(origins), 1)
     for at in range(0, len(origins), batch_size):
         chunk = origins[at:at + batch_size]
-        if len(chunk) == 0:
-            return
         inputs = np.stack([split.values[:, o:o + w_in, :] for o in chunk])
         targets = np.stack([split.values[:, o + w_in:o + w_in + w_out, :]
                             for o in chunk])

@@ -318,8 +318,8 @@ def st_block_forward(x, blk: StBlockConfig, l_tilde, weights: dict,
     return tp.add(temporal, res)
 
 
-def _fused_graph(weights: dict, cfg: ModelConfig, n: int, batch: int,
-                 inputs: np.ndarray, static_graphs: dict):
+def _fused_graph(weights: dict, cfg: ModelConfig, inputs: np.ndarray,
+                 static_graphs: dict):
     """Fused adjacency at the rank it varies.
 
     Without the dynamic graph every window of the step shares one fused
@@ -339,19 +339,19 @@ def _fused_graph(weights: dict, cfg: ModelConfig, n: int, batch: int,
                 weights["emb_theta2"], cfg.alpha)
         else:
             # node characteristics: the window of the first factor channel
-            z = np.ascontiguousarray(inputs[:, :, :, 0]).reshape(batch, n, -1)
+            z = np.ascontiguousarray(inputs[:, :, :, 0])
             adjs[kind] = gr.dynamic_graph_op(z, weights["dyn_w1"],
                                              weights["dyn_w2"], cfg.beta)
     return gr.fuse_graphs_op(adjs, {k: weights[f"fusion_{k}"] for k in adjs})
 
 
-def _fused_laplacian(weights: dict, cfg: ModelConfig, n: int, batch: int,
-                     inputs: np.ndarray, static_graphs: dict):
+def _fused_laplacian(weights: dict, cfg: ModelConfig, inputs: np.ndarray,
+                     static_graphs: dict):
     """Rescaled Laplacian of the symmetrized fused graph."""
     # off the tape the fusion terms die with _fused_graph's frame, so only
     # the symmetrized graph is live while the spectral step runs
     return tp.scaled_laplacian_op(gr.symmetrize_op(_fused_graph(
-        weights, cfg, n, batch, inputs, static_graphs)))
+        weights, cfg, inputs, static_graphs)))
 
 
 def forward_on_tape(weights: dict, cfg: ModelConfig, n: int,
@@ -362,7 +362,7 @@ def forward_on_tape(weights: dict, cfg: ModelConfig, n: int,
         raise ConfigError(f"expected inputs [B, {n}, {cfg.w_in}, {cfg.d}], "
                           f"got {inputs.shape}")
     batch = inputs.shape[0]
-    l_tilde = _fused_laplacian(weights, cfg, n, batch, inputs, static_graphs)
+    l_tilde = _fused_laplacian(weights, cfg, inputs, static_graphs)
     x = tp.TapeTensor(inputs)
     for i, blk in enumerate(cfg.blocks):
         x = st_block_forward(x, blk, l_tilde, weights, f"block{i}")

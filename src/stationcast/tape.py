@@ -361,68 +361,66 @@ def _top_eigvec_batch(shifted: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return v[:, :, 0]
 
 
-def _laplacian_forward_batch(a: np.ndarray, grad: bool):
+def _laplacian_forward_batch(a: np.ndarray):
     """Scaled Laplacians of a [B, N, N] stack of symmetric adjacencies.
 
-    Returns (l_tilde, saved).  With `grad`, saved carries what backward
-    needs.  Without it saved is None and L~ is formed in the buffer that
-    held I - S A S, so the stack costs one [B, N, N] array, not two.
+    S A S, then I - S A S, then L~ = 2 (I - S A S) / lam - I are formed in
+    one [B, N, N] buffer, on the tape and off it.  An isolated node gets
+    s = 1 and a zero diagonal entry in I - S A S: the bytes a unit
+    self-loop would give, with no copy of the adjacency.  Returns
+    (l_tilde, s, lam, valid, isolated), all that the backward reads.
     """
     n = a.shape[1]
     deg = a.sum(axis=2)
     isolated = deg <= 0.0
-    a_eff = a
-    if isolated.any():
-        a_eff = a.copy()
-        di = np.arange(n)
-        diag = a_eff[:, di, di]
-        # self-loop keeps the normalization finite
-        a_eff[:, di, di] = np.where(isolated, 1.0, diag)
-        deg = a_eff.sum(axis=2)
-    s = 1.0 / np.sqrt(deg)
+    s = 1.0 / np.sqrt(np.where(isolated, 1.0, deg))
     eye = np.eye(n)
-    # I - S A S and 2 L / lam - I, each formed in one [B, N, N] buffer
-    lap = s[:, :, None] * a_eff
+    lap = s[:, :, None] * a
     lap *= s[:, None, :]
     np.subtract(eye, lap, out=lap)
+    batch, node = np.nonzero(isolated)
+    lap[batch, node, node] = 0.0
     lam, valid = _lambda_max_batch(lap)
-    if not grad:
-        # x * (2/lam) rounds as (2/lam) * x does, so the bytes match
-        lap *= (2.0 / lam)[:, None, None]
-        lap -= eye
-        return lap, None
-    l_tilde = (2.0 / lam)[:, None, None] * lap
-    l_tilde -= eye
-    return l_tilde, (a_eff, s, lap, lam, valid, isolated)
+    lap *= (2.0 / lam)[:, None, None]
+    lap -= eye
+    return lap, s, lam, valid, isolated
 
 
-def _laplacian_backward_batch(g: np.ndarray, saved) -> np.ndarray:
-    a_eff, s, lap, lam, valid, isolated = saved
+def _laplacian_backward_batch(g: np.ndarray, l_tilde: np.ndarray,
+                              s: np.ndarray, lam: np.ndarray,
+                              valid: np.ndarray,
+                              isolated: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. the adjacency stack, read from L~ and four vectors.
+
+    I - S A S is rebuilt as (L~ + I) lam / 2 in one [B, N, N] temporary,
+    which then holds the degree term's product with S A S.
+    """
+    eye = np.eye(g.shape[1])
+    lap = l_tilde + eye
+    lap *= (lam / 2.0)[:, None, None]
     # dL~/dL has two parts: the 2/lam scaling and lam's own dependence on L,
     # dlam/dL = v v^T for the top eigenvector v; the second vanishes when
     # lam came from the constant fallback
-    g_lap = (2.0 / lam)[:, None, None] * g
     g_lam = (-2.0 / lam ** 2) * np.einsum("bij,bij->b", g, lap)
+    h = (-2.0 / lam)[:, None, None] * g  # gradient w.r.t. S A S = I - L
     if valid.any():
         # a basic slice when every matrix is valid: no fancy-index copies
         sel = slice(None) if valid.all() else valid
         v = _top_eigvec_batch(lap[sel].copy(), lam[sel])
         cv = g_lam[sel][:, None] * v
-        g_lap[sel] += cv[:, :, None] * v[:, None, :]
-    h = -g_lap  # gradient w.r.t. the normalized adjacency s_i A_ij s_j
-    grad_a = h * (s[:, :, None] * s[:, None, :])
-    # through the degree vector: ds_i/dd_i = -1/2 d^{-3/2}
-    gs = (h * a_eff * s[:, None, :]).sum(axis=2) \
-        + (h * a_eff * s[:, :, None]).sum(axis=1)
-    c = gs * (-0.5) * s ** 3
-    c = np.where(isolated, 0.0, c)  # clamped rows have frozen degree
-    grad_a = grad_a + c[:, :, None]
-    if isolated.any():
-        di = np.arange(grad_a.shape[1])
-        diag = grad_a[:, di, di]
-        # injected self-loops are constants
-        grad_a[:, di, di] = np.where(isolated, 0.0, diag)
-    return grad_a
+        h[sel] -= cv[:, :, None] * v[:, None, :]
+    # through the degree vector: ds_i/dd_i = -1/2 s_i^3, and
+    # sum_j h_ij A_ij s_j = sum_j h_ij (S A S)_ij / s_i
+    np.subtract(eye, lap, out=lap)
+    lap *= h
+    c = (lap.sum(axis=2) + lap.sum(axis=1)) * (-0.5 * s * s)
+    c[isolated] = 0.0  # an isolated node's degree is clamped
+    h *= s[:, :, None]
+    h *= s[:, None, :]
+    h += c[:, :, None]
+    batch, node = np.nonzero(isolated)
+    h[batch, node, node] = 0.0  # the self-loop it stands in for is a constant
+    return h
 
 
 def scaled_laplacian_op(a: ArrayLike) -> TapeTensor:
@@ -430,22 +428,19 @@ def scaled_laplacian_op(a: ArrayLike) -> TapeTensor:
 
     Accepts one [N, N] matrix or a stack [B, N, N]; each matrix must be
     symmetric with nonnegative entries.  The forward takes lambda_max from
-    one batched eigvalsh and forms no eigenvector; the backward forms the
-    top eigenvector, for lambda's own gradient, by inverse iteration.  Off
-    the tape it keeps no backward state and forms L~ in place.
+    one batched eigvalsh, forms no eigenvector, and allocates one
+    [B, N, N] buffer, the output.  The backward reads that L~ and [B] and
+    [B, N] vectors, never the adjacency; it forms the top eigenvector, for
+    lambda's own gradient, by inverse iteration.
     """
     av = _as_array(a)
     if av.ndim not in (2, 3):
         raise ShapeError(f"scaled_laplacian_op: rank {av.ndim} input")
     shape = av.shape
-    stack = av.reshape((-1,) + shape[-2:])
-    out, saved = _laplacian_forward_batch(stack, _on_tape(a))
-    stack_shape = stack.shape
-    # on a tape, saved holds the adjacency (a copy where a self-loop was
-    # injected)
+    out, *saved = _laplacian_forward_batch(av.reshape((-1,) + shape[-2:]))
     return _emit("scaled_laplacian", (a,), out.reshape(shape),
                  lambda g: (_laplacian_backward_batch(
-                     g.reshape(stack_shape), saved).reshape(shape),))
+                     g.reshape(out.shape), out, *saved).reshape(shape),))
 
 
 # ---------------------------------------------------------------------------

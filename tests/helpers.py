@@ -1,7 +1,8 @@
 """Test scaffolding shared across test files: a finite-difference gradient
-reference, a summing loss op, a whole-batch Chebyshev backward reference,
-an out-of-place Adam reference, a writer for the per-station CSV layout,
-and a tracemalloc peak probe.
+reference, a summing loss op, a census of the arrays backward closures
+hold, whole-batch Chebyshev and adjacency-keeping Laplacian backward
+references, an out-of-place Adam reference, a writer for the per-station
+CSV layout, and a tracemalloc peak probe.
 """
 
 import csv
@@ -76,6 +77,26 @@ def finite_diff_check(build_loss: Callable[[dict], tp.TapeTensor],
     return worst
 
 
+def closure_buffers(tape: tp.Tape) -> list:
+    """Root buffers of every array a backward closure on the tape holds."""
+    buffers = {}
+
+    def visit(obj):
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            buffers[id(obj)] = obj
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                visit(item)
+
+    for node in tape.nodes:
+        if node.backward is not None:
+            for cell in node.backward.__closure__ or ():
+                visit(cell.cell_contents)
+    return list(buffers.values())
+
+
 def cheb_backward_batched(l_tilde, theta, x, g, need_x=True):
     """Gradients (g_L, g_theta, g_x) of graphs.cheb_filter_op for the
     output gradient g, by the reverse recurrence over the whole batch at
@@ -125,6 +146,40 @@ def cheb_backward_batched(l_tilde, theta, x, g, need_x=True):
         adj = [a, adj[0]]
     g_x = adj[0].reshape(xv.shape) if need_x else None
     return g_l, g_theta, g_x
+
+
+def laplacian_backward_reference(a, g):
+    """Gradient w.r.t. a [B, N, N] adjacency stack of
+    tape.scaled_laplacian_op for the output gradient g, by the form that
+    keeps the adjacency (with a unit self-loop injected at each isolated
+    node) and I - S A S, and takes the degree term from A s.  The op reads
+    only L~ and [B] and [B, N] vectors; this is the reference it must match
+    to rounding.
+    """
+    a = np.array(a, dtype=np.float64)
+    n = a.shape[1]
+    di = np.arange(n)
+    isolated = a.sum(axis=2) <= 0.0
+    a[:, di, di] = np.where(isolated, 1.0, a[:, di, di])
+    s = 1.0 / np.sqrt(a.sum(axis=2))
+    lap = np.eye(n) - s[:, :, None] * a * s[:, None, :]
+    lam, valid = tp._lambda_max_batch(lap)
+    g_lap = (2.0 / lam)[:, None, None] * g
+    g_lam = (-2.0 / lam ** 2) * np.einsum("bij,bij->b", g, lap)
+    if valid.any():
+        v = tp._top_eigvec_batch(lap[valid], lam[valid])
+        cv = g_lam[valid][:, None] * v
+        g_lap[valid] += cv[:, :, None] * v[:, None, :]
+    h = -g_lap  # gradient w.r.t. the normalized adjacency s_i A_ij s_j
+    grad_a = h * (s[:, :, None] * s[:, None, :])
+    # through the degree vector: ds_i/dd_i = -1/2 d^{-3/2}
+    gs = (h * a * s[:, None, :]).sum(axis=2) \
+        + (h * a * s[:, :, None]).sum(axis=1)
+    c = np.where(isolated, 0.0, gs * (-0.5) * s ** 3)
+    grad_a = grad_a + c[:, :, None]
+    # injected self-loops are constants
+    grad_a[:, di, di] = np.where(isolated, 0.0, grad_a[:, di, di])
+    return grad_a
 
 
 def adam_step_reference(params: dict, grads: dict, state: tp.AdamState,

@@ -389,6 +389,26 @@ def test_eval_malformed_stored_split_exits_1(small_run, tmp_path, capsys,
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("key,stored", [
+    ("graphs_file", 5), ("graphs_file", ["graphs.bin"]), ("factor", ["t"]),
+    ("factor", 1.5)], ids=["graphs-int", "graphs-list", "factor-list",
+                           "factor-float"])
+def test_eval_malformed_stored_string_exits_1(small_run, tmp_path, capsys,
+                                              key, stored):
+    # neither --graphs nor --factor is passed, so eval reads the stored one
+    ckpt = tmp_path / "model.ckpt"
+    md.save_checkpoint(md.build_model(5), ckpt,
+                       extra={"factor": "t", key: stored})
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(ckpt), "--data",
+                 str(small_run / "synth.w2kt"), "--out",
+                 str(tmp_path / "m.json")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0] == \
+        f"error: {ckpt}: stored {key} {stored!r} is not a string", err
+    assert not (tmp_path / "m.json").exists()
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("param", ["fusion_distance", "out_w"])
 def test_eval_nonfinite_checkpoint_exits_1(tmp_path, capsys, param, value):

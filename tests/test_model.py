@@ -15,7 +15,8 @@ from stationcast.data import StationMeta, WeatherSeriesDataset, make_windows
 from stationcast.errors import (CheckpointError, ConfigError, ShapeError,
                                TrainingError)
 
-from helpers import adam_step_reference, finite_diff_check, reduce_sum
+from helpers import (adam_step_reference, closure_buffers, finite_diff_check,
+                     reduce_sum)
 
 
 def _static_graphs(n, rng):
@@ -403,8 +404,7 @@ def test_static_graphs_give_one_laplacian_per_step(monkeypatch):
             (md.ALL_GRAPH_KINDS, (batch, n, n), batch)):
         cfg = _two_block_config(kinds)
         model = md.build_model(n, cfg, seed=3)
-        l_tilde = md._fused_laplacian(model.params, cfg, n, batch, inputs,
-                                      static)
+        l_tilde = md._fused_laplacian(model.params, cfg, inputs, static)
         assert l_tilde.shape == shape
         sizes.clear()
         linalg["solve"].clear()
@@ -435,13 +435,13 @@ def test_static_only_predictions_match_tiled_computation(monkeypatch):
     model = md.build_model(5, _two_block_config(), seed=2)
     shared = md.predict_dataset(model, ds, static)[0]
 
-    def tiled(weights, cfg, n, batch, inputs, static_graphs):
+    def tiled(weights, cfg, inputs, static_graphs):
         # the per-window computation: B copies of the one fused graph
         fused = gr.fuse_graphs_op(
             {k: static_graphs[k] for k in cfg.graph_kinds},
             {k: weights[f"fusion_{k}"] for k in cfg.graph_kinds})
         return tp.scaled_laplacian_op(
-            gr.symmetrize_op(tp.tile_leading(fused, batch)))
+            gr.symmetrize_op(tp.tile_leading(fused, len(inputs))))
 
     monkeypatch.setattr(md, "_fused_laplacian", tiled)
     per_window = md.predict_dataset(model, ds, static)[0]
@@ -470,32 +470,12 @@ def test_default_step_tape_node_count():
     assert ops.count("antisym_graph") == 2 and ops.count("fuse_graphs") == 1
 
 
-def _closure_buffers(tape):
-    """Root buffers of every array a backward closure on the tape holds."""
-    buffers = {}
-
-    def visit(obj):
-        if isinstance(obj, np.ndarray):
-            while isinstance(obj.base, np.ndarray):
-                obj = obj.base
-            buffers[id(obj)] = obj
-        elif isinstance(obj, (list, tuple)):
-            for item in obj:
-                visit(item)
-
-    for node in tape.nodes:
-        if node.backward is not None:
-            for cell in node.backward.__closure__ or ():
-                visit(cell.cell_contents)
-    return buffers.values()
-
-
 def test_default_step_closures_hold_pinned_bytes():
     # a closure captures only the arrays its gradient reads, so one step's
     # tape holds a fixed set of buffers; an op that starts keeping an input
     # for its shape, or an array for a gradient it skips, moves this count
-    buffers = _closure_buffers(_default_step_loss(40, 8, 25).tape)
-    assert sum(b.nbytes for b in buffers) == 6_239_656
+    buffers = closure_buffers(_default_step_loss(40, 8, 25).tape)
+    assert sum(b.nbytes for b in buffers) == 6_034_856
 
 
 def test_default_step_backward_frees_as_it_walks():

@@ -11,7 +11,8 @@ from stationcast import graphs as gr
 from stationcast import tape as tp
 from stationcast.errors import ShapeError
 
-from helpers import finite_diff_check, reduce_sum
+from helpers import (closure_buffers, finite_diff_check,
+                     laplacian_backward_reference, reduce_sum, traced_peak)
 
 RNG = np.random.default_rng
 
@@ -217,9 +218,9 @@ def test_scaled_laplacian_stack_gradients():
 
 
 def test_scaled_laplacian_stack_mixes_valid_and_fallback():
-    # an all-zero adjacency is all self-loops after the isolation guard, so
-    # L = 0, lambda falls back to 2.0 and only its neighbours get an
-    # eigenvector in the backward
+    # every node of an all-zero adjacency is isolated, so L = 0, lambda
+    # falls back to 2.0 and only its neighbours get an eigenvector in the
+    # backward
     rng = RNG(20)
     n = 5
     p = {"a": rng.uniform(0.1, 1.0, size=(2, n, n))}
@@ -235,8 +236,8 @@ def test_scaled_laplacian_stack_mixes_valid_and_fallback():
     def loss(t):
         return reduce_sum(tp.hadamard(tp.scaled_laplacian_op(stack(t)), w))
 
-    _, saved = tp._laplacian_forward_batch(stack(p).values, True)
-    assert saved[4].tolist() == [True, False, True]
+    valid = tp._laplacian_forward_batch(stack(p).values)[3]
+    assert valid.tolist() == [True, False, True]
     assert np.array_equal(tp.scaled_laplacian_op(stack(p)).values[1],
                           -np.eye(n))
     fd_ok(loss, p, tol=1e-4)
@@ -254,9 +255,9 @@ def _fused_station_adjacencies(n, count, seed):
 
 @pytest.mark.parametrize("n", [20, 100])
 def test_inverse_iteration_matches_eigh(n):
-    _, saved = tp._laplacian_forward_batch(
-        _fused_station_adjacencies(n, 4, seed=n), True)
-    lap, lam, valid = saved[2], saved[3], saved[4]
+    a = _fused_station_adjacencies(n, 4, seed=n)
+    _, s, lam, valid, _ = tp._laplacian_forward_batch(a)
+    lap = np.eye(n) - s[:, :, None] * a * s[:, None, :]
     assert valid.all()
     v = tp._top_eigvec_batch(lap.copy(), lam)
     u = np.linalg.eigh(lap)[1][:, :, -1]
@@ -273,8 +274,8 @@ def test_scaled_laplacian_repeated_top_eigenvalue():
     n = 6
     adj = np.ones((n, n)) - np.eye(n)
     w = RNG(26).standard_normal((n, n))
-    _, saved = tp._laplacian_forward_batch(adj[None], True)
-    lap, lam = saved[2], saved[3]
+    _, s, lam, _, _ = tp._laplacian_forward_batch(adj[None])
+    lap = np.eye(n) - s[:, :, None] * adj * s[:, None, :]
     assert lam[0] == pytest.approx(n / (n - 1), abs=1e-14)
     v = tp._top_eigvec_batch(lap.copy(), lam)[0]
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
@@ -356,17 +357,70 @@ def test_scaled_laplacian_off_tape_matches_on_tape(rank, isolated):
 
 
 def test_scaled_laplacian_off_tape_keeps_one_stack():
-    # off the tape I - S A S and L~ share one [B, N, N] buffer: the peak is
-    # 1.24 input stacks, and a second buffer for L~ would make it 2.23
+    # off the tape and on it, I - S A S and L~ share one [B, N, N] buffer:
+    # the peak is 1.24 input stacks, and a second buffer for L~ would make
+    # it 2.23
     a = RNG(63).uniform(0.0, 1.0, (16, 60, 60))
     a = a + a.transpose(0, 2, 1)
-    tracemalloc.start()
-    try:
-        tp.scaled_laplacian_op(a)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.75 * a.nbytes
+    for arg in (a, tp.Tape().param(a)):
+        assert traced_peak(lambda: tp.scaled_laplacian_op(arg)) \
+            < 1.75 * a.nbytes
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("isolated", [False, True],
+                         ids=["connected", "isolated"])
+def test_scaled_laplacian_closure_holds_only_its_output(rank, isolated):
+    # the backward reads L~, which the op returns and the Chebyshev filter
+    # holds anyway, plus s, lam, valid and isolated: no adjacency and no
+    # I - S A S
+    rng = RNG(64)
+    a = rng.uniform(0.1, 1.0, (3, 6, 6))
+    a = a + a.transpose(0, 2, 1)
+    if isolated:
+        a[:, 2, :] = a[:, :, 2] = 0.0
+    if rank == 2:
+        a = a[0]
+    t = tp.Tape()
+    lt = tp.scaled_laplacian_op(t.param(a))
+    buffers = closure_buffers(t)
+    b, n = (3 if rank == 3 else 1), 6
+    assert sorted(x.shape for x in buffers) == [(b,), (b,), (b, n), (b, n),
+                                                (b, n, n)]
+    assert any(x is lt.values.base for x in buffers)
+
+
+def _laplacian_stacks():
+    # connected graphs; isolated nodes (node 1 everywhere, node 4 too in
+    # the last matrix); and valid matrices around an all-zero one, whose
+    # lambda falls back to 2.0
+    a = RNG(65).uniform(0.1, 1.0, (3, 7, 7))
+    a = a + a.transpose(0, 2, 1)
+    iso = a.copy()
+    iso[:, 1, :] = iso[:, :, 1] = 0.0
+    iso[2, 4, :] = iso[2, :, 4] = 0.0
+    mixed = a.copy()
+    mixed[1] = 0.0
+    return {"connected": a, "isolated": iso, "mixed": mixed}
+
+
+@pytest.mark.parametrize("case", ["connected", "isolated", "mixed"])
+@pytest.mark.parametrize("rank", [2, 3])
+def test_scaled_laplacian_backward_matches_reference(case, rank):
+    # the backward rebuilds I - S A S from L~ and takes the degree term from
+    # S A S; the reference keeps the adjacency and I - S A S.  Rank 2 runs
+    # the middle matrix (the fallback one in the mixed stack)
+    a = _laplacian_stacks()[case]
+    if rank == 2:
+        a = a[1:2]
+    g = RNG(66).standard_normal(a.shape)
+    x = a.reshape(a.shape[-rank:])
+    t = tp.Tape()
+    out = tp.scaled_laplacian_op(t.param(x))
+    got = t.nodes[out.node_id].backward(g.reshape(x.shape))[0]
+    want = laplacian_backward_reference(a, g).reshape(x.shape)
+    assert got.shape == x.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_backward_frees_consumed_gradients():
@@ -422,7 +476,7 @@ _UNREAD_OPERAND = {
     "reduce_mean": (tp.reduce_mean, [(3, 4)], {0}, 0),
     "conv1d-const-w": (tp.conv1d, [(2, 7, 3), (3, 3, 4)], {0}, 0),
     "conv1d-const-x": (tp.conv1d, [(2, 7, 3), (3, 3, 4)], {1}, 1),
-    # a self-loop is injected into a copy, which the backward reads instead
+    # the backward reads L~ and per-node vectors, never the adjacency
     "scaled_laplacian-isolated": (tp.scaled_laplacian_op,
                                   [_isolated_node_graph], {0}, 0),
     "symmetrize": (gr.symmetrize_op, [(2, 3, 3)], {0}, 0),
