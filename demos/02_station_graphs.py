@@ -66,7 +66,7 @@ def main():
           f"[{spectrum.min():+.4f}, {spectrum.max():+.4f}]")
 
     theta = np.random.default_rng(0).normal(0.0, 0.3, (3, 1, 2))
-    x = train.values[:, 0, :1]
+    x = train.values[None, :, :1, :1]
     y = gr.cheb_filter_op(lap, theta, x).values
     print(f"order-3 polynomial filter maps signal {x.shape} -> {y.shape} "
           f"without an eigendecomposition")

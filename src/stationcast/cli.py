@@ -382,8 +382,7 @@ def _cmd_eval(args) -> int:
     ev.dump_report(report.to_dict(), out)
     _log(f"overall mae {report.overall_mae:.6f}  "
          f"rmse {report.overall_rmse:.6f} ({report.space}) -> {out}")
-    _write_manifest(out, "eval", config, inputs,
-                    getattr(args, "seed", None), started)
+    _write_manifest(out, "eval", config, inputs, None, started)
     return 0
 
 
@@ -428,7 +427,7 @@ def _cmd_sweep(args) -> int:
     train_ds, val_ds, test_ds, _ = _prepare_splits(
         _load_dataset_arg(src), args.factor, _split_scheme(args.split))
     mcfg, tcfg = _model_and_train_config(args)
-    counts = [int(c) for c in _parse_numbers(args.counts, cast=int)]
+    counts = _parse_numbers(args.counts, cast=int)
     curve = ev.neighbor_count_sweep(train_ds, val_ds, test_ds, counts,
                                     mcfg, tcfg)
     out = _resolve(args.out)

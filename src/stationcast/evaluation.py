@@ -93,7 +93,8 @@ def compute_metrics(pred: np.ndarray, truth: np.ndarray,
                     space: str = "normalized") -> MetricsReport:
     """MAE/MSE/RMSE per factor plus per-horizon-step curves.
 
-    pred and truth are [B, N, W, D]; shapes must match exactly.
+    pred and truth are [B, N, W, D]; shapes must match exactly.  Unnamed
+    channels are channel1 .. channelD, a name no factor has.
     """
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
@@ -105,7 +106,7 @@ def compute_metrics(pred: np.ndarray, truth: np.ndarray,
                          f"{pred.ndim}")
     b, n, w, d = pred.shape
     if factors is None:
-        factors = [f"p{i + 1}" for i in range(d)]
+        factors = [f"channel{i + 1}" for i in range(d)]
     factors = list(factors)
     if len(factors) != d:
         raise ConfigError(f"{len(factors)} factor names for {d} channels")

@@ -322,10 +322,10 @@ def cheb_filter_op(l_tilde, theta, x) -> tp.TapeTensor:
 
     T_0 = I, T_1 = L~, T_k = 2 L~ T_{k-1} - T_{k-2}; K = theta.shape[0].
 
-    l_tilde: [N, N] or [B, N, N]; theta: [K, C_in, C_out]; x: [N, C_in],
-    [B, N, C_in] or [B, N, T, C_in].  A [B, N, T, C_in] signal is filtered
-    at every time slice: the recurrence runs on [B, N, T*C_in] and theta_k
-    mixes the channels of each (node, time) row.
+    l_tilde: [N, N], shared by every window, or [B, N, N]; theta:
+    [K, C_in, C_out]; x: [B, N, T, C_in], the one signal layout.  Every
+    time slice is filtered: the recurrence runs on [B, N, T*C_in] and
+    theta_k mixes the channels of each (node, time) row.
 
     The forward runs one window at a time: it sets the window's K terms
     side by side and mixes their channels with one GEMM, against theta
@@ -336,18 +336,17 @@ def cheb_filter_op(l_tilde, theta, x) -> tp.TapeTensor:
     over the batch.
     """
     lv, thv, xv = (tp._as_array(a) for a in (l_tilde, theta, x))
-    node_axis = 0 if xv.ndim == 2 else 1
-    if thv.ndim != 3 or xv.ndim not in (2, 3, 4) \
-            or xv.shape[-1] != thv.shape[1] or lv.ndim not in (2, 3) \
-            or lv.shape[-2:] != (xv.shape[node_axis],) * 2 \
-            or (lv.ndim == 3 and (xv.ndim == 2 or lv.shape[0] != xv.shape[0])):
+    if thv.ndim != 3 or xv.ndim != 4 or xv.shape[-1] != thv.shape[1] \
+            or lv.ndim not in (2, 3) or lv.shape[-2:] != (xv.shape[1],) * 2 \
+            or (lv.ndim == 3 and lv.shape[0] != xv.shape[0]):
         raise ShapeError(f"cheb_filter_op: L~ {lv.shape}, theta "
                          f"{thv.shape}, x {xv.shape}")
     order, c_in, c_out = thv.shape
+    batch, n, n_steps = xv.shape[:3]
+    x_shape, shared_l = xv.shape, lv.ndim == 2
     # the recurrence runs on signals; theta_k acts on their (node, time) rows
-    signal = xv.reshape(xv.shape[:2] + (-1,)) if xv.ndim == 4 else xv
-    batched = signal.ndim == 3
-    n_rows = signal.shape[-2] * signal.shape[-1] // c_in  # rows per window
+    signal = xv.reshape(batch, n, -1)
+    n_rows = n * n_steps  # rows per window
     on_tape = tp._tape_of(l_tilde, theta, x) is not None
     # the closure holds arrays only: a tensor would tie the tape into a
     # reference cycle that only the garbage collector frees
@@ -356,15 +355,15 @@ def cheb_filter_op(l_tilde, theta, x) -> tp.TapeTensor:
     # reads; off it one window's, reused.  T_0 x is x itself, so the buffer
     # holds no copy of it.
     terms = np.empty((order - 1,) + (signal.shape if on_tape
-                                     else signal.shape[-2:]))
+                                     else signal.shape[1:]))
     # one window's K terms side by side, so theta is one GEMM per window
     chunk = np.empty((n_rows, order, c_in))
     theta_flat = thv.reshape(order * c_in, c_out)
-    out = np.empty(signal.shape[:-2] + (n_rows, c_out))
-    for b in range(len(signal) if batched else 1):
-        xb = signal[b] if batched else signal
-        lb = lv[b] if lv.ndim == 3 else lv
-        tb = terms[:, b] if on_tape and batched else terms
+    out = np.empty((batch, n_rows, c_out))
+    for b in range(batch):
+        xb = signal[b]
+        lb = lv if shared_l else lv[b]
+        tb = terms[:, b] if on_tape else terms
         chunk[:, 0] = xb.reshape(n_rows, c_in)
         for k in range(1, order):
             np.matmul(lb, xb if k == 1 else tb[k - 2], out=tb[k - 1])
@@ -372,15 +371,11 @@ def cheb_filter_op(l_tilde, theta, x) -> tp.TapeTensor:
                 tb[k - 1] *= 2.0
                 tb[k - 1] -= xb if k == 2 else tb[k - 3]
             chunk[:, k] = tb[k - 1].reshape(n_rows, c_in)
-        np.matmul(chunk.reshape(n_rows, -1), theta_flat,
-                  out=out[b] if batched else out)
+        np.matmul(chunk.reshape(n_rows, -1), theta_flat, out=out[b])
     basis = [signal, *terms] if on_tape else None
 
-    rows_out, x_shape = out.shape, xv.shape
-    shared_l = lv.ndim == 2 and batched
-
     def back(g):
-        g = g.reshape(rows_out)
+        g = g.reshape(batch, n_rows, c_out)
         g_flat = g.reshape(-1, c_out)
         g_theta = np.empty_like(thv)
         for k in range(order):
@@ -393,19 +388,15 @@ def cheb_filter_op(l_tilde, theta, x) -> tp.TapeTensor:
         sums = np.zeros((order - 1,) + lv.shape) if shared_l else None
         g_x = np.empty(signal.shape) if need_x else None
         # one window's adjoints of T_k x, k > 0: three are live at most
-        adjoints = np.empty((min(3, order - 1),) + signal.shape[-2:])
-        scratch = np.empty(signal.shape[-2:])
-        part = np.empty(lv.shape[-2:])
-        for b in range(len(signal) if batched else 1):
-            gb = g[b] if batched else g
-            ltb, g_lb = (lt[b], g_l[b]) if lv.ndim == 3 else (lt, g_l)
+        adjoints = np.empty((min(3, order - 1),) + signal.shape[1:])
+        scratch = np.empty(signal.shape[1:])
+        part = np.empty((n, n))
+        for b in range(batch):
+            ltb = lt if shared_l else lt[b]
             adj = [None, None]  # adjoints of T_{k+1} x and T_{k+2} x
             for k in range(order - 1, -1 if need_x else 0, -1):
-                if k > 0:
-                    a = adjoints[k % len(adjoints)]
-                else:
-                    a = g_x[b] if batched else g_x
-                np.matmul(gb, theta_t[k], out=a.reshape(n_rows, c_in))
+                a = adjoints[k % len(adjoints)] if k > 0 else g_x[b]
+                np.matmul(g[b], theta_t[k], out=a.reshape(n_rows, c_in))
                 if adj[0] is not None:
                     np.matmul(ltb, adj[0], out=scratch)
                     if k > 0:
@@ -417,14 +408,13 @@ def cheb_filter_op(l_tilde, theta, x) -> tp.TapeTensor:
                     a -= adj[1]
                 if k > 0:
                     # T_k x = c L~ T_{k-1} x - ..., with c = 2 for k > 1
-                    basis_b = basis[k - 1][b] if batched else basis[k - 1]
-                    np.matmul(a, basis_b.T, out=part)
+                    np.matmul(a, basis[k - 1][b].T, out=part)
                     if shared_l:
                         sums[k - 1] += part
                     else:
                         if k > 1:
                             part *= 2.0
-                        g_lb += part
+                        g_l[b] += part
                 adj = [a, adj[0]]
         if shared_l:
             for k in range(order - 1, 0, -1):
@@ -434,7 +424,7 @@ def cheb_filter_op(l_tilde, theta, x) -> tp.TapeTensor:
         return g_l, g_theta, None if g_x is None else g_x.reshape(x_shape)
 
     return tp._emit("cheb_filter", (l_tilde, theta, x),
-                    out.reshape(xv.shape[:-1] + (c_out,)), back)
+                    out.reshape(x_shape[:-1] + (c_out,)), back)
 
 
 # ---------------------------------------------------------------------------

@@ -297,8 +297,6 @@ def st_block_forward(x, blk: StBlockConfig, l_tilde, weights: dict,
     """One block: graph filter, relu, temporal branches, residual add."""
     b, n, t_in, c_in = tp._as_array(x).shape
     t_out = t_in - (blk.max_kernel - 1)
-    if t_out < 1:
-        raise ConfigError(f"temporal kernels exceed block input length {t_in}")
     spatial = tp.relu(_cheb_over_time(l_tilde, weights[prefix + "_cheb"], x))
     flat = tp.reshape(spatial, (b * n, t_in, blk.channels_out))
     branches = [weights[f"{prefix}_branch{j}"]

@@ -107,21 +107,20 @@ def cheb_backward_batched(l_tilde, theta, x, g, need_x=True):
     lv, thv, xv = (np.asarray(a, dtype=np.float64)
                    for a in (l_tilde, theta, x))
     order, c_in, c_out = thv.shape
-    signal = xv.reshape(xv.shape[:2] + (-1,)) if xv.ndim == 4 else xv
+    signal = xv.reshape(xv.shape[:2] + (-1,))
     # the basis as the op's forward forms it, window by window
     terms = np.empty((order - 1,) + signal.shape)
-    for b in range(len(signal) if signal.ndim == 3 else 1):
-        xb = signal[b] if signal.ndim == 3 else signal
+    for b in range(len(signal)):
+        xb = signal[b]
         lb = lv[b] if lv.ndim == 3 else lv
-        tb = terms[:, b] if signal.ndim == 3 else terms
+        tb = terms[:, b]
         for k in range(1, order):
             np.matmul(lb, xb if k == 1 else tb[k - 2], out=tb[k - 1])
             if k > 1:
                 tb[k - 1] *= 2.0
                 tb[k - 1] -= xb if k == 2 else tb[k - 3]
     basis = [signal, *terms]
-    g = np.asarray(g, dtype=np.float64).reshape(
-        signal.shape[:-2] + (-1, c_out))
+    g = np.asarray(g, dtype=np.float64).reshape(len(signal), -1, c_out)
     g_flat = g.reshape(-1, c_out)
     theta_t = np.ascontiguousarray(thv.transpose(0, 2, 1))
     lt = tp._transposed(lv)
@@ -140,7 +139,7 @@ def cheb_backward_batched(l_tilde, theta, x, g, need_x=True):
             a -= adj[1]
         if k > 0:
             part = a @ np.swapaxes(basis[k - 1], -1, -2)
-            if lv.ndim == 2 and part.ndim == 3:
+            if lv.ndim == 2:
                 part = part.sum(axis=0)
             g_l += 2.0 * part if k > 1 else part
         adj = [a, adj[0]]

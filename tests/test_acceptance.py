@@ -73,7 +73,7 @@ def test_criterion_01_chebyshev_matches_eigendecomposition():
         lap = tp.scaled_laplacian_op(a).values
         theta = rng.normal(0.0, 1.0, (k, c_in, c_out))
         x = rng.normal(0.0, 1.0, (n, c_in))
-        got = gr.cheb_filter_op(lap, theta, x).values
+        got = gr.cheb_filter_op(lap, theta, x[None, :, None]).values[0, :, 0]
 
         # oracle: filter each polynomial term in the eigenbasis
         evals, u = np.linalg.eigh(lap)
@@ -296,7 +296,7 @@ def test_criterion_06_metric_identities():
             e = err[:, :, :, j]
             mae = float(np.abs(e).mean())
             mse = float((e ** 2).mean())
-            name = f"p{j + 1}"
+            name = f"channel{j + 1}"
             pf = doc["per_factor"][name]
             assert abs(pf["mae"] - mae) <= 1e-12
             assert abs(pf["mse"] - mse) <= 1e-12

@@ -5,8 +5,8 @@ import pytest
 
 from stationcast import evaluation as ev
 from stationcast import model as md
-from stationcast.data import (NormStats, StationMeta, WeatherSeriesDataset,
-                              make_windows)
+from stationcast.data import (FACTOR_NAMES, NormStats, StationMeta,
+                              WeatherSeriesDataset, make_windows)
 from stationcast.errors import ConfigError, ShapeError, StructuralError
 
 
@@ -106,6 +106,15 @@ def test_metric_identities_on_random_tensors():
 def test_metrics_shape_mismatch_names_both_shapes():
     with pytest.raises(ShapeError, match=r"1, 2, 3, 1.*2, 2, 3, 1"):
         ev.compute_metrics(np.zeros((1, 2, 3, 1)), np.zeros((2, 2, 3, 1)))
+
+
+def test_unnamed_channels_take_no_factor_name():
+    # p1 .. p5 are precipitation factors: an unnamed channel filed under
+    # one of them would pass for a measurement of it
+    rep = ev.compute_metrics(np.zeros((1, 2, 3, 5)), np.ones((1, 2, 3, 5)))
+    keys = list(rep.to_dict()["per_factor"])
+    assert keys == [f"channel{i}" for i in range(1, 6)]
+    assert not set(keys) & set(FACTOR_NAMES)
 
 
 def test_physical_metrics_scale_by_std():

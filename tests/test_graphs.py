@@ -622,7 +622,7 @@ def test_cheb_filter_order_one_graph_independent():
     x = rng.standard_normal((6, 2))
     theta = rng.standard_normal((1, 2, 3))
     lt1 = _l_tilde(np.abs(rng.standard_normal((6, 6))))
-    y = gr.cheb_filter_op(lt1, theta, x).values
+    y = gr.cheb_filter_op(lt1, theta, x[None, :, None]).values[0, :, 0]
     assert np.allclose(y, x @ theta[0], atol=1e-14)
 
 
@@ -633,7 +633,7 @@ def test_cheb_filter_path_graph_by_hand():
     assert np.allclose(lt, -adj, atol=1e-9)
     x = np.array([[1.0], [2.0]])
     theta = np.array([[[0.5]], [[2.0]]])
-    y = gr.cheb_filter_op(lt, theta, x).values
+    y = gr.cheb_filter_op(lt, theta, x[None, :, None]).values[0, :, 0]
     want = x * 0.5 + (-adj @ x) * 2.0
     assert np.allclose(y, want, atol=1e-9)
 
@@ -647,7 +647,7 @@ def test_cheb_filter_matches_spectral_oracle():
         lt = _l_tilde(raw)
         x = rng.standard_normal((n, 3))
         theta = rng.standard_normal((k, 3, 2))
-        got = gr.cheb_filter_op(lt, theta, x).values
+        got = gr.cheb_filter_op(lt, theta, x[None, :, None]).values[0, :, 0]
         want = spectral_filter_oracle(lt, theta, x)
         assert np.abs(got - want).max() < 1e-8
 
@@ -656,10 +656,11 @@ def test_cheb_filter_op_matches_and_differentiates():
     rng = RNG(27)
     raw = rng.uniform(0.1, 1.0, (5, 5))
     lt = _l_tilde(raw)
-    x = rng.standard_normal((5, 2))
+    x = rng.standard_normal((1, 5, 1, 2))
     theta = rng.standard_normal((3, 2, 2))
-    got = gr.cheb_filter_op(lt, theta, x).values
-    assert np.allclose(got, spectral_filter_oracle(lt, theta, x), atol=1e-12)
+    got = gr.cheb_filter_op(lt, theta, x).values[0, :, 0]
+    want = spectral_filter_oracle(lt, theta, x[0, :, 0])
+    assert np.allclose(got, want, atol=1e-12)
 
     def loss(t):
         return reduce_sum(gr.cheb_filter_op(lt, t["theta"], t["x"]))
@@ -672,12 +673,12 @@ def test_cheb_filter_batched_matches_per_item():
     rng = RNG(28)
     lts = np.stack([_l_tilde(rng.uniform(0.1, 1.0, (4, 4)))
                     for _ in range(3)])
-    x = rng.standard_normal((3, 4, 2))
+    x = rng.standard_normal((3, 4, 1, 2))
     theta = rng.standard_normal((2, 2, 2))
     got = gr.cheb_filter_op(lts, theta, x).values
     for b in range(3):
-        want = gr.cheb_filter_op(lts[b], theta, x[b]).values
-        assert np.allclose(got[b], want, atol=1e-13)
+        want = gr.cheb_filter_op(lts[b], theta, x[b:b + 1]).values
+        assert np.allclose(got[b], want[0], atol=1e-13)
     # [B, N, T, C]: every time slice is filtered on its own
     theta = rng.standard_normal((3, 2, 2))
     x = rng.standard_normal((3, 4, 5, 2))
@@ -685,25 +686,22 @@ def test_cheb_filter_batched_matches_per_item():
     assert got.shape == (3, 4, 5, 2)
     for b in range(3):
         for s in range(5):
-            want = gr.cheb_filter_op(lts[b], theta, x[b, :, s]).values
-            assert np.allclose(got[b, :, s], want, atol=1e-13)
+            want = gr.cheb_filter_op(lts[b], theta,
+                                     x[b:b + 1, :, s:s + 1]).values
+            assert np.allclose(got[b, :, s], want[0, :, 0], atol=1e-13)
 
 
 def _cheb_terms(l_tilde, theta, x):
     """T_0 x .. T_{K-1} x as tape nodes, each cut into (node, time) rows."""
     order, c_in, _ = tp._as_array(theta).shape
     shape = tp._as_array(x).shape
-    signal = tp.reshape(x, shape[:2] + (-1,)) if len(shape) == 4 else x
-    terms = [signal]
+    terms = [tp.reshape(x, shape[:2] + (-1,))]
     for k in range(1, order):
         nxt = tp.matmul(l_tilde, terms[-1])
         if k > 1:
             nxt = tp.sub(tp.scalar_mul(2.0, nxt), terms[-2])
         terms.append(nxt)
-    if len(shape) == 4:
-        rows = (shape[0], -1, c_in)
-        terms = [tp.reshape(t, rows) for t in terms]
-    return terms
+    return [tp.reshape(t, (shape[0], -1, c_in)) for t in terms]
 
 
 def cheb_filter_composed(l_tilde, theta, x):
@@ -711,7 +709,7 @@ def cheb_filter_composed(l_tilde, theta, x):
     # theta mixes the concatenated terms in one product
     order, c_in, c_out = tp._as_array(theta).shape
     terms = _cheb_terms(l_tilde, theta, x)
-    stacked = tp.concat(terms, axis=tp._as_array(terms[0]).ndim - 1)
+    stacked = tp.concat(terms, axis=2)
     acc = tp.matmul(stacked, tp.reshape(theta, (order * c_in, c_out)))
     return tp.reshape(acc, tp._as_array(x).shape[:-1] + (c_out,))
 
@@ -727,10 +725,13 @@ def cheb_filter_per_term(l_tilde, theta, x):
     return tp.reshape(acc, tp._as_array(x).shape[:-1] + (c_out,))
 
 
-# (L~ shape, x shape) pairs: shared and per-window graphs, 3-D and 4-D signals
-_CHEB_SHAPES = {"l2-x2": ((4, 4), (4, 2)), "l2-x3": ((4, 4), (3, 4, 2)),
+# (L~ shape, x shape) pairs: shared and per-window graphs.  Every signal is
+# [B, N, T, C]; the x2 case is one window of one time slice, the x3 cases
+# one time slice per window.
+_CHEB_SHAPES = {"l2-x2": ((4, 4), (1, 4, 1, 2)),
+                "l2-x3": ((4, 4), (3, 4, 1, 2)),
                 "l2-x4": ((4, 4), (3, 4, 5, 2)),
-                "l3-x3": ((3, 4, 4), (3, 4, 2)),
+                "l3-x3": ((3, 4, 4), (3, 4, 1, 2)),
                 "l3-x4": ((3, 4, 4), (3, 4, 5, 2))}
 
 
@@ -775,7 +776,7 @@ def test_cheb_filter_op_matches_composed_recurrence(shapes, order):
 
 # single-window batches, and windows wide enough for blocked GEMMs
 _CHEB_BACKWARD_SHAPES = dict(_CHEB_SHAPES, **{
-    "l2-x4-b1": ((4, 4), (1, 4, 5, 2)), "l3-x3-b1": ((1, 4, 4), (1, 4, 2)),
+    "l2-x4-b1": ((4, 4), (1, 4, 5, 2)), "l3-x3-b1": ((1, 4, 4), (1, 4, 1, 2)),
     "l2-x4-wide": ((30, 30), (6, 30, 10, 2)),
     "l3-x4-wide": ((6, 30, 30), (6, 30, 10, 2))})
 
@@ -845,8 +846,11 @@ def test_cheb_filter_op_tape_is_freed_without_the_collector():
 
 
 @pytest.mark.parametrize("l_shape,x_shape", [
-    ((4, 4), (5, 2)), ((4, 5), (4, 2)), ((2, 4, 4), (4, 2)),
-    ((2, 4, 4), (3, 4, 2)), ((4, 4), (4, 3))])
+    ((4, 4), (1, 5, 1, 2)), ((4, 5), (1, 4, 1, 2)),
+    ((2, 4, 4), (1, 4, 1, 2)), ((2, 4, 4), (3, 4, 1, 2)),
+    ((4, 4), (1, 4, 1, 3)),
+    # the signal is [B, N, T, C] only
+    ((4, 4), (4, 2)), ((4, 4), (3, 4, 2)), ((3, 4, 4), (3, 4, 2))])
 def test_cheb_filter_op_rejects_mismatched_shapes(l_shape, x_shape):
     with pytest.raises(ShapeError, match="cheb_filter_op"):
         gr.cheb_filter_op(np.zeros(l_shape), np.zeros((2, 2, 3)),

@@ -168,6 +168,22 @@ def test_identity_block_passes_projection():
     np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-14)
 
 
+def test_block_shorter_than_its_kernels_is_rejected():
+    # ModelConfig rejects such a block; a direct call meets conv1d's check
+    n, c = 3, 2
+    weights = {
+        "block0_cheb": np.eye(c)[None],
+        "block0_branch0": np.zeros((5, c, c)),
+        "block0_fuse": np.zeros((c, c)),
+        "block0_fuse_bias": np.zeros(c),
+        "block0_res": np.zeros((c, c)),
+    }
+    blk = md.StBlockConfig(1, [5], c, c)
+    with pytest.raises(ShapeError, match="kernel 5 exceeds length 4"):
+        md.st_block_forward(np.zeros((1, n, 4, c)), blk, np.eye(n), weights,
+                            "block0")
+
+
 def test_temporal_multibranch_matches_direct():
     rng = np.random.default_rng(4)
     m, t, c = 6, 11, 3
