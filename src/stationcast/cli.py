@@ -23,6 +23,8 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from . import data as dt
 from . import evaluation as ev
@@ -351,6 +353,7 @@ def _cmd_eval(args) -> int:
             preds, truth, starts = ev.evaluate_baseline(
                 _BASELINE_NAMES[args.baseline], splits[0], scoped, w_in,
                 w_out, lam=args.lam, gamma=args.gamma)
+            sums = ev.error_sums(preds, truth)
         else:
             graph_path = _resolve(args.graphs) if args.graphs else None
             if graph_path is None:
@@ -364,14 +367,19 @@ def _cmd_eval(args) -> int:
             config.update(factor=factor, split=list(scheme),
                           graphs=str(graph_path))
             static = _static_from_graphset(gr.load_graphs(graph_path), scoped)
-            preds, truth, origins = md.predict_dataset(model, scoped, static)
+            # each chunk is scored as it is predicted; the forecasts are
+            # kept only to be saved
+            count = scoped.n_steps - w_in - w_out + 1
+            preds = np.empty((count, scoped.n_stations, w_out,
+                              model.config.d)) if args.save_pred else None
+            sums = md.score_dataset(model, scoped, static, out=preds)
             # prediction files label each forecast by its first target step
-            starts = origins + model.config.w_in * scoped.time_step
-        if args.space == "physical":
-            report = ev.physical_metrics(preds, truth, stats)
-        else:
-            report = ev.compute_metrics(preds, truth,
-                                        factors=scoped.factors)
+            steps = np.arange(count, dtype=np.int64) + w_in
+            starts = scoped.time_start + steps * scoped.time_step
+        # z-scored errors times the training std are the physical errors
+        scale = stats.std if args.space == "physical" else None
+        report = ev.metrics_from_sums(sums, scoped.factors, args.space,
+                                      scale)
         if args.save_pred:
             pred_out = _resolve(args.save_pred)
             ev.save_predictions(pred_out, preds, starts,

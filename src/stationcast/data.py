@@ -19,8 +19,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import (ConfigError, PipelineError, SchemaError, StructuralError,
-                     check_ints, check_reals)
+from .errors import (ConfigError, PipelineError, SchemaError, ShapeError,
+                     StructuralError, check_ints, check_reals)
 
 # canonical factor short names; order fixes nothing, membership is the schema
 FACTOR_NAMES = (
@@ -147,6 +147,54 @@ class WindowBatch:
     inputs: np.ndarray   # [B, N, W_in, D]
     targets: np.ndarray  # [B, N, W_out, D]
     origins: np.ndarray  # epoch seconds of each window's first input step
+
+
+def _add_in_window_order(total: np.ndarray, block: np.ndarray) -> None:
+    """Add each window's station sum of a [b, N, W, D] block to total."""
+    for row in block.sum(axis=1):
+        total += row
+
+
+class ErrorSums:
+    """Running sums of |e| and e², e = forecast − truth, per (horizon step,
+    factor) over the windows and stations added so far.
+
+    Each window's station sums are added in window order, so the sums do
+    not depend on how the windows were blocked.  Scoring a split this way
+    holds one block of errors at a time, never a stack of the split's
+    errors or targets.
+    """
+
+    def __init__(self, stations: int, horizon: int, factors: int):
+        self.shape = (stations, horizon, factors)
+        if min(self.shape) < 1:
+            raise ShapeError(f"nothing to score in windows of shape "
+                             f"{self.shape}")
+        self.windows = 0
+        self.abs_sum = np.zeros((horizon, factors))
+        self.sq_sum = np.zeros((horizon, factors))
+
+    def add(self, pred: np.ndarray, truth: np.ndarray) -> None:
+        """Add a [b, N, W, D] block of forecasts and their truth."""
+        if pred.shape != truth.shape or pred.shape[1:] != self.shape:
+            raise ShapeError(f"forecasts {pred.shape} and truth "
+                             f"{truth.shape} are not blocks of "
+                             f"[windows, *{self.shape}]")
+        if not len(pred):
+            raise ShapeError("an empty block of windows")
+        err = np.subtract(pred, truth)  # the block's one scratch array
+        np.abs(err, out=err)
+        _add_in_window_order(self.abs_sum, err)
+        np.multiply(err, err, out=err)  # |e|·|e| equals e·e bitwise
+        _add_in_window_order(self.sq_sum, err)
+        self.windows += len(err)
+
+    def means(self) -> tuple:
+        """Mean |e| and mean e² per (horizon step, factor), [W, D] each."""
+        if not self.windows:
+            raise ShapeError("no windows were scored")
+        cells = self.windows * self.shape[0]
+        return self.abs_sum / cells, self.sq_sum / cells
 
 
 # ---------------------------------------------------------------------------
@@ -569,11 +617,6 @@ def normalize(ds: WeatherSeriesDataset, stats: NormStats):
     return replace(ds, values=values), stats
 
 
-def denormalize_values(arr: np.ndarray, stats: NormStats) -> np.ndarray:
-    """Undo z-scoring on a raw array whose last axis indexes factors."""
-    return arr * stats.std + stats.mean
-
-
 def split_temporal(ds: WeatherSeriesDataset,
                    scheme: Sequence[float] = (3, 1, 2)):
     """Cut the timeline into contiguous train/val/test segments.
@@ -598,8 +641,10 @@ def split_temporal(ds: WeatherSeriesDataset,
 
 
 def check_windows(w_in: int, w_out: int, **splits) -> None:
-    """Each keyword's split must hold one window of w_in + w_out steps; the
-    ConfigError names the first split that does not."""
+    """Each keyword's split must hold one window of w_in + w_out steps, both
+    positive; the ConfigError names the first split that does not."""
+    if w_in <= 0 or w_out <= 0:
+        raise ConfigError("window lengths must be positive")
     span = w_in + w_out
     for name, split in splits.items():
         if split.n_steps < span:

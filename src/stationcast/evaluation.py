@@ -1,13 +1,15 @@
 """Forecast scoring, horizon curves, graph ablations, and sweeps.
 
-All scoring operates on stacked prediction/truth tensors [B, N, W, D]:
-windows by stations by horizon steps by factors.  Reports are plain dicts
-with sorted keys so serialized copies diff cleanly.
+Forecasts and truth are [B, N, W, D] blocks: windows by stations by horizon
+steps by factors.  Scoring sums their errors per (horizon step, factor) one
+block at a time (``data.ErrorSums``) and finalizes the sums into a report.
+Reports are plain dicts with sorted keys so serialized copies diff cleanly.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -19,9 +21,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import baselines as bl
 from . import graphs as gr
 from . import model as md
-from .data import (NormStats, PackedReader, WeatherSeriesDataset,
-                   _pack_str, check_windows, denormalize_values, make_windows,
-                   write_packed)
+from .data import (ErrorSums, NormStats, PackedReader, WeatherSeriesDataset,
+                   _pack_str, check_windows, write_packed)
 from .errors import (ConfigError, ShapeError, StructuralError, check_distinct,
                      check_ints)
 
@@ -88,14 +89,45 @@ class MetricsReport:
         }
 
 
-def compute_metrics(pred: np.ndarray, truth: np.ndarray,
-                    factors: Optional[Sequence[str]] = None,
-                    space: str = "normalized") -> MetricsReport:
-    """MAE/MSE/RMSE per factor plus per-horizon-step curves.
+def metrics_from_sums(sums: ErrorSums,
+                      factors: Optional[Sequence[str]] = None,
+                      space: str = "normalized",
+                      scale: Optional[np.ndarray] = None) -> MetricsReport:
+    """Finalize error sums into MAE/MSE/RMSE per factor and per horizon
+    step.
 
-    pred and truth are [B, N, W, D]; shapes must match exactly.  Unnamed
-    channels are channel1 .. channelD, a name no factor has.
+    Unnamed channels are channel1 .. channelD, a name no factor has.
+    ``scale`` multiplies each factor's errors: the errors of z-scored values
+    times the factor's std are the errors after denormalization, whose
+    means cancel.
     """
+    n, w, d = sums.shape
+    if factors is None:
+        factors = [f"channel{i + 1}" for i in range(d)]
+    factors = list(factors)
+    if len(factors) != d:
+        raise ConfigError(f"{len(factors)} factor names for {d} channels")
+    abs_mean, sq_mean = sums.means()
+    if scale is not None:
+        abs_mean = abs_mean * scale
+        sq_mean = sq_mean * (scale * scale)
+    mse = sq_mean.mean(axis=0)
+    counts = {"windows": sums.windows, "stations": n, "horizon": w,
+              "factors": d}
+    return MetricsReport(
+        factors=factors, space=space, counts=counts,
+        mae=abs_mean.mean(axis=0), mse=mse, rmse=np.sqrt(mse),
+        mae_by_horizon=abs_mean, rmse_by_horizon=np.sqrt(sq_mean))
+
+
+def _block_windows(shape) -> int:
+    """Windows per scoring block of a [B, N, W, D] float64 array: as many
+    as fit in model._CHUNK_BYTES, and at least one."""
+    return max(1, md._CHUNK_BYTES // (8 * math.prod(shape[1:])))
+
+
+def error_sums(pred: np.ndarray, truth: np.ndarray) -> ErrorSums:
+    """ErrorSums of two [B, N, W, D] tensors, fed one block at a time."""
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape:
@@ -104,31 +136,30 @@ def compute_metrics(pred: np.ndarray, truth: np.ndarray,
     if pred.ndim != 4:
         raise ShapeError(f"expected [B, N, W, D] tensors, got rank "
                          f"{pred.ndim}")
-    b, n, w, d = pred.shape
-    if factors is None:
-        factors = [f"channel{i + 1}" for i in range(d)]
-    factors = list(factors)
-    if len(factors) != d:
-        raise ConfigError(f"{len(factors)} factor names for {d} channels")
-    err = pred - truth
-    abs_err = np.abs(err)
-    sq_err = err * err
-    mae = abs_err.mean(axis=(0, 1, 2))
-    mse = sq_err.mean(axis=(0, 1, 2))
-    counts = {"windows": b, "stations": n, "horizon": w, "factors": d}
-    return MetricsReport(
-        factors=factors, space=space, counts=counts,
-        mae=mae, mse=mse, rmse=np.sqrt(mse),
-        mae_by_horizon=abs_err.mean(axis=(0, 1)),
-        rmse_by_horizon=np.sqrt(sq_err.mean(axis=(0, 1))))
+    sums = ErrorSums(*pred.shape[1:])
+    step = _block_windows(pred.shape)
+    for at in range(0, len(pred), step):
+        sums.add(pred[at:at + step], truth[at:at + step])
+    return sums
+
+
+def compute_metrics(pred: np.ndarray, truth: np.ndarray,
+                    factors: Optional[Sequence[str]] = None,
+                    space: str = "normalized") -> MetricsReport:
+    """MAE/MSE/RMSE per factor plus per-horizon-step curves.
+
+    pred and truth are [B, N, W, D]; shapes must match exactly.  The errors
+    are summed one block of windows at a time, so scoring holds at most one
+    block above the two inputs.
+    """
+    return metrics_from_sums(error_sums(pred, truth), factors, space)
 
 
 def physical_metrics(pred: np.ndarray, truth: np.ndarray,
                      stats: NormStats) -> MetricsReport:
     """Metrics after undoing z-scoring, reported in physical units."""
-    return compute_metrics(denormalize_values(pred, stats),
-                           denormalize_values(truth, stats),
-                           factors=stats.factors, space="physical")
+    return metrics_from_sums(error_sums(pred, truth), stats.factors,
+                             "physical", stats.std)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +193,11 @@ def save_predictions(path, preds: np.ndarray, target_starts: np.ndarray,
 
 def load_predictions(path):
     """Read a packed prediction file: (preds, target_starts, stations,
-    factors, space)."""
+    factors, space).
+
+    A file with no forecasts, or with a non-finite one, cannot be scored and
+    raises StructuralError.
+    """
     with PackedReader(path, "prediction file", _PRED_MAGIC,
                       _PRED_VERSION) as cur:
         b, n, w, d = cur.unpack("IIII")
@@ -172,6 +207,13 @@ def load_predictions(path):
         tables = [[cur.string() for _ in range(count)] for count in (n, d)]
         preds = cur.array("<f8", (b, n, w, d))
         cur.end()
+    if not preds.size:
+        raise StructuralError(f"{path}: prediction file holds no forecasts "
+                              f"(shape {preds.shape})")
+    # min and max carry any NaN or infinity, with no mask the file's size
+    if not np.isfinite([preds.min(), preds.max()]).all():
+        raise StructuralError(f"{path}: prediction file has non-finite "
+                              "forecasts")
     return preds, target_starts, tables[0], tables[1], space
 
 
@@ -192,19 +234,23 @@ def score_external(loaded: tuple, ds: WeatherSeriesDataset) -> MetricsReport:
         raise ShapeError(f"prediction factors {factors} do not match "
                          f"dataset factors {list(ds.factors)}")
     b, n, w, d = preds.shape
-    truth = np.empty_like(preds)
-    for i, ts in enumerate(target_starts):
-        off = int(ts) - ds.time_start
-        if off % ds.time_step:
-            raise StructuralError(f"prediction {i} starts off the dataset's "
-                                  f"time grid")
-        idx = off // ds.time_step
-        if idx < 0 or idx + w > ds.n_steps:
-            raise StructuralError(f"prediction {i} lies outside the dataset "
-                                  f"timeline")
-        truth[i] = ds.values[:, idx:idx + w, :]
-    return compute_metrics(preds, truth, factors=list(ds.factors),
-                           space=space)
+    sums = ErrorSums(n, w, d)
+    step = _block_windows(preds.shape)
+    for at in range(0, b, step):
+        block = preds[at:at + step]
+        truth = np.empty_like(block)
+        for i, ts in enumerate(target_starts[at:at + step]):
+            off = int(ts) - ds.time_start
+            if off % ds.time_step:
+                raise StructuralError(f"prediction {at + i} starts off the "
+                                      "dataset's time grid")
+            idx = off // ds.time_step
+            if idx < 0 or idx + w > ds.n_steps:
+                raise StructuralError(f"prediction {at + i} lies outside "
+                                      "the dataset timeline")
+            truth[i] = ds.values[:, idx:idx + w, :]
+        sums.add(block, truth)
+    return metrics_from_sums(sums, ds.factors, space)
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +273,18 @@ def evaluate_baseline(kind: str, train_ds: WeatherSeriesDataset,
                       lam: float = 0.0, gamma: Optional[float] = None):
     """Fit (if needed) and score one reference predictor.
 
-    Returns (preds, truth, target_starts) as [B, N, W, D] tensors; the
-    regression kinds require a single-factor dataset.
+    Returns (preds, truth, target_starts): [B, N, W, D] forecasts, their
+    truth as a read-only view of the test series, and each window's first
+    target time.  The regression kinds require a single-factor dataset.
     """
     check_windows(w_in, w_out, test=test_ds)
-    test = next(make_windows(test_ds, w_in, w_out))
+    # every window of the split as a view of its series: no stack of the
+    # inputs or targets
+    windows = sliding_window_view(test_ds.values, w_in + w_out, axis=1)
+    windows = windows.transpose(1, 0, 3, 2)  # [B, N, w_in + w_out, D]
+    test_inputs, truth = windows[:, :, :w_in], windows[:, :, w_in:]
     if kind == "persistence":
-        preds = bl.persistence_forecast(test.inputs, w_out)
+        preds = bl.persistence_forecast(test_inputs, w_out)
     elif kind in bl.REGRESSION_KINDS:
         if train_ds.n_factors != 1:
             raise ConfigError("regression references are univariate; select "
@@ -242,11 +293,12 @@ def evaluate_baseline(kind: str, train_ds: WeatherSeriesDataset,
         inputs, targets = _series_windows(train_ds, w_in, w_out)
         model = bl.fit_regression(inputs, targets, kind, lam=lam,
                                   gamma=gamma)
-        preds = bl.predict_regression(model, test.inputs[..., 0])[..., None]
+        preds = bl.predict_regression(model,
+                                      test_inputs[..., 0])[..., None]
     else:
         raise ConfigError(f"unknown reference predictor {kind!r}")
-    starts = test.origins + w_in * test_ds.time_step
-    return preds, test.targets, starts
+    steps = np.arange(len(truth), dtype=np.int64) + w_in
+    return preds, truth, test_ds.time_start + steps * test_ds.time_step
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +314,8 @@ def _fit_and_score(train_ds: WeatherSeriesDataset,
     model = md.build_model(train_ds.n_stations, model_cfg,
                            seed=train_cfg.seed)
     fitted, hist = md.train(model, train_ds, val_ds, static_graphs, train_cfg)
-    preds, truth, _ = md.predict_dataset(fitted, test_ds, static_graphs)
-    return compute_metrics(preds, truth, factors=test_ds.factors), hist
+    sums = md.score_dataset(fitted, test_ds, static_graphs)
+    return metrics_from_sums(sums, test_ds.factors), hist
 
 
 def check_seeds(seeds: Sequence[int]) -> None:

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import graphs as gr
 from . import tape as tp
-from .data import (PackedReader, WeatherSeriesDataset, check_windows,
-                   make_windows, write_packed)
+from .data import (ErrorSums, PackedReader, WeatherSeriesDataset,
+                   check_windows, make_windows, write_packed)
 from .errors import (CheckpointError, ConfigError, ShapeError, TrainingError,
                      check_ints, check_reals)
 
@@ -417,29 +417,65 @@ def forward(model: MultiGraphForecaster, inputs: np.ndarray,
                            static_graphs).values
 
 
-def predict_dataset(model: MultiGraphForecaster, ds: WeatherSeriesDataset,
-                    static_graphs: dict):
-    """Forecast every window of a split; returns (preds, targets, origins).
+def _forecast_chunks(model: MultiGraphForecaster, ds: WeatherSeriesDataset,
+                     static_graphs: dict):
+    """(batch, forecasts) for every window of a split, in window order,
+    one chunk of _chunk_windows windows at a time; a split too short for
+    one window raises ConfigError here, before the first chunk.
 
-    Windows stream through the forward in chunks of _chunk_windows; every
-    op of the forward works per window, so the chunk size moves no byte.
+    Every op of the forward works per window, so the chunk size moves no
+    byte of the forecasts.
     """
     cfg = model.config
     check_windows(cfg.w_in, cfg.w_out, forecast=ds)
     _keep_chunk_heap()
+    batches = make_windows(ds, cfg.w_in, cfg.w_out,
+                           batch_size=_chunk_windows(model.n, cfg))
+    return ((batch, forward(model, batch.inputs, static_graphs))
+            for batch in batches)
+
+
+def predict_dataset(model: MultiGraphForecaster, ds: WeatherSeriesDataset,
+                    static_graphs: dict):
+    """Forecast every window of a split; returns (preds, targets, origins).
+
+    A caller that only scores the split uses score_dataset, which holds
+    neither stack.
+    """
+    cfg = model.config
+    chunks = _forecast_chunks(model, ds, static_graphs)
     count = ds.n_steps - cfg.w_in - cfg.w_out + 1
     # filled in place: no list of chunks and no concatenated copy
     preds = np.empty((count, ds.n_stations, cfg.w_out, cfg.d))
     targets = np.empty_like(preds)
     origins = np.empty(count, dtype=np.int64)
     at = 0
-    for batch in make_windows(ds, cfg.w_in, cfg.w_out,
-                              batch_size=_chunk_windows(model.n, cfg)):
-        end = at + len(batch.origins)
-        preds[at:end] = forward(model, batch.inputs, static_graphs)
-        targets[at:end], origins[at:end] = batch.targets, batch.origins
+    for batch, chunk in chunks:
+        end = at + len(chunk)
+        preds[at:end], targets[at:end] = chunk, batch.targets
+        origins[at:end] = batch.origins
         at = end
     return preds, targets, origins
+
+
+def score_dataset(model: MultiGraphForecaster, ds: WeatherSeriesDataset,
+                  static_graphs: dict, out: Optional[np.ndarray] = None
+                  ) -> ErrorSums:
+    """Score every window of a split as it is forecast.
+
+    Each chunk's errors go into one ErrorSums, so no stack of the split's
+    forecasts, targets or errors is formed.  ``out``, a [windows, N, W, D]
+    array, also receives the forecasts when given.
+    """
+    cfg = model.config
+    sums = ErrorSums(ds.n_stations, cfg.w_out, cfg.d)
+    at = 0
+    for batch, chunk in _forecast_chunks(model, ds, static_graphs):
+        sums.add(chunk, batch.targets)
+        if out is not None:
+            out[at:at + len(chunk)] = chunk
+        at += len(chunk)
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +509,8 @@ def train(model: MultiGraphForecaster, train_ds: WeatherSeriesDataset,
     with its own tape.  The step's loss and gradient are the chunks' sums,
     each weighted by the chunk's share of the batch's windows: the
     whole-batch mean up to rounding, and the same bytes when the batch is
-    one chunk.  The best snapshot is the lowest validation MAE; training
+    one chunk.  Validation is scored chunk by chunk (score_dataset), and
+    the best snapshot is the lowest validation MAE; training
     stops early when validation has not improved for the configured
     patience.  ``progress(epoch, train_loss, val_mae, lr)`` is called after
     each epoch when given.  A training or validation split too short for
@@ -523,10 +560,9 @@ def train(model: MultiGraphForecaster, train_ds: WeatherSeriesDataset,
             tp.adam_step(params, grads, state, lr)
 
         current = MultiGraphForecaster(mcfg, model.n, params, model.seed)
-        val_err, val_tgt, _ = predict_dataset(current, val_ds, static_graphs)
-        np.subtract(val_err, val_tgt, out=val_err)
-        val_mae = float(np.abs(val_err, out=val_err).mean())
-        del val_err, val_tgt  # not held through the next epoch's steps
+        abs_mean, _ = score_dataset(current, val_ds, static_graphs).means()
+        # the overall MAE an evaluation report gives the same split
+        val_mae = float(abs_mean.mean(axis=0).mean())
         history.train_loss.append(float(np.mean(losses)))
         history.val_mae.append(val_mae)
         history.lr.append(lr)

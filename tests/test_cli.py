@@ -2,6 +2,7 @@
 
 import json
 import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -254,10 +255,11 @@ def test_packed_default_codes_need_preprocess(tmp_path, capsys):
     assert main(graphs + ["--data", str(clean)]) == 0
 
 
-def test_eval_ckpt_and_pred_agree(tmp_path):
+def test_eval_ckpt_and_pred_agree(tmp_path, monkeypatch):
     data = tmp_path / "synth.w2kt"
     graphs = tmp_path / "graphs.bin"
     ckpt = tmp_path / "model.ckpt"
+    history = tmp_path / "h.jsonl"
     cfg = _tiny_model_json(tmp_path / "model.json", epochs=1)
     assert main(["synth", "--n", "5", "--t", "120", "--d", "1",
                  "--seed", "4", "--out", str(data)]) == 0
@@ -265,19 +267,58 @@ def test_eval_ckpt_and_pred_agree(tmp_path):
                  "--out", str(graphs)]) == 0
     assert main(["train", "--data", str(data), "--graphs", str(graphs),
                  "--factor", "t", "--config", str(cfg), "--out", str(ckpt),
-                 "--history", str(tmp_path / "h.jsonl")]) == 0
-    m1 = tmp_path / "ckpt.json"
+                 "--history", str(history)]) == 0
+    # the checkpoint's 32 test windows are scored in chunks of 3 as they
+    # are predicted, and the saved file in blocks of 12
+    monkeypatch.setattr(md, "_CHUNK_BYTES", 3 * 8 * 5 * 6 * 2)
+    docs = []
     preds = tmp_path / "preds.bin"
-    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data),
-                 "--graphs", str(graphs), "--save-pred", str(preds),
-                 "--out", str(m1)]) == 0
-    m2 = tmp_path / "scored.json"
-    assert main(["eval", "--pred", str(preds), "--data", str(data),
-                 "--out", str(m2)]) == 0
-    a = json.loads(m1.read_text())["overall"]
-    b = json.loads(m2.read_text())["overall"]
-    assert a["mae"] == pytest.approx(b["mae"], rel=1e-12)
-    assert a["rmse"] == pytest.approx(b["rmse"], rel=1e-12)
+    for argv in (["--ckpt", str(ckpt), "--graphs", str(graphs),
+                  "--save-pred", str(preds)],
+                 ["--pred", str(preds)],
+                 ["--ckpt", str(ckpt), "--graphs", str(graphs),
+                  "--eval-split", "val"]):
+        out = tmp_path / f"m{len(docs)}.json"
+        assert main(["eval", *argv, "--data", str(data),
+                     "--out", str(out)]) == 0
+        docs.append(json.loads(out.read_text()))
+    for key in ("overall", "per_factor", "counts"):
+        assert docs[0][key] == docs[1][key]
+    # training recorded the validation split's overall MAE, to the bit
+    epoch = json.loads(history.read_text().splitlines()[0])
+    assert epoch["val_mae"] == docs[2]["overall"]["mae"]
+
+
+def _saved_predictions(tmp_path, preds):
+    """A synthetic 5-station dataset and a file of its forecasts preds,
+    [B, 5, 3, 1], one a step from the test split's first step on."""
+    data = tmp_path / "synth.w2kt"
+    assert main(["synth", "--n", "5", "--t", "120", "--d", "1",
+                 "--seed", "4", "--out", str(data)]) == 0
+    ds = dt.load_dataset(data)
+    path = tmp_path / "preds.bin"
+    starts = ds.time_start + (80 + np.arange(len(preds))) * ds.time_step
+    ev.save_predictions(path, preds, starts,
+                        [s.station_id for s in ds.stations], ["t"])
+    return data, path
+
+
+@pytest.mark.parametrize("preds", [
+    np.zeros((0, 5, 3, 1)),
+    np.where(np.arange(30).reshape(2, 5, 3, 1) == 7, np.nan, 0.0)],
+    ids=["no-forecasts", "one-nan"])
+def test_eval_pred_rejects_unscorable_files(tmp_path, capsys, preds):
+    data, path = _saved_predictions(tmp_path, preds)
+    capsys.readouterr()
+    out = tmp_path / "m.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["eval", "--pred", str(path), "--data", str(data),
+                     "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and str(path) in err[0]
+    assert not out.exists()
 
 
 # flag destinations and defaults of the training and scoring commands; the

@@ -5,9 +5,11 @@ import pytest
 
 from stationcast import evaluation as ev
 from stationcast import model as md
-from stationcast.data import (FACTOR_NAMES, NormStats, StationMeta,
-                              WeatherSeriesDataset, make_windows)
+from stationcast.data import (FACTOR_NAMES, ErrorSums, NormStats,
+                              StationMeta, WeatherSeriesDataset, make_windows)
 from stationcast.errors import ConfigError, ShapeError, StructuralError
+
+from helpers import traced_peak
 
 
 def _static_graphs(n, rng):
@@ -141,6 +143,75 @@ def test_report_dict_is_stable_and_complete():
                            "factors": 1}
     assert d["space"] == "normalized"
     assert len(d["per_factor"]["t"]["mae_by_horizon"]) == 4
+
+
+def _sums_by_blocks(pred, truth, per_block):
+    sums = ErrorSums(*pred.shape[1:])
+    for at in range(0, len(pred), per_block):
+        sums.add(pred[at:at + per_block], truth[at:at + per_block])
+    return sums
+
+
+@pytest.mark.parametrize("shape", [(10, 37, 12, 3), (9, 100, 12, 1),
+                                   (7, 1, 5, 2)])
+def test_error_sums_do_not_depend_on_blocking(shape):
+    rng = np.random.default_rng(sum(shape))
+    pred = rng.normal(0.0, 2.0, shape)
+    truth = rng.normal(0.0, 2.0, shape)
+    whole = _sums_by_blocks(pred, truth, len(pred))
+    for per_block in (1, 3):
+        part = _sums_by_blocks(pred, truth, per_block)
+        assert part.windows == whole.windows == len(pred)
+        assert part.abs_sum.tobytes() == whole.abs_sum.tobytes()
+        assert part.sq_sum.tobytes() == whole.sq_sum.tobytes()
+    abs_mean, sq_mean = whole.means()
+    err = pred - truth
+    np.testing.assert_allclose(abs_mean, np.abs(err).mean(axis=(0, 1)),
+                               rtol=1e-13)
+    np.testing.assert_allclose(sq_mean, (err * err).mean(axis=(0, 1)),
+                               rtol=1e-13)
+
+
+def test_error_sums_refuse_empty_blocks_and_reports():
+    sums = ErrorSums(3, 4, 1)
+    with pytest.raises(ShapeError, match="no windows"):
+        sums.means()
+    with pytest.raises(ShapeError, match="empty block"):
+        sums.add(np.zeros((0, 3, 4, 1)), np.zeros((0, 3, 4, 1)))
+    with pytest.raises(ShapeError, match="not blocks"):
+        sums.add(np.zeros((2, 3, 5, 1)), np.zeros((2, 3, 5, 1)))
+    with pytest.raises(ShapeError, match="nothing to score"):
+        ErrorSums(0, 4, 1)
+    with pytest.raises(ShapeError, match="no windows"):
+        ev.compute_metrics(np.zeros((0, 3, 4, 1)), np.zeros((0, 3, 4, 1)))
+
+
+def test_scoring_memory_does_not_grow_with_windows(tmp_path):
+    # one [B, N, W, D] array is 2.9 MB at B=600 here; a scorer that held
+    # the error, |error| and error² would grow by 8.6 MB as B doubles
+    n, w = 50, 12
+    stats = NormStats(factors=["t"], mean=np.array([11.0]),
+                      std=np.array([2.5]))
+    ds = _dataset(n=n, t=1300, seed=12)
+    ids = [s.station_id for s in ds.stations]
+    peaks = {}
+    for b in (600, 1200):
+        rng = np.random.default_rng(b)
+        pred = rng.normal(0.0, 1.0, (b, n, w, 1))
+        truth = rng.normal(0.0, 1.0, (b, n, w, 1))
+        path = tmp_path / f"{b}.bin"
+        ev.save_predictions(path, pred, np.arange(b) * ds.time_step, ids,
+                            ["t"])
+        loaded = ev.load_predictions(path)
+        peaks[b] = [
+            traced_peak(lambda: ev.compute_metrics(pred, truth)),
+            traced_peak(lambda: ev.physical_metrics(pred, truth, stats)),
+            traced_peak(lambda: ev.score_external(loaded, ds))]
+    # one block of errors; score_external also gathers one block of truth
+    array_bytes = 600 * n * w * 8
+    for blocks, small, large in zip((1, 1, 2), peaks[600], peaks[1200]):
+        assert large - small < array_bytes // 20
+        assert large < blocks * md._CHUNK_BYTES + 65536
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,13 @@ import pytest
 from stationcast import graphs as gr
 from stationcast import model as md
 from stationcast import tape as tp
-from stationcast.data import StationMeta, WeatherSeriesDataset, make_windows
+from stationcast.data import (ErrorSums, StationMeta, WeatherSeriesDataset,
+                              make_windows)
 from stationcast.errors import (CheckpointError, ConfigError, ShapeError,
                                TrainingError)
 
 from helpers import (adam_step_reference, closure_buffers, finite_diff_check,
-                     reduce_sum)
+                     reduce_sum, traced_peak)
 
 
 def _static_graphs(n, rng):
@@ -873,6 +874,67 @@ def test_predict_dataset_memory_follows_the_chunk():
         tracemalloc.stop()
     assert preds.shape == (311, n, 12, 1)
     assert peak < 10.5e6
+
+
+@pytest.mark.parametrize("kinds", [md.ALL_GRAPH_KINDS, md.STATIC_KINDS],
+                         ids=["five-graph", "static"])
+def test_scores_do_not_depend_on_the_chunk(monkeypatch, kinds):
+    # 22 windows scored in chunks of 1, of 3 and of all 22, against the
+    # predictions and targets summed as one block
+    ds = _tiny_dataset(n=5, t=30, seed=8)
+    static = _static_graphs(5, np.random.default_rng(32))
+    model = md.build_model(5, _two_block_config(kinds), seed=5)
+    preds, targets, _ = md.predict_dataset(model, ds, static)
+    whole = ErrorSums(5, 3, 1)
+    whole.add(preds, targets)
+    for windows in (1, 3, 22):
+        _set_chunk(monkeypatch, 5, model.config, windows)
+        out = np.empty_like(preds)
+        sums = md.score_dataset(model, ds, static, out=out)
+        assert out.tobytes() == preds.tobytes()
+        assert sums.windows == 22
+        assert sums.abs_sum.tobytes() == whole.abs_sum.tobytes()
+        assert sums.sq_sum.tobytes() == whole.sq_sum.tobytes()
+
+
+def _wide_horizon_model(n):
+    return md.build_model(n, _tiny_config(w_out=12), seed=0)
+
+
+def test_score_dataset_memory_does_not_grow_with_windows(monkeypatch):
+    # one [windows, 30, 12, 1] array is 0.86 MB at 375 windows; scoring
+    # through predict_dataset would add two of them as the split doubles
+    n = 30
+    model = _wide_horizon_model(n)
+    _set_chunk(monkeypatch, n, model.config, 4)
+    static = _static_graphs(n, np.random.default_rng(35))
+    peaks = []
+    for t in (392, 767):  # 375 and 750 windows
+        ds = _tiny_dataset(n=n, t=t, seed=11)
+        peaks.append(traced_peak(lambda: md.score_dataset(model, ds,
+                                                          static)))
+    assert peaks[1] - peaks[0] < 375 * n * 12 * 8 // 20
+
+
+def test_validation_holds_no_window_stack():
+    # validation over 600 and 1200 windows of [30, 12, 1]: a stack of its
+    # forecasts or targets is 1.7 or 3.5 MB, above the training steps' peak
+    n = 30
+    model = _wide_horizon_model(n)
+    static = _static_graphs(n, np.random.default_rng(36))
+    ds = _tiny_dataset(n=n, t=1260, seed=12)
+    train_ds = _split(ds, 0, 36)
+    tcfg = md.TrainConfig(epochs=1, batch_size=8)
+    peaks = []
+    for stop in (653, 1253):
+        val_ds = _split(ds, 36, stop)
+        peaks.append(traced_peak(lambda: md.train(model, train_ds, val_ds,
+                                                  static, tcfg)))
+    assert peaks[1] - peaks[0] < 600 * n * 12 * 8 // 20
+    # the recorded validation MAE is the report's overall MAE of the split
+    fitted, hist = md.train(model, train_ds, val_ds, static, tcfg)
+    abs_mean, _ = md.score_dataset(fitted, val_ds, static).means()
+    assert hist.val_mae == [float(abs_mean.mean(axis=0).mean())]
 
 
 # ---------------------------------------------------------------------------
