@@ -55,8 +55,8 @@ def main():
     batch = next(dt.make_windows(train, w_in=12, w_out=12, batch_size=32))
     print(f"\nfirst window batch: inputs {batch.inputs.shape} "
           f"targets {batch.targets.shape}")
-    print(f"window origins are epoch seconds; first three: "
-          f"{batch.origins[:3].tolist()}")
+    print(f"windows are labelled by their first target step, in epoch "
+          f"seconds; first three: {batch.starts[:3].tolist()}")
 
 
 if __name__ == "__main__":

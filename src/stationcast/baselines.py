@@ -154,13 +154,13 @@ def predict_regression(model: RegressionModel,
         raise ConfigError(f"expected [B, N, {model.w_in}] inputs, got "
                           f"{inputs.shape}")
     b, n, _ = inputs.shape
-    xc = inputs - model.x_mean
+    # centred one station at a time: the forecast is the one full-size array
     out = np.empty((b, n, model.w_out))
     for s in range(n):
+        xc = inputs[:, s, :] - model.x_mean[s]
         if model.kind in ("linear", "ridge"):
-            out[:, s, :] = xc[:, s, :] @ model.beta[s]
+            out[:, s, :] = xc @ model.beta[s]
         else:
-            k = _kernel_matrix(xc[:, s, :], model.x_train[:, s, :],
-                               model.gamma)
+            k = _kernel_matrix(xc, model.x_train[:, s, :], model.gamma)
             out[:, s, :] = k @ model.dual[s]
-    return out + model.y_mean
+    return np.add(out, model.y_mean, out=out)

@@ -23,8 +23,6 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from . import data as dt
 from . import evaluation as ev
@@ -290,6 +288,9 @@ def _cmd_eval(args) -> int:
     modes = [m for m in ("ckpt", "baseline", "pred") if getattr(args, m)]
     if len(modes) != 1:
         raise ConfigError("choose exactly one of --ckpt, --baseline, --pred")
+    if args.pred and args.save_pred:
+        raise ConfigError("--save-pred needs --ckpt or --baseline; --pred "
+                          "scores forecasts already saved")
     src = _resolve(args.data)
     ds = _load_dataset_arg(src)
     inputs = [src]
@@ -367,15 +368,12 @@ def _cmd_eval(args) -> int:
             config.update(factor=factor, split=list(scheme),
                           graphs=str(graph_path))
             static = _static_from_graphset(gr.load_graphs(graph_path), scoped)
-            # each chunk is scored as it is predicted; the forecasts are
-            # kept only to be saved
-            count = scoped.n_steps - w_in - w_out + 1
-            preds = np.empty((count, scoped.n_stations, w_out,
-                              model.config.d)) if args.save_pred else None
-            sums = md.score_dataset(model, scoped, static, out=preds)
-            # prediction files label each forecast by its first target step
-            steps = np.arange(count, dtype=np.int64) + w_in
-            starts = scoped.time_start + steps * scoped.time_step
+            if args.save_pred:
+                preds, truth, starts = md.predict_dataset(model, scoped,
+                                                          static)
+                sums = ev.error_sums(preds, truth)
+            else:  # each chunk is scored as it is predicted
+                sums = md.score_dataset(model, scoped, static)
         # z-scored errors times the training std are the physical errors
         scale = stats.std if args.space == "physical" else None
         report = ev.metrics_from_sums(sums, scoped.factors, args.space,

@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (ConfigError, PipelineError, SchemaError, ShapeError,
                      StructuralError, check_ints, check_reals)
@@ -146,7 +147,7 @@ class WindowBatch:
 
     inputs: np.ndarray   # [B, N, W_in, D]
     targets: np.ndarray  # [B, N, W_out, D]
-    origins: np.ndarray  # epoch seconds of each window's first input step
+    starts: np.ndarray   # epoch seconds of each window's first target step
 
 
 def _add_in_window_order(total: np.ndarray, block: np.ndarray) -> None:
@@ -652,31 +653,42 @@ def check_windows(w_in: int, w_out: int, **splits) -> None:
                               f"fewer than the {span} one window spans")
 
 
+def window_view(split: WeatherSeriesDataset, w_in: int, w_out: int):
+    """Every window of a split: (view, starts).
+
+    ``view`` is a read-only [B, N, w_in + w_out, D] view of the values, with
+    B = max(0, T - w_in - w_out + 1) windows, none crossing the split's end.
+    ``starts`` labels each window by its first target step's epoch seconds.
+    """
+    n, t, d = split.values.shape
+    span = w_in + w_out
+    if t < span:  # sliding_window_view raises where no window fits
+        return np.empty((0, n, span, d)), np.empty(0, dtype=np.int64)
+    view = sliding_window_view(split.values, span, axis=1)
+    steps = np.arange(t - span + 1, dtype=np.int64) + w_in
+    return (view.transpose(1, 0, 3, 2),
+            split.time_start + steps * split.time_step)
+
+
 def make_windows(split: WeatherSeriesDataset, w_in: int, w_out: int,
                  batch_size: Optional[int] = None,
                  shuffle_rng: Optional[np.random.Generator] = None
                  ) -> Iterator[WindowBatch]:
-    """Yield forecasting windows fully contained in one split.
-
-    A window starts at every step, so a split of T steps gives
-    max(0, T - w_in - w_out + 1) windows.  Never crosses the split
-    boundary because it only ever sees one split.
+    """Yield batches of window_view's windows, in window order or in the
+    order shuffle_rng draws; each batch's inputs and targets are C-ordered
+    copies gathered from the view.
     """
     if w_in <= 0 or w_out <= 0:
         raise ConfigError("window lengths must be positive")
-    t = split.n_steps
-    origins = np.arange(0, t - w_in - w_out + 1, dtype=np.int64)
-    if shuffle_rng is not None:
-        origins = origins[shuffle_rng.permutation(len(origins))]
+    view, starts = window_view(split, w_in, w_out)
+    order = (np.arange(len(starts)) if shuffle_rng is None
+             else shuffle_rng.permutation(len(starts)))
     if batch_size is None:
-        batch_size = max(len(origins), 1)
-    for at in range(0, len(origins), batch_size):
-        chunk = origins[at:at + batch_size]
-        inputs = np.stack([split.values[:, o:o + w_in, :] for o in chunk])
-        targets = np.stack([split.values[:, o + w_in:o + w_in + w_out, :]
-                            for o in chunk])
-        stamps = split.time_start + chunk * split.time_step
-        yield WindowBatch(inputs, targets, stamps)
+        batch_size = max(len(order), 1)
+    for at in range(0, len(order), batch_size):
+        idx = order[at:at + batch_size]
+        yield WindowBatch(view[idx, :, :w_in], view[idx, :, w_in:],
+                          starts[idx])
 
 
 # ---------------------------------------------------------------------------

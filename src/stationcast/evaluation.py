@@ -22,7 +22,7 @@ from . import baselines as bl
 from . import graphs as gr
 from . import model as md
 from .data import (ErrorSums, NormStats, PackedReader, WeatherSeriesDataset,
-                   _pack_str, check_windows, write_packed)
+                   _pack_str, check_windows, window_view, write_packed)
 from .errors import (ConfigError, ShapeError, StructuralError, check_distinct,
                      check_ints)
 
@@ -234,22 +234,24 @@ def score_external(loaded: tuple, ds: WeatherSeriesDataset) -> MetricsReport:
         raise ShapeError(f"prediction factors {factors} do not match "
                          f"dataset factors {list(ds.factors)}")
     b, n, w, d = preds.shape
+    view, _ = window_view(ds, 0, w)
+    # the first prediction whose window is off the time grid or outside the
+    # dataset names the error; the remainder test keeps int64 from wrapping
+    on_grid = target_starts % ds.time_step == ds.time_start % ds.time_step
+    inside = (target_starts >= ds.time_start) & (
+        target_starts < ds.time_start + len(view) * ds.time_step)
+    if not (on_grid & inside).all():
+        i = int(np.argmin(on_grid & inside))
+        if not on_grid[i]:
+            raise StructuralError(f"prediction {i} starts off the dataset's "
+                                  "time grid")
+        raise StructuralError(f"prediction {i} lies outside the dataset "
+                              "timeline")
+    idx = (target_starts - ds.time_start) // ds.time_step
     sums = ErrorSums(n, w, d)
     step = _block_windows(preds.shape)
     for at in range(0, b, step):
-        block = preds[at:at + step]
-        truth = np.empty_like(block)
-        for i, ts in enumerate(target_starts[at:at + step]):
-            off = int(ts) - ds.time_start
-            if off % ds.time_step:
-                raise StructuralError(f"prediction {at + i} starts off the "
-                                      "dataset's time grid")
-            idx = off // ds.time_step
-            if idx < 0 or idx + w > ds.n_steps:
-                raise StructuralError(f"prediction {at + i} lies outside "
-                                      "the dataset timeline")
-            truth[i] = ds.values[:, idx:idx + w, :]
-        sums.add(block, truth)
+        sums.add(preds[at:at + step], view[idx[at:at + step]])
     return metrics_from_sums(sums, ds.factors, space)
 
 
@@ -258,11 +260,11 @@ def score_external(loaded: tuple, ds: WeatherSeriesDataset) -> MetricsReport:
 
 
 def _series_windows(ds: WeatherSeriesDataset, w_in: int, w_out: int):
-    """Views [B, N, w_in] and [B, N, w_out] of the windows make_windows
-    would stack from a one-factor dataset, over one time-major copy of the
-    series.  Time-major puts the stations, not the windows, on the unit
-    stride, so numpy sums over windows one window at a time, as it sums a
-    stacked batch."""
+    """Views [B, N, w_in] and [B, N, w_out] of window_view's windows of a
+    one-factor dataset over a time-major copy of the series: the one view
+    besides window_view's, kept because the regression fit's summation
+    order depends on it.  Time-major puts the stations on the unit stride,
+    so numpy sums over windows one window at a time, as over a stack."""
     series = np.ascontiguousarray(ds.values[:, :, 0].T)  # [T, N]
     windows = sliding_window_view(series, w_in + w_out, axis=0)
     return windows[..., :w_in], windows[..., w_in:]
@@ -278,10 +280,8 @@ def evaluate_baseline(kind: str, train_ds: WeatherSeriesDataset,
     target time.  The regression kinds require a single-factor dataset.
     """
     check_windows(w_in, w_out, test=test_ds)
-    # every window of the split as a view of its series: no stack of the
-    # inputs or targets
-    windows = sliding_window_view(test_ds.values, w_in + w_out, axis=1)
-    windows = windows.transpose(1, 0, 3, 2)  # [B, N, w_in + w_out, D]
+    # no stack of the inputs or targets
+    windows, starts = window_view(test_ds, w_in, w_out)
     test_inputs, truth = windows[:, :, :w_in], windows[:, :, w_in:]
     if kind == "persistence":
         preds = bl.persistence_forecast(test_inputs, w_out)
@@ -297,8 +297,7 @@ def evaluate_baseline(kind: str, train_ds: WeatherSeriesDataset,
                                       test_inputs[..., 0])[..., None]
     else:
         raise ConfigError(f"unknown reference predictor {kind!r}")
-    steps = np.arange(len(truth), dtype=np.int64) + w_in
-    return preds, truth, test_ds.time_start + steps * test_ds.time_step
+    return preds, truth, starts
 
 
 # ---------------------------------------------------------------------------

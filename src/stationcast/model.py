@@ -22,7 +22,7 @@ import numpy as np
 from . import graphs as gr
 from . import tape as tp
 from .data import (ErrorSums, PackedReader, WeatherSeriesDataset,
-                   check_windows, make_windows, write_packed)
+                   check_windows, make_windows, window_view, write_packed)
 from .errors import (CheckpointError, ConfigError, ShapeError, TrainingError,
                      check_ints, check_reals)
 
@@ -437,44 +437,34 @@ def _forecast_chunks(model: MultiGraphForecaster, ds: WeatherSeriesDataset,
 
 def predict_dataset(model: MultiGraphForecaster, ds: WeatherSeriesDataset,
                     static_graphs: dict):
-    """Forecast every window of a split; returns (preds, targets, origins).
+    """Forecast every window of a split; returns (preds, targets, starts):
+    the forecasts, then window_view's read-only targets and labels.
 
-    A caller that only scores the split uses score_dataset, which holds
-    neither stack.
+    A caller that only scores the split uses score_dataset, which holds no
+    stack of the forecasts.
     """
     cfg = model.config
-    chunks = _forecast_chunks(model, ds, static_graphs)
-    count = ds.n_steps - cfg.w_in - cfg.w_out + 1
+    view, starts = window_view(ds, cfg.w_in, cfg.w_out)
     # filled in place: no list of chunks and no concatenated copy
-    preds = np.empty((count, ds.n_stations, cfg.w_out, cfg.d))
-    targets = np.empty_like(preds)
-    origins = np.empty(count, dtype=np.int64)
+    preds = np.empty((len(starts), ds.n_stations, cfg.w_out, cfg.d))
     at = 0
-    for batch, chunk in chunks:
-        end = at + len(chunk)
-        preds[at:end], targets[at:end] = chunk, batch.targets
-        origins[at:end] = batch.origins
-        at = end
-    return preds, targets, origins
+    for _, chunk in _forecast_chunks(model, ds, static_graphs):
+        preds[at:at + len(chunk)] = chunk
+        at += len(chunk)
+    return preds, view[:, :, cfg.w_in:], starts
 
 
 def score_dataset(model: MultiGraphForecaster, ds: WeatherSeriesDataset,
-                  static_graphs: dict, out: Optional[np.ndarray] = None
-                  ) -> ErrorSums:
+                  static_graphs: dict) -> ErrorSums:
     """Score every window of a split as it is forecast.
 
     Each chunk's errors go into one ErrorSums, so no stack of the split's
-    forecasts, targets or errors is formed.  ``out``, a [windows, N, W, D]
-    array, also receives the forecasts when given.
+    forecasts, targets or errors is formed.
     """
     cfg = model.config
     sums = ErrorSums(ds.n_stations, cfg.w_out, cfg.d)
-    at = 0
     for batch, chunk in _forecast_chunks(model, ds, static_graphs):
         sums.add(chunk, batch.targets)
-        if out is not None:
-            out[at:at + len(chunk)] = chunk
-        at += len(chunk)
     return sums
 
 

@@ -309,3 +309,28 @@ def test_fit_on_window_views_forms_no_window_stack(kind, limit):
     peak = traced_peak(lambda: bl.fit_regression(inputs, targets, kind,
                                                  lam=1.0))
     assert peak < limit * stack, peak / stack
+
+
+@pytest.mark.parametrize("kind", ["ridge", "kernel_ridge"])
+def test_predict_holds_one_forecast_sized_array(kind):
+    ds = dt.generate_synthetic(dt.SynthConfig(n=100, t=600, d=1, seed=0))
+    train, _, test = dt.split_temporal(ds, (3, 1, 2))
+    model = bl.fit_regression(*ev._series_windows(train, 12, 12), kind,
+                              lam=1.0)
+    view, _ = dt.window_view(test, 12, 12)
+    inputs = view[:, :, :12, 0]
+    out = bl.predict_regression(model, inputs)
+    # the centred stack the forecast used to be formed from, to the byte
+    xc = inputs - model.x_mean
+    want = np.empty_like(out)
+    for s in range(ds.n_stations):
+        if kind == "ridge":
+            want[:, s] = xc[:, s] @ model.beta[s]
+        else:
+            want[:, s] = bl._kernel_matrix(
+                xc[:, s], model.x_train[:, s], model.gamma) @ model.dual[s]
+    assert out.tobytes() == (want + model.y_mean).tobytes()
+    if kind == "ridge":
+        # one station's centred windows and products beside the forecast
+        peak = traced_peak(lambda: bl.predict_regression(model, inputs))
+        assert peak <= 1.25 * out.nbytes, peak / out.nbytes

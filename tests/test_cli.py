@@ -287,6 +287,17 @@ def test_eval_ckpt_and_pred_agree(tmp_path, monkeypatch):
     # training recorded the validation split's overall MAE, to the bit
     epoch = json.loads(history.read_text().splitlines()[0])
     assert epoch["val_mae"] == docs[2]["overall"]["mae"]
+    # one label per window, its first target time, on every path
+    train, _, test = dt.split_temporal(dt.load_dataset(data), (3, 1, 2))
+    model, _ = md.load_checkpoint(ckpt)
+    gs = gr.load_graphs(graphs)
+    static = {k: gs[k].weights for k in gr.STATIC_KINDS if k in gs.graphs}
+    model_starts = md.predict_dataset(model, test, static)[2]
+    baseline_starts = ev.evaluate_baseline("persistence", train, test, 6,
+                                           3)[2]
+    file_starts = ev.load_predictions(preds)[1]
+    assert np.array_equal(model_starts, baseline_starts)
+    assert np.array_equal(model_starts, file_starts)
 
 
 def _saved_predictions(tmp_path, preds):
@@ -369,6 +380,24 @@ def test_eval_requires_exactly_one_mode(tmp_path):
                  "--ckpt", "x.ckpt", "--out", str(out)]) == 1
     assert main(["eval", "--data", str(data), "--baseline", "psychic",
                  "--out", str(out)]) == 1
+
+
+def test_eval_pred_rejects_save_pred(tmp_path, capsys):
+    data = tmp_path / "synth.w2kt"
+    preds, again = tmp_path / "r.pred", tmp_path / "again.pred"
+    assert main(["synth", "--n", "5", "--t", "80", "--d", "1",
+                 "--seed", "5", "--out", str(data)]) == 0
+    assert main(["eval", "--baseline", "persistence", "--data", str(data),
+                 "--save-pred", str(preds),
+                 "--out", str(tmp_path / "base.json")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "p.json"
+    assert main(["eval", "--pred", str(preds), "--data", str(data),
+                 "--save-pred", str(again), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "--save-pred" in err[0]
+    assert not again.exists() and not out.exists()
 
 
 def test_eval_malformed_checkpoint_exits_1(tmp_path, capsys):

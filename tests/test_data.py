@@ -616,28 +616,49 @@ def test_windows_too_short_yields_nothing():
     assert list(dt.make_windows(ds, 12, 12)) == []
 
 
-def origin_steps(batch, split):
+def origin_steps(batch, split, w_in):
     """Index in the split of each window's first input step."""
-    return (batch.origins - split.time_start) // split.time_step
+    return (batch.starts - split.time_start) // split.time_step - w_in
 
 
 def test_window_contents_align():
     ds = tiny_dataset(n=2, t=40, d=2, seed=23, factors=["t", "rh"])
     (batch,) = dt.make_windows(ds, 5, 3)
-    o = origin_steps(batch, ds)[4]
-    assert batch.origins[4] == ds.time_start + 4 * ds.time_step and o == 4
+    o = origin_steps(batch, ds, 5)[4]
+    # a window is labelled by its first target step
+    assert batch.starts[4] == ds.time_start + 9 * ds.time_step and o == 4
     assert np.array_equal(batch.inputs[4], ds.values[:, o:o + 5, :])
     assert np.array_equal(batch.targets[4], ds.values[:, o + 5:o + 8, :])
+    assert batch.inputs.flags.c_contiguous
+    assert batch.targets.flags.c_contiguous
+
+
+def test_window_view_matches_make_windows():
+    ds = tiny_dataset(n=3, t=30, d=2, seed=26, factors=["t", "rh"])
+    view, starts = dt.window_view(ds, 6, 4)
+    assert view.shape == (21, 3, 10, 2) and not view.flags.writeable
+    (batch,) = dt.make_windows(ds, 6, 4)
+    assert np.array_equal(batch.starts, starts)
+    assert batch.inputs.tobytes() == np.stack(
+        [ds.values[:, o:o + 6] for o in range(21)]).tobytes()
+    assert np.array_equal(batch.targets, view[:, :, 6:])
+
+
+def test_window_view_of_a_short_split_is_empty():
+    ds = tiny_dataset(n=2, t=9, d=1, seed=27, factors=["t"])
+    view, starts = dt.window_view(ds, 6, 4)
+    assert view.shape == (0, 2, 10, 1) and starts.shape == (0,)
+    assert list(dt.make_windows(ds, 6, 4, batch_size=3)) == []
 
 
 def test_window_batching_and_shuffle_determinism():
     ds = tiny_dataset(n=1, t=60, d=1, seed=24, factors=["t"])
     sizes = [b.inputs.shape[0] for b in dt.make_windows(ds, 6, 2, batch_size=16)]
     assert sizes == [16, 16, 16, 5]
-    seen1 = np.concatenate([origin_steps(b, ds) for b in
+    seen1 = np.concatenate([origin_steps(b, ds, 6) for b in
                             dt.make_windows(ds, 6, 2, batch_size=16,
                                             shuffle_rng=RNG(7))])
-    seen2 = np.concatenate([origin_steps(b, ds) for b in
+    seen2 = np.concatenate([origin_steps(b, ds, 6) for b in
                             dt.make_windows(ds, 6, 2, batch_size=16,
                                             shuffle_rng=RNG(7))])
     assert np.array_equal(seen1, seen2)
@@ -650,7 +671,7 @@ def test_windows_never_cross_split_boundary():
     train, val, test = dt.split_temporal(ds, (3, 1, 2))
     for split, lo, hi in [(train, 0, 30), (val, 30, 40), (test, 40, 60)]:
         for batch in dt.make_windows(split, 4, 2):
-            for o in origin_steps(batch, split):
+            for o in origin_steps(batch, split, 4):
                 assert lo + o + 6 <= hi
 
 

@@ -281,7 +281,7 @@ def test_prediction_file_truncation(tmp_path):
 def test_score_external_exact_truth_and_offset(tmp_path):
     ds = _dataset(n=3, t=40, seed=9)
     batch = next(make_windows(ds, 6, 4))
-    starts = batch.origins + 6 * ds.time_step
+    starts = batch.starts
     ids = [s.station_id for s in ds.stations]
 
     exact = tmp_path / "exact.bin"
@@ -301,7 +301,7 @@ def test_score_external_exact_truth_and_offset(tmp_path):
 def test_score_external_validates_stations_and_grid(tmp_path):
     ds = _dataset(n=3, t=40, seed=10)
     batch = next(make_windows(ds, 6, 4))
-    starts = batch.origins + 6 * ds.time_step
+    starts = batch.starts
 
     wrong = tmp_path / "wrong.bin"
     ev.save_predictions(wrong, batch.targets, starts, ["A", "B", "C"], ["t"])
@@ -319,6 +319,28 @@ def test_score_external_validates_stations_and_grid(tmp_path):
                         starts + 1000 * ds.time_step, ids, ["t"])
     with pytest.raises(StructuralError, match="outside"):
         ev.score_external(ev.load_predictions(outside), ds)
+
+
+@pytest.mark.parametrize("late, before, off, message", [
+    (4, -1, 9, "prediction 4 lies outside the dataset timeline"),
+    (7, 5, 9, "prediction 5 lies outside the dataset timeline"),
+    (7, -1, 2, "prediction 2 starts off the dataset's time grid"),
+], ids=["past-the-end", "before-the-start", "off-grid-first"])
+def test_score_external_names_the_first_bad_prediction(tmp_path, late,
+                                                       before, off, message):
+    ds = _dataset(n=3, t=40, seed=11)
+    batch = next(make_windows(ds, 6, 4))
+    starts = batch.starts.copy()
+    # the last window's start is the last one inside the timeline
+    starts[late] = starts[-1] + ds.time_step
+    if before >= 0:
+        starts[before] = ds.time_start - ds.time_step
+    starts[off] += 1
+    path = tmp_path / "bad.bin"
+    ev.save_predictions(path, batch.targets, starts,
+                        [s.station_id for s in ds.stations], ["t"])
+    with pytest.raises(StructuralError, match=f"^{message}$"):
+        ev.score_external(ev.load_predictions(path), ds)
 
 
 # ---------------------------------------------------------------------------

@@ -696,11 +696,13 @@ def test_predict_dataset_counts_windows():
         w_in=12, w_out=12, blocks=[md.StBlockConfig(2, [3], 1, 3)],
         d_emb=4), seed=0)
     static = _static_graphs(4, np.random.default_rng(15))
-    preds, tgts, origins = md.predict_dataset(model, ds, static)
+    preds, tgts, starts = md.predict_dataset(model, ds, static)
     assert preds.shape == (7, 4, 12, 1)
     assert tgts.shape == (7, 4, 12, 1)
-    # origins are absolute timestamps: one per hour from the epoch start
-    assert list(origins) == [i * 3600 for i in range(7)]
+    # the targets are the split's own values, not a stack of them
+    assert np.shares_memory(tgts, ds.values) and not tgts.flags.writeable
+    # starts are absolute timestamps of each window's first target hour
+    assert list(starts) == [(i + 12) * 3600 for i in range(7)]
 
 
 # ---------------------------------------------------------------------------
@@ -889,9 +891,9 @@ def test_scores_do_not_depend_on_the_chunk(monkeypatch, kinds):
     whole.add(preds, targets)
     for windows in (1, 3, 22):
         _set_chunk(monkeypatch, 5, model.config, windows)
-        out = np.empty_like(preds)
-        sums = md.score_dataset(model, ds, static, out=out)
-        assert out.tobytes() == preds.tobytes()
+        again = md.predict_dataset(model, ds, static)[0]
+        assert again.tobytes() == preds.tobytes()
+        sums = md.score_dataset(model, ds, static)
         assert sums.windows == 22
         assert sums.abs_sum.tobytes() == whole.abs_sum.tobytes()
         assert sums.sq_sum.tobytes() == whole.sq_sum.tobytes()
