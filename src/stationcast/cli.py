@@ -4,7 +4,7 @@ Subcommands cover the whole workflow: synth and preprocess produce packed
 datasets, graphs builds the static station graphs, train fits the
 forecaster, eval scores checkpoints, reference predictors, or packed
 prediction files, ablate runs the graph-subset study, and sweep varies the
-neighbor-graph degree.  Every command writes a
+neighbor-graph degree.  Every command that succeeds writes a
 ``<output>.manifest.json`` recording the resolved configuration, input
 hashes, seed, and wall time.  Exit codes: 0 success, 1 bad input or
 configuration, 2 runtime failure.  Diagnostics go to stderr.
@@ -32,6 +32,7 @@ from .errors import (CheckpointError, ConfigError, SchemaError, ShapeError,
                      StationcastError, StructuralError)
 
 DATA_DIR_ENV = "STATIONCAST_DATA_DIR"
+_N_ADJACENT = 10  # the neighbor-graph degree graphs and ablate default to
 
 _USAGE_ERRORS = (ConfigError, SchemaError, StructuralError, ShapeError,
                  CheckpointError, FileNotFoundError, NotADirectoryError)
@@ -59,27 +60,18 @@ def _sha256(path: Path) -> str:
 
 def _write_manifest(out_path: Path, command: str, config: dict,
                     inputs, seed, started: float) -> None:
-    manifest = {
+    ev.dump_report({
         "command": command,
         "config": config,
-        "input_hashes": {str(p): _sha256(Path(p)) for p in inputs
-                         if Path(p).is_file()},
+        "input_hashes": {str(p): _sha256(p) for p in inputs if p.is_file()},
         "seed": seed,
         "version": __version__,
         "wall_time_s": time.monotonic() - started,
-    }
-    path = Path(str(out_path) + ".manifest.json")
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
+    }, str(out_path) + ".manifest.json")
 
 
 def _args_config(args: argparse.Namespace) -> dict:
-    cfg = {}
-    for k, v in vars(args).items():
-        if k == "func":
-            continue
-        cfg[k] = str(v) if isinstance(v, Path) else v
-    return cfg
+    return {k: v for k, v in vars(args).items() if k != "func"}
 
 
 def _parse_numbers(text: str, cast=float) -> list:
@@ -138,7 +130,7 @@ def _static_from_graphset(gs: gr.GraphSet, ds) -> dict:
 def _model_and_train_config(args) -> tuple:
     """Merge config file values with flag overrides (flags win)."""
     filecfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         cfg_path = _resolve(args.config)
         if not cfg_path.exists():
             raise FileNotFoundError(f"config {cfg_path} does not exist")
@@ -152,15 +144,11 @@ def _model_and_train_config(args) -> tuple:
                               "whose 'model' and 'train' are objects")
     mdict = dict(filecfg.get("model", {}))
     tdict = dict(filecfg.get("train", {}))
-    overrides = {"w_in": getattr(args, "wprime", None),
-                 "w_out": getattr(args, "w", None)}
-    for key, val in overrides.items():
-        if val is not None:
-            mdict[key] = val
-    for key in ("epochs", "batch_size", "lr0", "seed", "early_stop_patience"):
-        val = getattr(args, key, None)
-        if val is not None:
-            tdict[key] = val
+    model_flags = {"w_in": args.wprime, "w_out": args.w}
+    train_flags = {k: getattr(args, k, None) for k in (
+        "epochs", "batch_size", "lr0", "seed", "early_stop_patience")}
+    mdict.update((k, v) for k, v in model_flags.items() if v is not None)
+    tdict.update((k, v) for k, v in train_flags.items() if v is not None)
     try:
         mcfg = md.ModelConfig(**mdict)
         tcfg = md.TrainConfig(**tdict)
@@ -173,8 +161,7 @@ def _model_and_train_config(args) -> tuple:
 # commands
 
 
-def _cmd_synth(args) -> int:
-    started = time.monotonic()
+def _cmd_synth(args) -> tuple:
     cfg = dt.SynthConfig(n=args.n, t=args.t, d=args.d, seed=args.seed,
                          noise_amp=args.noise_amp, ar_amp=args.ar_amp,
                          diurnal_amp=args.diurnal_amp)
@@ -183,12 +170,10 @@ def _cmd_synth(args) -> int:
     dt.save_dataset(ds, out)
     _log(f"wrote {ds.n_stations} stations x {ds.n_steps} steps x "
          f"{ds.n_factors} factors to {out}")
-    _write_manifest(out, "synth", _args_config(args), [], args.seed, started)
-    return 0
+    return {}, [], args.seed
 
 
-def _cmd_preprocess(args) -> int:
-    started = time.monotonic()
+def _cmd_preprocess(args) -> tuple:
     src = _resolve(args.data)
     ds = _load_dataset_arg(src, gaps_ok=True)
     n_loaded = ds.n_stations
@@ -203,20 +188,21 @@ def _cmd_preprocess(args) -> int:
     _log(f"screened {n_loaded} -> {filled.n_stations} stations "
          f"(missing rule dropped {len(missing_report['dropped'])}, "
          f"default codes dropped {len(default_report['dropped'])})")
-    config = _args_config(args)
-    config["missing_report"] = missing_report
-    config["default_report"] = default_report
-    _write_manifest(out, "preprocess", config, [src], None, started)
-    return 0
+    return ({"missing_report": missing_report,
+             "default_report": default_report}, [src], None)
 
 
-def _cmd_graphs(args) -> int:
-    started = time.monotonic()
+def _cmd_graphs(args) -> tuple:
     src = _resolve(args.data)
     train = dt.split_temporal(_load_dataset_arg(src),
                               _split_scheme(args.split))[0]
-    factors = (args.pattern_factors.split(",") if args.pattern_factors
-               else gr.PATTERN_FACTORS)
+    factors = gr.PATTERN_FACTORS  # build_pattern_graph skips absent ones
+    if args.pattern_factors:
+        factors = args.pattern_factors.split(",")
+        lacking = [f for f in factors if f not in train.factors]
+        if lacking:
+            raise ConfigError(f"--pattern-factors names {lacking}, which "
+                              f"dataset {src} lacks (it has {train.factors})")
     try:
         sigma = "auto" if args.sigma == "auto" else float(args.sigma)
     except ValueError:
@@ -230,19 +216,21 @@ def _cmd_graphs(args) -> int:
     _log(f"built distance/neighbor/pattern graphs for {gs.n} stations "
          f"(sigma {gs.meta['sigma']:.3f} km, epsilon {args.epsilon}, "
          f"{args.n_adjacent} neighbors) -> {out}")
-    _write_manifest(out, "graphs", _args_config(args), [src], None, started)
-    return 0
+    return {}, [src], None
 
 
-def _cmd_train(args) -> int:
-    started = time.monotonic()
+def _training_setup(args) -> tuple:
+    """Dataset path, normalized splits, stats and the checked configs."""
     src = _resolve(args.data)
+    prepared = _prepare_splits(_load_dataset_arg(src), args.factor,
+                               _split_scheme(args.split))
+    return (src, *prepared, *_model_and_train_config(args))
+
+
+def _cmd_train(args) -> tuple:
+    src, train_ds, val_ds, _, stats, mcfg, tcfg = _training_setup(args)
     graph_path = _resolve(args.graphs)
-    train_ds, val_ds, test_ds, stats = _prepare_splits(
-        _load_dataset_arg(src), args.factor, _split_scheme(args.split))
-    gs = gr.load_graphs(graph_path)
-    static = _static_from_graphset(gs, train_ds)
-    mcfg, tcfg = _model_and_train_config(args)
+    static = _static_from_graphset(gr.load_graphs(graph_path), train_ds)
     model = md.build_model(train_ds.n_stations, mcfg, seed=tcfg.seed)
 
     def progress(epoch, train_loss, val_mae, lr):
@@ -252,49 +240,65 @@ def _cmd_train(args) -> int:
     fitted, history = md.train(model, train_ds, val_ds, static, tcfg,
                                progress=progress)
     out = _resolve(args.out)
-    extra = {
+    md.save_checkpoint(fitted, out, extra={
         "factor": args.factor,
         "norm_mean": float(stats.mean[0]),
         "norm_std": float(stats.std[0]),
         "split": list(_split_scheme(args.split)),
         "graphs_file": str(graph_path),
-    }
-    md.save_checkpoint(fitted, out, extra=extra)
-    hist_path = _resolve(args.history) if args.history else None
-    if hist_path is not None:
+    })
+    if args.history:
         doc = history.to_dict()
-        lines = [json.dumps(rec, sort_keys=True) for rec in doc["epochs"]]
-        lines.append(json.dumps({"best_epoch": doc["best_epoch"],
-                                 "stopped_early": doc["stopped_early"]},
-                                sort_keys=True))
-        hist_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        records = [*doc["epochs"], {k: doc[k] for k in ("best_epoch",
+                                                         "stopped_early")}]
+        text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        _resolve(args.history).write_text(text, encoding="utf-8")
     best = history.best_epoch
     _log(f"best epoch {best}: val mae "
          f"{history.val_mae[best - 1]:.6f}; checkpoint -> {out}")
-    config = _args_config(args)
-    config["model_config"] = mcfg.to_dict()
-    config["train_config"] = asdict(tcfg)
-    _write_manifest(out, "train", config, [src, graph_path], tcfg.seed,
-                    started)
-    return 0
+    return ({"model_config": mcfg.to_dict(), "train_config": asdict(tcfg)},
+            [src, graph_path], tcfg.seed)
 
 
 _BASELINE_NAMES = {"persistence": "persistence", "linear": "linear",
                    "ridge": "ridge", "krr": "kernel_ridge"}
 
+# The mode-specific eval flags each mode reads.  A mode refuses any other of
+# them set away from its default, which is None unless _EVAL_DEFAULTS says
+# otherwise.  Every mode reads --data, --split, --eval-split and --out.
+_SCORED = {"factor", "space", "save_pred"}
+_WINDOWED = {"baseline", "wprime", "w", *_SCORED}
+_EVAL_READS = {
+    "--ckpt": {"ckpt", "graphs", *_SCORED},
+    "--pred": {"pred"},
+    "--baseline persistence": _WINDOWED,
+    "--baseline linear": _WINDOWED,
+    "--baseline ridge": {"lam", *_WINDOWED},
+    "--baseline krr": {"lam", "gamma", *_WINDOWED},
+}
+_EVAL_DEFAULTS = {"lam": 0.0, "space": "normalized"}
 
-def _cmd_eval(args) -> int:
-    started = time.monotonic()
-    modes = [m for m in ("ckpt", "baseline", "pred") if getattr(args, m)]
-    if len(modes) != 1:
-        raise ConfigError("choose exactly one of --ckpt, --baseline, --pred")
-    if args.pred and args.save_pred:
-        raise ConfigError("--save-pred needs --ckpt or --baseline; --pred "
-                          "scores forecasts already saved")
+
+def _check_eval_mode(args) -> None:
+    mode = ("--ckpt" if args.ckpt else f"--baseline {args.baseline}"
+            if args.baseline else "--pred" if args.pred else None)
+    if mode is None:
+        raise ConfigError("choose one of --ckpt, --baseline, --pred")
+    if mode not in _EVAL_READS:
+        raise ConfigError(f"unknown baseline {args.baseline!r} "
+                          f"(have {sorted(_BASELINE_NAMES)})")
+    unread = set().union(*_EVAL_READS.values()) - _EVAL_READS[mode]
+    refused = [f"--{d.replace('_', '-')}" for d in sorted(unread)
+               if getattr(args, d) != _EVAL_DEFAULTS.get(d)]
+    if refused:
+        raise ConfigError(f"eval {mode} does not read {', '.join(refused)}")
+
+
+def _cmd_eval(args) -> tuple:
+    _check_eval_mode(args)
     src = _resolve(args.data)
     ds = _load_dataset_arg(src)
-    inputs = [src]
-    config = _args_config(args)
+    inputs, resolved = [src], {}
     scheme = _split_scheme(args.split or "3,1,2")
     part = {"train": 0, "val": 1, "test": 2}[args.eval_split]
 
@@ -317,9 +321,6 @@ def _cmd_eval(args) -> int:
         report = ev.score_external(loaded, scoped)
     else:
         if args.baseline:
-            if args.baseline not in _BASELINE_NAMES:
-                raise ConfigError(f"unknown baseline {args.baseline!r} "
-                                  f"(have {sorted(_BASELINE_NAMES)})")
             factor = args.factor or "t"
             w_in = 12 if args.wprime is None else args.wprime
             w_out = 12 if args.w is None else args.w
@@ -356,17 +357,15 @@ def _cmd_eval(args) -> int:
                 w_out, lam=args.lam, gamma=args.gamma)
             sums = ev.error_sums(preds, truth)
         else:
-            graph_path = _resolve(args.graphs) if args.graphs else None
-            if graph_path is None:
-                stored = extra.get("graphs_file")
-                if stored is None:
-                    raise ConfigError("pass --graphs (checkpoint stores no "
-                                      "graph path)")
-                graph_path = _resolve(stored)
+            stored = args.graphs or extra.get("graphs_file")
+            if stored is None:
+                raise ConfigError("pass --graphs (checkpoint stores no "
+                                  "graph path)")
+            graph_path = _resolve(stored)
             inputs.append(graph_path)
             # what the checkpoint supplied, not the flags left unset
-            config.update(factor=factor, split=list(scheme),
-                          graphs=str(graph_path))
+            resolved = {"factor": factor, "split": list(scheme),
+                        "graphs": str(graph_path)}
             static = _static_from_graphset(gr.load_graphs(graph_path), scoped)
             if args.save_pred:
                 preds, truth, starts = md.predict_dataset(model, scoped,
@@ -379,8 +378,7 @@ def _cmd_eval(args) -> int:
         report = ev.metrics_from_sums(sums, scoped.factors, args.space,
                                       scale)
         if args.save_pred:
-            pred_out = _resolve(args.save_pred)
-            ev.save_predictions(pred_out, preds, starts,
+            ev.save_predictions(_resolve(args.save_pred), preds, starts,
                                 [s.station_id for s in scoped.stations],
                                 scoped.factors, space="normalized")
 
@@ -388,16 +386,13 @@ def _cmd_eval(args) -> int:
     ev.dump_report(report.to_dict(), out)
     _log(f"overall mae {report.overall_mae:.6f}  "
          f"rmse {report.overall_rmse:.6f} ({report.space}) -> {out}")
-    _write_manifest(out, "eval", config, inputs, None, started)
-    return 0
+    return resolved, inputs, None
 
 
-def _cmd_ablate(args) -> int:
-    started = time.monotonic()
-    src = _resolve(args.data)
-    train_ds, val_ds, test_ds, _ = _prepare_splits(
-        _load_dataset_arg(src), args.factor, _split_scheme(args.split))
-    mcfg, tcfg = _model_and_train_config(args)
+def _cmd_ablate(args) -> tuple:
+    if args.graphs and args.n_adjacent != _N_ADJACENT:  # the file fixes it
+        raise ConfigError("ablate --graphs does not read --n-adjacent")
+    src, train_ds, val_ds, test_ds, _, mcfg, tcfg = _training_setup(args)
     subsets = ev.grid_specs(args.grid)
     seeds = _parse_numbers(args.seeds, cast=int)
     ev.check_seeds(seeds)
@@ -406,13 +401,12 @@ def _cmd_ablate(args) -> int:
                      validation=val_ds, test=test_ds)
     inputs = [src]
     if args.graphs:
-        graph_path = _resolve(args.graphs)
-        inputs.append(graph_path)
-        static = _static_from_graphset(gr.load_graphs(graph_path), train_ds)
+        inputs.append(_resolve(args.graphs))
+        gs = gr.load_graphs(inputs[-1])
     else:
         gs = gr.build_static_graphs(train_ds, n_adjacent=args.n_adjacent,
                                     pattern_factors=train_ds.factors)
-        static = _static_from_graphset(gs, train_ds)
+    static = _static_from_graphset(gs, train_ds)
     _log(f"running {len(subsets)} rows x {len(seeds)} seeds "
          f"({len(subsets) * len(seeds)} trainings)")
     report = ev.run_ablation(subsets, train_ds, val_ds, test_ds, static,
@@ -422,26 +416,17 @@ def _cmd_ablate(args) -> int:
     best = min(report["rows"], key=lambda r: r["mean_mae"])
     _log(f"best row: {best['label']} (mean mae {best['mean_mae']:.6f}) "
          f"-> {out}")
-    _write_manifest(out, "ablate", _args_config(args), inputs, seeds,
-                    started)
-    return 0
+    return {}, inputs, seeds
 
 
-def _cmd_sweep(args) -> int:
-    started = time.monotonic()
-    src = _resolve(args.data)
-    train_ds, val_ds, test_ds, _ = _prepare_splits(
-        _load_dataset_arg(src), args.factor, _split_scheme(args.split))
-    mcfg, tcfg = _model_and_train_config(args)
+def _cmd_sweep(args) -> tuple:
+    src, *splits, _, mcfg, tcfg = _training_setup(args)
     counts = _parse_numbers(args.counts, cast=int)
-    curve = ev.neighbor_count_sweep(train_ds, val_ds, test_ds, counts,
-                                    mcfg, tcfg)
+    curve = ev.neighbor_count_sweep(*splits, counts, mcfg, tcfg)
     out = _resolve(args.out)
     ev.dump_report(curve, out)
     _log(f"neighbor sweep over {counts} -> {out}")
-    _write_manifest(out, "sweep", _args_config(args), [src], tcfg.seed,
-                    started)
-    return 0
+    return {}, [src], tcfg.seed
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="distance kernel bandwidth in km, or 'auto'")
     p.add_argument("--epsilon", type=float, default=0.1,
                    help="distance kernel sparsity threshold")
-    p.add_argument("--n-adjacent", type=int, default=10,
+    p.add_argument("--n-adjacent", type=int, default=_N_ADJACENT,
                    help="neighbor graph degree")
     p.add_argument("--pattern-factors", default=None,
                    help="comma-separated factors for the pattern graph")
@@ -536,11 +521,11 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("train", "val", "test"))
     p.add_argument("--wprime", type=int, default=None)
     p.add_argument("--w", type=int, default=None)
-    p.add_argument("--lam", type=float, default=0.0,
+    p.add_argument("--lam", type=float, default=_EVAL_DEFAULTS["lam"],
                    help="ridge/kernel regularization")
     p.add_argument("--gamma", type=float, default=None,
                    help="RBF kernel bandwidth")
-    p.add_argument("--space", default="normalized",
+    p.add_argument("--space", default=_EVAL_DEFAULTS["space"],
                    choices=("normalized", "physical"))
     p.add_argument("--save-pred", dest="save_pred", default=None,
                    help="also write predictions as a packed file")
@@ -555,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="full13 (alias table4) | singles")
     p.add_argument("--seeds", default="0",
                    help="comma-separated seeds per row")
-    p.add_argument("--n-adjacent", type=int, default=10)
+    p.add_argument("--n-adjacent", type=int, default=_N_ADJACENT)
     p.add_argument("--patience", dest="early_stop_patience", type=int,
                    default=None)
     p.add_argument("--out", required=True)
@@ -573,19 +558,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run a command; each ``_cmd_*`` returns its manifest's additions to
+    the parsed flags, the input paths to hash, and the seed."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
+    started = time.monotonic()
     try:
-        return args.func(args)
-    except _USAGE_ERRORS as e:
+        additions, inputs, seed = args.func(args)
+        _write_manifest(_resolve(args.out), args.command,
+                        {**_args_config(args), **additions}, inputs, seed,
+                        started)
+    except (*_USAGE_ERRORS, StationcastError) as e:
         _log(f"error: {e}")
-        return 1
-    except StationcastError as e:
-        _log(f"error: {e}")
-        return 2
+        return 1 if isinstance(e, _USAGE_ERRORS) else 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -598,6 +598,22 @@ def test_eval_ckpt_manifest_records_resolved_values(small_run, tmp_path,
      "missing-data max_ratio -0.5 lies outside [0, 1]"),
     (["preprocess", "--max-defaults", "nan"],
      "default-code max_ratio nan is not a finite number"),
+    # a flag the chosen mode would not read is refused, not dropped
+    (["eval", "--ckpt", "CKPT", "--wprime", "3", "--w", "2", "--lam", "5"],
+     "eval --ckpt does not read --lam, --w, --wprime"),
+    (["eval", "--pred", "PRED", "--space", "physical", "--factor", "ap",
+      "--wprime", "99"], "eval --pred does not read --factor, --space, "
+     "--wprime"),
+    (["eval", "--baseline", "persistence", "--lam", "7", "--graphs",
+      "nonexist"], "eval --baseline persistence does not read --graphs, "
+     "--lam"),
+    (["eval", "--baseline", "ridge", "--lam", "1", "--gamma", "0.5"],
+     "eval --baseline ridge does not read --gamma"),
+    (["ablate", "--graphs", "GRAPHS", "--n-adjacent", "7", "--grid",
+      "singles", "--epochs", "1", "--split", "2,1,1"],
+     "ablate --graphs does not read --n-adjacent"),
+    (["graphs", "--pattern-factors", "bogus,zz", "--n-adjacent", "2"],
+     "--pattern-factors names ['bogus', 'zz'], which dataset"),
 ], ids=["sigma-abc", "split-0-0-0", "config-list", "config-model-list",
         "config-train-string", "config-no-blocks", "config-block-int",
         "krr-gamma-0", "krr-gamma-negative", "ridge-lam-nan", "wprime-0",
@@ -614,7 +630,10 @@ def test_eval_ckpt_manifest_records_resolved_values(small_run, tmp_path,
         "train-val-split-short", "train-split-short",
         "eval-baseline-val-split-short", "eval-ckpt-val-split-short",
         "preprocess-max-missing-nan", "preprocess-max-missing-negative",
-        "preprocess-max-defaults-nan"])
+        "preprocess-max-defaults-nan", "eval-ckpt-window-and-lam",
+        "eval-pred-space-factor-window", "eval-persistence-lam-graphs",
+        "eval-ridge-gamma", "ablate-graphs-n-adjacent",
+        "graphs-pattern-factors-absent"])
 def test_bad_input_exits_1_with_one_line(small_run, tmp_path, capsys, argv,
                                          where):
     argv = list(argv)
@@ -627,6 +646,14 @@ def test_bad_input_exits_1_with_one_line(small_run, tmp_path, capsys, argv,
         md.save_checkpoint(md.build_model(5), ckpt, extra={
             "factor": "t", "graphs_file": str(small_run / "graphs.bin")})
         argv[argv.index("CKPT")] = str(ckpt)
+    if "PRED" in argv:
+        pred = tmp_path / "persistence.pred"
+        assert main(["eval", "--baseline", "persistence", "--data",
+                     str(small_run / "synth.w2kt"), "--save-pred", str(pred),
+                     "--out", str(tmp_path / "persistence.json")]) == 0
+        argv[argv.index("PRED")] = str(pred)
+    if "GRAPHS" in argv:
+        argv[argv.index("GRAPHS")] = str(small_run / "graphs.bin")
     if argv[0] != "synth":
         argv += ["--data", str(small_run / "synth.w2kt")]
     argv += ["--out", str(tmp_path / "out")]
@@ -698,19 +725,47 @@ def test_missing_input_exits_1(tmp_path):
     assert not out.exists()
 
 
-def test_runtime_failure_exits_2(tmp_path):
-    # a constant factor makes train-split normalization impossible
+def _save_flat_dataset(path):
+    """A constant factor, so train-split normalization is impossible."""
     stations = [StationMeta(f"S{i}", 35.0, 110.0 + 0.1 * i)
                 for i in range(4)]
     values = np.full((4, 60, 1), 7.5)
     ds = WeatherSeriesDataset(stations, ["t"], values,
                               np.ones((4, 60, 1), dtype=bool))
-    data = tmp_path / "flat.w2kt"
-    dt.save_dataset(ds, data)
+    dt.save_dataset(ds, path)
+    return path
+
+
+def test_runtime_failure_exits_2(tmp_path):
+    data = _save_flat_dataset(tmp_path / "flat.w2kt")
     code = main(["eval", "--baseline", "persistence", "--data", str(data),
                  "--factor", "t", "--wprime", "6", "--w", "3",
                  "--out", str(tmp_path / "m.json")])
     assert code == 2
+
+
+def test_only_a_successful_command_writes_a_manifest(small_run, tmp_path):
+    data = str(small_run / "synth.w2kt")
+    flat = str(_save_flat_dataset(tmp_path / "flat.w2kt"))
+    runs = [
+        ("refused", ["eval", "--baseline", "persistence", "--lam", "1",
+                     "--data", data], 1),
+        ("failed", ["eval", "--baseline", "persistence", "--wprime", "6",
+                    "--w", "3", "--data", flat], 2),
+        ("synth", ["synth", "--n", "5", "--t", "80", "--d", "1"], 0),
+        ("graphs", ["graphs", "--n-adjacent", "2", "--data", data], 0),
+        ("eval", ["eval", "--baseline", "persistence", "--data", data], 0),
+    ]
+    for name, argv, code in runs:
+        work = tmp_path / name
+        work.mkdir()
+        assert main(argv + ["--out", str(work / "out")]) == code, name
+        manifests = [p.name for p in work.iterdir()
+                     if p.name.endswith(".manifest.json")]
+        assert manifests == (["out.manifest.json"] if code == 0 else []), name
+        if code == 0:
+            doc = json.loads((work / "out.manifest.json").read_text())
+            assert doc["command"] == argv[0] == doc["config"]["command"]
 
 
 def test_env_var_resolves_relative_paths(tmp_path, monkeypatch):
