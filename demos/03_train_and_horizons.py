@@ -65,7 +65,9 @@ def main():
         bar = "#" * int(40 * mae / curve.max())
         print(f"  +{h:2d}h  mae {mae:.4f}  {bar}")
 
-    phys = ev.physical_metrics(preds, truth, stats)
+    # z-scored errors times the training std are the physical errors
+    phys = ev.compute_metrics(preds, truth, stats.factors, "physical",
+                              stats.std)
     print(f"\nback in physical units: mae {phys.overall_mae:.3f}, "
           f"rmse {phys.overall_rmse:.3f} (factor std "
           f"{stats.std[0]:.3f})")

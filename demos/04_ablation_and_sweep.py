@@ -45,8 +45,7 @@ def main():
               f"{row['mean_rmse']:10.4f}")
 
     print("\nneighbor-degree sensitivity:")
-    curve = ev.neighbor_count_sweep(train, val, test, [2, 4, 6], mcfg, tcfg,
-                                    pattern_factors=["t"])
+    curve = ev.neighbor_count_sweep(train, val, test, [2, 4, 6], mcfg, tcfg)
     for na, mae, rmse in zip(curve["n_adjacent"], curve["test_mae"],
                              curve["test_rmse"]):
         print(f"  {na} neighbors: test mae {mae:.4f}  rmse {rmse:.4f}")

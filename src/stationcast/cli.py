@@ -70,10 +70,6 @@ def _write_manifest(out_path: Path, command: str, config: dict,
     }, str(out_path) + ".manifest.json")
 
 
-def _args_config(args: argparse.Namespace) -> dict:
-    return {k: v for k, v in vars(args).items() if k != "func"}
-
-
 def _parse_numbers(text: str, cast=float) -> list:
     parts = [p for p in text.replace(":", ",").split(",") if p.strip()]
     if not parts:
@@ -263,9 +259,8 @@ def _cmd_train(args) -> tuple:
 _BASELINE_NAMES = {"persistence": "persistence", "linear": "linear",
                    "ridge": "ridge", "krr": "kernel_ridge"}
 
-# The mode-specific eval flags each mode reads.  A mode refuses any other of
-# them set away from its default, which is None unless _EVAL_DEFAULTS says
-# otherwise.  Every mode reads --data, --split, --eval-split and --out.
+# The mode-specific eval flags each mode reads; every mode reads --data,
+# --split, --eval-split and --out.
 _SCORED = {"factor", "space", "save_pred"}
 _WINDOWED = {"baseline", "wprime", "w", *_SCORED}
 _EVAL_READS = {
@@ -276,26 +271,37 @@ _EVAL_READS = {
     "--baseline ridge": {"lam", *_WINDOWED},
     "--baseline krr": {"lam", "gamma", *_WINDOWED},
 }
-_EVAL_DEFAULTS = {"lam": 0.0, "space": "normalized"}
+# parser defaults of the flags a mode may leave unread, where not None
+_UNREAD_DEFAULTS = {"lam": 0.0, "space": "normalized",
+                    "n_adjacent": _N_ADJACENT}
 
 
-def _check_eval_mode(args) -> None:
-    mode = ("--ckpt" if args.ckpt else f"--baseline {args.baseline}"
-            if args.baseline else "--pred" if args.pred else None)
-    if mode is None:
-        raise ConfigError("choose one of --ckpt, --baseline, --pred")
-    if mode not in _EVAL_READS:
-        raise ConfigError(f"unknown baseline {args.baseline!r} "
-                          f"(have {sorted(_BASELINE_NAMES)})")
-    unread = set().union(*_EVAL_READS.values()) - _EVAL_READS[mode]
+def _read_flags(args) -> dict:
+    """The parsed flags the command reads, for its manifest.  What eval's
+    mode or ablate --graphs (whose file fixed --n-adjacent) does not read
+    is left out, and refused if set away from its default."""
+    mode, unread = "", set()
+    if args.command == "eval":
+        mode = ("--ckpt" if args.ckpt else f"--baseline {args.baseline}"
+                if args.baseline else "--pred" if args.pred else None)
+        if mode is None:
+            raise ConfigError("choose one of --ckpt, --baseline, --pred")
+        if mode not in _EVAL_READS:
+            raise ConfigError(f"unknown baseline {args.baseline!r} "
+                              f"(have {sorted(_BASELINE_NAMES)})")
+        unread = set().union(*_EVAL_READS.values()) - _EVAL_READS[mode]
+    elif args.command == "ablate" and args.graphs:
+        mode, unread = "--graphs", {"n_adjacent"}
     refused = [f"--{d.replace('_', '-')}" for d in sorted(unread)
-               if getattr(args, d) != _EVAL_DEFAULTS.get(d)]
+               if getattr(args, d) != _UNREAD_DEFAULTS.get(d)]
     if refused:
-        raise ConfigError(f"eval {mode} does not read {', '.join(refused)}")
+        raise ConfigError(f"{args.command} {mode} does not read "
+                          f"{', '.join(refused)}")
+    return {k: v for k, v in vars(args).items()
+            if k != "func" and k not in unread}
 
 
 def _cmd_eval(args) -> tuple:
-    _check_eval_mode(args)
     src = _resolve(args.data)
     ds = _load_dataset_arg(src)
     inputs, resolved = [src], {}
@@ -351,11 +357,13 @@ def _cmd_eval(args) -> tuple:
         scoped = splits[part]
         noun = ("training", "validation", "test")[part]
         dt.check_windows(w_in, w_out, **{noun: scoped})
+        # what the run resolved, not the flags left unset
+        resolved["factor"] = factor
         if args.baseline:
+            resolved.update(wprime=w_in, w=w_out)
             preds, truth, starts = ev.evaluate_baseline(
                 _BASELINE_NAMES[args.baseline], splits[0], scoped, w_in,
                 w_out, lam=args.lam, gamma=args.gamma)
-            sums = ev.error_sums(preds, truth)
         else:
             stored = args.graphs or extra.get("graphs_file")
             if stored is None:
@@ -363,16 +371,16 @@ def _cmd_eval(args) -> tuple:
                                   "graph path)")
             graph_path = _resolve(stored)
             inputs.append(graph_path)
-            # what the checkpoint supplied, not the flags left unset
-            resolved = {"factor": factor, "split": list(scheme),
-                        "graphs": str(graph_path)}
+            resolved["graphs"] = str(graph_path)
             static = _static_from_graphset(gr.load_graphs(graph_path), scoped)
             if args.save_pred:
                 preds, truth, starts = md.predict_dataset(model, scoped,
                                                           static)
-                sums = ev.error_sums(preds, truth)
             else:  # each chunk is scored as it is predicted
                 sums = md.score_dataset(model, scoped, static)
+        if args.baseline or args.save_pred:  # forecasts held whole
+            sums = dt.ErrorSums(*preds.shape[1:])
+            sums.add(preds, truth)
         # z-scored errors times the training std are the physical errors
         scale = stats.std if args.space == "physical" else None
         report = ev.metrics_from_sums(sums, scoped.factors, args.space,
@@ -386,12 +394,10 @@ def _cmd_eval(args) -> tuple:
     ev.dump_report(report.to_dict(), out)
     _log(f"overall mae {report.overall_mae:.6f}  "
          f"rmse {report.overall_rmse:.6f} ({report.space}) -> {out}")
-    return resolved, inputs, None
+    return {**resolved, "split": list(scheme)}, inputs, None
 
 
 def _cmd_ablate(args) -> tuple:
-    if args.graphs and args.n_adjacent != _N_ADJACENT:  # the file fixes it
-        raise ConfigError("ablate --graphs does not read --n-adjacent")
     src, train_ds, val_ds, test_ds, _, mcfg, tcfg = _training_setup(args)
     subsets = ev.grid_specs(args.grid)
     seeds = _parse_numbers(args.seeds, cast=int)
@@ -486,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="train:val:test ratio; graphs use the train part")
     p.add_argument("--sigma", default="auto",
                    help="distance kernel bandwidth in km, or 'auto'")
-    p.add_argument("--epsilon", type=float, default=0.1,
+    p.add_argument("--epsilon", type=float, default=gr.EPSILON,
                    help="distance kernel sparsity threshold")
     p.add_argument("--n-adjacent", type=int, default=_N_ADJACENT,
                    help="neighbor graph degree")
@@ -521,11 +527,11 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("train", "val", "test"))
     p.add_argument("--wprime", type=int, default=None)
     p.add_argument("--w", type=int, default=None)
-    p.add_argument("--lam", type=float, default=_EVAL_DEFAULTS["lam"],
+    p.add_argument("--lam", type=float, default=_UNREAD_DEFAULTS["lam"],
                    help="ridge/kernel regularization")
     p.add_argument("--gamma", type=float, default=None,
                    help="RBF kernel bandwidth")
-    p.add_argument("--space", default=_EVAL_DEFAULTS["space"],
+    p.add_argument("--space", default=_UNREAD_DEFAULTS["space"],
                    choices=("normalized", "physical"))
     p.add_argument("--save-pred", dest="save_pred", default=None,
                    help="also write predictions as a packed file")
@@ -559,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run a command; each ``_cmd_*`` returns its manifest's additions to
-    the parsed flags, the input paths to hash, and the seed."""
+    the flags it read, the input paths to hash, and the seed."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -567,10 +573,10 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 1
     started = time.monotonic()
     try:
+        config = _read_flags(args)
         additions, inputs, seed = args.func(args)
         _write_manifest(_resolve(args.out), args.command,
-                        {**_args_config(args), **additions}, inputs, seed,
-                        started)
+                        {**config, **additions}, inputs, seed, started)
     except (*_USAGE_ERRORS, StationcastError) as e:
         _log(f"error: {e}")
         return 1 if isinstance(e, _USAGE_ERRORS) else 2

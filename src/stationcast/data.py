@@ -150,6 +150,13 @@ class WindowBatch:
     starts: np.ndarray   # epoch seconds of each window's first target step
 
 
+# bytes of the widest activation one tape or one off-tape forward may span,
+# and of one block of scoring errors: 1 MiB.  A default tape holds about 7.5
+# of them per window, so the tape sets a step's peak; 2 MiB chunks held twice
+# the memory for no time gained, and 512 KiB chunks looked slower.
+_CHUNK_BYTES = 1 << 20
+
+
 def _add_in_window_order(total: np.ndarray, block: np.ndarray) -> None:
     """Add each window's station sum of a [b, N, W, D] block to total."""
     for row in block.sum(axis=1):
@@ -161,9 +168,9 @@ class ErrorSums:
     factor) over the windows and stations added so far.
 
     Each window's station sums are added in window order, so the sums do
-    not depend on how the windows were blocked.  Scoring a split this way
-    holds one block of errors at a time, never a stack of the split's
-    errors or targets.
+    not depend on how the windows were blocked.  ``add`` sums a block of
+    any length ``block`` windows at a time, so scoring holds one
+    _CHUNK_BYTES block of errors, never a stack of a split's errors.
     """
 
     def __init__(self, stations: int, horizon: int, factors: int):
@@ -171,6 +178,7 @@ class ErrorSums:
         if min(self.shape) < 1:
             raise ShapeError(f"nothing to score in windows of shape "
                              f"{self.shape}")
+        self.block = max(1, _CHUNK_BYTES // (8 * math.prod(self.shape)))
         self.windows = 0
         self.abs_sum = np.zeros((horizon, factors))
         self.sq_sum = np.zeros((horizon, factors))
@@ -182,13 +190,16 @@ class ErrorSums:
                              f"{truth.shape} are not blocks of "
                              f"[windows, *{self.shape}]")
         if not len(pred):
-            raise ShapeError("an empty block of windows")
-        err = np.subtract(pred, truth)  # the block's one scratch array
-        np.abs(err, out=err)
-        _add_in_window_order(self.abs_sum, err)
-        np.multiply(err, err, out=err)  # |e|·|e| equals e·e bitwise
-        _add_in_window_order(self.sq_sum, err)
-        self.windows += len(err)
+            raise ShapeError("no windows in this empty block")
+        for at in range(0, len(pred), self.block):  # one scratch array
+            err = np.subtract(pred[at:at + self.block],
+                              truth[at:at + self.block])
+            np.abs(err, out=err)
+            _add_in_window_order(self.abs_sum, err)
+            np.multiply(err, err, out=err)  # |e|·|e| equals e·e bitwise
+            _add_in_window_order(self.sq_sum, err)
+            del err  # before the next sub-block allocates its own
+        self.windows += len(pred)
 
     def means(self) -> tuple:
         """Mean |e| and mean e² per (horizon step, factor), [W, D] each."""
@@ -678,8 +689,7 @@ def make_windows(split: WeatherSeriesDataset, w_in: int, w_out: int,
     order shuffle_rng draws; each batch's inputs and targets are C-ordered
     copies gathered from the view.
     """
-    if w_in <= 0 or w_out <= 0:
-        raise ConfigError("window lengths must be positive")
+    check_windows(w_in, w_out)
     view, starts = window_view(split, w_in, w_out)
     order = (np.arange(len(starts)) if shuffle_rng is None
              else shuffle_rng.permutation(len(starts)))
@@ -764,28 +774,38 @@ def generate_synthetic(cfg: SynthConfig) -> WeatherSeriesDataset:
     steps = np.arange(cfg.t)
     factors = list(_SYNTH_FACTORS[:cfg.d])
     values = np.empty((cfg.n, cfg.t, cfg.d))
+    # two [N, T] planes of scratch serve every factor, and the factor's own
+    # plane of values holds one term at a time until the sum fills it
+    field, total = np.empty((cfg.n, cfg.t)), np.empty((cfg.n, cfg.t))
+    scale = np.sqrt(1.0 - cfg.ar_coeff ** 2)
     for d in range(cfg.d):
+        plane = values[:, :, d]
         base_level = 15.0 + 10.0 * d
         baseline = base_level + 3.0 * (chol @ rng.standard_normal(cfg.n))
         phase = 2.0 * np.pi * 0.02 * (chol @ rng.standard_normal(cfg.n))
         season_phase = 2.0 * np.pi * 0.02 * (chol @ rng.standard_normal(cfg.n))
-        # (step mod period) keeps the cycles exactly periodic in floats
-        diurnal = cfg.diurnal_amp * np.sin(
-            2.0 * np.pi * (steps % 24) / 24.0 + phase[:, None])
-        seasonal = cfg.seasonal_amp * np.sin(
-            2.0 * np.pi * (steps % _SYNTH_SEASON) / _SYNTH_SEASON
-            + season_phase[:, None])
-        shocks = chol @ rng.standard_normal((cfg.t, cfg.n)).T
-        ar = np.empty((cfg.n, cfg.t))
-        scale = np.sqrt(1.0 - cfg.ar_coeff ** 2)
-        state = shocks[:, 0]
-        ar[:, 0] = state
+        # [T, N] shocks, correlated across stations, then AR(1) in place
+        shocks = rng.standard_normal(out=total.reshape(cfg.t, cfg.n))
+        np.matmul(chol, shocks.T, out=field)
         for t in range(1, cfg.t):
-            state = cfg.ar_coeff * state + scale * shocks[:, t]
-            ar[:, t] = state
-        white = rng.standard_normal((cfg.n, cfg.t))
-        values[:, :, d] = (baseline[:, None] + diurnal + seasonal
-                           + cfg.ar_amp * ar + cfg.noise_amp * white)
+            field[:, t] = cfg.ar_coeff * field[:, t - 1] + scale * field[:, t]
+        # (step mod period) keeps the cycles exactly periodic in floats
+        for out, period, shift, amp in (
+                (total, 24, phase, cfg.diurnal_amp),
+                (plane, _SYNTH_SEASON, season_phase, cfg.seasonal_amp)):
+            np.add(2.0 * np.pi * (steps % period) / period, shift[:, None],
+                   out=out)
+            np.sin(out, out=out)
+            out *= amp
+        # baseline + diurnal + seasonal + AR + noise, added in that order
+        total += baseline[:, None]
+        total += plane
+        np.multiply(cfg.ar_amp, field, out=plane)
+        total += plane
+        rng.standard_normal(out=field)  # the noise, drawn after the shocks
+        field *= cfg.noise_amp
+        np.add(total, field, out=plane)
+    del field, total, shocks, plane  # before the mask is allocated
 
     mask = np.ones_like(values, dtype=bool)
     return WeatherSeriesDataset(stations, factors, values, mask,

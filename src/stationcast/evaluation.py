@@ -9,7 +9,6 @@ Reports are plain dicts with sorted keys so serialized copies diff cleanly.
 from __future__ import annotations
 
 import json
-import math
 import struct
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -21,8 +20,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import baselines as bl
 from . import graphs as gr
 from . import model as md
-from .data import (ErrorSums, NormStats, PackedReader, WeatherSeriesDataset,
-                   _pack_str, check_windows, window_view, write_packed)
+from .data import (ErrorSums, PackedReader, WeatherSeriesDataset, _pack_str,
+                   check_windows, window_view, write_packed)
 from .errors import (ConfigError, ShapeError, StructuralError, check_distinct,
                      check_ints)
 
@@ -120,46 +119,24 @@ def metrics_from_sums(sums: ErrorSums,
         mae_by_horizon=abs_mean, rmse_by_horizon=np.sqrt(sq_mean))
 
 
-def _block_windows(shape) -> int:
-    """Windows per scoring block of a [B, N, W, D] float64 array: as many
-    as fit in model._CHUNK_BYTES, and at least one."""
-    return max(1, md._CHUNK_BYTES // (8 * math.prod(shape[1:])))
+def compute_metrics(pred: np.ndarray, truth: np.ndarray,
+                    factors: Optional[Sequence[str]] = None,
+                    space: str = "normalized",
+                    scale: Optional[np.ndarray] = None) -> MetricsReport:
+    """MAE/MSE/RMSE per factor plus per-horizon-step curves.
 
-
-def error_sums(pred: np.ndarray, truth: np.ndarray) -> ErrorSums:
-    """ErrorSums of two [B, N, W, D] tensors, fed one block at a time."""
+    pred and truth are [B, N, W, D]; shapes must match exactly.  ErrorSums
+    sums the errors, so scoring holds one block above the two inputs.
+    Physical-unit metrics of z-scored values pass the training std as
+    ``scale`` (see metrics_from_sums).
+    """
     pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if pred.shape != truth.shape:
-        raise ShapeError(f"prediction shape {pred.shape} does not match "
-                         f"truth shape {truth.shape}")
     if pred.ndim != 4:
         raise ShapeError(f"expected [B, N, W, D] tensors, got rank "
                          f"{pred.ndim}")
     sums = ErrorSums(*pred.shape[1:])
-    step = _block_windows(pred.shape)
-    for at in range(0, len(pred), step):
-        sums.add(pred[at:at + step], truth[at:at + step])
-    return sums
-
-
-def compute_metrics(pred: np.ndarray, truth: np.ndarray,
-                    factors: Optional[Sequence[str]] = None,
-                    space: str = "normalized") -> MetricsReport:
-    """MAE/MSE/RMSE per factor plus per-horizon-step curves.
-
-    pred and truth are [B, N, W, D]; shapes must match exactly.  The errors
-    are summed one block of windows at a time, so scoring holds at most one
-    block above the two inputs.
-    """
-    return metrics_from_sums(error_sums(pred, truth), factors, space)
-
-
-def physical_metrics(pred: np.ndarray, truth: np.ndarray,
-                     stats: NormStats) -> MetricsReport:
-    """Metrics after undoing z-scoring, reported in physical units."""
-    return metrics_from_sums(error_sums(pred, truth), stats.factors,
-                             "physical", stats.std)
+    sums.add(pred, np.asarray(truth, dtype=np.float64))
+    return metrics_from_sums(sums, factors, space, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +226,9 @@ def score_external(loaded: tuple, ds: WeatherSeriesDataset) -> MetricsReport:
                               "timeline")
     idx = (target_starts - ds.time_start) // ds.time_step
     sums = ErrorSums(n, w, d)
-    step = _block_windows(preds.shape)
-    for at in range(0, b, step):
-        sums.add(preds[at:at + step], view[idx[at:at + step]])
+    # the truth is gathered one of the accumulator's blocks at a time
+    for at in range(0, b, sums.block):
+        sums.add(preds[at:at + sums.block], view[idx[at:at + sums.block]])
     return metrics_from_sums(sums, ds.factors, space)
 
 
@@ -413,35 +390,34 @@ def neighbor_count_sweep(train_ds: WeatherSeriesDataset,
                          test_ds: WeatherSeriesDataset,
                          counts: Sequence[int],
                          model_cfg: md.ModelConfig,
-                         train_cfg: md.TrainConfig,
-                         pattern_factors: Optional[Sequence[str]] = None
-                         ) -> dict:
+                         train_cfg: md.TrainConfig) -> dict:
     """Test error as a function of the nearest-neighbor graph's degree.
 
-    Rebuilds the static graphs at each count with everything else frozen;
-    runs are deterministic for fixed seeds.  Every count and split is
-    checked before the first training.
+    The distances and build_static_graphs' distance and pattern graphs
+    (over the training factors) are built once, and each count swaps in its
+    own neighbor graph.  Runs are deterministic for fixed seeds; every count
+    and split is checked before the first training.
     """
     check_distinct("neighbor count", counts)
     check_windows(model_cfg.w_in, model_cfg.w_out, training=train_ds,
                   validation=val_ds, test=test_ds)
+    for na in counts:
+        gr.check_neighbor_count(na, train_ds.n_stations)
     dist = gr.pairwise_distances_km([s.lat for s in train_ds.stations],
                                     [s.lon for s in train_ds.stations])
-    for na in counts:
-        # the neighbor builder checks its count; one graph is kept at a time
-        gr.build_neighbor_graph(dist, na)
-    curve = {"n_adjacent": [], "test_mae": [], "test_rmse": []}
-    for na in counts:
-        gs = gr.build_static_graphs(
-            train_ds, n_adjacent=na,
-            pattern_factors=pattern_factors or train_ds.factors)
-        static = {k: gs[k].weights for k in gr.STATIC_KINDS}
-        rep, _ = _fit_and_score(train_ds, val_ds, test_ds, static, model_cfg,
-                                train_cfg)
-        curve["n_adjacent"].append(int(na))
-        curve["test_mae"].append(rep.overall_mae)
-        curve["test_rmse"].append(rep.overall_rmse)
-    return curve
+    distance = gr.build_distance_graph(dist, gr.auto_sigma(dist),
+                                       gr.EPSILON).weights
+    pattern = gr.build_pattern_graph(train_ds, train_ds.factors).weights
+    reps = []
+    for na in counts:  # one neighbor graph is kept at a time
+        static = {"distance": distance,
+                  "neighbor": gr.build_neighbor_graph(dist, na).weights,
+                  "pattern": pattern}
+        reps.append(_fit_and_score(train_ds, val_ds, test_ds, static,
+                                   model_cfg, train_cfg)[0])
+    return {"n_adjacent": [int(na) for na in counts],
+            "test_mae": [rep.overall_mae for rep in reps],
+            "test_rmse": [rep.overall_rmse for rep in reps]}
 
 
 def dump_report(obj: dict, path) -> None:

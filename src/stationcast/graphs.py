@@ -31,6 +31,8 @@ MODEL_KINDS = STATIC_KINDS + ("learnable", "dynamic")
 # default factor set for the pattern graph: temperature, visibility, humidity
 PATTERN_FACTORS = ("t", "hv2", "rh")
 
+EPSILON = 0.1  # default sparsity threshold of the distance kernel
+
 
 @dataclass
 class Adjacency:
@@ -117,6 +119,14 @@ def build_distance_graph(dist: np.ndarray, sigma: float,
     return Adjacency(len(dist), w, "distance")
 
 
+def check_neighbor_count(n_adjacent: int, n: int) -> None:
+    """A neighbor-graph degree is an integer in [1, n), n stations."""
+    check_ints(1, n_adjacent=n_adjacent)
+    if n_adjacent >= n:
+        raise ConfigError(f"n_adjacent={n_adjacent} must be below the "
+                          f"station count {n}")
+
+
 def build_neighbor_graph(dist: np.ndarray, n_adjacent: int) -> Adjacency:
     """Directed k-nearest graph: row i marks the n_adjacent closest stations.
 
@@ -124,10 +134,7 @@ def build_neighbor_graph(dist: np.ndarray, n_adjacent: int) -> Adjacency:
     deterministic.
     """
     n = len(dist)
-    check_ints(1, n_adjacent=n_adjacent)
-    if n_adjacent >= n:
-        raise ConfigError(f"n_adjacent={n_adjacent} must be below the "
-                          f"station count {n}")
+    check_neighbor_count(n_adjacent, n)
     # a station is never its own neighbor; the stable sort keeps ties in
     # index order
     d = dist.copy()
@@ -154,19 +161,18 @@ def _pearson_matrix(series: np.ndarray, stations, factor: str) -> np.ndarray:
     return np.clip(r, -1.0, 1.0)
 
 
+def pattern_factors_used(ds: WeatherSeriesDataset,
+                         factors: Sequence[str] = PATTERN_FACTORS) -> list:
+    """The given factors the dataset has, in order, or else all of its own."""
+    return [f for f in factors if f in ds.factors] or list(ds.factors)
+
+
 def build_pattern_graph(train_ds: WeatherSeriesDataset,
                         factors: Sequence[str] = PATTERN_FACTORS) -> Adjacency:
-    """Mean Pearson-correlation graph over the requested factors.
-
-    Correlations are computed on the training series only; factors absent
-    from the dataset are skipped, and if none remain every dataset factor
-    is used instead.
-    """
-    present = [f for f in factors if f in train_ds.factors]
-    if not present:
-        present = list(train_ds.factors)
+    """Mean Pearson-correlation graph over pattern_factors_used(train_ds,
+    factors), computed on the training series only."""
     mats = []
-    for f in present:
+    for f in pattern_factors_used(train_ds, factors):
         d = train_ds.factor_index(f)
         mats.append(_pearson_matrix(train_ds.values[:, :, d],
                                     train_ds.stations, f))
@@ -478,7 +484,7 @@ def load_graphs(path) -> GraphSet:
 
 def build_static_graphs(train_ds: WeatherSeriesDataset,
                         sigma: Union[float, str] = "auto",
-                        epsilon: float = 0.1,
+                        epsilon: float = EPSILON,
                         n_adjacent: int = 10,
                         pattern_factors: Sequence[str] = PATTERN_FACTORS
                         ) -> GraphSet:
@@ -491,8 +497,8 @@ def build_static_graphs(train_ds: WeatherSeriesDataset,
         "neighbor": build_neighbor_graph(dist, n_adjacent),
         "pattern": build_pattern_graph(train_ds, pattern_factors),
     }
-    meta = {"sigma": sigma_v, "epsilon": epsilon, "n_adjacent": n_adjacent,
-            "pattern_factors": list(pattern_factors),
+    meta = {"pattern_factors": pattern_factors_used(train_ds, pattern_factors),
+            "sigma": sigma_v, "epsilon": epsilon, "n_adjacent": n_adjacent,
             "train_steps": train_ds.n_steps,
             "stations": [s.station_id for s in train_ds.stations]}
     return GraphSet(train_ds.n_stations, graphs, meta)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import graphs as gr
 from . import tape as tp
-from .data import (ErrorSums, PackedReader, WeatherSeriesDataset,
+from .data import (_CHUNK_BYTES, ErrorSums, PackedReader, WeatherSeriesDataset,
                    check_windows, make_windows, window_view, write_packed)
 from .errors import (CheckpointError, ConfigError, ShapeError, TrainingError,
                      check_ints, check_reals)
@@ -370,14 +370,6 @@ def forward_on_tape(weights: dict, cfg: ModelConfig, n: int,
     return tp.reshape(out, (batch, n, cfg.w_out, cfg.d))
 
 
-# bytes of the widest activation one tape or one off-tape forward may span:
-# 1 MiB.  A default tape holds about 7.5 widest activations per window (its
-# closures hold 6.6 MiB for a 3-window n=100 chunk), so the tape, not the
-# activation, sets a step's peak, and 2 MiB chunks held twice the memory for
-# no time gained.  512 KiB made n=100 chunks one window and looked slower.
-_CHUNK_BYTES = 1 << 20
-
-
 def _chunk_windows(n: int, cfg: ModelConfig) -> int:
     """Windows per chunk, so that the widest activation, 8 N w_in C_out
     bytes a window, spans at most _CHUNK_BYTES (at least one window)."""
@@ -394,12 +386,11 @@ def _keep_chunk_heap() -> None:
     """Let the heap keep what one chunk frees for the next chunk.
 
     Each chunk frees its buffers, about 8 _CHUNK_BYTES for the default
-    model at its backward's peak, before the next chunk allocates the same
-    shapes.  glibc's default trims them off the heap and the next chunk
-    faults them back in page by page.  A top pad of 32 _CHUNK_BYTES (32 MiB)
-    keeps them: on a 2-core Xeon with glibc 2.36 a warm n=100 training of
-    two epochs takes 14-26 minor faults with it and about 460k without.
-    Without glibc this does nothing.
+    model, before the next chunk allocates the same shapes; glibc's default
+    trims them and the next chunk faults them back in page by page.  A top
+    pad of 32 _CHUNK_BYTES keeps them: on a 2-core Xeon with glibc 2.36 a
+    warm n=100 two-epoch training takes 15-42 minor faults with it and
+    439k-458k without.  Without glibc this does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -2,7 +2,8 @@
 reference, a summing loss op, a census of the arrays backward closures
 hold, whole-batch Chebyshev and adjacency-keeping Laplacian backward
 references, an out-of-place Adam reference, a writer for the per-station
-CSV layout, and a tracemalloc peak probe.
+CSV layout, a whole-array synthetic-data reference, and a tracemalloc peak
+probe.
 """
 
 import csv
@@ -12,6 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from stationcast import data as dt
 from stationcast import graphs as gr
 from stationcast import tape as tp
 from stationcast.data import WeatherSeriesDataset
@@ -237,6 +239,44 @@ def save_csv_dir(ds: WeatherSeriesDataset, root) -> None:
                     else:
                         row.append("")
                 w.writerow(row)
+
+
+def generate_synthetic_reference(cfg: dt.SynthConfig) -> np.ndarray:
+    """The values dt.generate_synthetic must give, bit for bit, computed
+    with whole-array temporaries: each factor's diurnal, seasonal, shock,
+    AR and noise planes are arrays of their own."""
+    rng = np.random.default_rng(cfg.seed)
+    half = dt._SYNTH_PATCH_DEG / 2.0
+    lats = dt._SYNTH_LAT + rng.uniform(-half, half, cfg.n)
+    lons = dt._SYNTH_LON + rng.uniform(-half, half, cfg.n)
+    rng.uniform(0.0, 1500.0, cfg.n)  # altitudes
+    dist = gr.pairwise_distances_km(lats, lons)
+    cov = np.exp(-(dist / dt._SYNTH_CORR_KM) ** 2)
+    chol = np.linalg.cholesky(cov + 1e-9 * np.eye(cfg.n))
+    steps = np.arange(cfg.t)
+    values = np.empty((cfg.n, cfg.t, cfg.d))
+    for d in range(cfg.d):
+        base_level = 15.0 + 10.0 * d
+        baseline = base_level + 3.0 * (chol @ rng.standard_normal(cfg.n))
+        phase = 2.0 * np.pi * 0.02 * (chol @ rng.standard_normal(cfg.n))
+        season_phase = 2.0 * np.pi * 0.02 * (chol @ rng.standard_normal(cfg.n))
+        diurnal = cfg.diurnal_amp * np.sin(
+            2.0 * np.pi * (steps % 24) / 24.0 + phase[:, None])
+        seasonal = cfg.seasonal_amp * np.sin(
+            2.0 * np.pi * (steps % dt._SYNTH_SEASON) / dt._SYNTH_SEASON
+            + season_phase[:, None])
+        shocks = chol @ rng.standard_normal((cfg.t, cfg.n)).T
+        ar = np.empty((cfg.n, cfg.t))
+        scale = np.sqrt(1.0 - cfg.ar_coeff ** 2)
+        state = shocks[:, 0]
+        ar[:, 0] = state
+        for t in range(1, cfg.t):
+            state = cfg.ar_coeff * state + scale * shocks[:, t]
+            ar[:, t] = state
+        white = rng.standard_normal((cfg.n, cfg.t))
+        values[:, :, d] = (baseline[:, None] + diurnal + seasonal
+                           + cfg.ar_amp * ar + cfg.noise_amp * white)
+    return values
 
 
 def traced_peak(fn) -> int:

@@ -383,8 +383,7 @@ def test_criterion_09_neighbor_degree_harness():
                               d_emb=4)
         tcfg = md.TrainConfig(epochs=2, batch_size=64, seed=0)
         return ev.neighbor_count_sweep(train, val, test,
-                                       [5, 10, 15, 20, 25], mcfg, tcfg,
-                                       pattern_factors=["t"])
+                                       [5, 10, 15, 20, 25], mcfg, tcfg)
 
     first = curve()
     assert first["n_adjacent"] == [5, 10, 15, 20, 25]

@@ -269,8 +269,9 @@ def test_eval_ckpt_and_pred_agree(tmp_path, monkeypatch):
                  "--factor", "t", "--config", str(cfg), "--out", str(ckpt),
                  "--history", str(history)]) == 0
     # the checkpoint's 32 test windows are scored in chunks of 3 as they
-    # are predicted, and the saved file in blocks of 12
-    monkeypatch.setattr(md, "_CHUNK_BYTES", 3 * 8 * 5 * 6 * 2)
+    # are predicted, and the saved forecasts and file in blocks of 12
+    for module in (md, dt):
+        monkeypatch.setattr(module, "_CHUNK_BYTES", 3 * 8 * 5 * 6 * 2)
     docs = []
     preds = tmp_path / "preds.bin"
     for argv in (["--ckpt", str(ckpt), "--graphs", str(graphs),
@@ -742,6 +743,61 @@ def test_runtime_failure_exits_2(tmp_path):
                  "--factor", "t", "--wprime", "6", "--w", "3",
                  "--out", str(tmp_path / "m.json")])
     assert code == 2
+
+
+def test_manifest_records_the_flags_each_mode_read(small_run, tmp_path):
+    data, graphs = str(small_run / "synth.w2kt"), str(small_run / "graphs.bin")
+    ckpt, pred = str(tmp_path / "model.ckpt"), str(tmp_path / "model.pred")
+    md.save_checkpoint(md.build_model(5), ckpt, extra={
+        "factor": "t", "split": [2, 1, 1], "graphs_file": graphs})
+    # a baseline records the factor and windows it resolved, not null
+    windowed = {"factor": "t", "wprime": 12, "w": 12, "space": "normalized",
+                "save_pred": None}
+    modes = [
+        (["--ckpt", ckpt, "--save-pred", pred],
+         {"ckpt": ckpt, "graphs": graphs, "factor": "t", "split": [2, 1, 1],
+          "space": "normalized", "save_pred": pred}),
+        (["--pred", pred], {"pred": pred}),
+        (["--baseline", "persistence"],
+         {"baseline": "persistence", **windowed}),
+        (["--baseline", "linear", "--wprime", "6", "--space", "physical"],
+         {"baseline": "linear", **windowed, "wprime": 6,
+          "space": "physical"}),
+        (["--baseline", "ridge", "--factor", "t"],
+         {"baseline": "ridge", **windowed, "lam": 0.0}),
+        (["--baseline", "krr", "--lam", "1", "--gamma", "0.5", "--w", "3"],
+         {"baseline": "krr", **windowed, "w": 3, "lam": 1.0, "gamma": 0.5}),
+    ]
+    for i, (flags, read) in enumerate(modes):
+        out = str(tmp_path / f"m{i}.json")
+        assert main(["eval", *flags, "--data", data, "--out", out]) == 0
+        config = json.loads((tmp_path / f"m{i}.json.manifest.json")
+                            .read_text())["config"]
+        assert config == {"command": "eval", "data": data, "out": out,
+                          "eval_split": "test", "split": [3, 1, 2],
+                          **read}, flags
+    cfg = str(_tiny_model_json(tmp_path / "tiny.json", epochs=1))
+    for flags, read in ((["--graphs", graphs], {"graphs": graphs}),
+                        (["--n-adjacent", "2"],
+                         {"graphs": None, "n_adjacent": 2})):
+        out = tmp_path / "ablation.json"
+        assert main(["ablate", *flags, "--data", data, "--config", cfg,
+                     "--grid", "singles", "--split", "2,1,1",
+                     "--out", str(out)]) == 0
+        config = json.loads((tmp_path / "ablation.json.manifest.json")
+                            .read_text())["config"]
+        # the graph file, not the parser default, fixed the degree
+        assert {k: config.get(k, "unread") for k in ("graphs", "n_adjacent")} \
+            == {"n_adjacent": "unread", **read}, flags
+
+
+def test_graphs_metadata_names_the_factors_correlated(tmp_path):
+    data, graphs = tmp_path / "one.w2kt", tmp_path / "graphs.bin"
+    assert main(["synth", "--n", "5", "--t", "80", "--d", "1",
+                 "--out", str(data)]) == 0
+    assert main(["graphs", "--data", str(data), "--n-adjacent", "2",
+                 "--out", str(graphs)]) == 0
+    assert gr.load_graphs(graphs).meta["pattern_factors"] == ["t"]
 
 
 def test_only_a_successful_command_writes_a_manifest(small_run, tmp_path):

@@ -15,7 +15,7 @@ from stationcast import model as md
 from stationcast.errors import (ConfigError, PipelineError, SchemaError,
                                 StructuralError)
 
-from helpers import save_csv_dir, traced_peak
+from helpers import generate_synthetic_reference, save_csv_dir, traced_peak
 
 RNG = np.random.default_rng
 
@@ -687,6 +687,29 @@ def test_synthetic_deterministic():
     assert [s.station_id for s in a.stations] == \
            [s.station_id for s in b.stations]
     assert a.stations[0].lat == b.stations[0].lat
+
+
+@pytest.mark.parametrize("cfg", [
+    dict(n=1, t=1, d=1), dict(n=5, t=200, d=3, seed=1),
+    dict(n=7, t=50, d=20, seed=9), dict(n=4, t=400, d=11, seed=6),
+    dict(n=12, t=300, d=2, seed=3, diurnal_amp=0.0, ar_coeff=0.0),
+    dict(n=3, t=96, d=1, seed=4, ar_amp=0.0, noise_amp=0.0)],
+    ids=["one-cell", "default-factors", "twenty-factors", "eleven-factors",
+         "no-diurnal-white-ar", "noiseless"])
+def test_synthetic_matches_whole_array_reference(cfg):
+    cfg = dt.SynthConfig(**cfg)
+    assert dt.generate_synthetic(cfg).values.tobytes() == \
+        generate_synthetic_reference(cfg).tobytes()
+
+
+def test_synthetic_holds_two_planes_of_scratch():
+    # the 7.2 MB of values, two 2.4 MB [N, T] planes of scratch, and the
+    # [N, N] distances, covariance and Cholesky factor: 14.2 MB, where
+    # whole-array temporaries peaked at 26 MB
+    cfg = dt.SynthConfig(n=300, t=1000, d=3, seed=0)
+    plane = 8 * cfg.n * cfg.t
+    assert traced_peak(lambda: dt.generate_synthetic(cfg)) < \
+        (cfg.d + 2) * plane + 3 * 8 * cfg.n ** 2 + (1 << 19)
 
 
 def test_synthetic_shapes_and_factors():

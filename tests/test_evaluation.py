@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from stationcast import data as dt
 from stationcast import evaluation as ev
+from stationcast import graphs as gr
 from stationcast import model as md
 from stationcast.data import (FACTOR_NAMES, ErrorSums, NormStats,
                               StationMeta, WeatherSeriesDataset, make_windows)
@@ -126,7 +128,8 @@ def test_physical_metrics_scale_by_std():
     stats = NormStats(factors=["t"], mean=np.array([11.0]),
                       std=np.array([2.5]))
     norm_rep = ev.compute_metrics(pred, truth, factors=["t"])
-    phys_rep = ev.physical_metrics(pred, truth, stats)
+    phys_rep = ev.compute_metrics(pred, truth, stats.factors, "physical",
+                                  stats.std)
     assert phys_rep.space == "physical"
     assert phys_rep.overall_mae == pytest.approx(2.5 * norm_rep.overall_mae,
                                                  rel=1e-12)
@@ -172,6 +175,32 @@ def test_error_sums_do_not_depend_on_blocking(shape):
                                rtol=1e-13)
 
 
+def test_error_sums_add_any_length_in_budget_sized_blocks(monkeypatch):
+    # three windows of [4, 5, 2] errors fit the budget, a fourth does not
+    monkeypatch.setattr(dt, "_CHUNK_BYTES", 3 * 8 * 4 * 5 * 2 + 7)
+    rng = np.random.default_rng(12)
+    pred = rng.normal(0.0, 2.0, (10, 4, 5, 2))
+    truth = rng.normal(0.0, 2.0, (10, 4, 5, 2))
+    sums = ErrorSums(4, 5, 2)
+    assert sums.block == 3
+    sizes = []
+    real = dt._add_in_window_order
+
+    def spy(total, block):
+        sizes.append(len(block))
+        real(total, block)
+
+    monkeypatch.setattr(dt, "_add_in_window_order", spy)
+    sums.add(pred, truth)
+    # |e| then e² of each sub-block: one scratch array of 3 windows at most
+    assert sizes == [3, 3, 3, 3, 3, 3, 1, 1]
+    monkeypatch.setattr(dt, "_add_in_window_order", real)
+    one = _sums_by_blocks(pred, truth, 1)
+    assert sums.windows == one.windows == 10
+    assert sums.abs_sum.tobytes() == one.abs_sum.tobytes()
+    assert sums.sq_sum.tobytes() == one.sq_sum.tobytes()
+
+
 def test_error_sums_refuse_empty_blocks_and_reports():
     sums = ErrorSums(3, 4, 1)
     with pytest.raises(ShapeError, match="no windows"):
@@ -205,13 +234,14 @@ def test_scoring_memory_does_not_grow_with_windows(tmp_path):
         loaded = ev.load_predictions(path)
         peaks[b] = [
             traced_peak(lambda: ev.compute_metrics(pred, truth)),
-            traced_peak(lambda: ev.physical_metrics(pred, truth, stats)),
+            traced_peak(lambda: ev.compute_metrics(pred, truth, ["t"],
+                                                   "physical", stats.std)),
             traced_peak(lambda: ev.score_external(loaded, ds))]
     # one block of errors; score_external also gathers one block of truth
     array_bytes = 600 * n * w * 8
     for blocks, small, large in zip((1, 1, 2), peaks[600], peaks[1200]):
         assert large - small < array_bytes // 20
-        assert large < blocks * md._CHUNK_BYTES + 65536
+        assert large < blocks * dt._CHUNK_BYTES + 65536
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +551,35 @@ def test_neighbor_sweep_is_deterministic():
     assert a["n_adjacent"] == [2, 4]
     assert len(a["test_mae"]) == 2
     assert all(np.isfinite(a["test_mae"]))
+
+
+def test_neighbor_sweep_builds_its_fixed_graphs_once(monkeypatch):
+    ds = _dataset(n=6, t=70, seed=17)
+    splits = ds.slice_time(0, 45), ds.slice_time(45, 58), ds.slice_time(58, 70)
+    mcfg = _tiny_model_cfg()
+    tcfg = md.TrainConfig(epochs=1, batch_size=16, seed=3)
+    counts = (3, 2, 4)
+    # the curve of a full build_static_graphs per count
+    want = {"n_adjacent": [], "test_mae": [], "test_rmse": []}
+    for na in counts:
+        gs = gr.build_static_graphs(splits[0], n_adjacent=na,
+                                    pattern_factors=splits[0].factors)
+        rep, _ = ev._fit_and_score(*splits, {k: gs[k].weights for k in
+                                             gr.STATIC_KINDS}, mcfg, tcfg)
+        want["n_adjacent"].append(na)
+        want["test_mae"].append(rep.overall_mae)
+        want["test_rmse"].append(rep.overall_rmse)
+    calls = []
+    for name in ("pairwise_distances_km", "build_distance_graph",
+                 "build_neighbor_graph", "build_pattern_graph"):
+        def spy(*args, _real=getattr(gr, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(gr, name, spy)
+    assert ev.neighbor_count_sweep(*splits, counts, mcfg, tcfg) == want
+    assert {name: calls.count(name) for name in set(calls)} == {
+        "pairwise_distances_km": 1, "build_distance_graph": 1,
+        "build_neighbor_graph": 3, "build_pattern_graph": 1}
 
 
 def test_neighbor_sweep_rejects_repeated_counts_before_training(

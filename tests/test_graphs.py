@@ -231,6 +231,22 @@ def test_pattern_graph_falls_back_to_dataset_factors():
     assert np.allclose(adj.weights, np.mean(singles, axis=0), atol=1e-12)
 
 
+@pytest.mark.parametrize("factors,used", [
+    (["t"], ["t"]),
+    (["ws", "ap"], ["ws", "ap"]),
+    (["rh", "ws", "t"], ["t", "rh"]),
+], ids=["one-factor", "none-of-default", "two-of-default"])
+def test_graph_metadata_names_the_factors_correlated(factors, used):
+    vals = RNG(11).standard_normal((5, 30, len(factors)))
+    ds = make_dataset(vals, factors)
+    assert gr.pattern_factors_used(ds) == used
+    gs = gr.build_static_graphs(ds, n_adjacent=2)
+    assert gs.meta["pattern_factors"] == used
+    singles = [gr.build_pattern_graph(ds, [f]).weights for f in used]
+    assert np.allclose(gs["pattern"].weights, np.mean(singles, axis=0),
+                       atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # learnable and dynamic graphs
 
