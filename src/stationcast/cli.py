@@ -29,13 +29,15 @@ from . import evaluation as ev
 from . import graphs as gr
 from . import model as md
 from .errors import (CheckpointError, ConfigError, SchemaError, ShapeError,
-                     StationcastError, StructuralError)
+                     StationcastError, StructuralError, check_distinct)
 
 DATA_DIR_ENV = "STATIONCAST_DATA_DIR"
 _N_ADJACENT = 10  # the neighbor-graph degree graphs and ablate default to
 
+# a path error is bad input; any other OSError is a runtime failure
 _USAGE_ERRORS = (ConfigError, SchemaError, StructuralError, ShapeError,
-                 CheckpointError, FileNotFoundError, NotADirectoryError)
+                 CheckpointError, FileNotFoundError, NotADirectoryError,
+                 IsADirectoryError, PermissionError)
 
 
 def _log(msg: str) -> None:
@@ -193,8 +195,9 @@ def _cmd_graphs(args) -> tuple:
     train = dt.split_temporal(_load_dataset_arg(src),
                               _split_scheme(args.split))[0]
     factors = gr.PATTERN_FACTORS  # build_pattern_graph skips absent ones
-    if args.pattern_factors:
+    if args.pattern_factors is not None:
         factors = args.pattern_factors.split(",")
+        check_distinct("pattern factor", factors)
         lacking = [f for f in factors if f not in train.factors]
         if lacking:
             raise ConfigError(f"--pattern-factors names {lacking}, which "
@@ -577,7 +580,7 @@ def main(argv=None) -> int:
         additions, inputs, seed = args.func(args)
         _write_manifest(_resolve(args.out), args.command,
                         {**config, **additions}, inputs, seed, started)
-    except (*_USAGE_ERRORS, StationcastError) as e:
+    except (*_USAGE_ERRORS, StationcastError, OSError) as e:
         _log(f"error: {e}")
         return 1 if isinstance(e, _USAGE_ERRORS) else 2
     return 0

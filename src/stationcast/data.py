@@ -634,7 +634,8 @@ def split_temporal(ds: WeatherSeriesDataset,
     """Cut the timeline into contiguous train/val/test segments.
 
     ``scheme`` is a ratio triple like (3, 1, 2); each part's length is
-    rounded down, and the test segment takes the steps left over.
+    rounded down, and the test segment takes the steps left over.  A part
+    left without a step is a ConfigError naming it.
     """
     t = ds.n_steps
     if len(scheme) != 3:
@@ -649,6 +650,9 @@ def split_temporal(ds: WeatherSeriesDataset,
     n_train = int(t * parts[0] / total)
     n_val = int(t * parts[1] / total)
     ranges = [(0, n_train), (n_train, n_train + n_val), (n_train + n_val, t)]
+    for part, (a, b) in zip(("training", "validation", "test"), ranges):
+        if a == b:
+            raise ConfigError(f"split {scheme} leaves the {part} part empty")
     return tuple(ds.slice_time(a, b) for a, b in ranges)
 
 

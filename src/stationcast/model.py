@@ -24,7 +24,7 @@ from . import tape as tp
 from .data import (_CHUNK_BYTES, ErrorSums, PackedReader, WeatherSeriesDataset,
                    check_windows, make_windows, window_view, write_packed)
 from .errors import (CheckpointError, ConfigError, ShapeError, TrainingError,
-                     check_ints, check_reals)
+                     check_distinct, check_ints, check_reals)
 
 STATIC_KINDS = gr.STATIC_KINDS
 ALL_GRAPH_KINDS = gr.MODEL_KINDS
@@ -96,6 +96,7 @@ class ModelConfig:
         for k in self.graph_kinds:
             if k not in ALL_GRAPH_KINDS:
                 raise ConfigError(f"unknown graph kind {k!r}")
+        check_distinct("graph kind", self.graph_kinds)
         if self.blocks[0].channels_in != self.d:
             raise ConfigError(f"first block expects {self.blocks[0].channels_in} "
                               f"input channels but data has {self.d}")

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: chains, exit codes, manifests."""
 
 import json
+import os
 import struct
 import warnings
 from dataclasses import replace
@@ -57,45 +58,6 @@ def test_no_subcommand_exits_1():
 
 def test_help_exits_0():
     assert main(["--help"]) == 0
-
-
-def test_full_smoke_chain(tmp_path, monkeypatch):
-    data = tmp_path / "synth.w2kt"
-    graphs = tmp_path / "graphs.bin"
-    ckpt = tmp_path / "model.ckpt"
-    history = tmp_path / "history.jsonl"
-    metrics = tmp_path / "metrics.json"
-    cfg = _tiny_model_json(tmp_path / "model.json")
-
-    assert main(["synth", "--n", "6", "--t", "160", "--d", "1",
-                 "--seed", "3", "--out", str(data)]) == 0
-    assert main(["graphs", "--data", str(data), "--n-adjacent", "3",
-                 "--out", str(graphs)]) == 0
-    assert main(["train", "--data", str(data), "--graphs", str(graphs),
-                 "--factor", "t", "--config", str(cfg),
-                 "--out", str(ckpt), "--history", str(history)]) == 0
-    # scoring a checkpoint is forward only: lambda_max needs no eigenvector
-    calls = []
-    for name in ("eigh", "solve"):
-        real = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda *a, _n=name, _f=real,
-                            **k: calls.append(_n) or _f(*a, **k))
-    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data),
-                 "--graphs", str(graphs), "--out", str(metrics)]) == 0
-    assert calls == []
-
-    doc = json.loads(metrics.read_text())
-    assert doc["space"] == "normalized"
-    assert doc["overall"]["mae"] > 0.0
-    assert len(doc["per_factor"]["t"]["mae_by_horizon"]) == 3
-
-    lines = [json.loads(l) for l in history.read_text().splitlines()]
-    assert len(lines) == 3  # two epochs plus the summary line
-    assert lines[0]["epoch"] == 1
-    assert "best_epoch" in lines[-1]
-
-    for out in (data, graphs, ckpt, metrics):
-        assert (tmp_path / (out.name + ".manifest.json")).exists()
 
 
 def test_eval_baseline_and_pred_agree(tmp_path):
@@ -615,6 +577,14 @@ def test_eval_ckpt_manifest_records_resolved_values(small_run, tmp_path,
      "ablate --graphs does not read --n-adjacent"),
     (["graphs", "--pattern-factors", "bogus,zz", "--n-adjacent", "2"],
      "--pattern-factors names ['bogus', 'zz'], which dataset"),
+    (["graphs", "--pattern-factors", "t,t"], "pattern factor 't' is repeated"),
+    (["graphs", "--pattern-factors", ""], "--pattern-factors names ['']"),
+    (["train", "--config", '{"model": {"graph_kinds": ["neighbor", '
+      '"distance", "distance"]}}'], "graph kind 'distance' is repeated"),
+    (["graphs", "--split", "1,0,0"],
+     "split (1.0, 0.0, 0.0) leaves the validation part empty"),
+    (["eval", "--ckpt", "CKPT", "--split", "0,0,1"],
+     "split (0.0, 0.0, 1.0) leaves the training part empty"),
 ], ids=["sigma-abc", "split-0-0-0", "config-list", "config-model-list",
         "config-train-string", "config-no-blocks", "config-block-int",
         "krr-gamma-0", "krr-gamma-negative", "ridge-lam-nan", "wprime-0",
@@ -634,7 +604,9 @@ def test_eval_ckpt_manifest_records_resolved_values(small_run, tmp_path,
         "preprocess-max-defaults-nan", "eval-ckpt-window-and-lam",
         "eval-pred-space-factor-window", "eval-persistence-lam-graphs",
         "eval-ridge-gamma", "ablate-graphs-n-adjacent",
-        "graphs-pattern-factors-absent"])
+        "graphs-pattern-factors-absent", "graphs-pattern-factors-repeated",
+        "graphs-pattern-factors-empty", "config-graph-kinds-repeated",
+        "graphs-split-no-validation", "eval-ckpt-split-no-training"])
 def test_bad_input_exits_1_with_one_line(small_run, tmp_path, capsys, argv,
                                          where):
     argv = list(argv)
@@ -737,12 +709,39 @@ def _save_flat_dataset(path):
     return path
 
 
-def test_runtime_failure_exits_2(tmp_path):
+def test_runtime_failure_exits_2(tmp_path, monkeypatch, capsys):
     data = _save_flat_dataset(tmp_path / "flat.w2kt")
     code = main(["eval", "--baseline", "persistence", "--data", str(data),
                  "--factor", "t", "--wprime", "6", "--w", "3",
                  "--out", str(tmp_path / "m.json")])
     assert code == 2
+
+    # so is an OSError that is no path error, such as a bad descriptor
+    monkeypatch.setattr(dt, "save_dataset", lambda *args: os.close(-1))
+    capsys.readouterr()
+    assert main(["synth", "--out", str(tmp_path / "d.w2kt")]) == 2
+    assert capsys.readouterr().err == "error: [Errno 9] Bad file descriptor\n"
+
+
+@pytest.mark.parametrize("argv", [
+    "synth --out .", "train --config . --out m.ckpt",
+    "train --history . --epochs 1 --split 2,1,1 --out m.ckpt",
+    "eval --baseline persistence --save-pred . --out m.json",
+    "eval --baseline persistence --out ."])
+def test_directory_path_exits_1_with_one_line(small_run, tmp_path, capsys,
+                                              monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    argv = argv.split()
+    if argv[0] != "synth":
+        argv += ["--data", str(small_run / "synth.w2kt")]
+    if argv[0] == "train":
+        argv += ["--graphs", str(small_run / "graphs.bin")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    # training logs its epochs before it writes the history
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error: ")] == err[-1:] \
+        and "Is a directory" in err[-1], err
 
 
 def test_manifest_records_the_flags_each_mode_read(small_run, tmp_path):
@@ -915,28 +914,6 @@ def test_preprocess_holds_one_copy_of_the_data(tmp_path):
     v = ds.values.nbytes
     # the loaded values, the stations screening keeps, their filled copy
     assert peak < 3.0 * v, peak / v
-
-
-def test_ablate_and_sweep_small(tmp_path):
-    data = tmp_path / "synth.w2kt"
-    cfg = _tiny_model_json(tmp_path / "model.json", epochs=1)
-    assert main(["synth", "--n", "6", "--t", "120", "--d", "1",
-                 "--seed", "9", "--out", str(data)]) == 0
-
-    ablation = tmp_path / "ablation.json"
-    assert main(["ablate", "--data", str(data), "--grid", "singles",
-                 "--seeds", "0", "--config", str(cfg),
-                 "--n-adjacent", "2", "--out", str(ablation)]) == 0
-    doc = json.loads(ablation.read_text())
-    assert len(doc["rows"]) == 5
-    assert doc["reference_full_scale"]["five_graph"]["rmse"] == 2.0574
-
-    sweep = tmp_path / "sweep.json"
-    assert main(["sweep", "--data", str(data), "--counts", "2,3",
-                 "--config", str(cfg), "--out", str(sweep)]) == 0
-    curve = json.loads(sweep.read_text())
-    assert curve["n_adjacent"] == [2, 3]
-    assert len(curve["test_mae"]) == 2
 
 
 def test_train_flag_overrides_config(tmp_path):
