@@ -15,6 +15,7 @@ Relative paths resolve against $STATIONCAST_DATA_DIR when it is set.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import os
@@ -39,6 +40,11 @@ _USAGE_ERRORS = (ConfigError, SchemaError, StructuralError, ShapeError,
                  CheckpointError, FileNotFoundError, NotADirectoryError,
                  IsADirectoryError, PermissionError)
 
+# the flags that name files; an input's noun names it when it is missing
+_INPUTS = {"data": "dataset", "config": "config", "graphs": "graph file",
+           "ckpt": "checkpoint", "pred": "prediction file"}
+_OUTPUTS = ("out", "history", "save_pred")
+
 
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
@@ -50,6 +56,21 @@ def _resolve(p) -> Path:
     if base and not path.is_absolute():
         return Path(base) / path
     return path
+
+
+def _checked_paths(config: dict) -> dict:
+    """Resolve the path flags the command reads.  Before any data loads,
+    refuse a missing input, and an unwritable output as opening it would."""
+    paths = {k: _resolve(v) for k, v in config.items()
+             if v is not None and (k in _INPUTS or k in _OUTPUTS)}
+    for k, path in paths.items():
+        if k in _INPUTS and not path.exists():
+            raise FileNotFoundError(f"{_INPUTS[k]} {path} does not exist")
+        if k in _OUTPUTS and (path.is_dir() or not path.parent.is_dir()):
+            code = (errno.EISDIR if path.is_dir() else errno.ENOTDIR
+                    if path.parent.exists() else errno.ENOENT)
+            raise OSError(code, os.strerror(code), str(path))
+    return paths
 
 
 def _sha256(path: Path) -> str:
@@ -84,8 +105,6 @@ def _parse_numbers(text: str, cast=float) -> list:
 
 def _load_dataset_arg(path: Path, gaps_ok: bool = False):
     """Load a dataset argument; only preprocess may read unobserved cells."""
-    if not path.exists():
-        raise FileNotFoundError(f"dataset {path} does not exist")
     ds = dt.load_dataset(path)
     if not (gaps_ok or ds.mask.all()):
         raise SchemaError(f"dataset {path} has {int((~ds.mask).sum())} "
@@ -129,16 +148,13 @@ def _model_and_train_config(args) -> tuple:
     """Merge config file values with flag overrides (flags win)."""
     filecfg = {}
     if args.config:
-        cfg_path = _resolve(args.config)
-        if not cfg_path.exists():
-            raise FileNotFoundError(f"config {cfg_path} does not exist")
         try:
-            filecfg = json.loads(cfg_path.read_text(encoding="utf-8"))
+            filecfg = json.loads(args.config.read_text(encoding="utf-8"))
         except json.JSONDecodeError as e:
-            raise ConfigError(f"config {cfg_path} is not valid JSON: {e}")
+            raise ConfigError(f"config {args.config} is not valid JSON: {e}")
         if not (isinstance(filecfg, dict) and all(isinstance(
                 filecfg.get(k, {}), dict) for k in ("model", "train"))):
-            raise ConfigError(f"config {cfg_path} must be a JSON object "
+            raise ConfigError(f"config {args.config} must be a JSON object "
                               "whose 'model' and 'train' are objects")
     mdict = dict(filecfg.get("model", {}))
     tdict = dict(filecfg.get("train", {}))
@@ -164,16 +180,14 @@ def _cmd_synth(args) -> tuple:
                          noise_amp=args.noise_amp, ar_amp=args.ar_amp,
                          diurnal_amp=args.diurnal_amp)
     ds = dt.generate_synthetic(cfg)
-    out = _resolve(args.out)
-    dt.save_dataset(ds, out)
+    dt.save_dataset(ds, args.out)
     _log(f"wrote {ds.n_stations} stations x {ds.n_steps} steps x "
-         f"{ds.n_factors} factors to {out}")
-    return {}, [], args.seed
+         f"{ds.n_factors} factors to {args.out}")
+    return {}, args.seed
 
 
 def _cmd_preprocess(args) -> tuple:
-    src = _resolve(args.data)
-    ds = _load_dataset_arg(src, gaps_ok=True)
+    ds = _load_dataset_arg(args.data, gaps_ok=True)
     n_loaded = ds.n_stations
     # default codes load as unobserved, so their rule runs first: the gap
     # rule would count them as gaps
@@ -181,18 +195,16 @@ def _cmd_preprocess(args) -> tuple:
     del ds  # screening copied the stations it keeps
     kept, missing_report = dt.screen_missing(kept, max_ratio=args.max_missing)
     filled = dt.interpolate_linear(kept)
-    out = _resolve(args.out)
-    dt.save_dataset(filled, out)
+    dt.save_dataset(filled, args.out)
     _log(f"screened {n_loaded} -> {filled.n_stations} stations "
          f"(missing rule dropped {len(missing_report['dropped'])}, "
          f"default codes dropped {len(default_report['dropped'])})")
     return ({"missing_report": missing_report,
-             "default_report": default_report}, [src], None)
+             "default_report": default_report}, None)
 
 
 def _cmd_graphs(args) -> tuple:
-    src = _resolve(args.data)
-    train = dt.split_temporal(_load_dataset_arg(src),
+    train = dt.split_temporal(_load_dataset_arg(args.data),
                               _split_scheme(args.split))[0]
     factors = gr.PATTERN_FACTORS  # build_pattern_graph skips absent ones
     if args.pattern_factors is not None:
@@ -201,7 +213,8 @@ def _cmd_graphs(args) -> tuple:
         lacking = [f for f in factors if f not in train.factors]
         if lacking:
             raise ConfigError(f"--pattern-factors names {lacking}, which "
-                              f"dataset {src} lacks (it has {train.factors})")
+                              f"dataset {args.data} lacks (it has "
+                              f"{train.factors})")
     try:
         sigma = "auto" if args.sigma == "auto" else float(args.sigma)
     except ValueError:
@@ -210,26 +223,23 @@ def _cmd_graphs(args) -> tuple:
     gs = gr.build_static_graphs(train, sigma=sigma, epsilon=args.epsilon,
                                 n_adjacent=args.n_adjacent,
                                 pattern_factors=factors)
-    out = _resolve(args.out)
-    gr.save_graphs(gs, out)
+    gr.save_graphs(gs, args.out)
     _log(f"built distance/neighbor/pattern graphs for {gs.n} stations "
          f"(sigma {gs.meta['sigma']:.3f} km, epsilon {args.epsilon}, "
-         f"{args.n_adjacent} neighbors) -> {out}")
-    return {}, [src], None
+         f"{args.n_adjacent} neighbors) -> {args.out}")
+    return {}, None
 
 
 def _training_setup(args) -> tuple:
-    """Dataset path, normalized splits, stats and the checked configs."""
-    src = _resolve(args.data)
-    prepared = _prepare_splits(_load_dataset_arg(src), args.factor,
+    """Normalized splits, stats and the checked configs."""
+    prepared = _prepare_splits(_load_dataset_arg(args.data), args.factor,
                                _split_scheme(args.split))
-    return (src, *prepared, *_model_and_train_config(args))
+    return (*prepared, *_model_and_train_config(args))
 
 
 def _cmd_train(args) -> tuple:
-    src, train_ds, val_ds, _, stats, mcfg, tcfg = _training_setup(args)
-    graph_path = _resolve(args.graphs)
-    static = _static_from_graphset(gr.load_graphs(graph_path), train_ds)
+    train_ds, val_ds, _, stats, mcfg, tcfg = _training_setup(args)
+    static = _static_from_graphset(gr.load_graphs(args.graphs), train_ds)
     model = md.build_model(train_ds.n_stations, mcfg, seed=tcfg.seed)
 
     def progress(epoch, train_loss, val_mae, lr):
@@ -238,25 +248,24 @@ def _cmd_train(args) -> tuple:
 
     fitted, history = md.train(model, train_ds, val_ds, static, tcfg,
                                progress=progress)
-    out = _resolve(args.out)
-    md.save_checkpoint(fitted, out, extra={
+    md.save_checkpoint(fitted, args.out, extra={
         "factor": args.factor,
         "norm_mean": float(stats.mean[0]),
         "norm_std": float(stats.std[0]),
         "split": list(_split_scheme(args.split)),
-        "graphs_file": str(graph_path),
+        "graphs_file": str(args.graphs),
     })
     if args.history:
         doc = history.to_dict()
         records = [*doc["epochs"], {k: doc[k] for k in ("best_epoch",
                                                          "stopped_early")}]
         text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-        _resolve(args.history).write_text(text, encoding="utf-8")
+        args.history.write_text(text, encoding="utf-8")
     best = history.best_epoch
     _log(f"best epoch {best}: val mae "
-         f"{history.val_mae[best - 1]:.6f}; checkpoint -> {out}")
+         f"{history.val_mae[best - 1]:.6f}; checkpoint -> {args.out}")
     return ({"model_config": mcfg.to_dict(), "train_config": asdict(tcfg)},
-            [src, graph_path], tcfg.seed)
+            tcfg.seed)
 
 
 _BASELINE_NAMES = {"persistence": "persistence", "linear": "linear",
@@ -305,16 +314,13 @@ def _read_flags(args) -> dict:
 
 
 def _cmd_eval(args) -> tuple:
-    src = _resolve(args.data)
-    ds = _load_dataset_arg(src)
-    inputs, resolved = [src], {}
+    ds = _load_dataset_arg(args.data)
+    resolved = {}
     scheme = _split_scheme(args.split or "3,1,2")
     part = {"train": 0, "val": 1, "test": 2}[args.eval_split]
 
     if args.pred:
-        pred_path = _resolve(args.pred)
-        inputs.append(pred_path)
-        loaded = ev.load_predictions(pred_path)
+        loaded = ev.load_predictions(args.pred)
         factors, file_space = loaded[3:]
         if set(factors) <= set(ds.factors) and \
                 list(factors) != list(ds.factors):
@@ -334,13 +340,11 @@ def _cmd_eval(args) -> tuple:
             w_in = 12 if args.wprime is None else args.wprime
             w_out = 12 if args.w is None else args.w
         else:
-            ckpt_path = _resolve(args.ckpt)
-            inputs.append(ckpt_path)
-            model, extra = md.load_checkpoint(ckpt_path)
+            model, extra = md.load_checkpoint(args.ckpt)
             for key in ("factor", "graphs_file"):
                 stored = extra.get(key)
                 if stored is not None and not isinstance(stored, str):
-                    raise CheckpointError(f"{ckpt_path}: stored {key} "
+                    raise CheckpointError(f"{args.ckpt}: stored {key} "
                                           f"{stored!r} is not a string")
             factor = args.factor or extra.get("factor")
             if factor is None:
@@ -351,7 +355,7 @@ def _cmd_eval(args) -> tuple:
                 # split_temporal rejects the non-finite parts
                 if not (isinstance(stored, list) and len(stored) == 3 and all(
                         type(p) in (int, float) for p in stored)):
-                    raise CheckpointError(f"{ckpt_path}: stored split "
+                    raise CheckpointError(f"{args.ckpt}: stored split "
                                           f"{stored!r} is not three numbers")
                 scheme = tuple(stored)
             w_in, w_out = model.config.w_in, model.config.w_out
@@ -368,13 +372,12 @@ def _cmd_eval(args) -> tuple:
                 _BASELINE_NAMES[args.baseline], splits[0], scoped, w_in,
                 w_out, lam=args.lam, gamma=args.gamma)
         else:
-            stored = args.graphs or extra.get("graphs_file")
-            if stored is None:
+            stored = extra.get("graphs_file")  # resolved here, not in main
+            if args.graphs is None and stored is None:
                 raise ConfigError("pass --graphs (checkpoint stores no "
                                   "graph path)")
-            graph_path = _resolve(stored)
-            inputs.append(graph_path)
-            resolved["graphs"] = str(graph_path)
+            graph_path = args.graphs or _resolve(stored)
+            resolved["graphs"] = str(graph_path)  # main hashes it
             static = _static_from_graphset(gr.load_graphs(graph_path), scoped)
             if args.save_pred:
                 preds, truth, starts = md.predict_dataset(model, scoped,
@@ -389,53 +392,46 @@ def _cmd_eval(args) -> tuple:
         report = ev.metrics_from_sums(sums, scoped.factors, args.space,
                                       scale)
         if args.save_pred:
-            ev.save_predictions(_resolve(args.save_pred), preds, starts,
+            ev.save_predictions(args.save_pred, preds, starts,
                                 [s.station_id for s in scoped.stations],
                                 scoped.factors, space="normalized")
 
-    out = _resolve(args.out)
-    ev.dump_report(report.to_dict(), out)
+    ev.dump_report(report.to_dict(), args.out)
     _log(f"overall mae {report.overall_mae:.6f}  "
-         f"rmse {report.overall_rmse:.6f} ({report.space}) -> {out}")
-    return {**resolved, "split": list(scheme)}, inputs, None
+         f"rmse {report.overall_rmse:.6f} ({report.space}) -> {args.out}")
+    return {**resolved, "split": list(scheme)}, None
 
 
 def _cmd_ablate(args) -> tuple:
-    src, train_ds, val_ds, test_ds, _, mcfg, tcfg = _training_setup(args)
+    train_ds, val_ds, test_ds, _, mcfg, tcfg = _training_setup(args)
     subsets = ev.grid_specs(args.grid)
     seeds = _parse_numbers(args.seeds, cast=int)
     ev.check_seeds(seeds)
     # before the graph build, which is the costlier step at full scale
     dt.check_windows(mcfg.w_in, mcfg.w_out, training=train_ds,
                      validation=val_ds, test=test_ds)
-    inputs = [src]
-    if args.graphs:
-        inputs.append(_resolve(args.graphs))
-        gs = gr.load_graphs(inputs[-1])
-    else:
-        gs = gr.build_static_graphs(train_ds, n_adjacent=args.n_adjacent,
-                                    pattern_factors=train_ds.factors)
+    gs = (gr.load_graphs(args.graphs) if args.graphs else
+          gr.build_static_graphs(train_ds, n_adjacent=args.n_adjacent,
+                                 pattern_factors=train_ds.factors))
     static = _static_from_graphset(gs, train_ds)
     _log(f"running {len(subsets)} rows x {len(seeds)} seeds "
          f"({len(subsets) * len(seeds)} trainings)")
     report = ev.run_ablation(subsets, train_ds, val_ds, test_ds, static,
                              mcfg, tcfg, seeds)
-    out = _resolve(args.out)
-    ev.dump_report(report, out)
+    ev.dump_report(report, args.out)
     best = min(report["rows"], key=lambda r: r["mean_mae"])
     _log(f"best row: {best['label']} (mean mae {best['mean_mae']:.6f}) "
-         f"-> {out}")
-    return {}, inputs, seeds
+         f"-> {args.out}")
+    return {}, seeds
 
 
 def _cmd_sweep(args) -> tuple:
-    src, *splits, _, mcfg, tcfg = _training_setup(args)
+    *splits, _, mcfg, tcfg = _training_setup(args)
     counts = _parse_numbers(args.counts, cast=int)
     curve = ev.neighbor_count_sweep(*splits, counts, mcfg, tcfg)
-    out = _resolve(args.out)
-    ev.dump_report(curve, out)
-    _log(f"neighbor sweep over {counts} -> {out}")
-    return {}, [src], tcfg.seed
+    ev.dump_report(curve, args.out)
+    _log(f"neighbor sweep over {counts} -> {args.out}")
+    return {}, tcfg.seed
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     training.add_argument("--config", default=None,
                           help="JSON with 'model' and 'train' sections")
     training.add_argument("--epochs", type=int, default=None)
-    training.add_argument("--batch-size", dest="batch_size", type=int,
-                          default=None)
+    training.add_argument("--batch-size", type=int, default=None)
     training.add_argument("--lr0", type=float, default=None)
     training.add_argument("--wprime", type=int, default=None,
                           help="input window length")
@@ -567,19 +562,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run a command; each ``_cmd_*`` returns its manifest's additions to
-    the flags it read, the input paths to hash, and the seed."""
-    parser = build_parser()
+    """Run a command on its checked, resolved path flags.  Each ``_cmd_*``
+    returns its manifest's additions to the flags it read (an input flag's
+    addition names the file hashed instead), and the seed."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     started = time.monotonic()
     try:
         config = _read_flags(args)
-        additions, inputs, seed = args.func(args)
-        _write_manifest(_resolve(args.out), args.command,
-                        {**config, **additions}, inputs, seed, started)
+        paths = _checked_paths(config)
+        vars(args).update(paths)
+        additions, seed = args.func(args)
+        inputs = [Path(p) for k, p in {**paths, **additions}.items()
+                  if k in _INPUTS]
+        _write_manifest(args.out, args.command, {**config, **additions},
+                        inputs, seed, started)
     except (*_USAGE_ERRORS, StationcastError, OSError) as e:
         _log(f"error: {e}")
         return 1 if isinstance(e, _USAGE_ERRORS) else 2

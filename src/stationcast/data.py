@@ -360,6 +360,8 @@ def _load_csv_dir(root: Path) -> WeatherSeriesDataset:
                 f"{f}: {len(block)} rows, other stations have "
                 f"{values.shape[1]}")
         values[i] = block
+    if not values.shape[1]:  # else the dataset's check names no file
+        raise StructuralError(f"{root}: the series files hold no time steps")
     mask = np.isfinite(values)
     values[~mask] = 0.0
     return WeatherSeriesDataset(metas, factors, values, mask,

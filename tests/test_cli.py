@@ -5,6 +5,7 @@ import os
 import struct
 import warnings
 from dataclasses import replace
+from fnmatch import fnmatch
 
 import numpy as np
 import pytest
@@ -163,6 +164,11 @@ _CONFLICTING_STARTS = ("station_id,lat,lon,alt,time_start\n"
     ("stations.csv", "S1,", "S\udcff1,", "stations.csv: byte 42 is not UTF-8"),
     ("stations.csv", _RAW_STATIONS, _CONFLICTING_STARTS, "stations.csv, "
      "line 3: time_start 1600000000 differs from 1577836800 on line 2"),
+    # a new text of None leaves the file out
+    ("stations.csv", "", None, "missing station metadata file"),
+    ("S1.csv", "", None, "missing series file"),
+    ("S?.csv", _RAW_SERIES, "t,rh\n", "raw: the series files hold no time "
+     "steps"),
 ])
 def test_malformed_csv_one_line_error(tmp_path, capsys, file, old, new,
                                       where):
@@ -171,7 +177,10 @@ def test_malformed_csv_one_line_error(tmp_path, capsys, file, old, new,
     raw.mkdir()
     for name, text in [("stations.csv", _RAW_STATIONS),
                        ("S0.csv", _RAW_SERIES), ("S1.csv", _RAW_SERIES)]:
-        text = text.replace(old, new, 1) if name == file else text
+        if fnmatch(name, file):
+            if new is None:
+                continue
+            text = text.replace(old, new, 1)
         (raw / name).write_bytes(text.encode("utf-8", "surrogateescape"))
     capsys.readouterr()
     assert main(["preprocess", "--data", str(raw), "--out",
@@ -482,10 +491,41 @@ def test_eval_ckpt_manifest_records_resolved_values(small_run, tmp_path,
     assert main(["eval", "--ckpt", str(ckpt), "--data",
                  str(small_run / "synth.w2kt"), "--out", str(out)]
                 + flags) == 0
-    config = json.loads((tmp_path / "m.json.manifest.json").read_text())[
-        "config"]
-    assert {k: config[k] for k in ("factor", "split", "graphs")} \
+    manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
+    assert {k: manifest["config"][k] for k in ("factor", "split", "graphs")} \
         == {**resolved, "graphs": str(graphs)}
+    # the graph file the checkpoint named is hashed as a flag's would be
+    assert set(manifest["input_hashes"]) \
+        == {str(ckpt), str(small_run / "synth.w2kt"), str(graphs)}
+
+
+def _input_file(arg: str, small_run, tmp_path) -> str:
+    """``arg``, or the input file it stands for, written to ``tmp_path``.
+    CKPT stores a factor and a graph path, CKPT-NOFACTOR and CKPT-NOGRAPHS
+    lack one; PRED holds persistence forecasts; GRAPHS is the small run's
+    graph file, and GRAPHS-OTHER and -ANON graphs of six stations, with and
+    without their station list."""
+    if not arg.startswith(("CKPT", "PRED", "GRAPHS")):
+        return arg
+    path, graphs = tmp_path / arg.lower(), small_run / "graphs.bin"
+    if arg.startswith("CKPT"):
+        extra = {"factor": "t", "graphs_file": str(graphs)}
+        extra.pop({"CKPT-NOFACTOR": "factor",
+                   "CKPT-NOGRAPHS": "graphs_file"}.get(arg, ""), None)
+        md.save_checkpoint(md.build_model(5), path, extra=extra)
+    elif arg == "PRED":
+        assert main(["eval", "--baseline", "persistence", "--data",
+                     str(small_run / "synth.w2kt"), "--save-pred", str(path),
+                     "--out", str(tmp_path / "persistence.json")]) == 0
+    elif arg == "GRAPHS":
+        return str(graphs)
+    else:
+        six = dt.generate_synthetic(dt.SynthConfig(n=6, t=120, d=1, seed=4))
+        gs = gr.build_static_graphs(six, n_adjacent=2)
+        if arg == "GRAPHS-ANON":
+            del gs.meta["stations"]
+        gr.save_graphs(gs, path)
+    return str(path)
 
 
 @pytest.mark.parametrize("argv,where", [
@@ -585,6 +625,15 @@ def test_eval_ckpt_manifest_records_resolved_values(small_run, tmp_path,
      "split (1.0, 0.0, 0.0) leaves the validation part empty"),
     (["eval", "--ckpt", "CKPT", "--split", "0,0,1"],
      "split (0.0, 0.0, 1.0) leaves the training part empty"),
+    (["train", "--config", "{not json"], "is not valid JSON"),
+    (["eval", "--ckpt", "CKPT-NOFACTOR"],
+     "checkpoint lacks a stored factor; pass --factor"),
+    (["eval", "--ckpt", "CKPT-NOGRAPHS"],
+     "pass --graphs (checkpoint stores no graph path)"),
+    (["eval", "--ckpt", "CKPT", "--graphs", "GRAPHS-OTHER"],
+     "graph file was built for different stations than the dataset"),
+    (["eval", "--ckpt", "CKPT", "--graphs", "GRAPHS-ANON"],
+     "graph file has 6 stations, dataset has 5"),
 ], ids=["sigma-abc", "split-0-0-0", "config-list", "config-model-list",
         "config-train-string", "config-no-blocks", "config-block-int",
         "krr-gamma-0", "krr-gamma-negative", "ridge-lam-nan", "wprime-0",
@@ -606,7 +655,9 @@ def test_eval_ckpt_manifest_records_resolved_values(small_run, tmp_path,
         "eval-ridge-gamma", "ablate-graphs-n-adjacent",
         "graphs-pattern-factors-absent", "graphs-pattern-factors-repeated",
         "graphs-pattern-factors-empty", "config-graph-kinds-repeated",
-        "graphs-split-no-validation", "eval-ckpt-split-no-training"])
+        "graphs-split-no-validation", "eval-ckpt-split-no-training",
+        "config-not-json", "eval-ckpt-no-factor", "eval-ckpt-no-graphs",
+        "graph-file-other-stations", "graph-file-station-count"])
 def test_bad_input_exits_1_with_one_line(small_run, tmp_path, capsys, argv,
                                          where):
     argv = list(argv)
@@ -614,19 +665,7 @@ def test_bad_input_exits_1_with_one_line(small_run, tmp_path, capsys, argv,
         i = argv.index("--config") + 1
         (tmp_path / "cfg.json").write_text(argv[i])
         argv[i] = str(tmp_path / "cfg.json")
-    if "CKPT" in argv:
-        ckpt = tmp_path / "model.ckpt"
-        md.save_checkpoint(md.build_model(5), ckpt, extra={
-            "factor": "t", "graphs_file": str(small_run / "graphs.bin")})
-        argv[argv.index("CKPT")] = str(ckpt)
-    if "PRED" in argv:
-        pred = tmp_path / "persistence.pred"
-        assert main(["eval", "--baseline", "persistence", "--data",
-                     str(small_run / "synth.w2kt"), "--save-pred", str(pred),
-                     "--out", str(tmp_path / "persistence.json")]) == 0
-        argv[argv.index("PRED")] = str(pred)
-    if "GRAPHS" in argv:
-        argv[argv.index("GRAPHS")] = str(small_run / "graphs.bin")
+    argv = [_input_file(a, small_run, tmp_path) for a in argv]
     if argv[0] != "synth":
         argv += ["--data", str(small_run / "synth.w2kt")]
     argv += ["--out", str(tmp_path / "out")]
@@ -690,12 +729,25 @@ def test_study_input_exits_1_before_training(study_data, tmp_path, capsys,
     assert not out.exists()
 
 
-def test_missing_input_exits_1(tmp_path):
+def test_missing_input_exits_1(small_run, tmp_path, capsys):
     out = tmp_path / "g.graphs"
     code = main(["graphs", "--data", str(tmp_path / "nope.w2kt"),
                  "--out", str(out)])
     assert code == 1
     assert not out.exists()
+    # each input flag's missing file is named by its noun in one line
+    data, nope = str(small_run / "synth.w2kt"), str(tmp_path / "nope")
+    graphs = ["--graphs", str(small_run / "graphs.bin")]
+    for argv, noun in [
+            (["train", "--config", nope, *graphs], "config"),
+            (["train", "--graphs", nope], "graph file"),
+            (["eval", "--ckpt", nope], "checkpoint"),
+            (["eval", "--pred", nope], "prediction file")]:
+        capsys.readouterr()
+        assert main(argv + ["--data", data, "--out", str(out)]) == 1, argv
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {noun} {nope} does not exist"], argv
+        assert not out.exists()
 
 
 def _save_flat_dataset(path):
@@ -723,25 +775,40 @@ def test_runtime_failure_exits_2(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: [Errno 9] Bad file descriptor\n"
 
 
-@pytest.mark.parametrize("argv", [
-    "synth --out .", "train --config . --out m.ckpt",
-    "train --history . --epochs 1 --split 2,1,1 --out m.ckpt",
-    "eval --baseline persistence --save-pred . --out m.json",
-    "eval --baseline persistence --out ."])
+@pytest.mark.parametrize("argv", ["train --config . --out m.ckpt", *(
+    flags.format(bad) for bad in (".", "nodir/out") for flags in (
+        "synth --out {}", "preprocess --out {}", "graphs --out {}",
+        "train --out {}",
+        "train --history {} --epochs 1 --split 2,1,1 --out m.ckpt",
+        "eval --ckpt CKPT --out {}",
+        "eval --ckpt CKPT --save-pred {} --out m.json",
+        "eval --baseline persistence --save-pred {} --out m.json",
+        "eval --baseline persistence --out {}", "eval --pred PRED --out {}",
+        "ablate --out {}", "sweep --out {}"))])
 def test_directory_path_exits_1_with_one_line(small_run, tmp_path, capsys,
                                               monkeypatch, argv):
+    # an output that is a directory, or whose directory is missing, ends
+    # the run before any work with the error its write would raise
     monkeypatch.chdir(tmp_path)
-    argv = argv.split()
+    argv = [_input_file(a, small_run, tmp_path) for a in argv.split()]
     if argv[0] != "synth":
         argv += ["--data", str(small_run / "synth.w2kt")]
-    if argv[0] == "train":
-        argv += ["--graphs", str(small_run / "graphs.bin")]
+    # flags that let the run reach its write if the path is not checked
+    argv += {"graphs": ["--n-adjacent", "2"],
+             "train": ["--graphs", str(small_run / "graphs.bin")],
+             "ablate": ["--grid", "singles", "--n-adjacent", "2"],
+             "sweep": ["--counts", "2"]}.get(argv[0], [])
+    if argv[0] in ("train", "ablate", "sweep"):
+        argv += ["--epochs", "1", "--split", "2,1,1"]
+    before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
     assert main(argv) == 1
-    # training logs its epochs before it writes the history
-    err = capsys.readouterr().err.splitlines()
-    assert [line for line in err if line.startswith("error: ")] == err[-1:] \
-        and "Is a directory" in err[-1], err
+    # no epoch, wrote or built line; no output, history, prediction file or
+    # manifest
+    assert capsys.readouterr().err.splitlines() == [
+        "error: [Errno 21] Is a directory: '.'" if "." in argv else
+        "error: [Errno 2] No such file or directory: 'nodir/out'"]
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_manifest_records_the_flags_each_mode_read(small_run, tmp_path):
@@ -935,7 +1002,7 @@ def test_train_flag_overrides_config(tmp_path):
     assert manifest["config"]["train_config"]["epochs"] == 1
     assert manifest["config"]["train_config"]["seed"] == 2
     assert manifest["seed"] == 2
-    assert str(data) in manifest["input_hashes"]
+    assert set(manifest["input_hashes"]) == {str(data), str(graphs), str(cfg)}
 
 
 def _check_truncations(raw: bytes, cut, load, argv, every: int = 1):
@@ -983,6 +1050,15 @@ def _json_graph_doc(gs) -> str:
         "kinds": {k: a.kind for k, a in gs.graphs.items()}}, indent=2)
 
 
+def _spoil_distance(i, j, value):
+    """A writer of the graph file with one distance weight replaced; the
+    loader's Adjacency checks must refuse it."""
+    def write(gs, path):
+        gs["distance"].weights[i, j] = value
+        gr.save_graphs(gs, path)
+    return write
+
+
 @pytest.mark.parametrize("write", [
     lambda gs, path: gr.save_graphs(replace(gs, meta=[]), path),
     lambda gs, path: gr.save_graphs(replace(gs, meta={"stations": 5}), path),
@@ -993,8 +1069,11 @@ def _json_graph_doc(gs) -> str:
         **gs.graphs,
         "distance": gr.Adjacency(gs.n, gs["distance"].weights, "neighbor")}),
         path),
+    _spoil_distance(0, 1, np.nan), _spoil_distance(0, 0, 0.5),
+    _spoil_distance(0, 1, -1.0),
 ], ids=["meta-list", "stations-int", "stations-mixed", "json-layout",
-        "distance-as-neighbor"])
+        "distance-as-neighbor", "distance-nan", "distance-diagonal",
+        "distance-negative"])
 def test_malformed_graph_file_exits_1_with_one_line(small_run, tmp_path,
                                                     capsys, write):
     bad = tmp_path / "bad.graphs"

@@ -7,7 +7,9 @@ in ``tests/helpers.py``, not in ``src/``.
 """
 
 import ast
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,3 +65,19 @@ def test_the_scan_sees_definitions_and_calls():
     callers = [own for own, names in uses if "conv1d" in names]
     assert ("tape", "conv1d") not in callers  # its body never names it
     assert ("model", "temporal_multibranch") in callers
+
+
+def test_every_name_the_benchmark_traces_exists(monkeypatch):
+    """perfbench/tracer.py wraps package functions it looks up by name, so
+    deleting or renaming one breaks the benchmark run; this test makes that
+    a Tier-1 failure.  The tracer is read, never written: no bytecode."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(tracer)
+    traced = [*tracer.LAYERS, *tracer.PROBES]
+    assert ("cli", "main") in traced and ("model", "train") in traced
+    missing = [f"{mod}.{attr}" for mod, attr in traced if not hasattr(
+        importlib.import_module(f"stationcast.{mod}"), attr)]
+    assert not missing, f"perfbench/tracer.py traces missing {missing}"
