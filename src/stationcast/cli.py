@@ -253,7 +253,8 @@ def _cmd_train(args) -> tuple:
         "norm_mean": float(stats.mean[0]),
         "norm_std": float(stats.std[0]),
         "split": list(_split_scheme(args.split)),
-        "graphs_file": str(args.graphs),
+        # as given: eval resolves it against $STATIONCAST_DATA_DIR once
+        "graphs_file": str(Path(args.given["graphs"])),
     })
     if args.history:
         doc = history.to_dict()
@@ -372,11 +373,12 @@ def _cmd_eval(args) -> tuple:
                 _BASELINE_NAMES[args.baseline], splits[0], scoped, w_in,
                 w_out, lam=args.lam, gamma=args.gamma)
         else:
-            stored = extra.get("graphs_file")  # resolved here, not in main
+            stored = extra.get("graphs_file")  # checked here, not in main
             if args.graphs is None and stored is None:
                 raise ConfigError("pass --graphs (checkpoint stores no "
                                   "graph path)")
-            graph_path = args.graphs or _resolve(stored)
+            graph_path = args.graphs or _checked_paths(
+                {"graphs": stored})["graphs"]
             resolved["graphs"] = str(graph_path)  # main hashes it
             static = _static_from_graphset(gr.load_graphs(graph_path), scoped)
             if args.save_pred:
@@ -562,9 +564,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run a command on its checked, resolved path flags.  Each ``_cmd_*``
-    returns its manifest's additions to the flags it read (an input flag's
-    addition names the file hashed instead), and the seed."""
+    """Run a command on its checked, resolved path flags; ``args.given``
+    holds the flags as given.  Each ``_cmd_*`` returns its manifest's
+    additions to the flags it read (an input flag's addition names the
+    file hashed instead), and the seed."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as e:
@@ -573,7 +576,7 @@ def main(argv=None) -> int:
     try:
         config = _read_flags(args)
         paths = _checked_paths(config)
-        vars(args).update(paths)
+        vars(args).update(paths, given=config)
         additions, seed = args.func(args)
         inputs = [Path(p) for k, p in {**paths, **additions}.items()
                   if k in _INPUTS]

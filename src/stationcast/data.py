@@ -12,6 +12,7 @@ import io
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -239,6 +240,26 @@ def _parse_time(text: str) -> int:
         return int(dt.timestamp())
 
 
+@contextmanager
+def _csv_reader(path: Path, noun: str, make=csv.reader, **options):
+    """``make(stream, **options)`` over the file's UTF-8 text.  A missing
+    file, a byte that is not UTF-8, or a csv.Error raised in the block is
+    one error that names the file, and the line of a csv.Error."""
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except FileNotFoundError:
+        raise StructuralError(f"missing {noun} {path}") from None
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{path}: byte {e.start} is not UTF-8") from None
+    reader = make(io.StringIO(text, newline=""), **options)
+    try:
+        yield reader
+    except csv.Error as e:
+        # a DictReader counts a line only once its row has parsed
+        line = getattr(reader, "reader", reader).line_num
+        raise SchemaError(f"{path}, line {line}: {e}") from None
+
+
 def _load_station_table(path: Path):
     """Station metadata rows of ``stations.csv`` and the series start time.
 
@@ -247,17 +268,14 @@ def _load_station_table(path: Path):
     """
     metas: list[StationMeta] = []
     time_start, start_line = 0, None
-    try:
-        text = path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise SchemaError(f"{path}: byte {e.start} is not UTF-8") from None
-    reader = csv.DictReader(io.StringIO(text, newline=""))
-    missing = [k for k in ("station_id", "lat", "lon")
-               if k not in (reader.fieldnames or ())]
-    if reader.fieldnames is not None and missing:
-        raise SchemaError(f"{path}: no {', '.join(missing)} column")
-    for row in reader:
-        where = f"{path}, line {reader.line_num}"
+    with _csv_reader(path, "station metadata file", csv.DictReader) as reader:
+        missing = [k for k in ("station_id", "lat", "lon")
+                   if k not in (reader.fieldnames or ())]
+        if reader.fieldnames is not None and missing:
+            raise SchemaError(f"{path}: no {', '.join(missing)} column")
+        rows = [(reader.line_num, row) for row in reader]
+    for line, row in rows:
+        at = f"{path}, line {line}"
         try:
             sid = row["station_id"].strip()
             lat, lon = float(row["lat"]), float(row["lon"])
@@ -265,71 +283,57 @@ def _load_station_table(path: Path):
             if row.get("time_start"):
                 t = _parse_time(row["time_start"])
                 if start_line is None:
-                    time_start, start_line = t, reader.line_num
+                    time_start, start_line = t, line
                 elif t != time_start:
-                    raise SchemaError(f"{where}: time_start {t} differs from "
+                    raise SchemaError(f"{at}: time_start {t} differs from "
                                       f"{time_start} on line {start_line}")
         except (AttributeError, TypeError):  # a short row reads None
-            raise SchemaError(f"{where}: fewer fields than the header") \
-                from None
+            raise SchemaError(f"{at}: fewer fields than the header") from None
         except ValueError as e:
-            raise SchemaError(f"{where}: {e}") from None
+            raise SchemaError(f"{at}: {e}") from None
         metas.append(StationMeta(sid, lat, lon, alt))
     if not metas:
-        raise StructuralError("station metadata file lists no stations")
+        raise StructuralError(f"{path}: lists no stations")
     return metas, time_start
 
 
-def _cell_value(cell: bytes, f: Path, line: int) -> float:
+def _cell_value(cell: str, f: Path, line: int) -> float:
     cell = cell.strip()
-    if not cell:
+    if cell in ("", '""'):  # csv writers quote a lone empty cell as ""
         return math.nan
     try:
         return float(cell)
     except ValueError:
-        raise SchemaError(f"{f}, line {line}: cell "
-                          f"{cell.decode('utf-8', 'replace')!r} is not a "
+        raise SchemaError(f"{f}, line {line}: cell {cell!r} is not a "
                           "number") from None
 
 
 def _load_series_file(f: Path):
     """Factor names and the [T, D] cells of one station's series file.
 
-    The file is read as one buffer: rows end in LF or CRLF, and cells are
-    split on every comma (no quoting).  Empty cells, and ``""``, read as
-    nan; every other cell is parsed by ``float``, which allows surrounding
-    whitespace.
+    Rows end at LF, CRLF or a lone CR, and cells are split on every comma,
+    never unquoted.  Empty cells, and ``""``, read as nan; every other cell
+    is parsed by ``float``, which allows surrounding whitespace.
     """
-    rows = f.read_bytes().replace(b"\r\n", b"\n").split(b"\n")
-    if rows[-1] == b"":
-        rows.pop()
-    if not rows:
-        raise StructuralError(f"{f}: empty file")
-    header = [h.strip() for h in rows.pop(0).decode("utf-8", "replace")
-              .split(",")]
-    for name in header:
-        if name not in FACTOR_NAMES:
-            raise SchemaError(f"{f}: unknown factor name {name!r}")
-    d = len(header)
-    widths = [row.count(b",") + 1 if row else 0 for row in rows]
-    if widths.count(d) != len(rows):
-        at = next(i for i, w in enumerate(widths) if w != d)
-        raise StructuralError(f"{f}, line {at + 2}: row width {widths[at]} "
-                              f"!= {d} factors")
-    if not rows:
-        return header, np.empty((0, d))
-    # one cell list for the whole file.  csv writers quote the lone empty
-    # cell of a one-column row as "", and two passes fill every run of
-    # empty cells with nan, since the first leaves no three commas in a row
-    text = b",".join(rows).replace(b'""', b"")
-    text = (b"," + text + b",").replace(b",,", b",nan,")
-    cells = text.replace(b",,", b",nan,")[1:-1].split(b",")
+    with _csv_reader(f, "series file", quoting=csv.QUOTE_NONE) as rows:
+        header = [h.strip() for h in next(rows, ())]
+        if not header:
+            raise StructuralError(f"{f}: empty file")
+        for name in header:
+            if name not in FACTOR_NAMES:
+                raise SchemaError(f"{f}: unknown factor name {name!r}")
+        d, cells = len(header), []
+        for row in rows:
+            if len(row) != d:
+                raise StructuralError(f"{f}, line {rows.line_num}: row "
+                                      f"width {len(row)} != {d} factors")
+            cells += row
     try:
         values = np.array(list(map(float, cells)))
-    except ValueError:  # blank cells, or a cell that is not a number
+    except ValueError:  # blanks or non-numbers; data row r is on line r + 2
         values = np.array([_cell_value(c, f, i // d + 2)
                            for i, c in enumerate(cells)])
-    return header, values.reshape(len(rows), d)
+    return header, values.reshape(-1, d)
 
 
 def _load_csv_dir(root: Path) -> WeatherSeriesDataset:
@@ -338,15 +342,10 @@ def _load_csv_dir(root: Path) -> WeatherSeriesDataset:
     A cell that is empty or does not parse to a finite number (``nan``,
     ``inf``, ``1e999``) is unobserved and reads as 0.0.
     """
-    meta_path = root / "stations.csv"
-    if not meta_path.exists():
-        raise StructuralError(f"missing station metadata file {meta_path}")
-    metas, time_start = _load_station_table(meta_path)
+    metas, time_start = _load_station_table(root / "stations.csv")
     factors, values = None, None
     for i, meta in enumerate(metas):
         f = root / f"{meta.station_id}.csv"
-        if not f.exists():
-            raise StructuralError(f"missing series file {f}")
         header, block = _load_series_file(f)
         if factors is None:
             # the first station fixes the shape every later one fills

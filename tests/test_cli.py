@@ -169,6 +169,17 @@ _CONFLICTING_STARTS = ("station_id,lat,lon,alt,time_start\n"
     ("S1.csv", "", None, "missing series file"),
     ("S?.csv", _RAW_SERIES, "t,rh\n", "raw: the series files hold no time "
      "steps"),
+    # one past the csv module's default field size limit
+    pytest.param("stations.csv", "S1,", "S1" + "0" * 131071 + ",",
+                 "stations.csv, line 3: field larger than field limit",
+                 id="oversized-station-field"),
+    pytest.param("S1.csv", "1.5,", "1" + "0" * 131072 + ",",
+                 "S1.csv, line 3: field larger than field limit",
+                 id="oversized-series-field"),
+    ("stations.csv", _RAW_STATIONS, "station_id,lat,lon,alt\n",
+     "stations.csv: lists no stations"),
+    ("S1.csv", "1.5,", "1.\udcff5,", "S1.csv: byte 15 is not UTF-8"),
+    ("S0.csv", "1.5,2.5\n", "1.5,2.5\n\n", "S0.csv, line 4: row width 0 != 2"),
 ])
 def test_malformed_csv_one_line_error(tmp_path, capsys, file, old, new,
                                       where):
@@ -923,6 +934,29 @@ def test_env_var_resolves_checkpoint_graphs_path(tmp_path, monkeypatch):
                  "--out", "m_metrics.json"]) == 0
     assert (work / "m_metrics.json").exists()
     assert not (elsewhere / "m_metrics.json").exists()
+
+
+def test_relative_env_var_resolves_checkpoint_graphs_path_once(
+        tmp_path, monkeypatch):
+    # the checkpoint stores --graphs as given, so eval resolves it against
+    # a relative data dir once: work/g.graphs, never work/work/g.graphs
+    (tmp_path / "work").mkdir()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("STATIONCAST_DATA_DIR", "work")
+    _tiny_model_json(tmp_path / "work" / "cfg.json")
+    assert main(["synth", "--n", "5", "--t", "80", "--d", "1",
+                 "--seed", "6", "--out", "d.w2kt"]) == 0
+    assert main(["graphs", "--data", "d.w2kt", "--n-adjacent", "2",
+                 "--out", "g.graphs"]) == 0
+    assert main(["train", "--data", "d.w2kt", "--graphs", "g.graphs",
+                 "--config", "cfg.json", "--out", "m.ckpt"]) == 0
+    _, extra = md.load_checkpoint(tmp_path / "work" / "m.ckpt")
+    assert extra["graphs_file"] == "g.graphs"
+    assert main(["eval", "--data", "d.w2kt", "--ckpt", "m.ckpt",
+                 "--out", "m_metrics.json"]) == 0
+    manifest = json.loads((tmp_path / "work" / "m_metrics.json.manifest"
+                           ".json").read_text())
+    assert manifest["config"]["graphs"] == os.path.join("work", "g.graphs")
 
 
 def test_commands_do_not_mutate_inputs(tmp_path):

@@ -261,6 +261,18 @@ def test_csv_matches_csv_module_reference(tmp_path):
         assert ds.time_start == 1577836800
 
 
+def test_csv_lone_cr_ends_a_row(tmp_path):
+    rows = [["1.5", "2.5"], ["", "3.0"], ["4.0", '""']]
+    loaded = []
+    for newline in ("\n", "\r"):
+        root = tmp_path / f"csv{ord(newline)}"
+        _write_raw_csv_dir(root, {"A": rows}, ["t", "rh"], newline)
+        loaded.append(dt.load_dataset(root))
+    assert loaded[0].values.tobytes() == loaded[1].values.tobytes()
+    assert np.array_equal(loaded[0].mask, loaded[1].mask)
+    assert loaded[1].mask.sum() == 4
+
+
 def test_station_rows_agree_on_time_start(tmp_path):
     # rows may leave time_start blank; rows that give it name one instant
     root = tmp_path / "csv"
