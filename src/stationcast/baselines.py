@@ -22,12 +22,14 @@ REGRESSION_KINDS = ("linear", "ridge", "kernel_ridge")
 def persistence_forecast(window_inputs: np.ndarray, w: int) -> np.ndarray:
     """Repeat the last observed step across the whole horizon.
 
-    Accepts [N, W', D] or [B, N, W', D]; the horizon axis replaces W'.
+    Accepts [N, W', D] or [B, N, W', D]; the horizon axis replaces W'.  The
+    result is a read-only broadcast view of the inputs' last step, not a
+    copy.
     """
     if w < 1:
         raise ConfigError("horizon must be at least 1")
     last = window_inputs[..., -1:, :]
-    return np.repeat(last, w, axis=-2)
+    return np.broadcast_to(last, (*last.shape[:-2], w, last.shape[-1]))
 
 
 @dataclass

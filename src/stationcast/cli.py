@@ -35,7 +35,8 @@ from .errors import (CheckpointError, ConfigError, SchemaError, ShapeError,
 DATA_DIR_ENV = "STATIONCAST_DATA_DIR"
 _N_ADJACENT = 10  # the neighbor-graph degree graphs and ablate default to
 
-# a path error is bad input; any other OSError is a runtime failure
+# a path error is bad input; any other OSError, and an allocation the
+# host cannot make, is a runtime failure
 _USAGE_ERRORS = (ConfigError, SchemaError, StructuralError, ShapeError,
                  CheckpointError, FileNotFoundError, NotADirectoryError,
                  IsADirectoryError, PermissionError)
@@ -239,6 +240,9 @@ def _training_setup(args) -> tuple:
 
 def _cmd_train(args) -> tuple:
     train_ds, val_ds, _, stats, mcfg, tcfg = _training_setup(args)
+    # before the graph load and the model build, which a huge window sizes
+    dt.check_windows(mcfg.w_in, mcfg.w_out, training=train_ds,
+                     validation=val_ds)
     static = _static_from_graphset(gr.load_graphs(args.graphs), train_ds)
     model = md.build_model(train_ds.n_stations, mcfg, seed=tcfg.seed)
 
@@ -582,7 +586,7 @@ def main(argv=None) -> int:
                   if k in _INPUTS]
         _write_manifest(args.out, args.command, {**config, **additions},
                         inputs, seed, started)
-    except (*_USAGE_ERRORS, StationcastError, OSError) as e:
+    except (*_USAGE_ERRORS, StationcastError, OSError, MemoryError) as e:
         _log(f"error: {e}")
         return 1 if isinstance(e, _USAGE_ERRORS) else 2
     return 0

@@ -518,12 +518,20 @@ def _load_binary(path: Path) -> WeatherSeriesDataset:
 # quality screening
 
 
-def _check_max_ratio(screen: str, max_ratio) -> None:
-    """A screening threshold is a share of steps: a real number in [0, 1]."""
+def _drop_over(screen: str, ds: WeatherSeriesDataset, max_ratio,
+               ratios: np.ndarray):
+    """Drop every station with any of its [N, k] ratios above max_ratio, a
+    share of steps in [0, 1]; returns the kept dataset and the dropped
+    station ids in station order."""
     check_reals(**{f"{screen} max_ratio": max_ratio})
     if not 0.0 <= max_ratio <= 1.0:
         raise ConfigError(f"{screen} max_ratio {max_ratio} lies outside "
                           "[0, 1]")
+    over = (ratios > max_ratio).any(axis=1)
+    if over.all():
+        raise PipelineError(f"{screen} screening dropped every station")
+    return (ds.select_stations(np.flatnonzero(~over)),
+            [ds.stations[i].station_id for i in np.flatnonzero(over)])
 
 
 def screen_missing(ds: WeatherSeriesDataset, max_ratio: float = 0.01):
@@ -533,22 +541,15 @@ def screen_missing(ds: WeatherSeriesDataset, max_ratio: float = 0.01):
     factor cell is unobserved; the station is dropped when the missing
     fraction strictly exceeds ``max_ratio``.
     """
-    _check_max_ratio("missing-data", max_ratio)
-    record_missing = ~ds.mask.all(axis=2)  # [N, T]
-    ratios = record_missing.mean(axis=1)
-    kept = ratios <= max_ratio
-    keep = np.flatnonzero(kept)
-    dropped = [ds.stations[i].station_id for i in np.flatnonzero(~kept)]
-    if not keep.size:
-        raise PipelineError("missing-data screening dropped every station")
-    report = {
+    ratios = (~ds.mask.all(axis=2)).mean(axis=1)  # [N] record-missing shares
+    out, dropped = _drop_over("missing-data", ds, max_ratio, ratios[:, None])
+    return out, {
         "rule": "whole-record: a step is missing if any factor cell is unobserved",
         "max_ratio": max_ratio,
-        "ratios": {ds.stations[i].station_id: float(ratios[i])
-                   for i in range(ds.n_stations)},
+        "ratios": {s.station_id: float(r)
+                   for s, r in zip(ds.stations, ratios)},
         "dropped": dropped,
     }
-    return ds.select_stations(keep), report
 
 
 def screen_defaults(ds: WeatherSeriesDataset, max_ratio: float = 0.01):
@@ -557,30 +558,22 @@ def screen_defaults(ds: WeatherSeriesDataset, max_ratio: float = 0.01):
     The codes are ``DEFAULT_CODES``.  Surviving default-code cells are
     masked as unobserved so interpolation replaces them.
     """
-    _check_max_ratio("default-code", max_ratio)
-    ratios: dict = {}
-    drop = set()
+    coded = [name for name in ds.factors if name in DEFAULT_CODES]
+    ratios = np.empty((ds.n_stations, len(coded)))  # [N, k] hit shares
     mask = ds.mask.copy()
-    for d, name in enumerate(ds.factors):
-        if name not in DEFAULT_CODES:
-            continue
+    for j, name in enumerate(coded):  # one [N, T] hit plane at a time
+        d = ds.factor_index(name)
         hits = ds.values[:, :, d] == DEFAULT_CODES[name]
-        frac = hits.mean(axis=1)
-        for i in range(ds.n_stations):
-            ratios.setdefault(ds.stations[i].station_id, {})[name] = float(frac[i])
-            if frac[i] > max_ratio:
-                drop.add(i)
+        ratios[:, j] = hits.mean(axis=1)
         mask[:, :, d] &= ~hits
-    keep = [i for i in range(ds.n_stations) if i not in drop]
-    if not keep:
-        raise PipelineError("default-code screening dropped every station")
-    out = replace(ds, mask=mask).select_stations(keep)
-    report = {
+    out, dropped = _drop_over("default-code", replace(ds, mask=mask),
+                              max_ratio, ratios)
+    return out, {
         "max_ratio": max_ratio,
-        "ratios": ratios,
-        "dropped": [ds.stations[i].station_id for i in sorted(drop)],
+        "ratios": {s.station_id: dict(zip(coded, map(float, row)))
+                   for s, row in zip(ds.stations, ratios)} if coded else {},
+        "dropped": dropped,
     }
-    return out, report
 
 
 def interpolate_linear(ds: WeatherSeriesDataset) -> WeatherSeriesDataset:
@@ -732,6 +725,10 @@ class SynthConfig:
                     **{name: getattr(self, name) for name in amps})
         if self.d > len(FACTOR_NAMES):
             raise ConfigError(f"at most {len(FACTOR_NAMES)} factors")
+        # the [N, T, D] series and [N, N] covariance must fit numpy's intp
+        if 8 * self.n * max(self.t * self.d, self.n) > np.iinfo(np.intp).max:
+            raise ConfigError(f"n {self.n}, t {self.t} and d {self.d} size "
+                              "arrays larger than numpy can index")
         if not 0.0 <= self.ar_coeff < 1.0:
             raise ConfigError("ar_coeff must lie in [0, 1)")
         for name in amps:

@@ -311,14 +311,15 @@ def fuse_graphs_op(adjs: dict, weights: dict) -> tp.TapeTensor:
 def symmetrize_op(a) -> tp.TapeTensor:
     """(|A| + |A|^T) / 2 over the last two axes of [N, N] or [B, N, N].
 
-    One node; its gradient is sign(A) (G + G^T) / 2.  The closure keeps
-    sign(A) in float32, which holds -1, 0, 1 and nan exactly, not A.
+    One node; its gradient is sign(A) (G + G^T) / 2.  On a tape the closure
+    keeps sign(A) in float32, which holds -1, 0, 1 and nan exactly, not A;
+    off a tape nothing is kept.
     """
     av = tp._as_array(a)
     aa = np.abs(av)
     out = aa + np.swapaxes(aa, -1, -2)
     out *= 0.5
-    sign = np.sign(av).astype(np.float32)
+    sign = np.sign(av).astype(np.float32) if tp._on_tape(a) else None
     return tp._emit("symmetrize", (a,), out, lambda g: (
         sign * ((g + np.swapaxes(g, -1, -2)) / 2.0),))
 

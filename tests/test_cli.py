@@ -569,6 +569,9 @@ def _input_file(arg: str, small_run, tmp_path) -> str:
     (["synth", "--noise-amp", "-1"], "noise_amp -1.0 is not nonnegative"),
     (["synth", "--noise-amp", "nan"], "noise_amp nan is not nonnegative"),
     (["synth", "--ar-amp", "inf"], "ar_amp inf is not nonnegative"),
+    (["synth", "--n", "5", "--t", "100000000000000000000"],
+     "n 5, t 100000000000000000000 and d 3 size arrays larger than numpy "
+     "can index"),
     (["synth", "--diurnal-amp", "-0.5"],
      "diurnal_amp -0.5 is not nonnegative"),
     (["train", "--seed", "-1"], "seed -1 must be at least 0"),
@@ -601,6 +604,8 @@ def _input_file(arg: str, small_run, tmp_path) -> str:
     # the synth has 120 steps; a default window spans 12 + 12 = 24
     (["train", "--split", "3,0.1,2"], "validation split has 2 steps"),
     (["train", "--w", "400"], "training split has 60 steps"),
+    # checked before the model build, which this horizon could not allocate
+    (["train", "--w", "100000000000"], "training split has 60 steps"),
     # the scored split is checked under its own noun, in either mode
     (["eval", "--baseline", "ridge", "--lam", "1", "--eval-split", "val",
       "--split", "3,0.04,1"], "validation split has 1 steps"),
@@ -652,13 +657,14 @@ def _input_file(arg: str, small_run, tmp_path) -> str:
         "config-decay-factor-1.5", "patience-negative", "patience-0",
         "ablate-patience-negative", "ablate-patience-before-graphs",
         "synth-noise-amp-negative", "synth-noise-amp-nan", "synth-ar-amp-inf",
+        "synth-size-unindexable",
         "synth-diurnal-amp-negative", "train-seed-negative",
         "synth-seed-negative", "config-d-emb-float", "config-batch-size-float",
         "config-seed-float", "config-epochs-bool",
         "config-temporal-kernel-float", "config-alpha-inf", "config-beta-bool",
         "config-lr0-bool", "config-decay-factor-bool", "config-lr0-string",
         "config-decay-factor-string", "ablate-seed-negative",
-        "train-val-split-short", "train-split-short",
+        "train-val-split-short", "train-split-short", "train-w-huge",
         "eval-baseline-val-split-short", "eval-ckpt-val-split-short",
         "preprocess-max-missing-nan", "preprocess-max-missing-negative",
         "preprocess-max-defaults-nan", "eval-ckpt-window-and-lam",
@@ -772,7 +778,7 @@ def _save_flat_dataset(path):
     return path
 
 
-def test_runtime_failure_exits_2(tmp_path, monkeypatch, capsys):
+def test_runtime_failure_exits_2(small_run, tmp_path, monkeypatch, capsys):
     data = _save_flat_dataset(tmp_path / "flat.w2kt")
     code = main(["eval", "--baseline", "persistence", "--data", str(data),
                  "--factor", "t", "--wprime", "6", "--w", "3",
@@ -784,6 +790,20 @@ def test_runtime_failure_exits_2(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert main(["synth", "--out", str(tmp_path / "d.w2kt")]) == 2
     assert capsys.readouterr().err == "error: [Errno 9] Bad file descriptor\n"
+
+    # and an allocation the host cannot make, which numpy's text sizes
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 11.6 TiB for an array")
+
+    monkeypatch.setattr(md, "build_model", no_memory)
+    out = tmp_path / "m.ckpt"
+    capsys.readouterr()
+    assert main(["train", "--data", str(small_run / "synth.w2kt"), "--graphs",
+                 str(small_run / "graphs.bin"), "--split", "2,1,1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: Unable to allocate 11.6 TiB for an array\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", ["train --config . --out m.ckpt", *(

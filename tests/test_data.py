@@ -469,6 +469,18 @@ def test_screen_missing_all_dropped():
         dt.screen_missing(ds, max_ratio=0.01)
 
 
+def test_screening_refuses_to_drop_every_station():
+    ds = tiny_dataset(n=2, t=10, d=2, seed=7, factors=["t", "hv2"])
+    ds.values[:, :5, 1] = 999999.0  # every station breaches the codes
+    with pytest.raises(PipelineError) as err:
+        dt.screen_defaults(ds, max_ratio=0.01)
+    assert str(err.value) == "default-code screening dropped every station"
+    ds.mask[:, :5, 0] = False  # and every station lacks records
+    with pytest.raises(PipelineError) as err:
+        dt.screen_missing(ds, max_ratio=0.01)
+    assert str(err.value) == "missing-data screening dropped every station"
+
+
 def test_screen_defaults_drop_and_mask():
     ds = tiny_dataset(n=3, t=100, d=2, seed=8, factors=["t", "hv2"])
     ds.values[0, :3, 1] = 999999.0   # 3% defaults: dropped
