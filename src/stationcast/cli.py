@@ -59,9 +59,15 @@ def _resolve(p) -> Path:
     return path
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _checked_paths(config: dict) -> dict:
     """Resolve the path flags the command reads.  Before any data loads,
-    refuse a missing input, and an unwritable output as opening it would."""
+    refuse a missing input, an unwritable output as opening it would, and
+    an output that would overwrite an input, another output, or a file of
+    a --data CSV directory."""
     paths = {k: _resolve(v) for k, v in config.items()
              if v is not None and (k in _INPUTS or k in _OUTPUTS)}
     for k, path in paths.items():
@@ -71,6 +77,17 @@ def _checked_paths(config: dict) -> dict:
             code = (errno.EISDIR if path.is_dir() else errno.ENOTDIR
                     if path.parent.exists() else errno.ENOENT)
             raise OSError(code, os.strerror(code), str(path))
+    real = {k: path.resolve() for k, path in paths.items()}
+    for k, path in paths.items():
+        if k not in _OUTPUTS:
+            continue
+        for j in real:
+            if j != k and real[j] == real[k]:
+                raise ConfigError(f"{_flag(k)} {path} would overwrite "
+                                  f"{_flag(j)} {paths[j]}")
+        if "data" in real and real["data"] in real[k].parents:
+            raise ConfigError(f"{_flag(k)} {path} would write inside "
+                              f"--data {paths['data']}")
     return paths
 
 
@@ -309,7 +326,7 @@ def _read_flags(args) -> dict:
         unread = set().union(*_EVAL_READS.values()) - _EVAL_READS[mode]
     elif args.command == "ablate" and args.graphs:
         mode, unread = "--graphs", {"n_adjacent"}
-    refused = [f"--{d.replace('_', '-')}" for d in sorted(unread)
+    refused = [_flag(d) for d in sorted(unread)
                if getattr(args, d) != _UNREAD_DEFAULTS.get(d)]
     if refused:
         raise ConfigError(f"{args.command} {mode} does not read "
@@ -321,7 +338,7 @@ def _read_flags(args) -> dict:
 def _cmd_eval(args) -> tuple:
     ds = _load_dataset_arg(args.data)
     resolved = {}
-    scheme = _split_scheme(args.split or "3,1,2")
+    scheme = _split_scheme("3,1,2" if args.split is None else args.split)
     part = {"train": 0, "val": 1, "test": 2}[args.eval_split]
 
     if args.pred:
@@ -341,7 +358,7 @@ def _cmd_eval(args) -> tuple:
         report = ev.score_external(loaded, scoped)
     else:
         if args.baseline:
-            factor = args.factor or "t"
+            factor = "t" if args.factor is None else args.factor
             w_in = 12 if args.wprime is None else args.wprime
             w_out = 12 if args.w is None else args.w
         else:
@@ -351,7 +368,8 @@ def _cmd_eval(args) -> tuple:
                 if stored is not None and not isinstance(stored, str):
                     raise CheckpointError(f"{args.ckpt}: stored {key} "
                                           f"{stored!r} is not a string")
-            factor = args.factor or extra.get("factor")
+            factor = (extra.get("factor") if args.factor is None
+                      else args.factor)
             if factor is None:
                 raise ConfigError("checkpoint lacks a stored factor; pass "
                                   "--factor")
@@ -382,7 +400,8 @@ def _cmd_eval(args) -> tuple:
                 raise ConfigError("pass --graphs (checkpoint stores no "
                                   "graph path)")
             graph_path = args.graphs or _checked_paths(
-                {"graphs": stored})["graphs"]
+                {"graphs": stored, "out": args.given["out"],
+                 "save_pred": args.given["save_pred"]})["graphs"]
             resolved["graphs"] = str(graph_path)  # main hashes it
             static = _static_from_graphset(gr.load_graphs(graph_path), scoped)
             if args.save_pred:

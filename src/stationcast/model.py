@@ -134,6 +134,12 @@ class ModelConfig:
         return d
 
 
+# the stepped schedule: 5% off every 10 epochs over the first 50, then held
+_LR_DECAY_FACTOR = 0.05
+_LR_DECAY_EVERY = 10
+_LR_DECAY_WINDOW = 50
+
+
 @dataclass
 class TrainConfig:
     """Optimization protocol: MAE loss under Adam with a stepped schedule."""
@@ -142,32 +148,24 @@ class TrainConfig:
     early_stop_patience: int = 50
     batch_size: int = 32
     lr0: float = 1e-2
-    lr_decay_factor: float = 0.05
-    lr_decay_every: int = 10
-    decay_window: int = 50
     seed: int = 0
 
     def __post_init__(self):
         check_ints(1, epochs=self.epochs,
                    early_stop_patience=self.early_stop_patience,
-                   batch_size=self.batch_size,
-                   lr_decay_every=self.lr_decay_every)
-        check_ints(0, decay_window=self.decay_window, seed=self.seed)
-        # the ranges reject nan and inf with their own texts
-        check_reals(finite=False, lr0=self.lr0,
-                    lr_decay_factor=self.lr_decay_factor)
+                   batch_size=self.batch_size)
+        check_ints(0, seed=self.seed)
+        # the range rejects nan and inf with its own text
+        check_reals(finite=False, lr0=self.lr0)
         if not 0.0 <= self.lr0 < math.inf:
             raise ConfigError(f"learning rate {self.lr0} is not nonnegative "
                               "and finite")
-        if not 0.0 <= self.lr_decay_factor <= 1.0:
-            raise ConfigError(f"lr decay factor {self.lr_decay_factor} lies "
-                              "outside [0, 1]")
 
     def lr_at(self, epoch: int) -> float:
         """Learning rate for a 1-based epoch index; frozen past the window."""
-        max_steps = max(self.decay_window // self.lr_decay_every - 1, 0)
-        k = min((epoch - 1) // self.lr_decay_every, max_steps)
-        return self.lr0 * (1.0 - self.lr_decay_factor) ** k
+        max_steps = _LR_DECAY_WINDOW // _LR_DECAY_EVERY - 1
+        k = min((epoch - 1) // _LR_DECAY_EVERY, max_steps)
+        return self.lr0 * (1.0 - _LR_DECAY_FACTOR) ** k
 
 
 @dataclass
@@ -474,7 +472,7 @@ def _chunk_gradients(params: dict, cfg: ModelConfig, n: int,
     """MAE of one chunk and its parameter gradients, on a tape of its own
     that dies on return."""
     t = tp.Tape()
-    tparams = {k: t.param(v, name=k) for k, v in params.items()}
+    tparams = {k: t.param(v) for k, v in params.items()}
     loss = _mae_loss(forward_on_tape(tparams, cfg, n, inputs, static_graphs),
                      targets)
     store = tp.backward(loss)

@@ -33,7 +33,6 @@ class _Node:
     op: str
     input_ids: tuple
     backward: Optional[Callable]
-    is_param: bool = False
     shape: tuple = ()
 
 
@@ -43,12 +42,12 @@ class Tape:
     def __init__(self):
         self.nodes: list[_Node] = []
 
-    def param(self, values: ArrayLike, name: str = "") -> "TapeTensor":
+    def param(self, values: ArrayLike) -> "TapeTensor":
         """Register a differentiable leaf and return its tensor."""
         arr = _as_array(values)
         nid = len(self.nodes)
-        self.nodes.append(_Node(op=f"param:{name}", input_ids=(), backward=None,
-                                is_param=True, shape=arr.shape))
+        self.nodes.append(_Node(op="param", input_ids=(), backward=None,
+                                shape=arr.shape))
         return TapeTensor(arr, self, nid)
 
     def _record(self, op: str, input_ids: tuple, backward: Callable,
@@ -467,7 +466,7 @@ def backward(loss: TapeTensor) -> dict[int, np.ndarray]:
         if g is None:
             continue
         node = tape.nodes[nid]
-        if node.is_param:
+        if node.op == "param":
             continue
         if node.backward is None:
             raise ShapeError(f"backward: node {nid} ({node.op}) was already "
@@ -488,7 +487,7 @@ def backward(loss: TapeTensor) -> dict[int, np.ndarray]:
                 grads[in_id] = grads[in_id] + gin
     store: dict[int, np.ndarray] = {}
     for nid, node in enumerate(tape.nodes):
-        if node.is_param:
+        if node.op == "param":
             g = grads[nid]
             store[nid] = np.zeros(node.shape) if g is None else np.asarray(g)
     return store

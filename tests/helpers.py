@@ -44,7 +44,7 @@ def finite_diff_check(build_loss: Callable[[dict], tp.TapeTensor],
     if rng is None:
         rng = np.random.default_rng(0)
     tape = tp.Tape()
-    tparams = {k: tape.param(v, name=k) for k, v in params.items()}
+    tparams = {k: tape.param(v) for k, v in params.items()}
     loss = build_loss(tparams)
     store = tp.backward(loss)
     analytic = {k: tp.grad_of(store, t) for k, t in tparams.items()}

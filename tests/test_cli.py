@@ -558,8 +558,9 @@ def _input_file(arg: str, small_run, tmp_path) -> str:
     (["graphs", "--sigma", "inf"], "sigma inf must be positive and finite"),
     (["train", "--lr0", "-1"], "learning rate -1.0 is not"),
     (["train", "--lr0", "nan"], "learning rate nan is not"),
-    (["train", "--config", '{"train": {"lr_decay_factor": 1.5}}'],
-     "lr decay factor 1.5 lies outside"),
+    # the stepped schedule's constants are no config fields
+    (["train", "--config", '{"train": {"lr_decay_factor": 0.1}}'],
+     "bad config field"),
     (["train", "--patience", "-1"], "patience -1 must be at least 1"),
     (["train", "--patience", "0"], "patience 0 must be at least 1"),
     (["ablate", "--patience", "-1", "--n-adjacent", "2"],
@@ -593,12 +594,8 @@ def _input_file(arg: str, small_run, tmp_path) -> str:
      "beta True is not a finite number"),
     (["train", "--config", '{"train": {"lr0": true}}'],
      "lr0 True is not a finite number"),
-    (["train", "--config", '{"train": {"lr_decay_factor": false}}'],
-     "lr_decay_factor False is not a finite number"),
     (["train", "--config", '{"train": {"lr0": "0.1"}}'],
      "lr0 '0.1' is not a finite number"),
-    (["train", "--config", '{"train": {"lr_decay_factor": "0.1"}}'],
-     "lr_decay_factor '0.1' is not a finite number"),
     (["ablate", "--seeds", "0,-1", "--n-adjacent", "2"],
      "seed -1 must be at least 0"),
     # the synth has 120 steps; a default window spans 12 + 12 = 24
@@ -641,6 +638,11 @@ def _input_file(arg: str, small_run, tmp_path) -> str:
      "split (1.0, 0.0, 0.0) leaves the validation part empty"),
     (["eval", "--ckpt", "CKPT", "--split", "0,0,1"],
      "split (0.0, 0.0, 1.0) leaves the training part empty"),
+    # an empty value is refused, not read as unset
+    (["eval", "--ckpt", "CKPT", "--split", ""], "empty number list ''"),
+    (["eval", "--ckpt", "CKPT", "--factor", ""], "factor '' not in dataset"),
+    (["eval", "--baseline", "ridge", "--lam", "1", "--factor", ""],
+     "factor '' not in dataset"),
     (["train", "--config", "{not json"], "is not valid JSON"),
     (["eval", "--ckpt", "CKPT-NOFACTOR"],
      "checkpoint lacks a stored factor; pass --factor"),
@@ -654,7 +656,7 @@ def _input_file(arg: str, small_run, tmp_path) -> str:
         "config-train-string", "config-no-blocks", "config-block-int",
         "krr-gamma-0", "krr-gamma-negative", "ridge-lam-nan", "wprime-0",
         "w-0", "split-1e308", "sigma-inf", "lr0-negative", "lr0-nan",
-        "config-decay-factor-1.5", "patience-negative", "patience-0",
+        "config-decay-factor", "patience-negative", "patience-0",
         "ablate-patience-negative", "ablate-patience-before-graphs",
         "synth-noise-amp-negative", "synth-noise-amp-nan", "synth-ar-amp-inf",
         "synth-size-unindexable",
@@ -662,8 +664,7 @@ def _input_file(arg: str, small_run, tmp_path) -> str:
         "synth-seed-negative", "config-d-emb-float", "config-batch-size-float",
         "config-seed-float", "config-epochs-bool",
         "config-temporal-kernel-float", "config-alpha-inf", "config-beta-bool",
-        "config-lr0-bool", "config-decay-factor-bool", "config-lr0-string",
-        "config-decay-factor-string", "ablate-seed-negative",
+        "config-lr0-bool", "config-lr0-string", "ablate-seed-negative",
         "train-val-split-short", "train-split-short", "train-w-huge",
         "eval-baseline-val-split-short", "eval-ckpt-val-split-short",
         "preprocess-max-missing-nan", "preprocess-max-missing-negative",
@@ -673,6 +674,8 @@ def _input_file(arg: str, small_run, tmp_path) -> str:
         "graphs-pattern-factors-absent", "graphs-pattern-factors-repeated",
         "graphs-pattern-factors-empty", "config-graph-kinds-repeated",
         "graphs-split-no-validation", "eval-ckpt-split-no-training",
+        "eval-ckpt-split-empty", "eval-ckpt-factor-empty",
+        "eval-baseline-factor-empty",
         "config-not-json", "eval-ckpt-no-factor", "eval-ckpt-no-graphs",
         "graph-file-other-stations", "graph-file-station-count"])
 def test_bad_input_exits_1_with_one_line(small_run, tmp_path, capsys, argv,
@@ -840,6 +843,40 @@ def test_directory_path_exits_1_with_one_line(small_run, tmp_path, capsys,
         "error: [Errno 21] Is a directory: '.'" if "." in argv else
         "error: [Errno 2] No such file or directory: 'nodir/out'"]
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("argv,where", [
+    ("eval --ckpt m.ckpt --data d.w2kt --out d.w2kt",
+     "--out d.w2kt would overwrite --data d.w2kt"),
+    ("preprocess --data raw --out raw/stations.csv",
+     "--out raw/stations.csv would write inside --data raw"),
+    ("train --data d.w2kt --graphs g.bin --epochs 1 --split 2,1,1 "
+     "--out s.bin --history s.bin", "--out s.bin would overwrite --history "
+     "s.bin"),
+    ("eval --baseline persistence --data d.w2kt --out r.json --save-pred "
+     "r.json", "--save-pred r.json would overwrite --out r.json"),
+    # the graph file the checkpoint names, checked when eval reads it
+    ("eval --ckpt m.ckpt --data d.w2kt --out g.bin",
+     "--out g.bin would overwrite --graphs g.bin")],
+    ids=["out-is-data", "out-in-csv-dir", "history-is-out",
+         "save-pred-is-out", "out-is-stored-graphs"])
+def test_overwriting_output_exits_1_with_one_line(small_run, tmp_path,
+                                                  capsys, monkeypatch, argv,
+                                                  where):
+    monkeypatch.chdir(tmp_path)
+    data = tmp_path / "d.w2kt"
+    data.write_bytes((small_run / "synth.w2kt").read_bytes())
+    (tmp_path / "g.bin").write_bytes((small_run / "graphs.bin").read_bytes())
+    md.save_checkpoint(md.build_model(5), tmp_path / "m.ckpt",
+                       extra={"factor": "t", "graphs_file": "g.bin"})
+    save_csv_dir(dt.load_dataset(data), tmp_path / "raw")
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main(argv.split()) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {where}"]
+    # every input keeps its bytes; no output or manifest is written
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*")
+            if p.is_file()} == before
 
 
 def test_manifest_records_the_flags_each_mode_read(small_run, tmp_path):

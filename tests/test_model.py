@@ -231,7 +231,7 @@ def test_temporal_multibranch_matches_uncollapsed_tape(kernels):
 
     def run(block):
         tape = tp.Tape()
-        p = {k: tape.param(v, name=k) for k, v in values.items()}
+        p = {k: tape.param(v) for k, v in values.items()}
         out = block(p["x"], kernels, [p[f"w{j}"] for j in range(len(kernels))],
                     p["fuse"], p["bias"])
         store = tp.backward(reduce_sum(tp.hadamard(out, probe)))
@@ -426,7 +426,7 @@ def test_static_graphs_give_one_laplacian_per_step(monkeypatch):
         sizes.clear()
         linalg["solve"].clear()
         t = tp.Tape()
-        tparams = {k: t.param(v, name=k) for k, v in model.params.items()}
+        tparams = {k: t.param(v) for k, v in model.params.items()}
         pred = md.forward_on_tape(tparams, cfg, n, inputs, static)
         assert linalg["solve"] == []
         tp.backward(md._mae_loss(pred, targets))
@@ -471,7 +471,7 @@ def _default_step_loss(n, batch, seed):
     cfg = md.ModelConfig()
     model = md.build_model(n, cfg, seed=1)
     t = tp.Tape()
-    tparams = {k: t.param(v, name=k) for k, v in model.params.items()}
+    tparams = {k: t.param(v) for k, v in model.params.items()}
     inputs = rng.normal(0.0, 1.0, (batch, n, cfg.w_in, cfg.d))
     targets = rng.normal(0.0, 1.0, (batch, n, cfg.w_out, cfg.d))
     return md._mae_loss(md.forward_on_tape(tparams, cfg, n, inputs,
@@ -763,7 +763,7 @@ def _chunk_fixture():
 def _batch_gradients(params, cfg, n, batch, static):
     """Loss and gradients of one tape over a whole batch."""
     t = tp.Tape()
-    tparams = {k: t.param(v, name=k) for k, v in params.items()}
+    tparams = {k: t.param(v) for k, v in params.items()}
     loss = md._mae_loss(md.forward_on_tape(tparams, cfg, n, batch.inputs,
                                            static), batch.targets)
     store = tp.backward(loss)
